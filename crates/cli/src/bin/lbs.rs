@@ -1,6 +1,6 @@
 //! Thin shell around `lbs_cli`: parse, run, report.
 
-use lbs_cli::{run, Args};
+use lbs_cli::{command_names, run, Args};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -9,9 +9,9 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: lbs <gen|anonymize|audit|stats|compare|lookup|conformance|lint|bench|serve|recover|recovery-smoke> \
-                 [--key value]...\n\
-                 see `cargo doc -p lbs-cli` for the full command reference"
+                "usage: lbs <{}> [--key value]...\n\
+                 see `cargo doc -p lbs-cli` for the full command reference",
+                command_names().join("|")
             );
             std::process::exit(2);
         }

@@ -47,12 +47,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::UnknownCommand(c) => {
-                write!(
-                    f,
-                    "unknown command {c:?}; try \
-                     gen/anonymize/audit/stats/compare/lookup/conformance/lint/\
-                     bench/serve/soak/recover/recovery-smoke/scrub/storage-fault-smoke"
-                )
+                write!(f, "unknown command {c:?}; try {}", command_names().join("/"))
             }
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Codec(e) => write!(f, "codec error: {e}"),
@@ -97,30 +92,46 @@ impl From<lbs_runtime::RuntimeError> for CliError {
     }
 }
 
+type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// Every subcommand in usage order: the dispatch table behind [`run`],
+/// the usage line, and the unknown-command hint all read this one list.
+const COMMANDS: &[(&str, Command)] = &[
+    ("gen", gen),
+    ("anonymize", anonymize),
+    ("audit", audit),
+    ("stats", stats),
+    ("compare", compare),
+    ("lookup", lookup),
+    ("conformance", conformance),
+    ("lint", lint),
+    ("bench", bench),
+    ("serve", serve),
+    ("soak", soak),
+    ("recover", recover),
+    ("recovery-smoke", recovery_smoke),
+    ("scrub", scrub),
+];
+
+/// The subcommand names, in usage order.
+pub fn command_names() -> Vec<&'static str> {
+    COMMANDS.iter().map(|&(name, _)| name).collect()
+}
+
 /// Dispatches a parsed command, writing reports to `out`.
 ///
 /// # Errors
 /// Every failure path is a typed [`CliError`]; nothing panics on bad
 /// user input.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    match args.command.as_str() {
-        "gen" => gen(args, out),
-        "anonymize" => anonymize(args, out),
-        "audit" => audit(args, out),
-        "stats" => stats(args, out),
-        "compare" => compare(args, out),
-        "lookup" => lookup(args, out),
-        "conformance" => conformance(args, out),
-        "lint" => lint(args, out),
-        "bench" => bench(args, out),
-        "serve" => serve(args, out),
-        "soak" => soak(args, out),
-        "recover" => recover(args, out),
-        "recovery-smoke" => recovery_smoke(args, out),
-        "scrub" => scrub(args, out),
-        "storage-fault-smoke" => storage_fault_smoke(args, out),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    match command(&args.command) {
+        Some(command) => command(args, out),
+        None => Err(CliError::UnknownCommand(args.command.clone())),
     }
+}
+
+fn command(name: &str) -> Option<Command> {
+    COMMANDS.iter().find(|&&(listed, _)| listed == name).map(|&(_, command)| command)
 }
 
 fn load_snapshot(path: &str) -> Result<LocationDb, CliError> {
@@ -784,17 +795,23 @@ fn recover(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `lbs recovery-smoke`: the crash-point sweep (kill-and-recover at every
-/// WAL offset, recovered policy bit-identical) plus the degradation-
-/// ladder attacker audit — the CI recovery stage.
+/// `lbs recovery-smoke`: the durability sweep sized for CI — named crash
+/// plans, seeded disk faults, on-disk rot with scrub/GC self-healing, and
+/// per-shard victims, every recovery bit-identical to the never-crashed
+/// run or a loud typed error — plus the degradation-ladder attacker
+/// audit. Red output carries the seed to replay.
 fn recovery_smoke(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let defaults = lbs_conformance::CrashSweepConfig::default();
-    let cfg = lbs_conformance::CrashSweepConfig {
+    let defaults = lbs_conformance::DurabilityConfig::default();
+    let cfg = lbs_conformance::DurabilityConfig {
         seed: args.parse_or("seed", defaults.seed)?,
         users: args.parse_or("users", defaults.users)?,
         k: args.parse_or("k", defaults.k)?,
-        rounds: args.parse_or("rounds", defaults.rounds)?,
+        // 10 records at the default cadence place exactly 50 named points.
+        rounds: args.parse_or("rounds", 10)?,
         checkpoint_every: args.parse_or("checkpoint-every", defaults.checkpoint_every)?,
+        fault_points: args.parse_or("fault-points", 20)?,
+        rot_points: args.parse_or("rot-points", 10)?,
+        shard_points: args.parse_or("shard-points", 16)?,
     };
     let scratch = match args.optional("scratch") {
         Some(dir) => std::path::PathBuf::from(dir),
@@ -802,26 +819,16 @@ fn recovery_smoke(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     std::fs::create_dir_all(&scratch)?;
 
-    let report =
-        lbs_conformance::crash_sweep(&scratch, &cfg).map_err(|e| CliError::Conformance(vec![e]))?;
+    let report = lbs_conformance::durability_sweep(&scratch, &cfg)
+        .map_err(|e| CliError::Conformance(vec![e]))?;
     write!(out, "{report}")?;
     let mut problems = report.failures.clone();
-    if report.points < 50 {
-        problems.push(format!("only {} crash points swept (need >= 50)", report.points));
+    let named = report.named_points();
+    if named < 50 {
+        problems.push(format!("only {named} named crash points swept (need >= 50)"));
     }
-    let sharded_cfg = lbs_conformance::ShardedSweepConfig {
-        seed: cfg.seed,
-        ..lbs_conformance::ShardedSweepConfig::default()
-    };
-    match lbs_conformance::sharded_crash_sweep(&scratch, &sharded_cfg) {
-        Ok(sharded) => {
-            write!(out, "{sharded}")?;
-            problems.extend(sharded.failures.clone());
-            if sharded.shards < 2 {
-                problems.push("sharded sweep collapsed to one shard".to_string());
-            }
-        }
-        Err(e) => problems.push(format!("sharded sweep: {e}")),
+    if cfg.shard_points > 0 && report.shards < 2 {
+        problems.push("sharded phase collapsed to one shard".to_string());
     }
     for ladder_seed in [3u64, 11, 42] {
         match lbs_conformance::audit_degradation_ladder(ladder_seed, 56, 4) {
@@ -908,40 +915,6 @@ fn scrub(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         )?;
     }
     Ok(())
-}
-
-/// `lbs storage-fault-smoke`: a reduced deterministic storage-fault
-/// sweep — seeded disk-fault plans with crash-restart lives, on-disk
-/// bit-rot with scrub/GC self-healing, and per-shard victims — sized
-/// for a CI time budget. Every recovery must be bit-identical to the
-/// durable prefix or fail loudly with a typed error; red output carries
-/// the exact seed to replay.
-fn storage_fault_smoke(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let defaults = lbs_conformance::StorageFaultConfig::default();
-    let cfg = lbs_conformance::StorageFaultConfig {
-        seed: args.parse_or("seed", defaults.seed)?,
-        users: args.parse_or("users", defaults.users)?,
-        k: args.parse_or("k", defaults.k)?,
-        rounds: args.parse_or("rounds", defaults.rounds)?,
-        fault_points: args.parse_or("fault-points", 40)?,
-        rot_points: args.parse_or("rot-points", 10)?,
-        shard_points: args.parse_or("shard-points", 10)?,
-        shards: args.parse_or("shards", defaults.shards)?,
-    };
-    let scratch = match args.optional("scratch") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("lbs-storage-fault-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&scratch)?;
-    let report = lbs_conformance::storage_fault_sweep(&scratch, &cfg)
-        .map_err(|e| CliError::Conformance(vec![e]))?;
-    write!(out, "{report}")?;
-    if report.is_clean() {
-        writeln!(out, "storage-fault-smoke: PASS (replay with --seed {})", cfg.seed)?;
-        Ok(())
-    } else {
-        Err(CliError::Conformance(report.failures.clone()))
-    }
 }
 
 /// Walks up from the current directory to the workspace root (the first
@@ -1451,26 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_fault_smoke_command_passes_on_a_tiny_sweep() {
-        let dir = TempDir::new("sf-smoke");
-        let scratch = dir.path("scratch");
-        let msg = run_line(&[
-            "storage-fault-smoke",
-            "--scratch",
-            &scratch,
-            "--fault-points",
-            "5",
-            "--rot-points",
-            "5",
-            "--shard-points",
-            "2",
-        ])
-        .unwrap();
-        assert!(msg.contains("storage-fault-smoke: PASS"), "{msg}");
-        assert!(msg.contains("restarts"), "{msg}");
-    }
-
-    #[test]
     fn bench_compare_against_disjoint_baseline_fails_loudly() {
         use lbs_bench::snapshot::{BenchSnapshot, CaseRecord, SCHEMA_VERSION};
 
@@ -1529,12 +1482,39 @@ mod tests {
     fn recovery_smoke_runs_a_reduced_sweep() {
         let dir = TempDir::new("rsmoke");
         let scratch = dir.path("scratch");
-        // Reduced population so the unit test stays fast; the full record
-        // count is kept so the >= 50 crash-point floor still applies.
-        let msg = run_line(&["recovery-smoke", "--users", "32", "--scratch", &scratch]).unwrap();
-        assert!(msg.contains("crash sweep"), "{msg}");
+        // Fewer users and points keep the test fast; the default history
+        // length is kept so the >= 50 named-point floor still applies.
+        let msg = run_line(&[
+            "recovery-smoke",
+            "--users",
+            "32",
+            "--fault-points",
+            "3",
+            "--rot-points",
+            "5",
+            "--shard-points",
+            "8",
+            "--scratch",
+            &scratch,
+        ])
+        .unwrap();
+        assert!(msg.contains("durability sweep"), "{msg}");
+        assert!(msg.contains("sharded/wal-tear"), "{msg}");
         assert!(msg.contains("degradation ladder"), "{msg}");
-        assert!(msg.contains("PASS"), "{msg}");
+        assert!(msg.contains("recovery-smoke: PASS"), "{msg}");
+    }
+
+    #[test]
+    fn every_listed_command_dispatches() {
+        let names = command_names();
+        let hint = CliError::UnknownCommand("transmogrify".into()).to_string();
+        for name in &names {
+            assert!(command(name).is_some(), "{name} is listed but does not dispatch");
+            assert!(hint.contains(name), "{name} missing from the unknown-command hint");
+            assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name} listed twice");
+        }
+        assert!(names.contains(&"soak") && names.contains(&"scrub"));
+        assert!(command("transmogrify").is_none());
     }
 
     #[test]

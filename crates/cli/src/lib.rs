@@ -26,4 +26,4 @@ mod args;
 mod commands;
 
 pub use args::{Args, ArgsError};
-pub use commands::{run, CliError};
+pub use commands::{command_names, run, CliError};

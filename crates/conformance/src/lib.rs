@@ -15,20 +15,17 @@
 //!    ([`golden::GoldenRecord`]) pin exact costs and assignment
 //!    fingerprints for a fixed sub-matrix; intentional changes are
 //!    re-blessed via the CLI and reviewed as a diff.
-//! 4. **Crash-recovery sweep** ([`recovery`]) — kill-and-recover the
-//!    service runtime at every WAL crash point and prove the recovered
-//!    policy bit-identical; audit every degradation-ladder rung with
-//!    the policy-aware attacker.
+//! 4. **Durability oracle** ([`durability`]) — one seeded sweep drives
+//!    named crash plans (WAL boundaries and tears, torn checkpoint temp
+//!    files, a rotten newest generation), seeded disk faults, on-disk rot
+//!    with scrub/GC self-healing, and per-shard victims through the
+//!    runtime's storage seam with crash-restart lives: every recovery is
+//!    bit-identical to the never-crashed run or fails loudly and typed.
+//!    Every degradation-ladder rung faces the policy-aware attacker too.
 //! 5. **Sharded soak** ([`soak`]) — seeded sustained traffic through the
 //!    sharded epoch-pipelined service with mid-traffic shard crashes:
 //!    no global stall, no attacker breach, aggregate cost within the
 //!    paper's divergence bound of the single-shard optimum.
-//! 6. **Storage-fault sweep** ([`storage_fault`]) — deterministic disk
-//!    faults (short writes, fsync failures, ENOSPC, bit-rot, rename
-//!    failures, crash points) driven through the runtime's storage
-//!    backend, with crash-restart lives, scrub/GC self-healing, and
-//!    per-shard victims: every point recovers bit-identically or fails
-//!    loudly with a typed error naming the corrupt artifact.
 //!
 //! The whole subsystem is driven by one master seed
 //! ([`DEFAULT_MASTER_SEED`]); every failure message carries the
@@ -37,22 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durability;
 pub mod golden;
 pub mod harness;
-pub mod recovery;
 pub mod scenario;
 pub mod soak;
-pub mod storage_fault;
 
+pub use durability::{
+    audit_degradation_ladder, durability_sweep, run_lives, DegradationReport, DurabilityConfig,
+    DurabilityReport, LifeLog, Recovered, Reference,
+};
 pub use golden::{
     bless, bless_sharded, check, check_sharded, compute_corpus, compute_sharded_corpus,
     policy_fingerprint, GoldenRecord, ShardedGoldenRecord,
 };
 pub use harness::{run_matrix, run_scenario, ConformanceReport, ScenarioOutcome};
-pub use recovery::{
-    audit_degradation_ladder, crash_sweep, sharded_crash_sweep, CrashSweepConfig, CrashSweepReport,
-    DegradationReport, ShardedSweepConfig, ShardedSweepReport,
-};
 pub use scenario::{scenario_matrix, Algorithm, Density, Scenario, Tier, DEFAULT_MASTER_SEED};
 pub use soak::{soak, SoakConfig, SoakCrash, SoakReport};
-pub use storage_fault::{storage_fault_sweep, StorageFaultConfig, StorageFaultReport};

@@ -36,11 +36,11 @@ pub fn decode_snapshot(mut bytes: Bytes) -> Result<LocationDb, ModelError> {
     if magic != MAGIC {
         return Err(ModelError::CorruptSnapshot(format!("bad magic {magic:#x}")));
     }
-    let n = bytes.get_u64_le() as usize;
-    if bytes.remaining() != n * 24 {
+    let n = bytes.get_u64_le();
+    let rows = usize::try_from(n).ok().and_then(|n| n.checked_mul(24));
+    if rows != Some(bytes.remaining()) {
         return Err(ModelError::CorruptSnapshot(format!(
-            "expected {} row bytes, found {}",
-            n * 24,
+            "{n} rows do not fit the {} row bytes present",
             bytes.remaining()
         )));
     }
@@ -90,6 +90,13 @@ mod tests {
         let bytes = encode_snapshot(&sample());
         let cut = bytes.slice(0..bytes.len() - 3);
         assert!(matches!(decode_snapshot(cut), Err(ModelError::CorruptSnapshot(_))));
+    }
+
+    #[test]
+    fn overflowing_row_count_rejected() {
+        let mut raw = MAGIC.to_le_bytes().to_vec();
+        raw.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(decode_snapshot(Bytes::from(raw)), Err(ModelError::CorruptSnapshot(_))));
     }
 
     #[test]

@@ -117,13 +117,20 @@ pub fn decode_checkpoint(raw: &[u8], path: &Path) -> Result<Checkpoint, RuntimeE
     let epoch = buf.get_u64_le();
     let wal_seq = buf.get_u64_le();
     let k = usize::try_from(buf.get_u64_le()).map_err(|_| corrupt("k overflows usize".into()))?;
-    let map = Rect::new(buf.get_i64_le(), buf.get_i64_le(), buf.get_i64_le(), buf.get_i64_le());
-    let db_len = buf.get_u64_le() as usize;
-    if buf.remaining() < db_len + 8 {
+    let (x0, y0, x1, y1) = (buf.get_i64_le(), buf.get_i64_le(), buf.get_i64_le(), buf.get_i64_le());
+    if x0 >= x1 || y0 >= y1 {
+        return Err(corrupt("empty or inverted map".into()));
+    }
+    let map = Rect::new(x0, y0, x1, y1);
+    if buf.remaining() < 8 {
+        return Err(corrupt("truncated database length".into()));
+    }
+    let db_len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
+    if db_len.checked_add(8).is_none_or(|needed| buf.remaining() < needed) {
         return Err(corrupt("truncated database section".into()));
     }
     let db_bytes = buf.split_to(db_len);
-    let policy_len = buf.get_u64_le() as usize;
+    let policy_len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
     if buf.remaining() != policy_len {
         return Err(corrupt(format!(
             "expected {policy_len} policy bytes, found {}",
@@ -340,6 +347,41 @@ mod tests {
             bad[idx] ^= 0x01;
             assert!(decode_checkpoint(&bad, Path::new("x")).is_err(), "bitflip at {idx} accepted");
         }
+    }
+
+    /// CRC-valid bodies that end right after the fixed header, claim a
+    /// database longer than memory, or carry an empty map are typed
+    /// errors, not panics.
+    #[test]
+    fn crc_valid_truncated_or_oversized_bodies_are_rejected() {
+        let sealed = |mut body: Vec<u8>| {
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        };
+        let mut header = Vec::new();
+        header.extend_from_slice(&MAGIC.to_le_bytes());
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&[0u8; 24]);
+        for coord in [0i64, 0, 32, 32] {
+            header.extend_from_slice(&coord.to_le_bytes());
+        }
+        for len in 64..72 {
+            let mut body = header.clone();
+            body.resize(len, 0);
+            let res = decode_checkpoint(&sealed(body), Path::new("x"));
+            assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })), "{len} bytes");
+        }
+        let mut body = header.clone();
+        body.extend_from_slice(&u64::MAX.to_le_bytes());
+        let res = decode_checkpoint(&sealed(body), Path::new("x"));
+        assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })));
+        // An empty map rect (x0 == x1) is corruption, not a Rect::new panic.
+        let mut body = header.clone();
+        body[48..56].copy_from_slice(&0i64.to_le_bytes());
+        body.resize(80, 0);
+        let res = decode_checkpoint(&sealed(body), Path::new("x"));
+        assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })));
     }
 
     #[test]

@@ -461,6 +461,12 @@ impl FaultFs {
     pub fn ops(&self) -> u64 {
         self.core.state.lock().unwrap_or_else(|p| p.into_inner()).ops
     }
+
+    /// Write calls performed so far — with [`ops`](Self::ops), what a
+    /// harness needs to aim a short write at one known frame.
+    pub fn writes(&self) -> u64 {
+        self.core.state.lock().unwrap_or_else(|p| p.into_inner()).writes
+    }
 }
 
 struct FaultFile {

@@ -110,7 +110,11 @@ fn decode_header(raw: &[u8]) -> Option<u64> {
     if crc32(&raw[..12]) != want {
         return None;
     }
-    Some(u64::from_le_bytes([raw[4], raw[5], raw[6], raw[7], raw[8], raw[9], raw[10], raw[11]]))
+    let base =
+        u64::from_le_bytes([raw[4], raw[5], raw[6], raw[7], raw[8], raw[9], raw[10], raw[11]]);
+    // A base with no successor sequence number cannot be a real pruned
+    // log; treat it like any other corrupt header.
+    base.checked_add(1).map(|_| base)
 }
 
 /// Scans raw log bytes into the valid record prefix, understanding both
@@ -148,15 +152,17 @@ pub fn scan(raw: &[u8]) -> (Vec<WalRecord>, u64) {
         }
         let mut buf = Bytes::copy_from_slice(payload);
         let seq = buf.get_u64_le();
-        if seq != expected_seq {
+        // The last sequence number has no successor, so it never ends a
+        // valid prefix (the next append could not be numbered).
+        let Some(next_seq) = seq.checked_add(1).filter(|_| seq == expected_seq) else {
             break;
-        }
+        };
         let Ok(updates) = decode_updates(buf) else {
             break;
         };
         records.push(WalRecord { seq, updates, end_offset: body_end as u64 });
         offset = body_end;
-        expected_seq += 1;
+        expected_seq = next_seq;
     }
     (records, offset as u64)
 }
@@ -462,6 +468,16 @@ mod tests {
         let (recs, valid) = scan(&raw);
         assert!(recs.is_empty());
         assert_eq!(valid, 0);
+    }
+
+    /// Sequence numbers at the top of the u64 range end the valid prefix
+    /// instead of overflowing.
+    #[test]
+    fn saturated_sequence_numbers_end_the_valid_prefix() {
+        assert_eq!(scan(&encode_header(u64::MAX)), (Vec::new(), 0));
+        let mut raw = encode_header(u64::MAX - 1);
+        raw.extend_from_slice(&encode_frame(u64::MAX, &batch(1)));
+        assert_eq!(scan(&raw), (Vec::new(), WAL_HEADER_LEN as u64));
     }
 
     #[test]

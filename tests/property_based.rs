@@ -1,11 +1,12 @@
 //! Property-based tests (proptest) over the core invariants.
 //!
-//! The vendored proptest stand-in has no shrinking, so failing databases
-//! are minimized by [`shrink_db`] — a greedy 1-minimal pass that drops
-//! users while the failure persists — and reported in the panic message.
+//! The vendored proptest stand-in has no shrinking, so failing inputs are
+//! minimized by [`shrink_vec`] — a greedy 1-minimal pass that drops
+//! elements (database users, fuzz bytes) while the failure persists — and
+//! reported in the panic message.
 
 use lbs_attack::audit_policy;
-use lbs_conformance::{crash_sweep, CrashSweepConfig};
+use lbs_conformance::{durability_sweep, run_lives, DurabilityConfig, Reference};
 use lbs_core::{
     anonymize_per_user_k, bulk_dp_fast, bulk_dp_fast_rowwise, minplus_argmin, minplus_convolve,
     verify_per_user_k, verify_policy_aware, KRequirements, StickyAnonymizer, INFINITE_COST,
@@ -15,26 +16,22 @@ use proptest::prelude::*;
 
 const SIDE: i64 = 64;
 
-/// Greedy 1-minimal database shrinker. Repeatedly removes any single
-/// user whose removal keeps `failing` true; the result is a database
-/// where every user is load-bearing for the failure. (The vendored
-/// proptest has no integrated shrinking, so properties call this
-/// explicitly when they fail and embed the minimal counterexample in
-/// the failure message for replay.)
-fn shrink_db<F: Fn(&LocationDb) -> bool>(db: &LocationDb, failing: F) -> LocationDb {
-    let mut rows: Vec<(UserId, Point)> = db.iter().collect();
+/// Greedy 1-minimal shrinker. Repeatedly removes any single element
+/// whose removal keeps `failing` true; the result is a list where every
+/// element is load-bearing for the failure. (The vendored proptest has no
+/// integrated shrinking, so properties call this explicitly when they
+/// fail and embed the minimal counterexample in the failure message for
+/// replay.)
+fn shrink_vec<T: Clone, F: Fn(&[T]) -> bool>(items: &[T], failing: F) -> Vec<T> {
+    let mut items = items.to_vec();
     loop {
         let mut shrunk = false;
         let mut i = 0;
-        while i < rows.len() {
-            if rows.len() == 1 {
-                break;
-            }
-            let mut candidate = rows.clone();
+        while i < items.len() && items.len() > 1 {
+            let mut candidate = items.clone();
             candidate.remove(i);
-            let cdb = LocationDb::from_rows(candidate.clone()).expect("ids stay unique");
-            if failing(&cdb) {
-                rows = candidate;
+            if failing(&candidate) {
+                items = candidate;
                 shrunk = true;
                 // Do not advance: the element now at `i` is untested.
             } else {
@@ -42,10 +39,17 @@ fn shrink_db<F: Fn(&LocationDb) -> bool>(db: &LocationDb, failing: F) -> Locatio
             }
         }
         if !shrunk {
-            break;
+            return items;
         }
     }
-    LocationDb::from_rows(rows).expect("ids stay unique")
+}
+
+/// [`shrink_vec`] over a database's users.
+fn shrink_db<F: Fn(&LocationDb) -> bool>(db: &LocationDb, failing: F) -> LocationDb {
+    let rows: Vec<(UserId, Point)> = db.iter().collect();
+    let as_db =
+        |rows: &[(UserId, Point)]| LocationDb::from_rows(rows.to_vec()).expect("ids stay unique");
+    as_db(&shrink_vec(&rows, |rows| failing(&as_db(rows))))
 }
 
 /// Renders a database small enough to paste back into a unit test.
@@ -520,15 +524,15 @@ proptest! {
 }
 
 proptest! {
-    // Each case runs a full crash-point sweep (a reference service run
-    // plus one recovery per seeded tear), so the case budget stays small.
+    // Each case runs every named crash plan through its own crash-restart
+    // lives on a fresh reference history, so the case budget stays small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Crash-safe recovery, over random service histories: at every
-    /// seeded crash point — WAL tears at record boundaries and mid-frame,
-    /// torn checkpoint temp files, a corrupted newest checkpoint — the
-    /// recovered committed [`BulkPolicy`] is byte-for-byte identical to
-    /// the never-crashed run's policy at the same durable sequence.
+    /// Crash-safe recovery, over random service histories: at every named
+    /// crash plan — WAL tears at record boundaries and mid-frame, torn
+    /// checkpoint temp files, a rotten newest checkpoint — every recovered
+    /// committed [`BulkPolicy`] is byte-for-byte identical to the
+    /// never-crashed run's policy at the same durable sequence.
     #[test]
     fn recovery_is_bit_identical_at_every_crash_point(
         seed in 0u64..(1 << 32),
@@ -537,171 +541,66 @@ proptest! {
         rounds in 4u64..8,
         checkpoint_every in 1u64..4,
     ) {
-        let cfg = CrashSweepConfig { seed, users, k, rounds, checkpoint_every };
+        let cfg = DurabilityConfig {
+            seed,
+            users,
+            k,
+            rounds,
+            checkpoint_every,
+            fault_points: 0,
+            rot_points: 0,
+            shard_points: 0,
+        };
         let scratch = std::env::temp_dir().join(format!(
             "lbs-prop-sweep-{}-{seed:x}-{users}-{k}-{rounds}-{checkpoint_every}",
             std::process::id()
         ));
-        let sweep = crash_sweep(&scratch, &cfg);
+        let sweep = durability_sweep(&scratch, &cfg);
         let _ = std::fs::remove_dir_all(&scratch);
         let report =
             sweep.map_err(|e| TestCaseError::fail(format!("reference run: {e}")))?;
         prop_assert!(report.is_clean(), "crash sweep failed: {:?}", report.failures);
-        // Every WAL record contributes boundary and mid-frame tears, and
-        // the periodic checkpoint-fault variants must actually run.
-        prop_assert!(report.points as u64 >= 4 * rounds);
-        prop_assert!(report.torn_checkpoint_points >= 1);
+        // Every WAL record contributes a boundary and mid-frame tears, and
+        // the checkpoint plans must actually run.
+        prop_assert!(report.count("wal-boundary") + report.count("wal-tear") >= 4 * rounds as usize);
+        prop_assert!(report.count("torn-tmp") >= 1);
     }
 }
 
-use lbs_model::UserUpdate;
-
-/// Seeded move batches over the current population of `db`: three users
-/// per round, positions drawn from the same 64 m map.
-fn fault_batches(db: &LocationDb, seed: u64, rounds: u64) -> Vec<Vec<UserUpdate>> {
-    let users: Vec<UserId> = {
-        let mut v: Vec<UserId> = db.users().collect();
-        v.sort_unstable();
-        v
-    };
-    (0..rounds)
-        .map(|round| {
-            let mut batch: Vec<UserUpdate> = Vec::new();
-            for j in 0..3u64 {
-                let pick = lbs_workload::derive_seed(seed, round * 97 + j) as usize % users.len();
-                let user = users[pick];
-                if batch.iter().any(|u| u.user() == user) {
-                    continue;
-                }
-                let x = (lbs_workload::derive_seed(seed, round * 97 + 10 + j) % SIDE as u64) as i64;
-                let y = (lbs_workload::derive_seed(seed, round * 97 + 20 + j) % SIDE as u64) as i64;
-                batch.push(UserUpdate::Move(Move { user, to: Point::new(x, y) }));
-            }
-            batch
-        })
-        .collect()
-}
-
 /// The storage-fault oracle pipeline, reused by the shrinker so a
-/// minimized database fails for the same reason. One clean reference run
-/// captures the committed policy at every durable sequence; the same
-/// batches then replay under a seeded [`DiskFaultPlan`], treating every
-/// storage failure as a process death: the next life recovers (life 0–1
-/// under fresh seeded plans, life 2+ on a repaired disk) and the
-/// recovered policy must be bit-identical to the reference at its
-/// durable sequence — or the error must be loud and typed.
+/// minimized database fails for the same reason: a clean reference run,
+/// then the same history through the conformance life loop under seeded
+/// [`DiskFaultPlan`]s (lives 0–1; life 2 on a repaired disk). Every
+/// recovery must be bit-identical to the reference at its durable
+/// sequence — or the error must be loud and typed.
 fn storage_fault_pipeline(
     db: &LocationDb,
     fault_seed: u64,
     k: usize,
     rounds: u64,
 ) -> Result<(), String> {
-    use lbs_runtime::{DiskFaultPlan, FaultFs, RuntimeBuilder, RuntimeConfig};
+    use lbs_runtime::{real_fs, DiskFaultPlan, FaultFs, StorageBackend};
     use std::sync::Arc;
 
-    let map = Rect::square(0, 0, SIDE);
-    let batches = fault_batches(db, fault_seed, rounds);
     let scratch = std::env::temp_dir().join(format!(
         "lbs-prop-fault-{}-{fault_seed:x}-{}-{k}-{rounds}",
         std::process::id(),
         db.len(),
     ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let result = (|| {
-        // Clean reference: the committed policy at every durable seq.
-        let mut cfg = RuntimeConfig::new(k, map);
-        cfg.checkpoint_every = 2;
-        let ref_dir = scratch.join("reference");
-        let mut rt = RuntimeBuilder::new(cfg)
-            .create(&ref_dir, db)
-            .map_err(|e| format!("reference create: {e}"))?;
-        let mut per_seq = vec![lbs_model::encode_policy(rt.committed_policy())];
-        for batch in &batches {
-            rt.apply_batch(batch).map_err(|e| format!("reference apply: {e}"))?;
-            rt.commit().map_err(|e| format!("reference commit: {e}"))?;
-            per_seq.push(lbs_model::encode_policy(rt.committed_policy()));
+    let lives = |life: usize| -> Arc<dyn StorageBackend> {
+        if life < 2 {
+            let seed = lbs_workload::derive_seed(fault_seed, life as u64);
+            Arc::new(FaultFs::new(DiskFaultPlan::seeded(seed)))
+        } else {
+            real_fs()
         }
-        drop(rt);
-
-        // Faulted replay with crash-restart lives.
-        let dir = scratch.join("faulted");
-        let mut created = false;
-        let mut next_round = 0usize;
-        for life in 0..8usize {
-            let storage: Arc<dyn lbs_runtime::StorageBackend> = if life >= 2 {
-                lbs_runtime::real_fs()
-            } else {
-                Arc::new(FaultFs::new(DiskFaultPlan::seeded(lbs_workload::derive_seed(
-                    fault_seed,
-                    life as u64,
-                ))))
-            };
-            let mut cfg = RuntimeConfig::new(k, map);
-            cfg.checkpoint_every = 2;
-            let builder = RuntimeBuilder::new(cfg).storage(storage);
-            let mut rt = if !created {
-                match builder.create(&dir, db) {
-                    Ok(rt) => {
-                        created = true;
-                        rt
-                    }
-                    Err(lbs_runtime::RuntimeError::AlreadyInitialized(_)) => {
-                        created = true;
-                        continue;
-                    }
-                    Err(_) => continue,
-                }
-            } else {
-                match builder.recover(&dir) {
-                    Ok((rt, _)) => {
-                        let durable = rt.durable_seq() as usize;
-                        let expected = per_seq
-                            .get(durable)
-                            .ok_or_else(|| format!("durable seq {durable} past the reference"))?;
-                        if lbs_model::encode_policy(rt.committed_policy()) != *expected {
-                            return Err(format!(
-                                "life {life}: recovered policy NOT bit-identical at seq {durable}"
-                            ));
-                        }
-                        next_round = durable;
-                        rt
-                    }
-                    Err(e) => {
-                        if life >= 2 {
-                            return Err(format!("life {life}: clean recovery failed: {e}"));
-                        }
-                        continue;
-                    }
-                }
-            };
-            let mut died = false;
-            while next_round < batches.len() {
-                if rt.apply_batch(&batches[next_round]).is_err() {
-                    died = true;
-                    break;
-                }
-                match rt.commit() {
-                    Ok(_) => next_round += 1,
-                    // ENOSPC on the checkpoint: the commit landed in
-                    // memory, only the checkpoint was shed.
-                    Err(lbs_runtime::RuntimeError::StorageExhausted { .. }) => next_round += 1,
-                    Err(_) => {
-                        died = true;
-                        break;
-                    }
-                }
-            }
-            if died {
-                continue;
-            }
-            let expected = &per_seq[batches.len()];
-            if lbs_model::encode_policy(rt.committed_policy()) != *expected {
-                return Err(format!("final policy NOT bit-identical after {life} lives"));
-            }
-            return Ok(());
-        }
-        Err("no progress after 8 lives".to_string())
-    })();
+    };
+    let metrics = Arc::new(lbs_metrics::Metrics::new());
+    let result = Reference::single(&scratch.join("reference"), db, fault_seed, k, rounds, 2)
+        .and_then(|reference| {
+            run_lives(&scratch.join("faulted"), &reference, &lives, 2, None, &metrics)
+        })
+        .map(|_| ());
     let _ = std::fs::remove_dir_all(&scratch);
     result
 }
@@ -739,6 +638,110 @@ proptest! {
                  {err}\nminimal db: [{}]",
                 render_db(&minimal)
             );
+        }
+    }
+}
+
+/// Words the shard-manifest fuzz strings are built from: every keyword,
+/// boundary integers, and separators, so inputs reach the number parsing
+/// and rect checks instead of failing at the header.
+const MANIFEST_TOKENS: [&str; 13] = [
+    "lbs-shard-plan v1\n",
+    "k ",
+    "map ",
+    "shard ",
+    "0 ",
+    "64 ",
+    "-1 ",
+    "9223372036854775807 ",
+    "-9223372036854775808 ",
+    "18446744073709551616 ",
+    "\n",
+    "\t",
+    "x",
+];
+
+/// Runs `decode` under `catch_unwind`; `Err` names the decoder that
+/// panicked.
+fn no_panic<T>(what: &str, decode: impl FnOnce() -> T) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(decode))
+        .map(|_| ())
+        .map_err(|_| format!("{what} panicked"))
+}
+
+/// `body` with its CRC-32 appended, as checkpoint files end.
+fn sealed(body: &[u8]) -> Vec<u8> {
+    let mut raw = body.to_vec();
+    raw.extend_from_slice(&lbs_runtime::crc32(body).to_le_bytes());
+    raw
+}
+
+/// Feeds the disk-facing decoders `raw` as is, sealed with a valid CRC,
+/// framed as a CRC-valid WAL record, and spliced onto the first `cut`
+/// bytes of a real encoding — so arbitrary bytes get past the magic and
+/// checksum checks into the length arithmetic behind them.
+fn decode_all(cut: usize, raw: &[u8]) -> Result<(), String> {
+    use lbs_runtime::{decode_checkpoint, encode_checkpoint, scan, Checkpoint};
+
+    let map = Rect::square(0, 0, SIDE);
+    let db = LocationDb::from_rows((0..3).map(|i| (UserId(i), Point::new(i as i64, 1)))).unwrap();
+    let mut policy = lbs_model::BulkPolicy::new("fuzz");
+    for user in db.users() {
+        policy.assign(user, map.into());
+    }
+    let snapshot = lbs_model::encode_snapshot(&db).to_vec();
+    let ckpt = encode_checkpoint(&Checkpoint { epoch: 1, wal_seq: 0, k: 1, map, db, policy });
+    let body = &ckpt[..ckpt.len() - 4];
+    let splice = |real: &[u8]| [&real[..cut.min(real.len())], raw].concat();
+    // A CRC-valid WAL frame carrying `seq` and then `raw`.
+    let frame = |seq: u64| {
+        let payload = [&seq.to_le_bytes()[..], raw].concat();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&lbs_runtime::crc32(&payload).to_le_bytes());
+        [frame, payload].concat()
+    };
+    // A CRC-valid pruned-log header (magic, base, CRC; see wal.rs) whose
+    // base is `raw`'s first word, padded with 0xFF bytes.
+    let mut word = [0xFF; 8];
+    word[..raw.len().min(8)].copy_from_slice(&raw[..raw.len().min(8)]);
+    let base = u64::from_le_bytes(word);
+    let mut header = [&0x4C42_5357u32.to_le_bytes()[..], &word].concat();
+    header.extend_from_slice(&lbs_runtime::crc32(&header).to_le_bytes());
+    let path = std::path::Path::new("fuzz.ckpt");
+
+    no_panic("decode_checkpoint(raw)", || decode_checkpoint(raw, path))?;
+    no_panic("decode_checkpoint(sealed)", || decode_checkpoint(&sealed(raw), path))?;
+    no_panic("decode_checkpoint(spliced)", || decode_checkpoint(&sealed(&splice(body)), path))?;
+    no_panic("scan(raw)", || scan(raw))?;
+    no_panic("scan(frame)", || scan(&frame(1)))?;
+    no_panic("scan(header + frame)", || scan(&[header, frame(base.wrapping_add(1))].concat()))?;
+    no_panic("decode_snapshot(raw)", || lbs_model::decode_snapshot(raw.to_vec().into()))?;
+    no_panic("decode_snapshot(spliced)", || lbs_model::decode_snapshot(splice(&snapshot).into()))?;
+    no_panic("ShardPlan::decode", || lbs_runtime::ShardPlan::decode(&String::from_utf8_lossy(raw)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoders of disk and user bytes never panic: checkpoint bodies,
+    /// WAL frames and headers, snapshots, and shard manifests all return
+    /// typed errors on arbitrary input. Failing inputs are minimized
+    /// through the 1-minimal shrinker.
+    #[test]
+    fn decoders_return_typed_errors_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..96),
+        cut in 0usize..160,
+        tokens in prop::collection::vec(0usize..MANIFEST_TOKENS.len(), 0..24),
+    ) {
+        if let Err(msg) = decode_all(cut, &raw) {
+            let minimal = shrink_vec(&raw, |r| decode_all(cut, r).is_err());
+            return Err(TestCaseError::fail(format!("{msg}; 1-minimal input (cut {cut}): {minimal:?}")));
+        }
+        let manifest = |t: &[usize]| t.iter().map(|&i| MANIFEST_TOKENS[i]).collect::<String>();
+        let decode = |t: &[usize]| no_panic("ShardPlan::decode", || lbs_runtime::ShardPlan::decode(&manifest(t)));
+        if let Err(msg) = decode(&tokens) {
+            let minimal = shrink_vec(&tokens, |t| decode(t).is_err());
+            return Err(TestCaseError::fail(format!("{msg}; 1-minimal manifest: {:?}", manifest(&minimal))));
         }
     }
 }
