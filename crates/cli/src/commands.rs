@@ -318,10 +318,12 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .ok_or_else(|| CliError::Anonymize("--bless true requires --golden DIR".into()))?;
         let written = lbs_conformance::bless(&dir, seed).map_err(CliError::Anonymize)?;
         let sharded = lbs_conformance::bless_sharded(&dir, seed).map_err(CliError::Anonymize)?;
+        let partitioned =
+            lbs_conformance::bless_partitioned(&dir, seed).map_err(CliError::Anonymize)?;
         writeln!(
             out,
-            "blessed {written} golden records and {sharded} sharded records into {} \
-             (master seed {seed}); review the diff",
+            "blessed {written} golden records, {sharded} sharded records and {partitioned} \
+             partitioned records into {} (master seed {seed}); review the diff",
             dir.display()
         )?;
         return Ok(());
@@ -343,6 +345,12 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         match lbs_conformance::check_sharded(&dir, seed) {
             Ok(n) => writeln!(out, "sharded golden corpus: {n} records match {}", dir.display())?,
+            Err(mut drift) => problems.append(&mut drift),
+        }
+        match lbs_conformance::check_partitioned(&dir, seed) {
+            Ok(n) => {
+                writeln!(out, "partitioned golden corpus: {n} records match {}", dir.display())?
+            }
             Err(mut drift) => problems.append(&mut drift),
         }
     }
@@ -1158,16 +1166,20 @@ mod tests {
         let gdir = dir.path("golden");
         let msg = run_line(&["conformance", "--bless", "true", "--golden", &gdir, "--seed", "7"])
             .unwrap();
-        assert!(msg.contains("blessed 12 golden records and 3 sharded records"), "{msg}");
+        assert!(
+            msg.contains("blessed 12 golden records, 3 sharded records and 12 partitioned records"),
+            "{msg}"
+        );
         assert!(msg.contains("seed 7"), "{msg}");
         let mut stems: Vec<String> = std::fs::read_dir(&gdir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         stems.sort();
-        assert_eq!(stems.len(), 15);
+        assert_eq!(stems.len(), 27);
         assert!(stems.contains(&"uniform-k2-binary.json".to_string()), "{stems:?}");
         assert!(stems.contains(&"sharded_8.json".to_string()), "{stems:?}");
+        assert!(stems.contains(&"partitioned_skewed-k50-s64.json".to_string()), "{stems:?}");
 
         // Blessing without a target directory is a usage error.
         let err = run_line(&["conformance", "--bless", "true"]).unwrap_err();

@@ -12,6 +12,7 @@
 use crate::scenario::Density;
 use lbs_core::{bulk_dp_fast, bulk_dp_fast_quad};
 use lbs_model::BulkPolicy;
+use lbs_parallel::{anonymize_work_stealing, EngineConfig};
 use lbs_tree::{SpatialTree, TreeConfig, TreeKind};
 use lbs_workload::derive_seed;
 use serde::{Deserialize, Serialize};
@@ -65,6 +66,71 @@ fn tree_name(kind: TreeKind) -> &'static str {
     }
 }
 
+/// The record's seed: FNV-1a of its id folded into `master` — the same
+/// id-hash → seed scheme as the scenario matrix.
+fn id_seed(master: u64, id: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in id.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    derive_seed(master, h)
+}
+
+/// Writes one pretty-printed `dir/<id>.json` per record. Returns the
+/// number written.
+fn write_records<T: Serialize>(
+    dir: &Path,
+    records: &[T],
+    id: impl Fn(&T) -> &str,
+) -> Result<usize, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+    for record in records {
+        let path = dir.join(format!("{}.json", id(record)));
+        let json = serde_json::to_string_pretty(record)
+            .map_err(|e| format!("{}: serialize: {e}", id(record)))?;
+        std::fs::write(&path, json + "\n")
+            .map_err(|e| format!("{}: write: {e}", path.display()))?;
+    }
+    Ok(records.len())
+}
+
+/// Diffs freshly computed `records` against `dir/<id>.json`: one message
+/// per missing/unreadable file (naming the `what` corpus) and one per
+/// divergent record (rendered by `drift(stored, fresh)`). Returns the
+/// number of records checked.
+fn diff_records<T>(
+    dir: &Path,
+    records: &[T],
+    id: impl Fn(&T) -> &str,
+    what: &str,
+    drift: impl Fn(&T, &T) -> String,
+) -> Result<usize, Vec<String>>
+where
+    T: PartialEq + for<'de> Deserialize<'de>,
+{
+    let mut problems = Vec::new();
+    for fresh in records {
+        let path = dir.join(format!("{}.json", id(fresh)));
+        let stored: Option<T> =
+            std::fs::read_to_string(&path).ok().and_then(|raw| serde_json::from_str(&raw).ok());
+        match stored {
+            None => problems.push(format!(
+                "{}: missing or unreadable {what} {} — run with --bless",
+                id(fresh),
+                path.display()
+            )),
+            Some(stored) if &stored != fresh => problems.push(drift(&stored, fresh)),
+            Some(_) => {}
+        }
+    }
+    if problems.is_empty() {
+        Ok(records.len())
+    } else {
+        Err(problems)
+    }
+}
+
 /// FNV-1a fingerprint of the full assignment, independent of iteration
 /// order (assignments are sorted before hashing).
 pub fn policy_fingerprint(policy: &BulkPolicy) -> u64 {
@@ -95,13 +161,7 @@ pub fn compute_corpus(master: u64) -> Result<Vec<GoldenRecord>, String> {
         .into_iter()
         .map(|(density, k, kind)| {
             let id = format!("{}-k{}-{}", density.name(), k, tree_name(kind));
-            // Same id-hash → seed scheme as the scenario matrix.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in id.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            let seed = derive_seed(master, h);
+            let seed = id_seed(master, &id);
             let db = density.generate(users, map, derive_seed(seed, 10));
             let tree = SpatialTree::build(&db, TreeConfig::lazy(kind, map, k))
                 .map_err(|e| format!("{id}: tree: {e}"))?;
@@ -134,16 +194,7 @@ pub fn compute_corpus(master: u64) -> Result<Vec<GoldenRecord>, String> {
 /// # Errors
 /// Computation or I/O failures as messages.
 pub fn bless(dir: &Path, master: u64) -> Result<usize, String> {
-    let records = compute_corpus(master)?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    for record in &records {
-        let path = dir.join(format!("{}.json", record.id));
-        let json = serde_json::to_string_pretty(record)
-            .map_err(|e| format!("{}: serialize: {e}", record.id))?;
-        std::fs::write(&path, json + "\n")
-            .map_err(|e| format!("{}: write: {e}", path.display()))?;
-    }
-    Ok(records.len())
+    write_records(dir, &compute_corpus(master)?, |r: &GoldenRecord| &r.id)
 }
 
 /// Recomputes the corpus and diffs it against `dir/*.json`. Returns the
@@ -154,31 +205,23 @@ pub fn bless(dir: &Path, master: u64) -> Result<usize, String> {
 /// red check replays directly.
 pub fn check(dir: &Path, master: u64) -> Result<usize, Vec<String>> {
     let records = compute_corpus(master).map_err(|e| vec![e])?;
-    let mut problems = Vec::new();
-    for fresh in &records {
-        let path = dir.join(format!("{}.json", fresh.id));
-        let stored: Option<GoldenRecord> =
-            std::fs::read_to_string(&path).ok().and_then(|raw| serde_json::from_str(&raw).ok());
-        match stored {
-            None => problems.push(format!(
-                "{}: missing or unreadable golden file {} — run with --bless",
-                fresh.id,
-                path.display()
-            )),
-            Some(stored) if &stored != fresh => {
-                problems.push(format!(
+    diff_records(
+        dir,
+        &records,
+        |r| &r.id,
+        "golden file",
+        |stored, fresh| {
+            format!(
                 "{} (seed {}): golden drift — stored cost {} fp {:#x}, computed cost {} fp {:#x}",
-                fresh.id, fresh.seed, stored.cost, stored.fingerprint, fresh.cost, fresh.fingerprint
-            ))
-            }
-            Some(_) => {}
-        }
-    }
-    if problems.is_empty() {
-        Ok(records.len())
-    } else {
-        Err(problems)
-    }
+                fresh.id,
+                fresh.seed,
+                stored.cost,
+                stored.fingerprint,
+                fresh.cost,
+                fresh.fingerprint
+            )
+        },
+    )
 }
 
 /// One frozen sharded-pipeline output: the shared-nothing partition of
@@ -226,12 +269,7 @@ pub fn compute_sharded_corpus(master: u64) -> Result<Vec<ShardedGoldenRecord>, S
         .into_iter()
         .map(|shards| {
             let id = format!("sharded_{shards}");
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in id.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            let seed = derive_seed(master, h);
+            let seed = id_seed(master, &id);
             let db = Density::Uniform.generate(users, map, derive_seed(seed, 10));
             let outcome = lbs_runtime::sharded_bulk(&db, map, k, shards)
                 .map_err(|e| format!("{id}: sharded bulk: {e}"))?;
@@ -259,16 +297,7 @@ pub fn compute_sharded_corpus(master: u64) -> Result<Vec<ShardedGoldenRecord>, S
 /// # Errors
 /// Computation or I/O failures as messages.
 pub fn bless_sharded(dir: &Path, master: u64) -> Result<usize, String> {
-    let records = compute_sharded_corpus(master)?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    for record in &records {
-        let path = dir.join(format!("{}.json", record.id));
-        let json = serde_json::to_string_pretty(record)
-            .map_err(|e| format!("{}: serialize: {e}", record.id))?;
-        std::fs::write(&path, json + "\n")
-            .map_err(|e| format!("{}: write: {e}", path.display()))?;
-    }
-    Ok(records.len())
+    write_records(dir, &compute_sharded_corpus(master)?, |r: &ShardedGoldenRecord| &r.id)
 }
 
 /// Recomputes the sharded corpus and diffs it against `dir/sharded_*.json`.
@@ -278,35 +307,148 @@ pub fn bless_sharded(dir: &Path, master: u64) -> Result<usize, String> {
 /// One message per missing/stale/divergent record, carrying its seed.
 pub fn check_sharded(dir: &Path, master: u64) -> Result<usize, Vec<String>> {
     let records = compute_sharded_corpus(master).map_err(|e| vec![e])?;
-    let mut problems = Vec::new();
-    for fresh in &records {
-        let path = dir.join(format!("{}.json", fresh.id));
-        let stored: Option<ShardedGoldenRecord> =
-            std::fs::read_to_string(&path).ok().and_then(|raw| serde_json::from_str(&raw).ok());
-        match stored {
-            None => problems.push(format!(
-                "{}: missing or unreadable sharded golden {} — run with --bless",
-                fresh.id,
-                path.display()
-            )),
-            Some(stored) if &stored != fresh => problems.push(format!(
+    diff_records(
+        dir,
+        &records,
+        |r| &r.id,
+        "sharded golden",
+        |stored, fresh| {
+            format!(
                 "{} (seed {}): sharded golden drift — stored cost {} fp {:#x}, \
-                 computed cost {} fp {:#x}",
+             computed cost {} fp {:#x}",
                 fresh.id,
                 fresh.seed,
                 stored.cost,
                 stored.merged_fingerprint,
                 fresh.cost,
                 fresh.merged_fingerprint
-            )),
-            Some(_) => {}
+            )
+        },
+    )
+}
+
+/// One jurisdiction of a frozen partitioned run.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct JurisdictionRecord {
+    /// The jurisdiction rect as `[x0, y0, x1, y1]`.
+    pub rect: [i64; 4],
+    /// Users inside the jurisdiction.
+    pub users: usize,
+    /// The jurisdiction server's `Cost(P, D_j)`.
+    pub cost: u128,
+}
+
+/// One frozen partitioned-pipeline output (Section V): the jurisdictions
+/// the greedy partitioner chose, each server's population and cost, and
+/// the merged master policy pinned by fingerprint — the output of
+/// [`anonymize_work_stealing`], which is bit-identical at every worker
+/// count.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PartitionedGoldenRecord {
+    /// Record id, also the file stem: `partitioned_<density>-k<k>-s<servers>`.
+    pub id: String,
+    /// The derived seed the database was generated from.
+    pub seed: u64,
+    /// Density profile name.
+    pub density: String,
+    /// Database size.
+    pub users: usize,
+    /// Anonymity level.
+    pub k: usize,
+    /// Jurisdictions requested from the partitioner.
+    pub servers_requested: usize,
+    /// Σ server costs of the merged policy.
+    pub cost: u128,
+    /// FNV-1a fingerprint of the merged master policy.
+    pub fingerprint: u64,
+    /// Per-jurisdiction `(rect, users, cost)`, in partition order.
+    pub jurisdictions: Vec<JurisdictionRecord>,
+}
+
+/// The partitioned corpus cells: every density × k ∈ {8, 50} × servers ∈
+/// {16, 64} over 4,000 users, run on two workers. Pure function of
+/// `master`.
+///
+/// # Errors
+/// Propagates partition/DP failures as messages.
+pub fn compute_partitioned_corpus(master: u64) -> Result<Vec<PartitionedGoldenRecord>, String> {
+    let users = 4_000usize;
+    let map = lbs_geom::Rect::square(0, 0, 1 << 12);
+    let engine = EngineConfig { workers: 2, ..EngineConfig::default() };
+    let mut out = Vec::new();
+    for density in Density::ALL {
+        for k in [8usize, 50] {
+            for servers in [16usize, 64] {
+                let id = format!("partitioned_{}-k{k}-s{servers}", density.name());
+                let seed = id_seed(master, &id);
+                let db = density.generate(users, map, derive_seed(seed, 10));
+                let outcome = anonymize_work_stealing(&db, map, k, servers, &engine, None)
+                    .map_err(|e| format!("{id}: partitioned: {e}"))?;
+                let jurisdictions = outcome
+                    .servers
+                    .iter()
+                    .map(|s| {
+                        let r = s.jurisdiction;
+                        JurisdictionRecord {
+                            rect: [r.x0, r.y0, r.x1, r.y1],
+                            users: s.users,
+                            cost: s.cost,
+                        }
+                    })
+                    .collect();
+                out.push(PartitionedGoldenRecord {
+                    id,
+                    seed,
+                    density: density.name().to_string(),
+                    users,
+                    k,
+                    servers_requested: servers,
+                    cost: outcome.total_cost,
+                    fingerprint: policy_fingerprint(&outcome.policy),
+                    jurisdictions,
+                });
+            }
         }
     }
-    if problems.is_empty() {
-        Ok(records.len())
-    } else {
-        Err(problems)
-    }
+    Ok(out)
+}
+
+/// Regenerates `dir/partitioned_*.json` (the `--bless` path). Returns the
+/// number of records written.
+///
+/// # Errors
+/// Computation or I/O failures as messages.
+pub fn bless_partitioned(dir: &Path, master: u64) -> Result<usize, String> {
+    write_records(dir, &compute_partitioned_corpus(master)?, |r: &PartitionedGoldenRecord| &r.id)
+}
+
+/// Recomputes the partitioned corpus and diffs it against
+/// `dir/partitioned_*.json`. Returns the number of records checked.
+///
+/// # Errors
+/// One message per missing/stale/divergent record, carrying its seed.
+pub fn check_partitioned(dir: &Path, master: u64) -> Result<usize, Vec<String>> {
+    let records = compute_partitioned_corpus(master).map_err(|e| vec![e])?;
+    diff_records(
+        dir,
+        &records,
+        |r| &r.id,
+        "partitioned golden",
+        |stored, fresh| {
+            format!(
+                "{} (seed {}): partitioned golden drift — stored cost {} fp {:#x} over {} \
+             jurisdictions, computed cost {} fp {:#x} over {}",
+                fresh.id,
+                fresh.seed,
+                stored.cost,
+                stored.fingerprint,
+                stored.jurisdictions.len(),
+                fresh.cost,
+                fresh.fingerprint,
+                fresh.jurisdictions.len()
+            )
+        },
+    )
 }
 
 #[cfg(test)]
@@ -352,6 +494,43 @@ mod tests {
                 record.id
             );
         }
+    }
+
+    #[test]
+    fn partitioned_corpus_is_deterministic_and_tiles_every_user() {
+        let a = compute_partitioned_corpus(DEFAULT_MASTER_SEED).unwrap();
+        let b = compute_partitioned_corpus(DEFAULT_MASTER_SEED).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 12);
+        for record in &a {
+            let jurisdictions = record.jurisdictions.len();
+            assert!(jurisdictions >= 2, "{}: did not split", record.id);
+            assert!(jurisdictions <= record.servers_requested, "{}", record.id);
+            let users: usize = record.jurisdictions.iter().map(|j| j.users).sum();
+            assert_eq!(users, record.users, "{}: jurisdictions must cover every user", record.id);
+            let cost: u128 = record.jurisdictions.iter().map(|j| j.cost).sum();
+            assert_eq!(cost, record.cost, "{}: Σ server costs", record.id);
+            for j in &record.jurisdictions {
+                assert!(j.users == 0 || j.users >= record.k, "{}: 0 < {} < k", record.id, j.users);
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_bless_then_check_round_trips() {
+        let dir =
+            std::env::temp_dir().join(format!("lbs-golden-partitioned-{}", std::process::id()));
+        assert_eq!(bless_partitioned(&dir, DEFAULT_MASTER_SEED).unwrap(), 12);
+        assert_eq!(check_partitioned(&dir, DEFAULT_MASTER_SEED).unwrap(), 12);
+        let victim = dir.join("partitioned_uniform-k8-s16.json");
+        let mut record: PartitionedGoldenRecord =
+            serde_json::from_str(&std::fs::read_to_string(&victim).unwrap()).unwrap();
+        record.jurisdictions[0].cost += 1;
+        std::fs::write(&victim, serde_json::to_string(&record).unwrap()).unwrap();
+        let problems = check_partitioned(&dir, DEFAULT_MASTER_SEED).unwrap_err();
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("partitioned golden drift"), "{}", problems[0]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -45,8 +45,9 @@ pub use durability::{
     DurabilityReport, LifeLog, Recovered, Reference,
 };
 pub use golden::{
-    bless, bless_sharded, check, check_sharded, compute_corpus, compute_sharded_corpus,
-    policy_fingerprint, GoldenRecord, ShardedGoldenRecord,
+    bless, bless_partitioned, bless_sharded, check, check_partitioned, check_sharded,
+    compute_corpus, compute_partitioned_corpus, compute_sharded_corpus, policy_fingerprint,
+    GoldenRecord, JurisdictionRecord, PartitionedGoldenRecord, ShardedGoldenRecord,
 };
 pub use harness::{run_matrix, run_scenario, ConformanceReport, ScenarioOutcome};
 pub use scenario::{scenario_matrix, Algorithm, Density, Scenario, Tier, DEFAULT_MASTER_SEED};

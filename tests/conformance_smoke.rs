@@ -7,7 +7,8 @@
 //! `cargo test --release --test conformance_smoke -- --ignored`.
 
 use lbs_conformance::{
-    check, check_sharded, run_matrix, run_scenario, scenario_matrix, Tier, DEFAULT_MASTER_SEED,
+    check, check_partitioned, check_sharded, run_matrix, run_scenario, scenario_matrix, Tier,
+    DEFAULT_MASTER_SEED,
 };
 use std::path::Path;
 
@@ -63,6 +64,19 @@ fn sharded_golden_corpus_matches_the_checked_in_records() {
         Ok(n) => assert_eq!(n, 3),
         Err(problems) => panic!(
             "sharded golden drift — if intentional, re-bless with \
+             `lbs conformance --bless true --golden tests/golden`:\n{}",
+            problems.join("\n")
+        ),
+    }
+}
+
+#[test]
+fn partitioned_golden_corpus_matches_the_checked_in_records() {
+    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
+    match check_partitioned(dir, DEFAULT_MASTER_SEED) {
+        Ok(n) => assert_eq!(n, 12),
+        Err(problems) => panic!(
+            "partitioned golden drift — if intentional, re-bless with \
              `lbs conformance --bless true --golden tests/golden`:\n{}",
             problems.join("\n")
         ),
