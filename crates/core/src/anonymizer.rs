@@ -6,10 +6,10 @@
 //! constant-time-ish policy lookup (0.3–0.5 ms reported in Section VII).
 
 use crate::{bulk_dp_fast, bulk_dp_fast_with_scratch, CoreError, DpMatrix, DpScratch};
-use lbs_geom::{Area, Rect};
+use lbs_geom::{Area, Point, Rect};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{
-    AnonymizedRequest, BulkPolicy, CloakingPolicy, LocationDb, RequestId, ServiceRequest,
+    AnonymizedRequest, BulkPolicy, CloakingPolicy, LocationDb, RequestId, ServiceRequest, UserId,
 };
 use lbs_tree::{SpatialTree, TreeConfig, TreeKind, TreeStats};
 
@@ -71,14 +71,33 @@ impl Anonymizer {
         scratch: Option<&mut DpScratch>,
         metrics: Option<&Metrics>,
     ) -> Result<Self, CoreError> {
+        Self::from_items(db.iter(), config, k, scratch, metrics)
+    }
+
+    /// As [`Anonymizer::build_instrumented`] over raw `(user, point)`
+    /// rows with unique user ids — a jurisdiction's slice of a shared
+    /// population, say. The rows are collected inside the
+    /// [`Stage::TreeBuild`] span, so both entry points time the same work.
+    ///
+    /// # Errors
+    /// See [`Anonymizer::build`].
+    pub fn from_items(
+        items: impl IntoIterator<Item = (UserId, Point)>,
+        config: TreeConfig,
+        k: usize,
+        scratch: Option<&mut DpScratch>,
+        metrics: Option<&Metrics>,
+    ) -> Result<Self, CoreError> {
         fn staged<T>(metrics: Option<&Metrics>, stage: Stage, f: impl FnOnce() -> T) -> T {
             match metrics {
                 Some(m) => m.time(stage, f),
                 None => f(),
             }
         }
-        let tree = staged(metrics, Stage::TreeBuild, || SpatialTree::build(db, config))
-            .map_err(CoreError::Tree)?;
+        let tree = staged(metrics, Stage::TreeBuild, || {
+            SpatialTree::from_items(items.into_iter().collect(), config)
+        })
+        .map_err(CoreError::Tree)?;
         let matrix = staged(metrics, Stage::Dp, || match config.kind {
             TreeKind::Binary => match scratch {
                 Some(arena) => bulk_dp_fast_with_scratch(&tree, k, arena),
@@ -113,6 +132,11 @@ impl Anonymizer {
     /// The optimal bulk policy.
     pub fn policy(&self) -> &BulkPolicy {
         &self.policy
+    }
+
+    /// Consumes the engine, keeping only its policy (no copy).
+    pub fn into_policy(self) -> BulkPolicy {
+        self.policy
     }
 
     /// `Cost(P, D)` of the optimal policy.

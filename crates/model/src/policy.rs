@@ -84,23 +84,17 @@ impl BulkPolicy {
     /// Builds a policy from one batch of assignments.
     ///
     /// Equivalent to [`BulkPolicy::assign`]-ing every pair in order
-    /// (later duplicates win), but sorts the batch first so the cloak
-    /// table is bulk-loaded from sorted input instead of grown by one
-    /// random-order insert per user — at bulk-anonymization scale
-    /// (millions of users) the per-insert rebalancing and cache misses
-    /// dominate extraction time.
-    pub fn from_assignments(
-        name: impl Into<String>,
-        mut assignments: Vec<(UserId, Region)>,
-    ) -> Self {
-        // Stable sort by user, then ascending inserts: every insert lands
-        // on the (cache-hot) rightmost tree path. Equal user ids keep
-        // batch order, so the last occurrence overwrites earlier ones —
-        // exactly the repeated-`assign` semantics.
-        assignments.sort_by_key(|&(user, _)| user);
-        let mut cloaks = BTreeMap::new();
-        cloaks.extend(assignments);
-        BulkPolicy { name: name.into(), cloaks }
+    /// (later duplicates win), but bulk-loads the cloak table instead of
+    /// growing it by one random-order insert per user — at
+    /// bulk-anonymization scale (millions of users) the per-insert
+    /// rebalancing and cache misses dominate extraction time.
+    pub fn from_assignments(name: impl Into<String>, assignments: Vec<(UserId, Region)>) -> Self {
+        // `BTreeMap::from_iter` is std's bulk build: a stable sort by user
+        // (equal ids keep batch order, so the last occurrence wins —
+        // exactly the repeated-`assign` semantics) and one bottom-up load
+        // of full nodes. Already-sorted input, such as a k-way merge of
+        // per-jurisdiction policies, sorts in one linear pass.
+        BulkPolicy { name: name.into(), cloaks: BTreeMap::from_iter(assignments) }
     }
 
     /// The cloak of `user`, if assigned.
@@ -186,6 +180,17 @@ impl BulkPolicy {
             cost_f64: self.cost_f64(),
             avg_area: self.avg_area_f64(),
         }
+    }
+}
+
+/// Consumes the policy into its `(user, cloak)` assignments, in
+/// ascending user-id order.
+impl IntoIterator for BulkPolicy {
+    type Item = (UserId, Region);
+    type IntoIter = std::collections::btree_map::IntoIter<UserId, Region>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.cloaks.into_iter()
     }
 }
 
@@ -292,6 +297,49 @@ mod tests {
 
         let invalid = ServiceRequest::new(UserId(2), Point::new(9, 9), sr.params.clone());
         assert!(p.anonymize(&db, &invalid, RequestId(1)).is_none());
+    }
+
+    /// The batch a sequence of `assign` calls would see: equal ids in
+    /// `batch` order, so the last occurrence is the one that sticks.
+    fn assigned_one_by_one(batch: &[(UserId, Region)]) -> BulkPolicy {
+        let mut p = BulkPolicy::new("batch");
+        for &(user, region) in batch {
+            p.assign(user, region);
+        }
+        p
+    }
+
+    #[test]
+    fn from_assignments_keeps_the_last_duplicate() {
+        let r = |x: i64| -> Region { Rect::new(x, 0, x + 1, 1).into() };
+        let batch =
+            vec![(UserId(5), r(0)), (UserId(1), r(1)), (UserId(5), r(2)), (UserId(3), r(3))];
+        let bulk = BulkPolicy::from_assignments("batch", batch.clone());
+        assert_eq!(bulk.cloak_of(UserId(5)), Some(&r(2)), "the later duplicate wins");
+        assert_eq!(bulk.len(), 3);
+        assert!(bulk.iter().eq(assigned_one_by_one(&batch).iter()));
+        let owned: Vec<(UserId, Region)> = bulk.into_iter().collect();
+        assert_eq!(owned, vec![(UserId(1), r(1)), (UserId(3), r(3)), (UserId(5), r(2))]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Shuffled batches over a small id space (so ids repeat) build
+        /// the same policy as repeated `assign` in batch order.
+        #[test]
+        fn from_assignments_matches_repeated_assign(
+            raw in proptest::collection::vec((0u64..24, 0i64..8), 0..64)
+        ) {
+            let batch: Vec<(UserId, Region)> = raw
+                .iter()
+                .map(|&(user, x)| (UserId(user), Rect::new(x, 0, x + 1, 1).into()))
+                .collect();
+            let bulk = BulkPolicy::from_assignments("batch", batch.clone());
+            let reference = assigned_one_by_one(&batch);
+            proptest::prop_assert_eq!(bulk.len(), reference.len());
+            proptest::prop_assert!(bulk.iter().eq(reference.iter()));
+        }
     }
 
     #[test]

@@ -22,17 +22,21 @@
 //! [`Metrics`] sink (optional everywhere) counts injections, executions,
 //! steals, scratch reuses, panics, and per-task queue-wait time.
 
-use crate::{greedy_partition, split_db, ParallelOutcome, ServerReport};
+use crate::{partition_users, ParallelOutcome, ServerReport};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
 use lbs_core::{Anonymizer, CoreError, DpScratch};
-use lbs_geom::{Area, Rect, Region};
+use lbs_geom::{Area, Point, Rect, Region};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{BulkPolicy, LocationDb, UserId};
-use lbs_tree::{SpatialTree, TreeConfig, TreeKind};
+use lbs_tree::{TreeConfig, TreeKind};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the work-stealing pool.
@@ -77,15 +81,18 @@ impl EngineConfig {
     }
 }
 
-/// One unit of work: anonymize a jurisdiction's sub-database.
+/// One unit of work: anonymize the users of one jurisdiction.
 #[derive(Debug, Clone)]
 pub struct JurisdictionTask {
     /// Position in the partition order (results are merged by this).
     pub index: usize,
     /// The server's jurisdiction rectangle.
     pub jurisdiction: Rect,
-    /// Users inside the jurisdiction.
-    pub db: LocationDb,
+    /// The whole partitioned population, shared by every task of a run
+    /// and ordered so that each jurisdiction's users are contiguous.
+    pub population: Arc<[(UserId, Point)]>,
+    /// This jurisdiction's range of `population`.
+    pub range: Range<usize>,
     /// When the task entered the injector (queue-wait metric baseline).
     pub injected_at: Instant,
     /// Execution attempt, starting at 0. Bumped each time a panicked task
@@ -94,10 +101,23 @@ pub struct JurisdictionTask {
 }
 
 impl JurisdictionTask {
-    /// Creates a task; `injected_at` is stamped (again) at injection.
-    pub fn new(index: usize, jurisdiction: Rect, db: LocationDb) -> Self {
+    /// Creates a task over `population[range]`; `injected_at` is stamped
+    /// (again) at injection.
+    pub fn new(
+        index: usize,
+        jurisdiction: Rect,
+        population: Arc<[(UserId, Point)]>,
+        range: Range<usize>,
+    ) -> Self {
         // lbs-lint: allow(no-wall-clock-in-dp, reason = "injected_at feeds queue-wait metrics only; task ordering and DP output are index-deterministic")
-        JurisdictionTask { index, jurisdiction, db, injected_at: Instant::now(), attempt: 0 }
+        let injected_at = Instant::now();
+        JurisdictionTask { index, jurisdiction, population, range, injected_at, attempt: 0 }
+    }
+
+    /// The users inside the jurisdiction (empty for an out-of-bounds
+    /// range).
+    pub fn users(&self) -> &[(UserId, Point)] {
+        self.population.get(self.range.clone()).unwrap_or_default()
     }
 }
 
@@ -237,9 +257,9 @@ impl FaultPlan {
     }
 }
 
-/// Per-task result: the server report plus the user→cloak assignments,
-/// returned in partition (index) order.
-pub type TaskResult = (ServerReport, Vec<(UserId, Region)>);
+/// Per-task result: the server report plus the server's policy, returned
+/// in partition (index) order.
+pub type TaskResult = (ServerReport, BulkPolicy);
 
 /// A cross-run cache of worker [`DpScratch`] arenas.
 ///
@@ -348,7 +368,8 @@ fn find_task<T>(
 
 /// Runs `tasks` on a work-stealing pool of [`EngineConfig::effective_workers`]
 /// threads, calling `server` for each task with that worker's reusable
-/// [`DpScratch`] arena. Results come back **sorted by task index**, so the
+/// [`DpScratch`] arena; `server` returns the task's policy and its
+/// `Cost(P, D_j)`. Results come back **sorted by task index**, so the
 /// output is independent of scheduling.
 ///
 /// A panicking `server` call is caught, counted under
@@ -365,7 +386,7 @@ pub fn run_tasks<F>(
     metrics: Option<&Metrics>,
 ) -> Result<Vec<TaskResult>, CoreError>
 where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<BulkPolicy, CoreError> + Sync,
+    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
 {
     run_tasks_faulted(tasks, config, server, metrics, None)
 }
@@ -391,7 +412,7 @@ pub fn run_tasks_faulted<F>(
     faults: Option<&FaultPlan>,
 ) -> Result<Vec<TaskResult>, CoreError>
 where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<BulkPolicy, CoreError> + Sync,
+    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
 {
     run_tasks_impl(tasks, config, server, metrics, faults, None)
 }
@@ -410,7 +431,7 @@ pub fn run_tasks_pooled<F>(
     pool: &ScratchPool,
 ) -> Result<Vec<TaskResult>, CoreError>
 where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<BulkPolicy, CoreError> + Sync,
+    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
 {
     run_tasks_impl(tasks, config, server, metrics, None, Some(pool))
 }
@@ -424,7 +445,7 @@ fn run_tasks_impl<F>(
     pool: Option<&ScratchPool>,
 ) -> Result<Vec<TaskResult>, CoreError>
 where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<BulkPolicy, CoreError> + Sync,
+    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
 {
     let task_count = tasks.len();
     let workers = config.effective_workers(task_count);
@@ -433,7 +454,7 @@ where
     // LPT: biggest sub-database first, so the long pole starts immediately.
     let mut queue = tasks;
     if config.largest_first {
-        queue.sort_by(|a, b| b.db.len().cmp(&a.db.len()).then(a.index.cmp(&b.index)));
+        queue.sort_by(|a, b| b.range.len().cmp(&a.range.len()).then(a.index.cmp(&b.index)));
     }
     for mut task in queue {
         // lbs-lint: allow(no-wall-clock-in-dp, reason = "injection timestamp feeds queue-wait metrics only; never read by the DP")
@@ -495,16 +516,14 @@ where
                             catch_unwind(AssertUnwindSafe(|| server(&mut scratch, &task)))
                         };
                     match outcome {
-                        Ok(Ok(policy)) => {
+                        Ok(Ok((policy, cost))) => {
                             let report = ServerReport {
                                 jurisdiction: task.jurisdiction,
-                                users: task.db.len(),
-                                cost: policy.cost_exact().unwrap_or(0),
+                                users: task.range.len(),
+                                cost,
                                 elapsed: started.elapsed(),
                             };
-                            let assignments: Vec<(UserId, Region)> =
-                                policy.iter().map(|(u, r)| (u, *r)).collect();
-                            results.lock().push((task.index, (report, assignments)));
+                            results.lock().push((task.index, (report, policy)));
                         }
                         Ok(Err(e)) => {
                             if let Some(m) = metrics {
@@ -659,16 +678,99 @@ where
     Ok((gathered, first_error.into_inner()))
 }
 
+/// `Stage::Partition`: one copy of `db`'s users, reordered by
+/// [`partition_users`] so each jurisdiction is a contiguous range, and one
+/// task per jurisdiction over that shared slice, in partition order.
+pub(crate) fn partition_tasks(
+    db: &LocationDb,
+    map: Rect,
+    k: usize,
+    servers: usize,
+) -> Result<Vec<JurisdictionTask>, CoreError> {
+    let mut users: Vec<(UserId, Point)> = db.iter().collect();
+    let jurisdictions = partition_users(&mut users, map, k, servers).map_err(CoreError::Tree)?;
+    let population: Arc<[(UserId, Point)]> = users.into();
+    Ok(jurisdictions
+        .into_iter()
+        .enumerate()
+        .map(|(i, j)| JurisdictionTask::new(i, j.rect, Arc::clone(&population), j.users))
+        .collect())
+}
+
+/// One server: the optimal policy of `task`'s jurisdiction over its own
+/// lazy binary tree, and that policy's cost (0 for an empty
+/// jurisdiction).
+pub(crate) fn anonymize_task(
+    task: &JurisdictionTask,
+    k: usize,
+    scratch: Option<&mut DpScratch>,
+    metrics: Option<&Metrics>,
+) -> Result<(BulkPolicy, Area), CoreError> {
+    let users = task.users();
+    if users.is_empty() {
+        return Ok((BulkPolicy::new("empty"), 0));
+    }
+    let config = TreeConfig::lazy(TreeKind::Binary, task.jurisdiction, k);
+    let engine = Anonymizer::from_items(users.iter().copied(), config, k, scratch, metrics)?;
+    let cost = engine.cost();
+    Ok((engine.into_policy(), cost))
+}
+
+/// `Stage::Merge`: the master policy as one bulk load of the k-way merge
+/// of the per-task policies, plus Σ cost and the reports in partition
+/// order.
+pub(crate) fn merge_results(
+    k: usize,
+    results: Vec<TaskResult>,
+    partition_time: Duration,
+    server_wall_time: Duration,
+    workers: usize,
+) -> ParallelOutcome {
+    let name = format!("parallel(k={k},servers={})", results.len());
+    let (servers, parts): (Vec<ServerReport>, Vec<BulkPolicy>) = results.into_iter().unzip();
+    let total_cost = servers.iter().map(|s| s.cost).sum();
+    let policy = BulkPolicy::from_assignments(name, merge_ascending(parts));
+    ParallelOutcome { policy, total_cost, servers, partition_time, server_wall_time, workers }
+}
+
+/// Merges policies — each iterated in ascending user order — into one
+/// ascending assignment list. Jurisdictions hold disjoint users; should
+/// an id repeat anyway, the later part's cloak comes later and so wins
+/// the bulk load, as repeated `assign` in part order would. Each part is
+/// consumed (and freed) as the merge advances.
+fn merge_ascending(parts: Vec<BulkPolicy>) -> Vec<(UserId, Region)> {
+    let mut merged = Vec::with_capacity(parts.iter().map(BulkPolicy::len).sum());
+    let mut streams: Vec<_> = parts.into_iter().map(|p| p.into_iter().peekable()).collect();
+    let mut heads: BinaryHeap<Reverse<(UserId, usize)>> = streams
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, stream)| stream.peek().map(|&(user, _)| Reverse((user, i))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, i)) = *head;
+        let Some(stream) = streams.get_mut(i) else { break };
+        merged.extend(stream.next());
+        match stream.peek() {
+            Some(&(user, _)) => *head = Reverse((user, i)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    merged
+}
+
 /// Partitioned bulk anonymization on the work-stealing pool: the
 /// concurrent counterpart of
 /// [`anonymize_partitioned`](crate::anonymize_partitioned), producing a
 /// **bit-identical** [`ParallelOutcome::policy`] and `total_cost` for any
 /// worker count.
 ///
-/// Stages recorded when `metrics` is given: [`Stage::Partition`] (tree +
-/// greedy split), per-server [`Stage::TreeBuild`]/[`Stage::Dp`]/
-/// [`Stage::Extract`] (via the instrumented [`Anonymizer`] build),
-/// [`Stage::QueueWait`], and [`Stage::Merge`].
+/// Stages recorded when `metrics` is given: [`Stage::Partition`] (the
+/// tree-free greedy partition of one copy of the users), per-server
+/// [`Stage::TreeBuild`]/[`Stage::Dp`]/[`Stage::Extract`] (via the
+/// instrumented [`Anonymizer`] build), [`Stage::QueueWait`], and
+/// [`Stage::Merge`] (k-way merge plus one bulk load).
 ///
 /// # Errors
 /// As [`anonymize_partitioned`](crate::anonymize_partitioned); a worker
@@ -745,31 +847,12 @@ fn anonymize_work_stealing_impl(
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "partition wall time is reported in ParallelOutcome timings only; never influences the partition itself")
     let partition_started = Instant::now();
-    let (tree, jurisdictions, subs) = staged(metrics, Stage::Partition, || {
-        let tree = SpatialTree::build(db, TreeConfig::lazy(TreeKind::Binary, map, k))
-            .map_err(CoreError::Tree)?;
-        let jurisdictions = greedy_partition(&tree, servers, k);
-        let subs = split_db(&tree, &jurisdictions);
-        Ok::<_, CoreError>((tree, jurisdictions, subs))
-    })?;
+    let tasks = staged(metrics, Stage::Partition, || partition_tasks(db, map, k, servers))?;
     let partition_time = partition_started.elapsed();
-
-    let tasks: Vec<JurisdictionTask> = jurisdictions
-        .iter()
-        .zip(subs)
-        .enumerate()
-        .map(|(i, (&jid, sub))| JurisdictionTask::new(i, tree.node(jid).rect, sub))
-        .collect();
     let workers = config.effective_workers(tasks.len());
 
     let server = |scratch: &mut DpScratch, task: &JurisdictionTask| {
-        if task.db.is_empty() {
-            return Ok(BulkPolicy::new("empty"));
-        }
-        let tree_config = TreeConfig::lazy(TreeKind::Binary, task.jurisdiction, k);
-        let engine =
-            Anonymizer::build_instrumented(&task.db, tree_config, k, Some(scratch), metrics)?;
-        Ok(engine.policy().clone())
+        anonymize_task(task, k, Some(scratch), metrics)
     };
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "server wall time is reported in ParallelOutcome timings only; task results are merge-order normalized")
@@ -777,28 +860,9 @@ fn anonymize_work_stealing_impl(
     let task_results = run_tasks_impl(tasks, config, server, metrics, faults, pool)?;
     let server_wall_time = run_started.elapsed();
 
-    let outcome = staged(metrics, Stage::Merge, || {
-        let mut policy =
-            BulkPolicy::new(format!("parallel(k={k},servers={})", jurisdictions.len()));
-        let mut reports = Vec::with_capacity(task_results.len());
-        let mut total_cost: Area = 0;
-        for (report, assignments) in task_results {
-            total_cost += report.cost;
-            reports.push(report);
-            for (user, region) in assignments {
-                policy.assign(user, region);
-            }
-        }
-        ParallelOutcome {
-            policy,
-            total_cost,
-            servers: reports,
-            partition_time,
-            server_wall_time,
-            workers,
-        }
-    });
-    Ok(outcome)
+    Ok(staged(metrics, Stage::Merge, || {
+        merge_results(k, task_results, partition_time, server_wall_time, workers)
+    }))
 }
 
 #[cfg(test)]
@@ -806,7 +870,6 @@ mod tests {
     use super::*;
     use crate::anonymize_partitioned;
     use lbs_core::verify_policy_aware;
-    use lbs_geom::Point;
     use lbs_workload::{generate_master, BayAreaConfig};
 
     fn workload(n: usize) -> (LocationDb, Rect) {
@@ -889,14 +952,37 @@ mod tests {
         assert!(metrics.get(Counter::ScratchReuses) <= tasks.saturating_sub(1));
     }
 
+    /// One single-user task per index over a shared population.
+    fn one_user_tasks(n: usize) -> Vec<JurisdictionTask> {
+        let population: Arc<[(UserId, Point)]> =
+            (0..n).map(|i| (UserId(i as u64), Point::new(1, 1))).collect();
+        (0..n)
+            .map(|i| JurisdictionTask::new(i, Rect::square(0, 0, 16), population.clone(), i..i + 1))
+            .collect()
+    }
+
+    #[test]
+    fn merge_is_ascending_and_a_later_part_wins_a_repeated_id() {
+        let r = |x: i64| -> Region { Rect::new(x, 0, x + 1, 1).into() };
+        let part = |rows: &[(u64, i64)]| {
+            BulkPolicy::from_assignments(
+                "part",
+                rows.iter().map(|&(u, x)| (UserId(u), r(x))).collect(),
+            )
+        };
+        let parts =
+            vec![part(&[(1, 0), (4, 0), (9, 0)]), part(&[]), part(&[(2, 1), (4, 1), (5, 1)])];
+        let merged = merge_ascending(parts);
+        let users: Vec<u64> = merged.iter().map(|(u, _)| u.0).collect();
+        assert_eq!(users, [1, 2, 4, 4, 5, 9]);
+        let policy = BulkPolicy::from_assignments("merged", merged);
+        assert_eq!(policy.cloak_of(UserId(4)), Some(&r(1)), "part order decides a repeated id");
+        assert!(merge_ascending(Vec::new()).is_empty());
+    }
+
     #[test]
     fn panicking_server_surfaces_as_worker_panic_error() {
-        let tasks: Vec<JurisdictionTask> = (0..6)
-            .map(|i| {
-                let db = LocationDb::from_rows([(UserId(i as u64), Point::new(1, 1))]).unwrap();
-                JurisdictionTask::new(i, Rect::square(0, 0, 16), db)
-            })
-            .collect();
+        let tasks = one_user_tasks(6);
         let metrics = Metrics::new();
         let cfg = EngineConfig { workers: 2, ..EngineConfig::default() };
         let err = run_tasks(
@@ -906,7 +992,7 @@ mod tests {
                 if task.index == 3 {
                     panic!("injected failure in task 3");
                 }
-                Ok(BulkPolicy::new("ok"))
+                Ok((BulkPolicy::new("ok"), 0))
             },
             Some(&metrics),
         )
@@ -922,11 +1008,7 @@ mod tests {
 
     #[test]
     fn server_error_is_propagated_not_panicked() {
-        let tasks = vec![JurisdictionTask::new(
-            0,
-            Rect::square(0, 0, 16),
-            LocationDb::from_rows([(UserId(0), Point::new(1, 1))]).unwrap(),
-        )];
+        let tasks = one_user_tasks(1);
         let err = run_tasks(tasks, &EngineConfig::default(), |_, _| Err(CoreError::InvalidK), None)
             .unwrap_err();
         assert_eq!(err, CoreError::InvalidK);

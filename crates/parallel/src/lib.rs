@@ -12,23 +12,27 @@
 //! Jurisdictions are chosen by the paper's greedy scheme over the binary
 //! tree: repeatedly replace the most-populous node whose children each
 //! hold 0 or ≥ k users by its children, until enough jurisdictions exist.
+//! [`partition_users`] runs that scheme without materializing the tree,
+//! reordering one copy of the users so each jurisdiction is a contiguous
+//! range that its server reads in place.
 //!
-//! The host this reproduction runs on has a single core, so
-//! [`anonymize_partitioned`] times each server individually and reports
-//! `max(per-server time)` as the simulated parallel wall time — exact for
-//! shared-nothing servers — while [`anonymize_threaded`] actually runs the
-//! servers on OS threads to exercise the concurrent code path. The
-//! threaded path is the [`engine`] module's work-stealing pool: a fixed
-//! set of workers pulling jurisdiction tasks from a `crossbeam` injector,
-//! each with a reusable DP scratch arena, producing bit-identical output
-//! to the sequential run (see [`anonymize_work_stealing`]).
+//! [`anonymize_partitioned`] runs the servers one after another and times
+//! each individually, so `max(per-server time)` is the simulated parallel
+//! wall time on any host — exact for shared-nothing servers.
+//! [`anonymize_threaded`] and [`anonymize_work_stealing`] actually run
+//! them concurrently on the [`engine`] module's work-stealing pool: a
+//! fixed set of workers pulling jurisdiction tasks from a `crossbeam`
+//! injector, each with a reusable DP scratch arena, producing output
+//! bit-identical to the sequential run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod partition;
 pub mod refresh;
 
+pub use partition::{partition_users, Jurisdiction};
 pub use refresh::refresh_parallel;
 
 pub use engine::{
@@ -37,10 +41,9 @@ pub use engine::{
     ScratchPool, TaskResult,
 };
 
-use lbs_core::{Anonymizer, CoreError};
+use lbs_core::CoreError;
 use lbs_geom::{Area, Rect};
 use lbs_model::{BulkPolicy, LocationDb};
-use lbs_tree::{NodeId, SpatialTree, TreeConfig, TreeKind};
 use std::time::{Duration, Instant};
 
 /// Per-server outcome of a partitioned run.
@@ -66,7 +69,8 @@ pub struct ParallelOutcome {
     pub total_cost: Area,
     /// One report per jurisdiction, in partition order.
     pub servers: Vec<ServerReport>,
-    /// Time spent building the partition tree and choosing jurisdictions.
+    /// Time spent choosing jurisdictions and laying their users out as
+    /// contiguous ranges of one shared copy.
     pub partition_time: Duration,
     /// Wall time of the server phase as actually executed (sequentially
     /// for [`anonymize_partitioned`], on the work-stealing pool for
@@ -93,49 +97,6 @@ impl ParallelOutcome {
     }
 }
 
-/// The paper's greedy partitioner: starting from the root, repeatedly
-/// replace the most-populous *splittable* jurisdiction (children each hold
-/// 0 or ≥ k users) by its children, until `servers` jurisdictions exist or
-/// nothing is splittable. Returns the jurisdiction nodes of `tree`.
-pub fn greedy_partition(tree: &SpatialTree, servers: usize, k: usize) -> Vec<NodeId> {
-    assert!(servers >= 1);
-    let splittable = |id: NodeId| {
-        let node = tree.node(id);
-        !node.is_leaf()
-            && node.children.as_slice().iter().all(|&c| tree.count(c) == 0 || tree.count(c) >= k)
-    };
-    let mut jurisdictions = vec![tree.root()];
-    while jurisdictions.len() < servers {
-        let candidate = jurisdictions
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| splittable(id))
-            .max_by_key(|&(_, &id)| tree.count(id));
-        let Some((pos, _)) = candidate else { break };
-        let id = jurisdictions.swap_remove(pos);
-        jurisdictions.extend_from_slice(tree.node(id).children.as_slice());
-    }
-    jurisdictions
-}
-
-/// The jurisdiction rectangles, in jurisdiction order. Because each
-/// jurisdiction is a tree node and siblings partition their parent's
-/// half-open rect exactly, the returned rects tile the map: every on-map
-/// point lies in exactly one of them. The sharded service runtime keys
-/// its user→shard routing off this tiling.
-pub fn jurisdiction_rects(tree: &SpatialTree, jurisdictions: &[NodeId]) -> Vec<Rect> {
-    jurisdictions.iter().map(|&id| tree.node(id).rect).collect()
-}
-
-/// Splits `db` into per-jurisdiction sub-databases (in jurisdiction order).
-pub fn split_db(tree: &SpatialTree, jurisdictions: &[NodeId]) -> Vec<LocationDb> {
-    // lbs-lint: allow(no-unwrap-in-lib, reason = "subtree_users enumerates each stored user exactly once, so per-jurisdiction ids cannot collide")
-    jurisdictions
-        .iter()
-        .map(|&id| LocationDb::from_rows(tree.subtree_users(id)).expect("unique ids in snapshot"))
-        .collect()
-}
-
 /// Runs partitioned bulk anonymization sequentially, timing each server.
 ///
 /// # Errors
@@ -149,50 +110,28 @@ pub fn anonymize_partitioned(
     k: usize,
     servers: usize,
 ) -> Result<ParallelOutcome, CoreError> {
-    // lbs-lint: allow(no-wall-clock-in-dp, reason = "partition wall time is reported in ParallelOutcome timings only; the partition is tree-deterministic")
+    // lbs-lint: allow(no-wall-clock-in-dp, reason = "partition wall time is reported in ParallelOutcome timings only; the partition is input-deterministic")
     let partition_started = Instant::now();
-    let tree = SpatialTree::build(db, TreeConfig::lazy(TreeKind::Binary, map, k))
-        .map_err(CoreError::Tree)?;
-    let jurisdictions = greedy_partition(&tree, servers, k);
-    let subs = split_db(&tree, &jurisdictions);
+    let tasks = engine::partition_tasks(db, map, k, servers)?;
     let partition_time = partition_started.elapsed();
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "aggregate server wall time is reported in ParallelOutcome timings only")
     let servers_started = Instant::now();
-    let mut policy = BulkPolicy::new(format!("parallel(k={k},servers={})", jurisdictions.len()));
-    let mut reports = Vec::with_capacity(jurisdictions.len());
-    let mut total_cost: Area = 0;
-    for (&jid, sub) in jurisdictions.iter().zip(&subs) {
-        let jurisdiction = tree.node(jid).rect;
+    let mut results = Vec::with_capacity(tasks.len());
+    for task in &tasks {
         // lbs-lint: allow(no-wall-clock-in-dp, reason = "per-server wall time is reported in ServerReport timings only; policies are input-deterministic")
         let started = Instant::now();
-        let server_policy = if sub.is_empty() {
-            BulkPolicy::new("empty")
-        } else {
-            let config = TreeConfig::lazy(TreeKind::Binary, jurisdiction, k);
-            let engine = Anonymizer::build_with_config(sub, config, k)?;
-            engine.policy().clone()
-        };
-        let cost = server_policy.cost_exact().unwrap_or(0);
-        for (user, region) in server_policy.iter() {
-            policy.assign(user, *region);
-        }
-        total_cost += cost;
-        reports.push(ServerReport {
-            jurisdiction,
-            users: sub.len(),
+        let (policy, cost) = engine::anonymize_task(task, k, None, None)?;
+        let report = ServerReport {
+            jurisdiction: task.jurisdiction,
+            users: task.range.len(),
             cost,
             elapsed: started.elapsed(),
-        });
+        };
+        results.push((report, policy));
     }
-    Ok(ParallelOutcome {
-        policy,
-        total_cost,
-        servers: reports,
-        partition_time,
-        server_wall_time: servers_started.elapsed(),
-        workers: 1,
-    })
+    let server_wall_time = servers_started.elapsed();
+    Ok(engine::merge_results(k, results, partition_time, server_wall_time, 1))
 }
 
 /// As [`anonymize_partitioned`], but actually running the servers on the
@@ -218,7 +157,7 @@ pub fn anonymize_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbs_core::verify_policy_aware;
+    use lbs_core::{verify_policy_aware, Anonymizer};
     use lbs_workload::{generate_master, BayAreaConfig};
 
     fn workload(n: usize) -> (LocationDb, Rect) {
@@ -226,23 +165,6 @@ mod tests {
         cfg.map_side = 1 << 14;
         let db = generate_master(&cfg);
         (db, cfg.map())
-    }
-
-    #[test]
-    fn greedy_partition_respects_server_count_and_k_rule() {
-        let (db, map) = workload(2_000);
-        let k = 10;
-        let tree = SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Binary, map, k)).unwrap();
-        for servers in [1, 2, 4, 8, 16] {
-            let parts = greedy_partition(&tree, servers, k);
-            assert!(parts.len() <= servers.max(1));
-            let total: usize = parts.iter().map(|&id| tree.count(id)).sum();
-            assert_eq!(total, db.len(), "jurisdictions partition the users");
-            for &id in &parts {
-                let c = tree.count(id);
-                assert!(c == 0 || c >= k, "jurisdiction with 0 < {c} < k");
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic user→shard routing over a jurisdiction tiling.
 //!
 //! The sharded serve path partitions the map into N shared-nothing
-//! jurisdictions using the paper's greedy scheme (Section V, via
-//! [`lbs_parallel::greedy_partition`]): repeatedly replace the most
-//! populous tree node whose children each hold 0 or ≥ k users by its
+//! jurisdictions using the paper's greedy scheme (Section V, via the
+//! tree-free [`lbs_parallel::partition_users`]): repeatedly replace the
+//! most populous tree node whose children each hold 0 or ≥ k users by its
 //! children. Each jurisdiction rect is a node of the binary semi-quadrant
 //! tree, so sibling rects partition their parent's half-open rect exactly
 //! and the chosen rects **tile the map**: every on-map point lies in
@@ -21,9 +21,10 @@ use crate::error::{io_err, RuntimeError};
 use lbs_core::{Anonymizer, CoreError};
 use lbs_geom::{Point, Rect};
 use lbs_model::{BulkPolicy, LocationDb, UserId, UserUpdate};
-use lbs_parallel::{greedy_partition, jurisdiction_rects};
-use lbs_tree::{SpatialTree, TreeConfig, TreeKind};
+use lbs_parallel::partition_users;
+use lbs_tree::{TreeConfig, TreeKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 
 /// File name of the persisted shard plan inside a sharded service
@@ -52,30 +53,43 @@ impl ShardPlan {
     /// empty region), the plan holds fewer regions — never zero.
     ///
     /// # Errors
-    /// An empty database or a failed tree build.
+    /// An empty database, an invalid map, or a user off the map.
     pub fn plan(
         db: &LocationDb,
         map: Rect,
         k: usize,
         shards: usize,
     ) -> Result<ShardPlan, RuntimeError> {
-        if db.is_empty() {
+        let mut users: Vec<(UserId, Point)> = db.iter().collect();
+        Ok(Self::partition(&mut users, map, k, shards)?.0)
+    }
+
+    /// [`ShardPlan::plan`] over `users`, reordered in place so that each
+    /// region's users are a contiguous range; also returns those ranges,
+    /// in region order.
+    fn partition(
+        users: &mut [(UserId, Point)],
+        map: Rect,
+        k: usize,
+        shards: usize,
+    ) -> Result<(ShardPlan, Vec<Range<usize>>), RuntimeError> {
+        if users.is_empty() {
             return Err(RuntimeError::Core(CoreError::Tree(
                 "cannot plan shards over an empty database".into(),
             )));
         }
-        let tree = SpatialTree::build(db, TreeConfig::lazy(TreeKind::Binary, map, k))
-            .map_err(|e| RuntimeError::Core(CoreError::Tree(e)))?;
         // Greedy may hand back empty jurisdictions (children with count 0
         // are legal split targets). An empty shard cannot host a runtime,
         // so back off the shard count until every region is populated.
         let mut want = shards.max(1);
         loop {
-            let jurisdictions = greedy_partition(&tree, want, k);
-            if jurisdictions.iter().all(|&id| tree.count(id) > 0) {
-                let mut regions = jurisdiction_rects(&tree, &jurisdictions);
-                regions.sort_by_key(|r| (r.y0, r.x0));
-                return Ok(ShardPlan { k, map, regions });
+            let mut jurisdictions = partition_users(users, map, k, want)
+                .map_err(|e| RuntimeError::Core(CoreError::Tree(e)))?;
+            if jurisdictions.iter().all(|j| !j.users.is_empty()) {
+                jurisdictions.sort_by_key(|j| (j.rect.y0, j.rect.x0));
+                let regions = jurisdictions.iter().map(|j| j.rect).collect();
+                let ranges = jurisdictions.into_iter().map(|j| j.users).collect();
+                return Ok((ShardPlan { k, map, regions }, ranges));
             }
             want -= 1; // want >= 2 here: a lone root region is never empty
         }
@@ -330,13 +344,15 @@ pub fn sharded_bulk(
     k: usize,
     shards: usize,
 ) -> Result<ShardOutcome, RuntimeError> {
-    let plan = ShardPlan::plan(db, map, k, shards)?;
+    let mut users: Vec<(UserId, Point)> = db.iter().collect();
+    let (plan, ranges) = ShardPlan::partition(&mut users, map, k, shards)?;
     let mut policies = Vec::with_capacity(plan.len());
-    for region in &plan.regions {
-        let rows: Vec<(UserId, Point)> = db.iter().filter(|(_, p)| region.contains(p)).collect();
-        let sub = LocationDb::from_rows(rows).map_err(RuntimeError::Model)?;
-        let engine = Anonymizer::build(&sub, *region, k).map_err(RuntimeError::Core)?;
-        policies.push(engine.policy().clone());
+    for (region, range) in plan.regions.iter().zip(ranges) {
+        let rows = users.get(range).unwrap_or_default();
+        let config = TreeConfig::lazy(TreeKind::Binary, *region, k);
+        let engine = Anonymizer::from_items(rows.iter().copied(), config, k, None, None)
+            .map_err(RuntimeError::Core)?;
+        policies.push(engine.into_policy());
     }
     let merged = merge_policies(&policies);
     let cost = merged.cost_exact().unwrap_or(0);

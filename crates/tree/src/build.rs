@@ -36,8 +36,19 @@ impl SpatialTree {
     /// # Errors
     /// Fails when the config is invalid or a location falls off the map.
     pub fn build(db: &LocationDb, config: TreeConfig) -> Result<Self, String> {
+        Self::from_items(db.iter().collect(), config)
+    }
+
+    /// Builds a tree over raw `(user, point)` rows under `config` — the
+    /// one build path: [`SpatialTree::build`] collects its database into
+    /// rows and calls this. User ids must be unique (a [`LocationDb`]'s
+    /// rows, or any sub-slice of them); the row order does not affect
+    /// the tree's shape.
+    ///
+    /// # Errors
+    /// Fails when the config is invalid or a location falls off the map.
+    pub fn from_items(items: Vec<(UserId, Point)>, config: TreeConfig) -> Result<Self, String> {
         config.validate()?;
-        let items: Vec<(UserId, Point)> = db.iter().collect();
         if let Some(&(u, _)) = items.iter().find(|(_, p)| !config.map.contains(p)) {
             // The offending point is deliberately not echoed: raw sender
             // coordinates must not reach error strings. The id alone is
@@ -275,21 +286,6 @@ impl SpatialTree {
         &self.users[id.index()]
     }
 
-    /// All users in the subtree rooted at `id`, collected from its leaves.
-    pub fn subtree_users(&self, id: NodeId) -> Vec<(UserId, Point)> {
-        let mut out = Vec::with_capacity(self.count(id));
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur);
-            if node.is_leaf() {
-                out.extend_from_slice(&self.users[cur.index()]);
-            } else {
-                stack.extend_from_slice(node.children.as_slice());
-            }
-        }
-        out
-    }
-
     /// Node ids from `id` (inclusive) up to the root (inclusive).
     pub fn path_to_root(&self, id: NodeId) -> Vec<NodeId> {
         let mut path = vec![id];
@@ -456,20 +452,6 @@ mod tests {
         }
         assert_eq!(*order.last().unwrap(), tree.root());
         assert_eq!(order.len(), tree.live_len());
-    }
-
-    #[test]
-    fn subtree_users_matches_counts() {
-        let db = table1_db();
-        let cfg = TreeConfig::lazy(TreeKind::Quad, Rect::square(0, 0, 4), 2);
-        let tree = SpatialTree::build(&db, cfg).unwrap();
-        for &id in &tree.postorder() {
-            let users = tree.subtree_users(id);
-            assert_eq!(users.len(), tree.count(id));
-            for (_, p) in users {
-                assert!(tree.node(id).rect.contains(&p));
-            }
-        }
     }
 
     #[test]

@@ -118,8 +118,9 @@ impl TreeConfig {
         Ok(())
     }
 
-    /// Whether a node with the given rect, depth and population may split.
-    pub(crate) fn may_split(&self, rect: &Rect, depth: u16, count: usize) -> bool {
+    /// Whether a node with the given rect, depth and population may split
+    /// — in a lazy tree, whether the node is internal.
+    pub fn may_split(&self, rect: &Rect, depth: u16, count: usize) -> bool {
         if depth >= self.max_depth {
             return false;
         }

@@ -89,8 +89,8 @@ pub mod prelude {
         ServiceRequest, UserId,
     };
     pub use lbs_parallel::{
-        anonymize_partitioned, anonymize_threaded, anonymize_work_stealing, greedy_partition,
-        EngineConfig,
+        anonymize_partitioned, anonymize_threaded, anonymize_work_stealing, partition_users,
+        EngineConfig, Jurisdiction,
     };
     pub use lbs_query::{
         nn_candidates, range_candidates, AnswerCache, ClientAnswer, CloakedLbs, Poi, PoiId,
