@@ -43,6 +43,7 @@ use lbs_geom::Area;
 use lbs_model::{BulkPolicy, LocationDb, Move, UserUpdate};
 use lbs_tree::{NodeId, SpatialTree, TreeConfig, TreeKind};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Report of one incremental maintenance round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -375,6 +376,11 @@ impl IncrementalAnonymizer {
     /// so a later refresh resumes where this one stopped and completes
     /// identically.
     ///
+    /// The first row's poll is taken before the dirty walk, so a deadline
+    /// that has already passed cancels in `O(1)`. `cancel` is still polled
+    /// exactly once per computed row, and not at all when no live row is
+    /// pending.
+    ///
     /// # Errors
     /// [`CoreError::Cancelled`] when `cancel` fires with rows still
     /// pending; DP errors otherwise.
@@ -383,13 +389,40 @@ impl IncrementalAnonymizer {
         cancel: &dyn Fn() -> bool,
     ) -> Result<IncrementalReport, CoreError> {
         let mut report = IncrementalReport::default();
-        if self.pending.is_empty() {
-            return Ok(report);
-        }
-        let order = dirty_postorder_from(&self.tree, &self.pending, self.tree.root());
-        self.refresh_sequence(&order, cancel, &mut report)?;
-        self.finish_refresh(&mut report);
+        self.refresh_into(cancel, &mut report)?;
         Ok(report)
+    }
+
+    /// [`refresh_cancellable`](Self::refresh_cancellable), accumulating
+    /// into `report` — so a cancelled sweep still accounts for the rows
+    /// and cache hits it did compute.
+    ///
+    /// # Errors
+    /// As [`refresh_cancellable`](Self::refresh_cancellable).
+    pub fn refresh_into(
+        &mut self,
+        cancel: &dyn Fn() -> bool,
+        report: &mut IncrementalReport,
+    ) -> Result<(), CoreError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        if self.has_live_pending() {
+            if cancel() {
+                return Err(CoreError::Cancelled);
+            }
+            let order = dirty_postorder_from(&self.tree, &self.pending, self.tree.root());
+            self.refresh_sequence(&order, &first_poll_taken(cancel), report)?;
+        }
+        self.finish_refresh(report);
+        Ok(())
+    }
+
+    /// True when a live row awaits recomputation. The dirty set is
+    /// ancestor-closed, so that is exactly when the root is pending; any
+    /// other pending ids are strays freed by restructuring.
+    pub fn has_live_pending(&self) -> bool {
+        self.pending.contains(&self.tree.root())
     }
 
     /// Splits the pending set into a [`RefreshPlan`] of at least
@@ -642,6 +675,17 @@ impl IncrementalAnonymizer {
             Err(CoreError::StaleMatrix(format!("{} staged rows await refresh", self.pending.len())))
         }
     }
+}
+
+/// Wraps `cancel` for a sweep whose first row's poll the caller has
+/// already taken: the first call answers `false` without polling, every
+/// later call polls. Keeps `cancel` polled exactly once per computed row
+/// when the first poll is hoisted ahead of an `O(|dirty|)` walk.
+pub fn first_poll_taken<F: Fn() -> bool>(cancel: F) -> impl Fn() -> bool {
+    let taken = AtomicBool::new(true);
+    // Relaxed: the flag publishes no other data, and `swap` is one atomic
+    // read-modify-write, so exactly one call (on any thread) skips.
+    move || !taken.swap(false, Ordering::Relaxed) && cancel()
 }
 
 /// Postorder of the pending nodes reachable from `start` by descending
@@ -961,6 +1005,69 @@ mod tests {
         assert_eq!(inc.optimal_cost().unwrap(), fresh_cost);
         let policy = inc.policy().unwrap();
         assert!(verify_policy_aware(&policy, &db, k).is_ok());
+    }
+
+    /// A freshly built anonymizer with one staged batch of `moves` moves.
+    fn staged(seed: u64, moves: usize) -> IncrementalAnonymizer {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = 128i64;
+        let db = random_db(&mut rng, 200, side);
+        let k = 5;
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), k);
+        let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
+        let updates: Vec<UserUpdate> =
+            random_moves(&mut rng, 200, moves, side).into_iter().map(UserUpdate::Move).collect();
+        inc.stage_updates(&updates).unwrap();
+        inc
+    }
+
+    #[test]
+    fn cancel_is_polled_once_per_computed_row() {
+        let polls = std::cell::Cell::new(0usize);
+        let counting = || {
+            polls.set(polls.get() + 1);
+            false
+        };
+        let mut inc = staged(17, 30);
+        assert!(inc.has_live_pending());
+        let report = inc.refresh_cancellable(&counting).unwrap();
+        assert!(report.rows_recomputed > 1);
+        assert_eq!(polls.get(), report.rows_recomputed, "one poll per computed row");
+
+        // No live row pending: nothing to compute, so nothing is polled.
+        polls.set(0);
+        assert!(!inc.has_live_pending());
+        assert_eq!(inc.refresh_cancellable(&counting).unwrap(), IncrementalReport::default());
+        assert_eq!(polls.get(), 0);
+
+        // A cancelled sweep polls once per computed row plus the poll
+        // that fired.
+        let mut inc = staged(17, 30);
+        let budget = std::cell::Cell::new(4usize);
+        let cancel = || {
+            polls.set(polls.get() + 1);
+            budget.replace(budget.get().saturating_sub(1)) == 0
+        };
+        polls.set(0);
+        let pending = inc.pending_rows();
+        assert!(matches!(inc.refresh_cancellable(&cancel), Err(CoreError::Cancelled)));
+        assert_eq!(inc.pending_rows(), pending - 4);
+        assert_eq!(polls.get(), 5);
+    }
+
+    #[test]
+    fn expired_cancel_leaves_pending_rows_and_matrix_untouched() {
+        let mut inc = staged(19, 30);
+        let (pending, matrix) = (inc.pending_rows(), inc.matrix().clone());
+        let polls = std::cell::Cell::new(0usize);
+        let expired = || {
+            polls.set(polls.get() + 1);
+            true
+        };
+        assert!(matches!(inc.refresh_cancellable(&expired), Err(CoreError::Cancelled)));
+        assert_eq!(polls.get(), 1, "cancelled at the first poll, before the dirty walk");
+        assert_eq!(inc.pending_rows(), pending);
+        assert_eq!(inc.matrix(), &matrix);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! resumes where this one stopped and completes identically.
 
 use crate::engine::{run_payloads, EngineConfig, ScratchPool};
-use lbs_core::{CoreError, IncrementalAnonymizer, IncrementalReport};
+use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer, IncrementalReport};
 use lbs_metrics::{Counter, Metrics};
 
 /// How many plan tasks to aim for per worker. A little over-decomposition
@@ -34,9 +34,12 @@ const TASKS_PER_WORKER: usize = 4;
 /// Falls back to the sequential sweep when the plan yields fewer than two
 /// tasks (single dirty path, tiny dirty set, or one worker) — the result
 /// is bit-identical either way, so callers never need to choose. `cancel`
-/// is polled before every row on every worker; on cancellation, completed
-/// tasks' rows are applied before the error returns, preserving resumable
-/// partial progress.
+/// is polled once per computed row on whichever worker computes it; as in
+/// [`IncrementalAnonymizer::refresh_cancellable`], the first row's poll is
+/// taken before the dirty walk, so an expired deadline cancels in `O(1)`.
+/// On cancellation, completed tasks' rows are applied before the error
+/// returns, preserving resumable partial progress. `SubtreeCacheHits`
+/// counts the cache hits of every applied row, cancelled or not.
 ///
 /// # Errors
 /// [`CoreError::Cancelled`] when `cancel` fires with rows still pending;
@@ -49,13 +52,37 @@ pub fn refresh_parallel(
     cancel: &(dyn Fn() -> bool + Sync),
 ) -> Result<IncrementalReport, CoreError> {
     let mut report = IncrementalReport::default();
+    let result = refresh_into(inc, config, pool, metrics, cancel, &mut report);
+    if let Some(m) = metrics {
+        m.add(Counter::SubtreeCacheHits, report.cache_hits as u64);
+    }
+    result.map(|()| report)
+}
+
+/// The body of [`refresh_parallel`], accumulating into `report` so the
+/// caller can count the work of a cancelled refresh too.
+fn refresh_into(
+    inc: &mut IncrementalAnonymizer,
+    config: &EngineConfig,
+    pool: Option<&ScratchPool>,
+    metrics: Option<&Metrics>,
+    cancel: &(dyn Fn() -> bool + Sync),
+    report: &mut IncrementalReport,
+) -> Result<(), CoreError> {
     if inc.is_fresh() {
-        return Ok(report);
+        return Ok(());
     }
     let workers = config.effective_workers(inc.pending_rows());
+    if workers <= 1 {
+        return inc.refresh_into(cancel, report);
+    }
+    if inc.has_live_pending() && cancel() {
+        return Err(CoreError::Cancelled);
+    }
+    let cancel = first_poll_taken(cancel);
     let plan = inc.plan_refresh(workers * TASKS_PER_WORKER);
-    if workers <= 1 || plan.tasks.len() < 2 {
-        return inc.refresh_cancellable(&|| cancel());
+    if plan.tasks.len() < 2 {
+        return inc.refresh_into(&cancel, report);
     }
     report.dirty_subtrees = plan.tasks.len();
     if let Some(m) = metrics {
@@ -65,7 +92,7 @@ pub fn refresh_parallel(
     let shared: &IncrementalAnonymizer = inc;
     let (completed, error) =
         run_payloads(plan.tasks, config, pool, metrics, |scratch, _index, nodes: &Vec<_>| {
-            shared.compute_task_rows(nodes, scratch, &|| cancel())
+            shared.compute_task_rows(nodes, scratch, &cancel)
         })?;
     // Apply whatever finished — in index order, so progress is
     // deterministic — before surfacing any error. Tasks touch disjoint
@@ -78,12 +105,9 @@ pub fn refresh_parallel(
     if let Some(err) = error {
         return Err(err);
     }
-    inc.refresh_sequence(&plan.spine, &|| cancel(), &mut report)?;
-    inc.finish_refresh(&mut report);
-    if let Some(m) = metrics {
-        m.add(Counter::SubtreeCacheHits, report.cache_hits as u64);
-    }
-    Ok(report)
+    inc.refresh_sequence(&plan.spine, &cancel, report)?;
+    inc.finish_refresh(report);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -190,6 +214,71 @@ mod tests {
         refresh_parallel(&mut par, &config, None, None, &|| false).unwrap();
         assert!(par.is_fresh());
         assert_eq!(par.matrix(), seq.matrix());
+    }
+
+    /// [`stage_round`] after one refresh with `moves` more moves staged —
+    /// or, for `moves == 0`, one delete, which dirties a single root path —
+    /// so the subtree cache holds cost vectors the next refresh can hit.
+    fn second_round(seed: u64, moves: usize) -> IncrementalAnonymizer {
+        let (mut inc, _, _) = stage_round(TreeKind::Binary, seed);
+        inc.refresh().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC0);
+        let updates: Vec<UserUpdate> = if moves == 0 {
+            vec![UserUpdate::Delete { user: UserId(0) }]
+        } else {
+            random_moves(&mut rng, 400, moves, 128).into_iter().map(UserUpdate::Move).collect()
+        };
+        inc.stage_updates(&updates).unwrap();
+        inc
+    }
+
+    #[test]
+    fn subtree_cache_hits_are_counted_on_planned_and_fallback_paths() {
+        // 48 moves plan into several subtrees; one worker, or a delete's
+        // single dirty root path, falls back to the sequential sweep.
+        for (workers, moves, planned) in [(4, 48, true), (1, 48, false), (4, 0, false)] {
+            let mut inc = second_round(5, moves);
+            let metrics = Metrics::new();
+            let config = EngineConfig { workers, ..EngineConfig::default() };
+            let report =
+                refresh_parallel(&mut inc, &config, None, Some(&metrics), &|| false).unwrap();
+            assert_eq!(report.dirty_subtrees > 1, planned, "{workers}/{moves}: {report:?}");
+            assert!(report.cache_hits > 0, "{workers}/{moves}: {report:?}");
+            assert_eq!(metrics.get(Counter::SubtreeCacheHits), report.cache_hits as u64);
+        }
+    }
+
+    #[test]
+    fn cancel_is_polled_once_per_computed_row_on_every_path() {
+        // Planned, one worker, and the single-path fallback on four.
+        for (workers, moves) in [(4, 48), (1, 48), (4, 0)] {
+            let mut par = second_round(29, moves);
+            let polls = std::sync::atomic::AtomicUsize::new(0);
+            let counting = || {
+                polls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                false
+            };
+            let config = EngineConfig { workers, ..EngineConfig::default() };
+            let report = refresh_parallel(&mut par, &config, None, None, &counting).unwrap();
+            assert_eq!(report.dirty_subtrees > 1, (workers, moves) == (4, 48), "{report:?}");
+            assert_eq!(polls.into_inner(), report.rows_recomputed, "{workers}/{moves}");
+        }
+    }
+
+    #[test]
+    fn expired_cancel_leaves_pending_rows_and_matrix_untouched() {
+        for workers in [1usize, 4] {
+            let (_, mut par, pending) = stage_round(TreeKind::Binary, 31);
+            let matrix = par.matrix().clone();
+            let config = EngineConfig { workers, ..EngineConfig::default() };
+            let metrics = Metrics::new();
+            let err =
+                refresh_parallel(&mut par, &config, None, Some(&metrics), &|| true).unwrap_err();
+            assert!(matches!(err, CoreError::Cancelled));
+            assert_eq!(par.pending_rows(), pending, "{workers} workers");
+            assert_eq!(par.matrix(), &matrix, "{workers} workers");
+            assert_eq!(metrics.get(Counter::DirtySubtrees), 0, "cancelled before planning");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use lbs_geom::{Point, Rect, Region};
 use lbs_model::{BulkPolicy, LocationDb, UserId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which rung of the ladder answered a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,47 +97,96 @@ pub struct DegradedPolicy {
 ///
 /// The output is a pure function of `(committed, db)` — the attacker
 /// simulability that Definition 6 conformance checks rely on.
+///
+/// One pass over the committed policy (ascending user id), joined with
+/// the database sorted by user, puts every live sender in its cloak's
+/// group. A group keeps only its live count and the bounding box of its
+/// members' current locations: a rectangle holds every member exactly
+/// when it holds the box's two corners, so the ancestor chain is walked
+/// only for groups with a member outside its cloak. Senders come out in
+/// user order, so the policy and the rung table are bulk-built and
+/// `shed` needs no set.
 pub fn degraded_policy(
     committed: &BulkPolicy,
     db: &LocationDb,
     map: &Rect,
     k: usize,
 ) -> DegradedPolicy {
-    let mut policy = BulkPolicy::new(format!("degraded({})", committed.name()));
-    let mut rungs = BTreeMap::new();
-    let mut shed: BTreeMap<UserId, ()> = db.users().map(|u| (u, ())).collect();
+    let mut senders: Vec<(UserId, Point)> = db.iter().collect();
+    senders.sort_unstable_by_key(|&(user, _)| user);
+    let mut index: HashMap<Region, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut cloaks = committed.iter().peekable();
+    let member_of: Vec<Option<usize>> = senders
+        .iter()
+        .map(|&(user, p)| {
+            while cloaks.next_if(|&(u, _)| u < user).is_some() {} // departed since the commit
+            let (_, region) = cloaks.next_if(|&(u, _)| u == user)?;
+            let g = *index.entry(*region).or_insert_with(|| {
+                groups.push(Group { cloak: *region, live: 0, lo: p, hi: p });
+                groups.len() - 1
+            });
+            groups.get_mut(g)?.add(p);
+            Some(g)
+        })
+        .collect();
+    let serving: Vec<Option<(Region, Rung)>> = groups.iter().map(|g| g.serve(map, k)).collect();
 
-    // groups() hands back a HashMap; order the groups by their (sorted)
-    // leading member so derivation is deterministic.
-    let mut groups: Vec<(Region, Vec<UserId>)> = committed.groups().into_iter().collect();
-    groups.sort_by_key(|(_, members)| members.first().copied());
-
-    for (region, members) in groups {
-        let Some(cloak) = region.rect().copied() else {
-            continue; // circle cloaks have no semi-quadrant ancestors
-        };
-        let live: Vec<(UserId, Point)> =
-            members.iter().filter_map(|&u| db.location(u).map(|p| (u, p))).collect();
-        if live.len() < k {
-            continue; // group too small now — shedding beats a weaker cloak
-        }
-        let mut candidates = ancestor_chain(map, &cloak);
-        if candidates.first() != Some(&cloak) {
-            candidates.insert(0, cloak);
-        }
-        let Some(chosen) = candidates.into_iter().find(|r| live.iter().all(|(_, p)| r.contains(p)))
-        else {
-            continue; // somebody left the map entirely
-        };
-        let rung = if chosen == cloak { Rung::Committed } else { Rung::Coarsened };
-        for (user, _) in live {
-            policy.assign(user, Region::Rect(chosen));
-            rungs.insert(user, rung);
-            shed.remove(&user);
+    let mut assignments = Vec::with_capacity(senders.len());
+    let mut rungs = Vec::with_capacity(senders.len());
+    let mut shed = Vec::new();
+    for (&(user, _), g) in senders.iter().zip(member_of) {
+        match g.and_then(|g| serving.get(g).copied().flatten()) {
+            Some((region, rung)) => {
+                assignments.push((user, region));
+                rungs.push((user, rung));
+            }
+            None => shed.push(user),
         }
     }
+    DegradedPolicy {
+        policy: BulkPolicy::from_assignments(
+            format!("degraded({})", committed.name()),
+            assignments,
+        ),
+        rungs: rungs.into_iter().collect(),
+        shed,
+    }
+}
 
-    DegradedPolicy { policy, rungs, shed: shed.into_keys().collect() }
+/// One committed cloak group's live members, as [`degraded_policy`]
+/// needs them: how many, and the bounding box of where they are now.
+struct Group {
+    cloak: Region,
+    live: usize,
+    lo: Point,
+    hi: Point,
+}
+
+impl Group {
+    fn add(&mut self, p: Point) {
+        self.live += 1;
+        self.lo = Point::new(self.lo.x.min(p.x), self.lo.y.min(p.y));
+        self.hi = Point::new(self.hi.x.max(p.x), self.hi.y.max(p.y));
+    }
+
+    /// The region and rung this group is served on, or `None` when it is
+    /// shed.
+    fn serve(&self, map: &Rect, k: usize) -> Option<(Region, Rung)> {
+        let Region::Rect(cloak) = self.cloak else {
+            return None; // circle cloaks have no semi-quadrant ancestors
+        };
+        if self.live < k {
+            return None; // group too small now — shedding beats a weaker cloak
+        }
+        let holds_all = |r: &Rect| r.contains(&self.lo) && r.contains(&self.hi);
+        if holds_all(&cloak) {
+            return Some((self.cloak, Rung::Committed));
+        }
+        // None when somebody left the map entirely.
+        let ancestor = ancestor_chain(map, &cloak).into_iter().find(holds_all)?;
+        Some((Region::Rect(ancestor), Rung::Coarsened))
+    }
 }
 
 impl DegradedPolicy {
@@ -158,6 +207,7 @@ mod tests {
     use super::*;
     use lbs_core::verify_policy_aware;
     use lbs_core::IncrementalAnonymizer;
+    use lbs_geom::Circle;
     use lbs_model::{Move, UserUpdate};
     use lbs_tree::{TreeConfig, TreeKind};
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -187,6 +237,124 @@ mod tests {
         let cfg = TreeConfig::lazy(TreeKind::Binary, map, k);
         let inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
         (db, inc.policy().unwrap(), map)
+    }
+
+    /// The derivation as first written — a group map, a shed set holding
+    /// every user, an ancestor chain per group and one insert per served
+    /// sender — kept as the differential reference for [`degraded_policy`].
+    fn reference_degraded_policy(
+        committed: &BulkPolicy,
+        db: &LocationDb,
+        map: &Rect,
+        k: usize,
+    ) -> DegradedPolicy {
+        let mut policy = BulkPolicy::new(format!("degraded({})", committed.name()));
+        let mut rungs = BTreeMap::new();
+        let mut shed: BTreeMap<UserId, ()> = db.users().map(|u| (u, ())).collect();
+        let mut groups: Vec<(Region, Vec<UserId>)> = committed.groups().into_iter().collect();
+        groups.sort_by_key(|(_, members)| members.first().copied());
+        for (region, members) in groups {
+            let Some(cloak) = region.rect().copied() else {
+                continue;
+            };
+            let live: Vec<(UserId, Point)> =
+                members.iter().filter_map(|&u| db.location(u).map(|p| (u, p))).collect();
+            if live.len() < k {
+                continue;
+            }
+            let mut candidates = ancestor_chain(map, &cloak);
+            if candidates.first() != Some(&cloak) {
+                candidates.insert(0, cloak);
+            }
+            let Some(chosen) =
+                candidates.into_iter().find(|r| live.iter().all(|(_, p)| r.contains(p)))
+            else {
+                continue;
+            };
+            let rung = if chosen == cloak { Rung::Committed } else { Rung::Coarsened };
+            for (user, _) in live {
+                policy.assign(user, Region::Rect(chosen));
+                rungs.insert(user, rung);
+                shed.remove(&user);
+            }
+        }
+        DegradedPolicy { policy, rungs, shed: shed.into_keys().collect() }
+    }
+
+    /// One differential scenario: a committed policy, then churn the
+    /// commit has not seen — near and far moves (some off the map),
+    /// inserts, deletes deep enough to drop groups below `k`, and now and
+    /// then a circle cloak or a cloak that is no semi-quadrant at all.
+    fn churned_scenario(seed: u64) -> (BulkPolicy, LocationDb, Rect, usize) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0A4D);
+        let k = rng.gen_range(2..=6);
+        let n = rng.gen_range(3 * k..=120);
+        let (db, mut committed, map) = scenario(seed, n, k);
+        let side = map.width();
+        let (p_move, p_far, p_off, p_delete) =
+            (rng.gen_range(0.0..0.6), rng.gen_range(0.0..0.5), 0.05, rng.gen_range(0.0..0.4));
+        let mut rows = Vec::new();
+        for (user, p) in db.iter() {
+            if rng.gen_bool(p_delete) {
+                continue;
+            }
+            let to = if !rng.gen_bool(p_move) {
+                p
+            } else if rng.gen_bool(p_off) {
+                Point::new(side + rng.gen_range(0..8), rng.gen_range(-8..side))
+            } else if rng.gen_bool(p_far) {
+                Point::new(rng.gen_range(0..side), rng.gen_range(0..side))
+            } else {
+                let jitter =
+                    |c: i64, rng: &mut StdRng| (c + rng.gen_range(-3..=3)).clamp(0, side - 1);
+                Point::new(jitter(p.x, &mut rng), jitter(p.y, &mut rng))
+            };
+            rows.push((user, to));
+        }
+        for i in 0..rng.gen_range(0..6u64) {
+            rows.push((
+                UserId(10_000 + i),
+                Point::new(rng.gen_range(0..side), rng.gen_range(0..side)),
+            ));
+        }
+        let groups = committed.groups();
+        let mut regions: Vec<&Region> = groups.keys().collect();
+        regions.sort_by_key(|r| groups[*r].first().copied());
+        if rng.gen_bool(0.3) {
+            let members = &groups[regions[rng.gen_range(0..regions.len())]];
+            let circle =
+                Region::Circle(Circle::from_radius2(Point::new(side / 2, side / 2), 1 << 14));
+            for &u in members {
+                committed.assign(u, circle);
+            }
+        }
+        if rng.gen_bool(0.3) {
+            let members = &groups[regions[rng.gen_range(0..regions.len())]];
+            let (x0, y0) = (rng.gen_range(0..side / 2), rng.gen_range(0..side / 2));
+            let odd = Region::Rect(Rect::new(x0, y0, x0 + rng.gen_range(1..side / 2), y0 + 13));
+            for &u in members {
+                committed.assign(u, odd);
+            }
+        }
+        (committed, LocationDb::from_rows(rows).unwrap(), map, k)
+    }
+
+    #[test]
+    fn one_pass_derivation_matches_the_reference() {
+        let mut seen = [0usize; 3]; // committed, coarsened, shed senders
+        for seed in 0..240 {
+            let (committed, db, map, k) = churned_scenario(seed);
+            let got = degraded_policy(&committed, &db, &map, k);
+            let want = reference_degraded_policy(&committed, &db, &map, k);
+            assert_eq!(got.policy.name(), want.policy.name(), "seed {seed}");
+            assert!(got.policy.iter().eq(want.policy.iter()), "seed {seed}: assignments");
+            assert_eq!(got.rungs, want.rungs, "seed {seed}");
+            assert_eq!(got.shed, want.shed, "seed {seed}");
+            seen[0] += got.rungs.values().filter(|&&r| r == Rung::Committed).count();
+            seen[1] += got.rungs.values().filter(|&&r| r == Rung::Coarsened).count();
+            seen[2] += got.shed.len();
+        }
+        assert!(seen.iter().all(|&c| c > 100), "scenarios must exercise every outcome: {seen:?}");
     }
 
     #[test]

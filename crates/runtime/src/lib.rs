@@ -384,6 +384,53 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_serves_the_degraded_policy_without_touching_the_commit() {
+        let dir = tmp_dir("expired");
+        let db0 = seed_db(47, 80);
+        let k = 4;
+        let clock = Arc::new(ManualClock::new());
+        let metrics = Arc::new(Metrics::new());
+        let mut cfg = RuntimeConfig::new(k, Rect::square(0, 0, SIDE));
+        cfg.checkpoint_every = 0;
+        let mut rt = RuntimeBuilder::new(cfg)
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .metrics(Arc::clone(&metrics))
+            .create(&dir, &db0)
+            .unwrap();
+        for batch in batches(47, &db0, 3) {
+            rt.apply_batch(&batch).unwrap();
+        }
+        clock.advance(Duration::from_millis(10));
+        let expired = Some(Duration::from_millis(5));
+        let (epoch, committed_seq, pending) = (rt.epoch(), rt.committed_seq(), rt.pending_rows());
+        assert!(pending > 0 && committed_seq < rt.durable_seq());
+
+        let want = degraded_policy(rt.committed_policy(), rt.db(), &rt.map(), k);
+        let users: Vec<UserId> = rt.db().users().collect();
+        let mut served = 0u64;
+        for user in users {
+            match (rt.cloak_for(user, expired), want.policy.cloak_of(user)) {
+                (Ok((rung, region)), Some(cloak)) => {
+                    assert_eq!((Some(&rung), &region), (want.rungs.get(&user), cloak), "{user}");
+                    served += 1;
+                }
+                (Err(RuntimeError::Shed { .. }), None) => assert!(want.shed.contains(&user)),
+                (got, cloak) => panic!("{user}: served {got:?}, degraded policy says {cloak:?}"),
+            }
+        }
+        assert!(served > 0);
+        assert_eq!(
+            metrics.get(Counter::DegradedCommitted) + metrics.get(Counter::DegradedCoarsened),
+            served
+        );
+        assert_eq!(
+            (rt.epoch(), rt.committed_seq(), rt.pending_rows()),
+            (epoch, committed_seq, pending)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn crash_mid_checkpoint_retries_and_survivors_recover() {
         let dir = tmp_dir("ckpt-crash");
         let db0 = seed_db(31, 42);

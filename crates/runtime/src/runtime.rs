@@ -112,9 +112,10 @@ pub fn backoff_delay(base: Duration, seed: u64, attempt: u32) -> Duration {
 
 /// Runs a commit's DP refresh: sequential for `refresh_workers` ≤ 1,
 /// otherwise the dirty set is split into disjoint subtrees on the
-/// work-stealing pool. Both paths poll the deadline before every row and
+/// work-stealing pool. Both paths poll the deadline once per row and
 /// produce bit-identical matrices, so the knob never affects committed
-/// policies — only commit latency.
+/// policies, only commit latency. The first poll comes before the dirty
+/// walk, so an already expired deadline costs one clock read.
 fn refresh_for_commit(
     inc: &mut IncrementalAnonymizer,
     pool: &ScratchPool,
@@ -125,15 +126,8 @@ fn refresh_for_commit(
 ) -> Result<(), CoreError> {
     let clock = Arc::clone(clock);
     let cancel = move || deadline.is_some_and(|d| clock.now() >= d);
-    if refresh_workers > 1 {
-        let config = EngineConfig { workers: refresh_workers, ..EngineConfig::default() };
-        refresh_parallel(inc, &config, Some(pool), metrics, &cancel)?;
-    } else {
-        let report = inc.refresh_cancellable(&cancel)?;
-        if let Some(m) = metrics {
-            m.add(Counter::SubtreeCacheHits, report.cache_hits as u64);
-        }
-    }
+    let config = EngineConfig { workers: refresh_workers.max(1), ..EngineConfig::default() };
+    refresh_parallel(inc, &config, Some(pool), metrics, &cancel)?;
     Ok(())
 }
 

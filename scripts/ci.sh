@@ -43,6 +43,16 @@ cargo build --release --workspace
 echo "== cargo test (workspace) =="
 cargo test --release --workspace -q
 
+echo "== benchmark crate tests (budget: 60 s) =="
+# benches/lbs-benchmark is a package of its own (empty [workspace]), so
+# `cargo test --workspace` above never runs its tests: a tiny instance of
+# every BENCHMARK.json workload with its output checks (masking cloaks,
+# no shed, the churn_deadline ladder), plus the statistics, span and
+# counting-storage tests. The build (its own target dir; ~90 s cold on
+# a 2-vCPU VM) stays outside the budget; the run takes under a second.
+cargo test --release --offline --manifest-path benches/lbs-benchmark/Cargo.toml --no-run
+timeout 60 cargo test --release --offline --manifest-path benches/lbs-benchmark/Cargo.toml
+
 echo "== conformance-smoke (budget: 60 s) =="
 # Attacker-in-the-loop smoke sweep (>= 200 seeded scenarios) plus the
 # checked-in golden corpus, via the release CLI so the stage stays well
