@@ -296,7 +296,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome, String> {
                 );
                 outcome.oracle_checks += 1;
                 let policy = engine.policy().map_err(oops("incremental policy"))?;
-                outcome.oracle_checks += assert_policy_aware(&policy, &db, k)?;
+                outcome.oracle_checks += assert_policy_aware(policy, &db, k)?;
                 outcome.cost = Some(inc_cost);
             }
         }

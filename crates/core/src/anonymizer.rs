@@ -58,7 +58,8 @@ impl Anonymizer {
     ///   steady-state jurisdiction builds allocate nothing in the DP loop.
     /// * `metrics` — a [`Metrics`] sink receiving [`Stage::TreeBuild`],
     ///   [`Stage::Dp`], and [`Stage::Extract`] spans plus the
-    ///   [`Counter::UsersAnonymized`] count.
+    ///   [`Counter::UsersAnonymized`], [`Counter::ExtractNodes`] and
+    ///   [`Counter::CloaksWritten`] counts.
     ///
     /// The produced policy is bit-identical to the uninstrumented build.
     ///
@@ -115,6 +116,9 @@ impl Anonymizer {
         })?;
         if let Some(m) = metrics {
             m.add(Counter::UsersAnonymized, policy.len() as u64);
+            // A bulk extraction walks every live node and cloaks every user.
+            m.add(Counter::ExtractNodes, tree.live_len() as u64);
+            m.add(Counter::CloaksWritten, policy.len() as u64);
         }
         Ok(Anonymizer { tree, matrix, policy, cost, next_rid: 0 })
     }

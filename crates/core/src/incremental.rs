@@ -7,7 +7,7 @@
 //! quad tree leaves whose quadrants now contain a changed number of
 //! locations". The dirty set comes ancestor-closed from the tree layer.
 //!
-//! Three mechanisms keep a batched commit proportional to the dirty set
+//! Four mechanisms keep a batched commit proportional to the dirty set
 //! rather than to the live tree:
 //!
 //! * **Dirty-path coalescing** — the refresh sweep is a DFS from the root
@@ -29,6 +29,10 @@
 //!   `lbs-parallel` crate) computes them concurrently; applying task rows
 //!   in plan order and then sweeping the spine sequentially is
 //!   **bit-identical** to the sequential refresh.
+//! * **Incremental extraction** — [`extract`](IncrementalAnonymizer::extract)
+//!   keeps the committed policy and, per arena slot, what its extraction
+//!   saw. It re-extracts only nodes whose version or pass-up target
+//!   changed and patches the policy in place (DESIGN.md §9).
 //!
 //! Rows are produced by the same engines the bulk sweeps use
 //! ([`combine_children_row`] wraps the arena sweep's parent-row body,
@@ -38,9 +42,10 @@
 
 use crate::dp_fast::{combine_children_row, leaf_row, missing_child_row};
 use crate::dp_fast_quad::{quad_row_overlay, LocalRows};
+use crate::extract::{cloak_regions, ExtractCache};
 use crate::{bulk_dp_fast, bulk_dp_fast_quad, CoreError, DpMatrix, DpScratch, Row};
 use lbs_geom::Area;
-use lbs_model::{BulkPolicy, LocationDb, Move, UserUpdate};
+use lbs_model::{BulkPolicy, LocationDb, Move, UserId, UserUpdate};
 use lbs_tree::{NodeId, SpatialTree, TreeConfig, TreeKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,6 +70,28 @@ pub struct IncrementalReport {
     /// Disjoint dirty subtrees refreshed as parallel tasks (0 when the
     /// refresh ran sequentially without a plan).
     pub dirty_subtrees: usize,
+}
+
+/// Work done by one [`IncrementalAnonymizer::extract`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExtractReport {
+    /// Tree nodes extracted; every other live node's output was reused.
+    pub nodes: usize,
+    /// Cloaks written into the maintained policy.
+    pub cloaks: usize,
+}
+
+/// The policy the last extraction produced, what that extraction saw at
+/// every arena slot, and the users deleted since.
+#[derive(Debug, Clone, Default)]
+struct Extracted {
+    policy: BulkPolicy,
+    /// Empty until the first extraction, and after one that failed: the
+    /// next extraction is then a full one and replaces `policy` whole.
+    cache: ExtractCache,
+    /// Users deleted (migrations out included) since `policy` was
+    /// produced; recorded only while `cache` is not empty.
+    deleted: Vec<UserId>,
 }
 
 /// The dense cost slice of one subtree, memoized at a tree version.
@@ -247,6 +274,8 @@ pub struct IncrementalAnonymizer {
     cache: CostCache,
     /// Convolution/suffix buffers reused across refreshes.
     scratch: DpScratch,
+    /// The maintained policy and what its extraction saw.
+    extracted: Extracted,
 }
 
 impl Clone for IncrementalAnonymizer {
@@ -260,6 +289,7 @@ impl Clone for IncrementalAnonymizer {
             cache: self.cache.clone(),
             // Scratch holds no state a clone must observe — fresh buffers.
             scratch: DpScratch::new(),
+            extracted: self.extracted.clone(),
         }
     }
 }
@@ -287,6 +317,7 @@ impl IncrementalAnonymizer {
             pending: HashSet::new(),
             cache,
             scratch: DpScratch::new(),
+            extracted: Extracted::default(),
         })
     }
 
@@ -338,6 +369,19 @@ impl IncrementalAnonymizer {
         self.matrix.resize_for(&self.tree);
         self.cache.resize(self.tree.arena_len());
         self.pending.extend(update.dirty);
+        let extracted = &mut self.extracted;
+        extracted.cache.release(&update.detached);
+        if !extracted.cache.is_empty() {
+            extracted.deleted.extend(updates.iter().filter_map(|up| match *up {
+                UserUpdate::Delete { user } => Some(user),
+                _ => None,
+            }));
+            if extracted.deleted.len() > extracted.policy.len() {
+                // Patching would cost more than extracting afresh.
+                extracted.cache.clear();
+                extracted.deleted = Vec::new();
+            }
+        }
         Ok(IncrementalReport {
             moved: update.moved,
             inserted: update.inserted,
@@ -658,14 +702,68 @@ impl IncrementalAnonymizer {
         self.matrix.optimal_cost(&self.tree)
     }
 
-    /// Extracts an optimal policy for the current snapshot.
+    /// An optimal policy for the current snapshot: brings the maintained
+    /// policy up to date ([`extract`](Self::extract)) and borrows it.
     ///
     /// # Errors
-    /// [`CoreError::StaleMatrix`] while staged rows await a refresh;
-    /// propagates extraction errors.
-    pub fn policy(&self) -> Result<BulkPolicy, CoreError> {
+    /// As [`extract`](Self::extract).
+    pub fn policy(&mut self) -> Result<&BulkPolicy, CoreError> {
+        self.extract()?;
+        Ok(&self.extracted.policy)
+    }
+
+    /// Brings the maintained policy up to date with the refreshed matrix,
+    /// re-extracting only the subtrees the tree touched since the last
+    /// extraction.
+    ///
+    /// The walk down from the root stops at every node whose tree version
+    /// and pass-up target both match what the last extraction saw there,
+    /// and reuses the ids that node passed up; the rest is extracted in
+    /// postorder by the routine behind [`DpMatrix::extract_policy`]. The
+    /// policy is then patched in place: users deleted since are removed,
+    /// and every user cloaked at an extracted node is rewritten. The first
+    /// extraction (and the one after a failure) extracts every node and
+    /// replaces the policy whole. Either way the result equals
+    /// `matrix().extract_policy(tree())`.
+    ///
+    /// # Errors
+    /// [`CoreError::StaleMatrix`] while staged rows await a refresh, or on
+    /// a row that no configuration of the tree can meet;
+    /// [`CoreError::InsufficientPopulation`] when fewer than k users
+    /// remain. The maintained policy is left as it was.
+    pub fn extract(&mut self) -> Result<ExtractReport, CoreError> {
         self.ensure_fresh()?;
-        self.matrix.extract_policy(&self.tree)
+        let extracted = &mut self.extracted;
+        let full = extracted.cache.is_empty();
+        let extraction = match self.matrix.extract_cloaks(&self.tree, Some(&mut extracted.cache)) {
+            Ok(extraction) => extraction,
+            Err(e) => {
+                extracted.cache.clear();
+                extracted.deleted = Vec::new();
+                return Err(e);
+            }
+        };
+        let report = ExtractReport { nodes: extraction.nodes, cloaks: extraction.cloaked.len() };
+        let cloaks = cloak_regions(&self.tree, extraction.cloaked);
+        if full {
+            extracted.policy =
+                BulkPolicy::from_assignments(self.matrix.policy_name(), cloaks.collect());
+        } else {
+            for user in extracted.deleted.drain(..) {
+                extracted.policy.remove(user);
+            }
+            for (user, region) in cloaks {
+                extracted.policy.assign(user, region);
+            }
+        }
+        Ok(report)
+    }
+
+    /// The policy the last successful extraction produced (empty before
+    /// the first): what a service keeps serving while rows are pending,
+    /// after a cancelled refresh, or after a failed extraction.
+    pub fn committed_policy(&self) -> &BulkPolicy {
+        &self.extracted.policy
     }
 
     fn ensure_fresh(&self) -> Result<(), CoreError> {
@@ -834,7 +932,7 @@ mod tests {
 
             let policy = inc.policy().unwrap();
             assert!(policy.is_masking_and_total(&db), "round {round}");
-            assert!(verify_policy_aware(&policy, &db, k).is_ok(), "round {round}");
+            assert!(verify_policy_aware(policy, &db, k).is_ok(), "round {round}");
         }
     }
 
@@ -928,7 +1026,7 @@ mod tests {
             assert_eq!(inc.optimal_cost().unwrap(), fresh_cost, "round {round}");
             let policy = inc.policy().unwrap();
             assert!(policy.is_masking_and_total(&db), "round {round}");
-            assert!(verify_policy_aware(&policy, &db, k).is_ok(), "round {round}");
+            assert!(verify_policy_aware(policy, &db, k).is_ok(), "round {round}");
         }
     }
 
@@ -1004,7 +1102,7 @@ mod tests {
         let fresh_cost = bulk_dp_fast(&fresh_tree, k).unwrap().optimal_cost(&fresh_tree).unwrap();
         assert_eq!(inc.optimal_cost().unwrap(), fresh_cost);
         let policy = inc.policy().unwrap();
-        assert!(verify_policy_aware(&policy, &db, k).is_ok());
+        assert!(verify_policy_aware(policy, &db, k).is_ok());
     }
 
     /// A freshly built anonymizer with one staged batch of `moves` moves.
@@ -1019,6 +1117,47 @@ mod tests {
             random_moves(&mut rng, 200, moves, side).into_iter().map(UserUpdate::Move).collect();
         inc.stage_updates(&updates).unwrap();
         inc
+    }
+
+    #[test]
+    fn a_corrupted_row_fails_extraction_and_keeps_the_committed_policy() {
+        use crate::{Entry, Row};
+        use lbs_model::encode_policy;
+        let mut rng = StdRng::seed_from_u64(23);
+        let side = 128i64;
+        let db = random_db(&mut rng, 200, side);
+        let k = 5;
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), k);
+        let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
+        let committed = encode_policy(inc.policy().unwrap());
+        let updates: Vec<UserUpdate> =
+            random_moves(&mut rng, 200, 8, side).into_iter().map(UserUpdate::Move).collect();
+        inc.stage_updates(&updates).unwrap();
+        inc.refresh().unwrap();
+
+        // The root now passes more ids up from its first child than that
+        // subtree holds, and the child's row accepts the target.
+        let root = inc.tree.root();
+        let [low, _] = *inc.tree.node(root).children.as_slice() else { unreachable!() };
+        let saved = (inc.matrix.row(root).unwrap().clone(), inc.matrix.row(low).unwrap().clone());
+        let target = inc.tree.count(low) + 3;
+        let mut row = saved.0.clone();
+        row.dense[0].split[0] = target as u32;
+        inc.matrix.set_row(root, row);
+        inc.matrix.set_row(low, Row { d: target, dense: vec![], special: Entry::zero([0; 4]) });
+        match inc.extract() {
+            Err(CoreError::StaleMatrix(msg)) => assert!(msg.contains("exceeds its pool"), "{msg}"),
+            other => panic!("expected StaleMatrix, got {other:?}"),
+        }
+        assert_eq!(encode_policy(inc.committed_policy()), committed, "committed policy kept");
+
+        // With the rows restored, the next extraction starts over in full.
+        inc.matrix.set_row(root, saved.0);
+        inc.matrix.set_row(low, saved.1);
+        let report = inc.extract().unwrap();
+        assert_eq!(report.nodes, inc.tree.live_len());
+        let full = inc.matrix.extract_policy(&inc.tree).unwrap();
+        assert_eq!(encode_policy(inc.committed_policy()), encode_policy(&full));
     }
 
     #[test]
@@ -1091,7 +1230,7 @@ mod tests {
             assert_eq!(inc.optimal_cost().unwrap(), fresh_cost, "round {round}");
             let policy = inc.policy().unwrap();
             assert!(policy.is_masking_and_total(&db), "round {round}");
-            assert!(verify_policy_aware(&policy, &db, k).is_ok(), "round {round}");
+            assert!(verify_policy_aware(policy, &db, k).is_ok(), "round {round}");
         }
     }
 

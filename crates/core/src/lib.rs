@@ -56,7 +56,8 @@ pub use dp_fast_quad::{
 pub use error::CoreError;
 pub use flat::{minplus_argmin, minplus_convolve, ConvKernel};
 pub use incremental::{
-    first_poll_taken, IncrementalAnonymizer, IncrementalReport, RefreshPlan, TaskRows,
+    first_poll_taken, ExtractReport, IncrementalAnonymizer, IncrementalReport, RefreshPlan,
+    TaskRows,
 };
 pub use matrix::{DpMatrix, Entry, Row, INFINITE_COST};
 pub use per_user_k::{anonymize_per_user_k, verify_per_user_k, KRequirements};

@@ -113,11 +113,18 @@ pub enum Counter {
     /// Recoveries (or loads) that skipped a corrupt newer checkpoint
     /// generation and fell back to an older clean one.
     GenerationFallbacks,
+    /// Tree nodes whose cloaks a policy extraction computed: every live
+    /// node in a bulk build, only the subtrees a refresh touched in an
+    /// incremental commit.
+    ExtractNodes,
+    /// Cloaks written by policy extractions (every user in a bulk build,
+    /// the users cloaked at extracted nodes in a commit).
+    CloaksWritten,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 33] = [
         Counter::TasksInjected,
         Counter::TasksExecuted,
         Counter::TasksStolen,
@@ -149,6 +156,8 @@ impl Counter {
         Counter::WalSegmentsPruned,
         Counter::EnospcSheds,
         Counter::GenerationFallbacks,
+        Counter::ExtractNodes,
+        Counter::CloaksWritten,
     ];
 
     /// Stable snake_case name used in [`MetricsSnapshot`] keys.
@@ -185,6 +194,8 @@ impl Counter {
             Counter::WalSegmentsPruned => "wal_segments_pruned",
             Counter::EnospcSheds => "enospc_sheds",
             Counter::GenerationFallbacks => "generation_fallbacks",
+            Counter::ExtractNodes => "extract_nodes",
+            Counter::CloaksWritten => "cloaks_written",
         }
     }
 
@@ -271,11 +282,18 @@ const N_STAGES: usize = Stage::ALL.len();
 
 /// Shared, lock-free metrics sink. Cheap enough to pass by reference into
 /// every worker thread; all methods take `&self`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
     counters: [AtomicU64; N_COUNTERS],
     stage_nanos: [AtomicU64; N_STAGES],
     stage_calls: [AtomicU64; N_STAGES],
+}
+
+// Hand-written: std derives `Default` only for arrays of up to 32.
+impl Default for Metrics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Metrics {

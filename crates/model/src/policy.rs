@@ -81,6 +81,11 @@ impl BulkPolicy {
         self.cloaks.insert(user, region);
     }
 
+    /// Removes `user`'s cloak, returning it if one was assigned.
+    pub fn remove(&mut self, user: UserId) -> Option<Region> {
+        self.cloaks.remove(&user)
+    }
+
     /// Builds a policy from one batch of assignments.
     ///
     /// Equivalent to [`BulkPolicy::assign`]-ing every pair in order

@@ -235,8 +235,9 @@ mod tests {
         }))
         .unwrap();
         let cfg = TreeConfig::lazy(TreeKind::Binary, map, k);
-        let inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
-        (db, inc.policy().unwrap(), map)
+        let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
+        let policy = inc.policy().unwrap().clone();
+        (db, policy, map)
     }
 
     /// The derivation as first written — a group map, a shed set holding

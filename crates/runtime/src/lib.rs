@@ -67,6 +67,7 @@ mod tests {
     use lbs_metrics::{Counter, Metrics};
     use lbs_model::{encode_policy, LocationDb, Move, RequestParams, UserId, UserUpdate};
     use lbs_parallel::FaultPlan;
+    use lbs_tree::{SpatialTree, TreeConfig, TreeKind};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -728,6 +729,44 @@ mod tests {
             verify_policy_aware(&degraded, &served, k).is_ok(),
             "degraded rungs must stay policy-aware k-anonymous"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_small_commit_extracts_only_the_subtrees_it_touched() {
+        let dir = tmp_dir("extract-small");
+        let side = 1 << 12;
+        let map = Rect::square(0, 0, side);
+        let users = 10_000u64;
+        let mut rng = StdRng::seed_from_u64(61);
+        let mut point = || Point::new(rng.gen_range(0..side), rng.gen_range(0..side));
+        let db0 = LocationDb::from_rows((0..users).map(|i| (UserId(i), point()))).unwrap();
+        let k = 10;
+        let metrics = Arc::new(Metrics::new());
+        let mut rt = RuntimeBuilder::new(RuntimeConfig::new(k, map))
+            .clock(Arc::new(ManualClock::new()))
+            .metrics(Arc::clone(&metrics))
+            .create(&dir, &db0)
+            .unwrap();
+        let live_nodes = |db: &LocationDb| {
+            let config = TreeConfig::lazy(TreeKind::Binary, map, k);
+            SpatialTree::build(db, config).unwrap().live_len() as u64
+        };
+        // Creation extracts every live node and cloaks every user.
+        assert_eq!(metrics.get(Counter::ExtractNodes), live_nodes(&db0));
+        assert_eq!(metrics.get(Counter::CloaksWritten), users);
+
+        let moves: Vec<UserUpdate> = (0..10)
+            .map(|i| UserUpdate::Move(Move { user: UserId(i * 997), to: point() }))
+            .collect();
+        rt.apply_batch(&moves).unwrap();
+        rt.commit().unwrap();
+        let nodes = metrics.get(Counter::ExtractNodes) - live_nodes(&db0);
+        let cloaks = metrics.get(Counter::CloaksWritten) - users;
+        let live = live_nodes(rt.db());
+        assert!(nodes > 0 && nodes * 10 < live, "extracted {nodes} of {live} live nodes");
+        assert!(cloaks > 0 && cloaks * 10 < users, "rewrote {cloaks} of {users} cloaks");
+        assert!(rt.committed_policy().is_masking_and_total(rt.db()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -131,6 +131,22 @@ fn refresh_for_commit(
     Ok(())
 }
 
+/// Brings the maintained policy up to date after a completed refresh —
+/// re-extracting only the subtrees the refresh touched — and counts the
+/// work into [`Counter::ExtractNodes`] and [`Counter::CloaksWritten`].
+/// On an error the committed policy is left as it was.
+fn extract_committed(
+    inc: &mut IncrementalAnonymizer,
+    metrics: Option<&Metrics>,
+) -> Result<(), CoreError> {
+    let report = inc.extract()?;
+    if let Some(m) = metrics {
+        m.add(Counter::ExtractNodes, report.nodes as u64);
+        m.add(Counter::CloaksWritten, report.cloaks as u64);
+    }
+    Ok(())
+}
+
 /// The body of [`ServiceRuntime::gc`], borrowing fields disjointly so
 /// callers holding a metrics stage span can still run the ENOSPC
 /// ladder's emergency pass.
@@ -249,8 +265,8 @@ impl RuntimeBuilder {
             return Err(RuntimeError::AlreadyInitialized(dir.to_path_buf()));
         }
         let tree_cfg = TreeConfig::lazy(TreeKind::Binary, self.cfg.map, self.cfg.k);
-        let inc = IncrementalAnonymizer::new(db, tree_cfg, self.cfg.k)?;
-        let committed = inc.policy()?;
+        let mut inc = IncrementalAnonymizer::new(db, tree_cfg, self.cfg.k)?;
+        extract_committed(&mut inc, self.metrics.as_deref())?;
         let mut runtime = ServiceRuntime {
             cfg: self.cfg,
             dir: dir.to_path_buf(),
@@ -261,7 +277,6 @@ impl RuntimeBuilder {
             wal,
             db: db.clone(),
             inc,
-            committed,
             epoch: 1,
             durable_seq: 0,
             committed_seq: 0,
@@ -301,6 +316,9 @@ impl RuntimeBuilder {
             return Err(RuntimeError::NoState(dir.to_path_buf()));
         };
         let Checkpoint { epoch, wal_seq, k, map, db, policy } = ckpt;
+        // Recovery re-extracts the committed policy from the rebuilt tree;
+        // only debug builds keep the stored copy, to check they agree.
+        let stored_policy = cfg!(debug_assertions).then_some(policy);
         let mut cfg = self.cfg;
         cfg.k = k;
         cfg.map = map;
@@ -316,7 +334,15 @@ impl RuntimeBuilder {
             });
         }
         let tree_cfg = TreeConfig::lazy(TreeKind::Binary, map, k);
-        let inc = IncrementalAnonymizer::new(&db, tree_cfg, k)?;
+        let mut inc = IncrementalAnonymizer::new(&db, tree_cfg, k)?;
+        // The committed policy is a pure function of the tree, which is
+        // rebuilt from the database.
+        extract_committed(&mut inc, self.metrics.as_deref())?;
+        debug_assert!(
+            stored_policy.is_none_or(|stored| lbs_model::encode_policy(&stored)
+                == lbs_model::encode_policy(inc.committed_policy())),
+            "a checkpoint's policy is the extraction over its database"
+        );
         let mut runtime = ServiceRuntime {
             cfg,
             dir: dir.to_path_buf(),
@@ -327,7 +353,6 @@ impl RuntimeBuilder {
             wal,
             db,
             inc,
-            committed: policy,
             epoch,
             durable_seq: wal_seq,
             committed_seq: wal_seq,
@@ -352,7 +377,7 @@ impl RuntimeBuilder {
             // so replay does too: recovered state at seq n is bit-identical
             // to the uninterrupted state at seq n.
             runtime.inc.refresh()?;
-            runtime.committed = runtime.inc.policy()?;
+            extract_committed(&mut runtime.inc, runtime.metrics.as_deref())?;
             runtime.epoch += 1;
             runtime.committed_seq = record.seq;
             replayed += 1;
@@ -383,8 +408,8 @@ pub struct ServiceRuntime {
     storage: Arc<dyn StorageBackend>,
     wal: Wal,
     db: LocationDb,
+    /// The incremental engine; it also holds the committed policy.
     inc: IncrementalAnonymizer,
-    committed: BulkPolicy,
     /// Commits so far; doubles as the cache epoch handed to the LBS.
     epoch: u64,
     /// Last WAL sequence durably appended.
@@ -554,7 +579,7 @@ impl ServiceRuntime {
                 attempt - 1,
             ));
         }
-        self.committed = self.inc.policy()?;
+        extract_committed(&mut self.inc, self.metrics.as_deref())?;
         self.epoch = target_epoch;
         self.committed_seq = self.durable_seq;
         self.degraded = None;
@@ -588,7 +613,7 @@ impl ServiceRuntime {
             k: self.cfg.k,
             map: self.cfg.map,
             db,
-            policy: self.committed.clone(),
+            policy: self.inc.committed_policy().clone(),
         };
         let span = self.metrics.as_deref().map(|m| m.start(Stage::Checkpoint));
         let mut attempt: u32 = 0;
@@ -711,7 +736,7 @@ impl ServiceRuntime {
         if self.committed_seq != self.durable_seq {
             // Fold the staged updates in so policy and db agree.
             self.inc.refresh()?;
-            self.committed = self.inc.policy()?;
+            extract_committed(&mut self.inc, self.metrics.as_deref())?;
             self.epoch += 1;
             self.committed_seq = self.durable_seq;
             self.degraded = None;
@@ -753,7 +778,7 @@ impl ServiceRuntime {
             }
         };
         if fresh {
-            if let Some(region) = self.committed.cloak_of(user) {
+            if let Some(region) = self.inc.committed_policy().cloak_of(user) {
                 return Ok((Rung::Fresh, *region));
             }
         }
@@ -762,7 +787,8 @@ impl ServiceRuntime {
         let key = (self.durable_seq, self.epoch);
         let cached = matches!(&self.degraded, Some((s, e, _)) if (*s, *e) == key);
         if !cached {
-            let derived = degraded_policy(&self.committed, &self.db, &self.cfg.map, self.cfg.k);
+            let derived =
+                degraded_policy(self.inc.committed_policy(), &self.db, &self.cfg.map, self.cfg.k);
             self.degraded = Some((key.0, key.1, derived));
         }
         // Invariant: the memo was just populated for `key` above.
@@ -817,7 +843,7 @@ impl ServiceRuntime {
 
     /// Last committed policy.
     pub fn committed_policy(&self) -> &BulkPolicy {
-        &self.committed
+        self.inc.committed_policy()
     }
 
     /// Commits so far (the cache epoch).

@@ -234,7 +234,7 @@ pub fn run(config: &SimConfig) -> Result<SimReport, SimError> {
         let policy = engine.policy()?;
         let cost = policy.cost_exact().unwrap_or(0);
         let min_group = policy.min_group_size().unwrap_or(0);
-        let breaches = audit_policy(&policy, &db, config.k).len();
+        let breaches = audit_policy(policy, &db, config.k).len();
 
         // 3. Requests: sampled users ask for a random category.
         let n_requests = ((db.len() as f64) * config.request_rate).round() as usize;

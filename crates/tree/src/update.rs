@@ -29,6 +29,10 @@ pub struct UpdateReport {
     /// recompute (children of dirty internal nodes may be clean; their rows
     /// are reused).
     pub dirty: HashSet<NodeId>,
+    /// Nodes tombstoned by collapses, in collapse order. Their arena
+    /// slots are never reused, so anything cached per slot for them can
+    /// be released.
+    pub detached: Vec<NodeId>,
 }
 
 impl SpatialTree {
@@ -193,15 +197,15 @@ impl SpatialTree {
             if n.detached || n.is_leaf() {
                 continue; // already handled by an ancestor's collapse
             }
-            self.collapse_subtree(id);
+            self.collapse_subtree(id, &mut report.detached);
             report.collapses += 1;
             report.dirty.insert(id);
         }
     }
 
     /// Turns internal node `id` into a leaf holding its subtree's users,
-    /// tombstoning all descendants.
-    fn collapse_subtree(&mut self, id: NodeId) {
+    /// tombstoning all descendants (appended to `detached`).
+    fn collapse_subtree(&mut self, id: NodeId, detached: &mut Vec<NodeId>) {
         let mut gathered = Vec::with_capacity(self.nodes[id.index()].count);
         let mut stack: Vec<NodeId> = self.nodes[id.index()].children.as_slice().to_vec();
         while let Some(cur) = stack.pop() {
@@ -209,6 +213,7 @@ impl SpatialTree {
             self.nodes[cur.index()].detached = true;
             self.nodes[cur.index()].children = Children::None;
             self.live -= 1;
+            detached.push(cur);
             gathered.append(&mut self.users[cur.index()]);
         }
         for &(u, _) in &gathered {

@@ -58,6 +58,6 @@ fn main() {
 
     // The maintained matrix still extracts a verified optimal policy.
     let policy = engine.policy().unwrap();
-    verify_policy_aware(&policy, &db, k).expect("still policy-aware k-anonymous");
+    verify_policy_aware(policy, &db, k).expect("still policy-aware k-anonymous");
     println!("\nfinal policy verified: every cloak group has >= {k} members");
 }

@@ -14,6 +14,14 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo fmt --check + clippy (benchmark crate) =="
+# benches/lbs-benchmark is a workspace of its own (empty [workspace]), so
+# neither check above reaches it; --manifest-path points both at it.
+# No --all on fmt: that would also format its path dependencies, the
+# root crates, which the root check already covers.
+cargo fmt --manifest-path benches/lbs-benchmark/Cargo.toml --check
+cargo clippy --offline --manifest-path benches/lbs-benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "== lbs lint (workspace invariants, budget: 30 s) =="
 # Token-level invariant checker (crates/lint): panic-freedom in libraries,
 # seeded randomness only, no wall clocks in DP code, BTreeMap in serialized

@@ -30,7 +30,7 @@ fn incremental_tracks_bulk_over_long_sequences() {
         let fresh = Anonymizer::build(&db, map, k).unwrap();
         assert_eq!(engine.optimal_cost().unwrap(), fresh.cost(), "snapshot {snapshot}");
         let policy = engine.policy().unwrap();
-        verify_policy_aware(&policy, &db, k).unwrap();
+        verify_policy_aware(policy, &db, k).unwrap();
     }
 }
 

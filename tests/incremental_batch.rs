@@ -71,27 +71,27 @@ fn sweep(kind: TreeKind) {
         for mv in &moves {
             one_at_a_time.apply_moves(std::slice::from_ref(mv)).unwrap();
         }
-        let ref_policy = encode_policy(&one_at_a_time.policy().unwrap());
+        let ref_policy = encode_policy(one_at_a_time.policy().unwrap());
         let ref_cost = one_at_a_time.optimal_cost().unwrap();
 
         // Layer 1 reference: the same staged batch, sequential sweep.
-        let seq = batched_refresh(&base, &moves, None);
+        let mut seq = batched_refresh(&base, &moves, None);
         assert_eq!(
-            encode_policy(&seq.policy().unwrap()),
+            encode_policy(seq.policy().unwrap()),
             ref_policy,
             "{kind:?} m={m}: batched policy diverged from one-at-a-time"
         );
         assert_eq!(seq.optimal_cost().unwrap(), ref_cost, "{kind:?} m={m}");
 
         for workers in 1..=8usize {
-            let par = batched_refresh(&base, &moves, Some(workers));
+            let mut par = batched_refresh(&base, &moves, Some(workers));
             assert_eq!(
                 par.matrix(),
                 seq.matrix(),
                 "{kind:?} m={m} workers={workers}: DP matrix diverged from sequential refresh"
             );
             assert_eq!(
-                encode_policy(&par.policy().unwrap()),
+                encode_policy(par.policy().unwrap()),
                 ref_policy,
                 "{kind:?} m={m} workers={workers}: policy fingerprint diverged"
             );
@@ -167,13 +167,13 @@ fn batch_pipeline(db: &LocationDb, moves: &[Move], kind: TreeKind) -> Result<(),
             .apply_moves(std::slice::from_ref(mv))
             .map_err(|e| format!("seq commit: {e}"))?;
     }
-    let ref_policy = encode_policy(&one_at_a_time.policy().map_err(|e| e.to_string())?);
+    let ref_policy = encode_policy(one_at_a_time.policy().map_err(|e| e.to_string())?);
 
     let mut seq = base.clone();
     let updates: Vec<UserUpdate> = moves.iter().copied().map(UserUpdate::Move).collect();
     seq.stage_updates(&updates).map_err(|e| format!("stage: {e}"))?;
     seq.refresh().map_err(|e| format!("sequential refresh: {e}"))?;
-    if encode_policy(&seq.policy().map_err(|e| e.to_string())?) != ref_policy {
+    if encode_policy(seq.policy().map_err(|e| e.to_string())?) != ref_policy {
         return Err(format!("{kind:?}: batched policy diverged from one-at-a-time"));
     }
 
@@ -186,7 +186,7 @@ fn batch_pipeline(db: &LocationDb, moves: &[Move], kind: TreeKind) -> Result<(),
         if par.matrix() != seq.matrix() {
             return Err(format!("{kind:?} workers={workers}: matrix diverged"));
         }
-        if encode_policy(&par.policy().map_err(|e| e.to_string())?) != ref_policy {
+        if encode_policy(par.policy().map_err(|e| e.to_string())?) != ref_policy {
             return Err(format!("{kind:?} workers={workers}: policy diverged"));
         }
     }
