@@ -34,5 +34,5 @@ pub use error::ModelError;
 pub use policy::{BulkPolicy, CloakingPolicy, PolicyStats};
 pub use policy_codec::{decode_policy, encode_policy};
 pub use request::{AnonymizedRequest, RequestId, RequestParams, ServiceRequest};
-pub use snapshot::{decode_snapshot, encode_snapshot};
+pub use snapshot::{decode_snapshot, encode_snapshot, put_snapshot, snapshot_len};
 pub use update_codec::{decode_updates, encode_updates};

@@ -2,8 +2,8 @@
 //!
 //! The paper's CSP refreshes the location database every ~30 s for millions
 //! of users; shipping snapshots to anonymization servers (Section V's
-//! jurisdiction model) wants a compact wire format. Rows are delta-encoded
-//! as fixed-width little-endian integers: 20 bytes per user.
+//! jurisdiction model) wants a compact wire format. Rows are fixed-width
+//! little-endian integers: a 12-byte header, then 24 bytes per user.
 
 use crate::{LocationDb, ModelError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -12,23 +12,38 @@ const MAGIC: u32 = 0x4C42_5331; // "LBS1"
 
 /// Encodes a snapshot into a self-describing byte buffer.
 pub fn encode_snapshot(db: &LocationDb) -> Bytes {
-    let mut buf = BytesMut::with_capacity(12 + 24 * db.len());
-    buf.put_u32_le(MAGIC);
-    buf.put_u64_le(db.len() as u64);
-    for (user, point) in db.iter() {
-        buf.put_u64_le(user.0);
-        buf.put_i64_le(point.x);
-        buf.put_i64_le(point.y);
-    }
+    let mut buf = BytesMut::with_capacity(snapshot_len(db));
+    put_snapshot(&mut buf, db);
     buf.freeze()
 }
 
-/// Decodes a snapshot produced by [`encode_snapshot`].
+/// Byte length of `db`'s snapshot encoding.
+pub fn snapshot_len(db: &LocationDb) -> usize {
+    12 + 24 * db.len()
+}
+
+/// Appends `db`'s snapshot encoding to `buf`: the bytes
+/// [`encode_snapshot`] returns, written in place by a caller that frames
+/// them inside a larger file.
+pub fn put_snapshot(buf: &mut impl BufMut, db: &LocationDb) {
+    buf.put_u32_le(MAGIC);
+    buf.put_u64_le(db.len() as u64);
+    for (user, point) in db.iter() {
+        let mut row = [0u8; 24];
+        row[..8].copy_from_slice(&user.0.to_le_bytes());
+        row[8..16].copy_from_slice(&point.x.to_le_bytes());
+        row[16..].copy_from_slice(&point.y.to_le_bytes());
+        buf.put_slice(&row);
+    }
+}
+
+/// Decodes a snapshot produced by [`encode_snapshot`] from any buffer, a
+/// borrowed `&[u8]` included.
 ///
 /// # Errors
 /// Returns [`ModelError::CorruptSnapshot`] on truncation or bad magic, and
 /// [`ModelError::DuplicateUser`] if the payload repeats a user id.
-pub fn decode_snapshot(mut bytes: Bytes) -> Result<LocationDb, ModelError> {
+pub fn decode_snapshot(mut bytes: impl Buf) -> Result<LocationDb, ModelError> {
     if bytes.remaining() < 12 {
         return Err(ModelError::CorruptSnapshot("truncated header".into()));
     }

@@ -2,12 +2,26 @@
 //! sequence number.
 //!
 //! A checkpoint file `checkpoint-<seq>.ckpt` holds the location database
-//! snapshot and the committed [`BulkPolicy`] as of WAL record `seq`, plus
-//! the runtime parameters (k, map, epoch) needed to resume. The spatial
-//! tree and DP matrix are *not* stored: both are deterministic functions
-//! of the database (proved by the tree and core test suites), so recovery
-//! rebuilds them — a checkpoint stays small and can never disagree with
-//! its own database.
+//! snapshot as of WAL record `seq`, plus the runtime parameters (k, map,
+//! epoch) needed to resume. The spatial tree, the DP matrix and the
+//! committed [`BulkPolicy`](lbs_model::BulkPolicy) are *not* stored: all
+//! three are deterministic functions of the database (proved by the tree
+//! and core test suites), so recovery rebuilds the tree and re-extracts
+//! the policy — a checkpoint stays small and can never disagree with its
+//! own database.
+//!
+//! Layout (version 2), little-endian throughout, `88 + 24·n` bytes for
+//! `n` users:
+//!
+//! ```text
+//! [magic: u32][version: u32 = 2][epoch: u64][wal_seq: u64][k: u64]
+//! [map x0, y0, x1, y1: i64 × 4]                     64-byte header
+//! [db_len: u64][snapshot: db_len = 12 + 24·n bytes]
+//! [crc32(everything before): u32]
+//! ```
+//!
+//! Version 1 also stored the committed policy after the snapshot; the
+//! decoder rejects it as corrupt rather than guess at its layout.
 //!
 //! Files are written atomically (temp file + fsync + rename) and never
 //! modified afterwards. A corrupt generation degrades recovery to an
@@ -23,22 +37,23 @@ use crate::storage::{real_fs, StorageBackend};
 use crate::wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lbs_geom::Rect;
-use lbs_model::{
-    decode_policy, decode_snapshot, encode_policy, encode_snapshot, BulkPolicy, LocationDb,
-};
+use lbs_model::{decode_snapshot, put_snapshot, snapshot_len, LocationDb};
 use std::path::{Path, PathBuf};
 
 const MAGIC: u32 = 0x4C42_5343; // "LBSC"
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+
+/// Byte length of the fixed header (magic through map).
+const HEADER_LEN: usize = 64;
 
 /// Extension appended to files the scrub pass quarantines; quarantined
 /// files no longer match the checkpoint name shape, so every listing and
 /// recovery path ignores them while the bytes stay on disk for forensics.
 pub const QUARANTINE_SUFFIX: &str = "quarantined";
 
-/// Committed runtime state as of one WAL sequence number.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
+/// The runtime parameters a checkpoint carries besides the database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointHeader {
     /// Policy epoch at the checkpoint (count of commits so far).
     pub epoch: u64,
     /// WAL sequence number this state reflects: recovery replays records
@@ -48,10 +63,16 @@ pub struct Checkpoint {
     pub k: usize,
     /// The map every tree is built over.
     pub map: Rect,
-    /// Location database at `wal_seq`.
+}
+
+/// A decoded checkpoint: committed runtime state as of one WAL sequence
+/// number.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// Epoch, sequence number, k and map.
+    pub header: CheckpointHeader,
+    /// Location database at `header.wal_seq`.
     pub db: LocationDb,
-    /// Committed policy at `wal_seq`.
-    pub policy: BulkPolicy,
 }
 
 /// Canonical file name for the checkpoint at `seq`.
@@ -65,54 +86,53 @@ fn seq_of(path: &Path) -> Option<u64> {
     middle.parse().ok()
 }
 
-/// Serializes a checkpoint (trailing CRC included).
-pub fn encode_checkpoint(ckpt: &Checkpoint) -> Bytes {
-    let db_bytes = encode_snapshot(&ckpt.db);
-    let policy_bytes = encode_policy(&ckpt.policy);
-    let mut buf = BytesMut::with_capacity(64 + db_bytes.len() + policy_bytes.len());
+/// Serializes a checkpoint (trailing CRC included), writing the snapshot
+/// straight from the borrowed database.
+pub fn encode_checkpoint(header: &CheckpointHeader, db: &LocationDb) -> Bytes {
+    let db_len = snapshot_len(db);
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + 8 + db_len + 4);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u64_le(ckpt.epoch);
-    buf.put_u64_le(ckpt.wal_seq);
-    buf.put_u64_le(ckpt.k as u64);
-    buf.put_i64_le(ckpt.map.x0);
-    buf.put_i64_le(ckpt.map.y0);
-    buf.put_i64_le(ckpt.map.x1);
-    buf.put_i64_le(ckpt.map.y1);
-    buf.put_u64_le(db_bytes.len() as u64);
-    buf.put_slice(&db_bytes);
-    buf.put_u64_le(policy_bytes.len() as u64);
-    buf.put_slice(&policy_bytes);
+    buf.put_u64_le(header.epoch);
+    buf.put_u64_le(header.wal_seq);
+    buf.put_u64_le(header.k as u64);
+    buf.put_i64_le(header.map.x0);
+    buf.put_i64_le(header.map.y0);
+    buf.put_i64_le(header.map.x1);
+    buf.put_i64_le(header.map.y1);
+    buf.put_u64_le(db_len as u64);
+    put_snapshot(&mut buf, db);
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
     buf.freeze()
 }
 
-/// Decodes and validates a checkpoint buffer.
+/// Decodes and validates a checkpoint buffer, parsing it in place.
 ///
 /// # Errors
 /// [`RuntimeError::CorruptCheckpoint`] (with `path` for context) on any
-/// structural problem: truncation, bad magic/version, CRC mismatch, or a
-/// corrupt inner snapshot/policy.
+/// structural problem: truncation, bad magic, a version other than 2,
+/// CRC mismatch, or a corrupt inner snapshot.
 pub fn decode_checkpoint(raw: &[u8], path: &Path) -> Result<Checkpoint, RuntimeError> {
     let corrupt =
         |message: String| RuntimeError::CorruptCheckpoint { path: path.to_path_buf(), message };
-    if raw.len() < 64 + 4 {
+    if raw.len() < HEADER_LEN + 4 {
         return Err(corrupt(format!("truncated: {} bytes", raw.len())));
     }
-    let (body, tail) = raw.split_at(raw.len() - 4);
+    let (mut buf, tail) = raw.split_at(raw.len() - 4);
     let want_crc = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    if crc32(body) != want_crc {
+    if crc32(buf) != want_crc {
         return Err(corrupt("checksum mismatch".into()));
     }
-    let mut buf = Bytes::copy_from_slice(body);
     let magic = buf.get_u32_le();
     if magic != MAGIC {
         return Err(corrupt(format!("bad magic {magic:#x}")));
     }
     let version = buf.get_u32_le();
     if version != VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
+        return Err(corrupt(format!(
+            "unsupported version {version}; this build reads version {VERSION} only"
+        )));
     }
     let epoch = buf.get_u64_le();
     let wal_seq = buf.get_u64_le();
@@ -125,28 +145,22 @@ pub fn decode_checkpoint(raw: &[u8], path: &Path) -> Result<Checkpoint, RuntimeE
     if buf.remaining() < 8 {
         return Err(corrupt("truncated database length".into()));
     }
-    let db_len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
-    if db_len.checked_add(8).is_none_or(|needed| buf.remaining() < needed) {
-        return Err(corrupt("truncated database section".into()));
-    }
-    let db_bytes = buf.split_to(db_len);
-    let policy_len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
-    if buf.remaining() != policy_len {
+    let db_len = buf.get_u64_le();
+    if usize::try_from(db_len).ok() != Some(buf.remaining()) {
         return Err(corrupt(format!(
-            "expected {policy_len} policy bytes, found {}",
+            "expected {db_len} database bytes, found {}",
             buf.remaining()
         )));
     }
-    let db = decode_snapshot(db_bytes).map_err(|e| corrupt(format!("database: {e}")))?;
-    let policy = decode_policy(buf).map_err(|e| corrupt(format!("policy: {e}")))?;
-    Ok(Checkpoint { epoch, wal_seq, k, map, db, policy })
+    let db = decode_snapshot(buf).map_err(|e| corrupt(format!("database: {e}")))?;
+    Ok(Checkpoint { header: CheckpointHeader { epoch, wal_seq, k, map }, db })
 }
 
 /// Cheap structural verification: minimum length, trailing CRC over the
 /// body, magic, and version — everything scrub and GC need to classify a
 /// generation as clean without paying for a full snapshot decode.
 pub fn verify_checkpoint_bytes(raw: &[u8]) -> bool {
-    if raw.len() < 64 + 4 {
+    if raw.len() < HEADER_LEN + 4 {
         return false;
     }
     let (body, tail) = raw.split_at(raw.len() - 4);
@@ -165,10 +179,11 @@ pub fn verify_checkpoint_bytes(raw: &[u8]) -> bool {
 /// [`RuntimeError::FaultInjected`] when `torn` fired.
 pub fn write_checkpoint(
     dir: &Path,
-    ckpt: &Checkpoint,
+    header: &CheckpointHeader,
+    db: &LocationDb,
     torn: bool,
 ) -> Result<PathBuf, RuntimeError> {
-    write_checkpoint_via(real_fs().as_ref(), dir, ckpt, torn)
+    write_checkpoint_via(real_fs().as_ref(), dir, header, db, torn)
 }
 
 /// Writes a checkpoint atomically through `storage`: temp file, fsync,
@@ -182,11 +197,12 @@ pub fn write_checkpoint(
 pub fn write_checkpoint_via(
     storage: &dyn StorageBackend,
     dir: &Path,
-    ckpt: &Checkpoint,
+    header: &CheckpointHeader,
+    db: &LocationDb,
     torn: bool,
 ) -> Result<PathBuf, RuntimeError> {
-    let bytes = encode_checkpoint(ckpt);
-    let final_path = checkpoint_path(dir, ckpt.wal_seq);
+    let bytes = encode_checkpoint(header, db);
+    let final_path = checkpoint_path(dir, header.wal_seq);
     let tmp_path = final_path.with_extension("ckpt.tmp");
     let mut file = storage.create(&tmp_path).map_err(|e| io_err("create", &tmp_path, e))?;
     if torn {
@@ -195,7 +211,7 @@ pub fn write_checkpoint_via(
         let _ = file.sync();
         return Err(RuntimeError::FaultInjected(format!(
             "crash mid-checkpoint at seq {}",
-            ckpt.wal_seq
+            header.wal_seq
         )));
     }
     file.write_all(&bytes).map_err(|e| io_err("write", &tmp_path, e))?;
@@ -299,18 +315,19 @@ pub fn load_latest_via(
 mod tests {
     use super::*;
     use lbs_geom::Point;
-    use lbs_model::UserId;
+    use lbs_model::{encode_policy, encode_snapshot, BulkPolicy, UserId};
 
-    fn sample(wal_seq: u64) -> Checkpoint {
-        let db = LocationDb::from_rows(
-            (0..8).map(|i| (UserId(i), Point::new(i as i64 * 3, 7 - i as i64))),
-        )
-        .unwrap();
-        let mut policy = BulkPolicy::new("test-policy");
-        for i in 0..8 {
-            policy.assign(UserId(i), Rect::square(0, 0, 32).into());
-        }
-        Checkpoint { epoch: 4, wal_seq, k: 3, map: Rect::square(0, 0, 32), db, policy }
+    fn header(wal_seq: u64) -> CheckpointHeader {
+        CheckpointHeader { epoch: 4, wal_seq, k: 3, map: Rect::square(0, 0, 32) }
+    }
+
+    fn db(n: u64) -> LocationDb {
+        LocationDb::from_rows((0..n).map(|i| (UserId(i), Point::new(i as i64 * 3, 7 - i as i64))))
+            .unwrap()
+    }
+
+    fn write(dir: &Path, wal_seq: u64, torn: bool) -> Result<PathBuf, RuntimeError> {
+        write_checkpoint(dir, &header(wal_seq), &db(8), torn)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -320,22 +337,58 @@ mod tests {
         dir
     }
 
+    /// `body` with its CRC-32 appended, as checkpoint files end.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
-        let ckpt = sample(17);
-        let bytes = encode_checkpoint(&ckpt);
+        let bytes = encode_checkpoint(&header(17), &db(8));
         let back = decode_checkpoint(&bytes, Path::new("x")).unwrap();
-        assert_eq!(back.epoch, 4);
-        assert_eq!(back.wal_seq, 17);
-        assert_eq!(back.k, 3);
-        assert_eq!(back.map, ckpt.map);
-        assert_eq!(encode_snapshot(&back.db), encode_snapshot(&ckpt.db));
-        assert_eq!(encode_policy(&back.policy), encode_policy(&ckpt.policy));
+        assert_eq!(back.header, header(17));
+        assert_eq!(encode_snapshot(&back.db), encode_snapshot(&db(8)));
+    }
+
+    /// A 64-byte header, the 8-byte database length, a `12 + 24·n`-byte
+    /// snapshot and the 4-byte CRC: nothing else.
+    #[test]
+    fn an_encoded_checkpoint_is_exactly_88_plus_24_bytes_per_user() {
+        for n in [0, 1, 8, 1000] {
+            assert_eq!(encode_checkpoint(&header(1), &db(n)).len() as u64, 88 + 24 * n, "{n}");
+        }
+    }
+
+    /// A version-1 file (header, database, then the committed policy that
+    /// version 2 dropped) is typed corruption naming its version, even
+    /// with a valid CRC: the decoder never guesses at an old layout.
+    #[test]
+    fn a_crc_valid_version_1_file_is_rejected() {
+        let mut body = encode_checkpoint(&header(5), &db(4)).to_vec();
+        body.truncate(body.len() - 4);
+        body[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut policy = BulkPolicy::new("v1");
+        for user in db(4).users() {
+            policy.assign(user, Rect::square(0, 0, 32).into());
+        }
+        let policy = encode_policy(&policy);
+        body.extend_from_slice(&(policy.len() as u64).to_le_bytes());
+        body.extend_from_slice(&policy);
+        let raw = sealed(body);
+        match decode_checkpoint(&raw, Path::new("v1.ckpt")) {
+            Err(RuntimeError::CorruptCheckpoint { message, .. }) => {
+                assert!(message.contains("version 1"), "{message}");
+            }
+            other => panic!("a version-1 file must be CorruptCheckpoint, got {other:?}"),
+        }
+        assert!(!verify_checkpoint_bytes(&raw), "scrub and GC must not count it as clean");
     }
 
     #[test]
     fn every_truncation_and_any_bitflip_is_rejected() {
-        let bytes = encode_checkpoint(&sample(1));
+        let bytes = encode_checkpoint(&header(1), &db(8));
         for cut in 0..bytes.len() {
             assert!(
                 decode_checkpoint(&bytes[..cut], Path::new("x")).is_err(),
@@ -350,34 +403,33 @@ mod tests {
     }
 
     /// CRC-valid bodies that end right after the fixed header, claim a
-    /// database longer than memory, or carry an empty map are typed
-    /// errors, not panics.
+    /// database longer or shorter than the bytes present, or carry an
+    /// empty map are typed errors, not panics.
     #[test]
     fn crc_valid_truncated_or_oversized_bodies_are_rejected() {
-        let sealed = |mut body: Vec<u8>| {
-            let crc = crc32(&body);
-            body.extend_from_slice(&crc.to_le_bytes());
-            body
-        };
-        let mut header = Vec::new();
-        header.extend_from_slice(&MAGIC.to_le_bytes());
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&[0u8; 24]);
+        let mut fixed = Vec::new();
+        fixed.extend_from_slice(&MAGIC.to_le_bytes());
+        fixed.extend_from_slice(&VERSION.to_le_bytes());
+        fixed.extend_from_slice(&[0u8; 24]);
         for coord in [0i64, 0, 32, 32] {
-            header.extend_from_slice(&coord.to_le_bytes());
+            fixed.extend_from_slice(&coord.to_le_bytes());
         }
-        for len in 64..72 {
-            let mut body = header.clone();
+        for len in HEADER_LEN..HEADER_LEN + 8 {
+            let mut body = fixed.clone();
             body.resize(len, 0);
             let res = decode_checkpoint(&sealed(body), Path::new("x"));
             assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })), "{len} bytes");
         }
-        let mut body = header.clone();
-        body.extend_from_slice(&u64::MAX.to_le_bytes());
-        let res = decode_checkpoint(&sealed(body), Path::new("x"));
-        assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })));
+        let snapshot = encode_snapshot(&db(2));
+        for db_len in [u64::MAX, snapshot.len() as u64 + 1, snapshot.len() as u64 - 1] {
+            let mut body = fixed.clone();
+            body.extend_from_slice(&db_len.to_le_bytes());
+            body.extend_from_slice(&snapshot);
+            let res = decode_checkpoint(&sealed(body), Path::new("x"));
+            assert!(matches!(res, Err(RuntimeError::CorruptCheckpoint { .. })), "{db_len}");
+        }
         // An empty map rect (x0 == x1) is corruption, not a Rect::new panic.
-        let mut body = header.clone();
+        let mut body = fixed.clone();
         body[48..56].copy_from_slice(&0i64.to_le_bytes());
         body.resize(80, 0);
         let res = decode_checkpoint(&sealed(body), Path::new("x"));
@@ -387,8 +439,8 @@ mod tests {
     #[test]
     fn load_latest_skips_corrupt_and_torn_files() {
         let dir = tmp_dir("skip");
-        write_checkpoint(&dir, &sample(3), false).unwrap();
-        write_checkpoint(&dir, &sample(9), false).unwrap();
+        write(&dir, 3, false).unwrap();
+        write(&dir, 9, false).unwrap();
         // Corrupt the newest in place.
         let newest = checkpoint_path(&dir, 9);
         let mut raw = std::fs::read(&newest).unwrap();
@@ -396,17 +448,14 @@ mod tests {
         raw[mid] ^= 0xFF;
         std::fs::write(&newest, &raw).unwrap();
         // Plus a torn temp file from a crashed write of seq 12.
-        assert!(matches!(
-            write_checkpoint(&dir, &sample(12), true),
-            Err(RuntimeError::FaultInjected(_))
-        ));
+        assert!(matches!(write(&dir, 12, true), Err(RuntimeError::FaultInjected(_))));
         assert!(!checkpoint_path(&dir, 12).exists(), "torn write must not publish");
 
         let loaded = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(loaded.wal_seq, 3, "fell back past the corrupt newest checkpoint");
+        assert_eq!(loaded.header.wal_seq, 3, "fell back past the corrupt newest checkpoint");
         // The via-variant names the generation it skipped.
         let outcome = load_latest_via(real_fs().as_ref(), &dir).unwrap();
-        assert_eq!(outcome.checkpoint.as_ref().unwrap().wal_seq, 3);
+        assert_eq!(outcome.checkpoint.as_ref().unwrap().header.wal_seq, 3);
         assert_eq!(outcome.skipped, vec![newest]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -421,15 +470,15 @@ mod tests {
     #[test]
     fn quarantined_files_vanish_from_listing_and_recovery() {
         let dir = tmp_dir("quarantine");
-        write_checkpoint(&dir, &sample(2), false).unwrap();
-        write_checkpoint(&dir, &sample(5), false).unwrap();
+        write(&dir, 2, false).unwrap();
+        write(&dir, 5, false).unwrap();
         let fs = real_fs();
         let target = quarantine(fs.as_ref(), &checkpoint_path(&dir, 5)).unwrap();
         assert!(target.to_string_lossy().ends_with(".ckpt.quarantined"));
         assert!(target.exists(), "quarantine keeps the bytes for forensics");
         let listed = list_checkpoints(&dir).unwrap();
         assert_eq!(listed.iter().map(|&(s, _)| s).collect::<Vec<_>>(), [2]);
-        assert_eq!(load_latest(&dir).unwrap().unwrap().wal_seq, 2);
+        assert_eq!(load_latest(&dir).unwrap().unwrap().header.wal_seq, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

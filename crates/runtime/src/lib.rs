@@ -37,7 +37,7 @@ mod wal;
 pub use checkpoint::{
     checkpoint_path, decode_checkpoint, encode_checkpoint, list_checkpoints, list_checkpoints_via,
     load_latest, load_latest_via, quarantine, verify_checkpoint_bytes, write_checkpoint,
-    write_checkpoint_via, Checkpoint, LoadOutcome, QUARANTINE_SUFFIX,
+    write_checkpoint_via, Checkpoint, CheckpointHeader, LoadOutcome, QUARANTINE_SUFFIX,
 };
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use degrade::{ancestor_chain, degraded_policy, DegradedPolicy, Rung};
@@ -284,6 +284,41 @@ mod tests {
         assert!(matches!(manual_builder(3).recover(&empty), Err(RuntimeError::NoState(_))));
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&empty).unwrap();
+    }
+
+    /// A directory whose every generation is a CRC-valid version-1 file
+    /// (the old layout, with the committed policy after the snapshot)
+    /// recovers to a typed `NoState`: each generation is skipped as
+    /// corrupt, none is decoded by guesswork.
+    #[test]
+    fn recovery_over_only_version_1_generations_is_a_typed_error() {
+        let dir = tmp_dir("v1");
+        let db0 = seed_db(21, 40);
+        let mut rt = manual_builder(3).create(&dir, &db0).unwrap();
+        for batch in batches(21, &db0, 2) {
+            rt.apply_batch(&batch).unwrap();
+            rt.commit().unwrap();
+        }
+        rt.checkpoint_now().unwrap();
+        let policy = encode_policy(rt.committed_policy());
+        drop(rt);
+        let generations = list_checkpoints(&dir).unwrap();
+        assert_eq!(generations.len(), 2);
+        for (_, path) in &generations {
+            let raw = std::fs::read(path).unwrap();
+            let mut body = raw[..raw.len() - 4].to_vec();
+            body[4..8].copy_from_slice(&1u32.to_le_bytes());
+            body.extend_from_slice(&(policy.len() as u64).to_le_bytes());
+            body.extend_from_slice(&policy);
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            std::fs::write(path, body).unwrap();
+        }
+        let metrics = Arc::new(Metrics::new());
+        let res = manual_builder(3).metrics(Arc::clone(&metrics)).recover(&dir);
+        assert!(matches!(res, Err(RuntimeError::NoState(_))), "{res:?}");
+        assert_eq!(metrics.get(Counter::GenerationFallbacks), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! deadline-budgeted commits with seeded-jitter retries, crash recovery,
 //! and the degradation ladder, wrapped around `query::service`.
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, Checkpoint, CheckpointHeader};
 use crate::clock::{Clock, SystemClock};
 use crate::degrade::{degraded_policy, DegradedPolicy, Rung};
 use crate::error::RuntimeError;
@@ -315,10 +315,7 @@ impl RuntimeBuilder {
         let Some(ckpt) = outcome.checkpoint else {
             return Err(RuntimeError::NoState(dir.to_path_buf()));
         };
-        let Checkpoint { epoch, wal_seq, k, map, db, policy } = ckpt;
-        // Recovery re-extracts the committed policy from the rebuilt tree;
-        // only debug builds keep the stored copy, to check they agree.
-        let stored_policy = cfg!(debug_assertions).then_some(policy);
+        let Checkpoint { header: CheckpointHeader { epoch, wal_seq, k, map }, db } = ckpt;
         let mut cfg = self.cfg;
         cfg.k = k;
         cfg.map = map;
@@ -336,13 +333,8 @@ impl RuntimeBuilder {
         let tree_cfg = TreeConfig::lazy(TreeKind::Binary, map, k);
         let mut inc = IncrementalAnonymizer::new(&db, tree_cfg, k)?;
         // The committed policy is a pure function of the tree, which is
-        // rebuilt from the database.
+        // rebuilt from the database; checkpoints do not store it.
         extract_committed(&mut inc, self.metrics.as_deref())?;
-        debug_assert!(
-            stored_policy.is_none_or(|stored| lbs_model::encode_policy(&stored)
-                == lbs_model::encode_policy(inc.committed_policy())),
-            "a checkpoint's policy is the extraction over its database"
-        );
         let mut runtime = ServiceRuntime {
             cfg,
             dir: dir.to_path_buf(),
@@ -606,24 +598,29 @@ impl ServiceRuntime {
     pub fn checkpoint_now(&mut self) -> Result<PathBuf, RuntimeError> {
         // Fold staged updates in first: this may advance epoch/committed,
         // which the checkpoint header must reflect.
-        let db = self.db_at_committed()?;
-        let ckpt = Checkpoint {
+        self.db_at_committed()?;
+        let header = CheckpointHeader {
             epoch: self.epoch,
             wal_seq: self.committed_seq,
             k: self.cfg.k,
             map: self.cfg.map,
-            db,
-            policy: self.inc.committed_policy().clone(),
         };
         let span = self.metrics.as_deref().map(|m| m.start(Stage::Checkpoint));
         let mut attempt: u32 = 0;
         let mut enospc_retried = false;
         loop {
-            let torn = self.faults.should_crash_checkpoint(ckpt.wal_seq, attempt);
+            let torn = self.faults.should_crash_checkpoint(header.wal_seq, attempt);
             if torn {
                 self.incr(Counter::FaultsInjected);
             }
-            match checkpoint::write_checkpoint_via(self.storage.as_ref(), &self.dir, &ckpt, torn) {
+            let written = checkpoint::write_checkpoint_via(
+                self.storage.as_ref(),
+                &self.dir,
+                &header,
+                &self.db,
+                torn,
+            );
+            match written {
                 Ok(path) => {
                     drop(span);
                     self.incr(Counter::CheckpointsWritten);
@@ -647,7 +644,7 @@ impl ServiceRuntime {
                     self.incr(Counter::TaskRetries);
                     self.clock.sleep(backoff_delay(
                         self.cfg.backoff_base,
-                        self.cfg.retry_seed ^ ckpt.wal_seq.rotate_left(17),
+                        self.cfg.retry_seed ^ header.wal_seq.rotate_left(17),
                         attempt - 1,
                     ));
                 }
@@ -675,7 +672,7 @@ impl ServiceRuntime {
                     self.incr(Counter::EnospcSheds);
                     return Err(RuntimeError::StorageExhausted {
                         op: "checkpoint",
-                        path: checkpoint::checkpoint_path(&self.dir, ckpt.wal_seq),
+                        path: checkpoint::checkpoint_path(&self.dir, header.wal_seq),
                     });
                 }
                 Err(e) => {
@@ -727,12 +724,11 @@ impl ServiceRuntime {
         )
     }
 
-    /// The database as of the committed sequence number. Checkpoints must
-    /// snapshot committed state; with deferred DP the live database can
-    /// already be ahead of the committed policy, in which case the
-    /// runtime commits first (checkpointing never publishes a database
-    /// the stored policy doesn't match).
-    fn db_at_committed(&mut self) -> Result<LocationDb, RuntimeError> {
+    /// Commits any staged updates, so that `self.db` is exactly the
+    /// database at `committed_seq`. Checkpoints must snapshot committed
+    /// state, and with deferred DP the live database can run ahead of
+    /// the committed policy.
+    fn db_at_committed(&mut self) -> Result<(), RuntimeError> {
         if self.committed_seq != self.durable_seq {
             // Fold the staged updates in so policy and db agree.
             self.inc.refresh()?;
@@ -744,7 +740,7 @@ impl ServiceRuntime {
                 lbs.set_policy_epoch(self.epoch);
             }
         }
-        Ok(self.db.clone())
+        Ok(())
     }
 
     /// Serves one cloak request under an optional absolute deadline,

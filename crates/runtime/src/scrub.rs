@@ -87,10 +87,10 @@ pub fn scrub_dir(storage: &dyn StorageBackend, dir: &Path) -> Result<ScrubReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{checkpoint_path, write_checkpoint, Checkpoint};
+    use crate::checkpoint::{checkpoint_path, write_checkpoint, CheckpointHeader};
     use crate::storage::real_fs;
     use lbs_geom::{Point, Rect};
-    use lbs_model::{BulkPolicy, LocationDb, UserId};
+    use lbs_model::{LocationDb, UserId};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -100,14 +100,12 @@ mod tests {
         dir
     }
 
-    fn ckpt(wal_seq: u64) -> Checkpoint {
+    fn write_ckpt(dir: &Path, wal_seq: u64) {
         let db =
             LocationDb::from_rows((0..6).map(|i| (UserId(i), Point::new(i as i64, 2)))).unwrap();
-        let mut policy = BulkPolicy::new("scrub-test");
-        for i in 0..6 {
-            policy.assign(UserId(i), Rect::square(0, 0, 16).into());
-        }
-        Checkpoint { epoch: wal_seq, wal_seq, k: 2, map: Rect::square(0, 0, 16), db, policy }
+        let header =
+            CheckpointHeader { epoch: wal_seq, wal_seq, k: 2, map: Rect::square(0, 0, 16) };
+        write_checkpoint(dir, &header, &db, false).unwrap();
     }
 
     #[test]
@@ -115,7 +113,7 @@ mod tests {
         let dir = tmp_dir("rot");
         let storage = real_fs();
         for seq in [1, 2, 3] {
-            write_checkpoint(&dir, &ckpt(seq), false).unwrap();
+            write_ckpt(&dir, seq);
         }
         // Flip one byte in the middle generation.
         let victim = checkpoint_path(&dir, 2);

@@ -49,15 +49,97 @@ const WAL_MAGIC: u32 = 0x4C42_5357;
 /// Byte length of the base-sequence header on pruned logs.
 pub const WAL_HEADER_LEN: usize = 16;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — implemented inline because
-/// the workspace vendors no checksum crate.
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[j][b]` is the CRC state after byte `b` followed by `j`
+/// zero bytes. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut j = 1;
+    while j < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[j - 1][b];
+            tables[j][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    tables
+}
+
+/// `table[byte]`. A `u8` never misses a 256-entry table, so the compiler
+/// drops the bounds check and the `0` is unreachable.
+#[inline(always)]
+fn at(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-16: sixteen
+/// table lookups per 16-byte block instead of eight shift steps per
+/// byte. Same polynomial, init and final XOR as the bitwise definition,
+/// so every checksum already on disk stays valid. Implemented inline
+/// because the workspace vendors no checksum crate.
 pub fn crc32(data: &[u8]) -> u32 {
+    // The sixteen lookups per block are independent loads, which LLVM
+    // packs into one AVX-512 gather under `target-cpu=native`. On a
+    // 2-vCPU AVX-512 Xeon that gather ran at 0.86 GB/s against 1.9 GB/s
+    // for scalar loads. Hiding where the tables are makes the gather
+    // unprofitable to form, so the loads stay scalar on every target.
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] =
+        std::hint::black_box(CRC_TABLES.each_ref());
+    let (blocks, rest) = data.as_chunks::<16>();
+    let mut crc = 0xFFFF_FFFFu32;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in blocks {
+        let [c0, c1, c2, c3] = crc.to_le_bytes();
+        crc = at(t15, b0 ^ c0)
+            ^ at(t14, b1 ^ c1)
+            ^ at(t13, b2 ^ c2)
+            ^ at(t12, b3 ^ c3)
+            ^ at(t11, b4)
+            ^ at(t10, b5)
+            ^ at(t9, b6)
+            ^ at(t8, b7)
+            ^ at(t7, b8)
+            ^ at(t6, b9)
+            ^ at(t5, b10)
+            ^ at(t4, b11)
+            ^ at(t3, b12)
+            ^ at(t2, b13)
+            ^ at(t1, b14)
+            ^ at(t0, b15);
+    }
+    for &byte in rest {
+        let [c0, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ at(t0, byte ^ c0);
+    }
+    !crc
+}
+
+/// The bit-serial definition `crc32` must agree with.
+#[cfg(test)]
+fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
         crc ^= u32::from(byte);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & mask);
         }
     }
     !crc
@@ -287,18 +369,17 @@ impl Wal {
             return Ok(0);
         }
         let raw = self.storage.read(&self.path).map_err(|e| io_err("read", &self.path, e))?;
-        let (records, _) = scan(&raw);
+        let (records, valid_len) = scan(&raw);
+        // Retained frames are copied verbatim: they start where the last
+        // pruned record's frame ends (or where the first frame starts).
+        let frames_start = decode_header(&raw).map_or(0, |_| WAL_HEADER_LEN as u64);
+        let (pruned, cut) = records
+            .iter()
+            .take_while(|r| r.seq <= upto)
+            .fold((0u64, frames_start), |(n, _), r| (n + 1, r.end_offset));
+        let kept_last = records.last().map_or(upto, |r| r.seq.max(upto));
         let mut bytes = encode_header(upto);
-        let mut kept_last = upto;
-        let mut pruned = 0u64;
-        for rec in &records {
-            if rec.seq > upto {
-                bytes.extend_from_slice(&encode_frame(rec.seq, &rec.updates));
-                kept_last = rec.seq;
-            } else {
-                pruned += 1;
-            }
-        }
+        bytes.extend_from_slice(&raw[cut as usize..valid_len as usize]);
         let tmp = self.path.with_extension("log.tmp");
         let mut file = self.storage.create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
         let wrote = file.write_all(&bytes).and_then(|()| file.sync());
@@ -486,6 +567,27 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The table-driven CRC equals the bitwise reference at every length
+    /// up to 1 KiB and every alignment of a 16-byte block.
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1024 + 16)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.to_le_bytes()[0]
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+            }
+        }
+    }
+
     #[test]
     fn prune_rewrites_with_a_base_header_and_replay_continues() {
         let dir = tmp_dir("prune");
@@ -507,6 +609,51 @@ mod tests {
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), [5, 6, 7]);
         assert_eq!(recs[0].updates, batch(5));
         assert_eq!(recs[2].updates, batch(7));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pruning copies the retained frames verbatim: the file equals the
+    /// header followed by every retained record decoded and re-encoded,
+    /// for prunes at the first, a middle and the last record, on a bare
+    /// log and on an already-pruned one.
+    #[test]
+    fn prune_copies_retained_frames_byte_for_byte() {
+        let dir = tmp_dir("prune-bytes");
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        for n in 1..=6 {
+            wal.append(&batch(n)).unwrap();
+        }
+        let path = dir.join(WAL_FILE);
+        for upto in [1, 3, 6] {
+            let (records, _) = scan(&std::fs::read(&path).unwrap());
+            let mut want = encode_header(upto);
+            for rec in records.iter().filter(|r| r.seq > upto) {
+                want.extend_from_slice(&encode_frame(rec.seq, &rec.updates));
+            }
+            let pruned = wal.prune_to(upto).unwrap();
+            assert_eq!(pruned, records.iter().filter(|r| r.seq <= upto).count() as u64);
+            assert_eq!(std::fs::read(&path).unwrap(), want, "prune to {upto}");
+            assert_eq!(wal.len(), want.len() as u64);
+        }
+        assert_eq!(wal.append(&batch(7)).unwrap(), 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// When no frame past the base survives on disk, the pruned log is
+    /// the new header alone: the old header is never copied as a frame.
+    #[test]
+    fn prune_over_a_header_only_file_writes_just_the_new_header() {
+        let dir = tmp_dir("prune-bare");
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        for n in 1..=3 {
+            wal.append(&batch(n)).unwrap();
+        }
+        wal.prune_to(1).unwrap();
+        let path = dir.join(WAL_FILE);
+        let raw = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &raw[..WAL_HEADER_LEN]).unwrap();
+        assert_eq!(wal.prune_to(3).unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), encode_header(3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -82,10 +82,10 @@ echo "== recovery-smoke (budget: 60 s) =="
 # per-shard victims — every recovery byte-identical to the never-crashed
 # run or a loud typed error, never a silently wrong policy — plus the
 # degradation ladder audited against the PRE-enumerating attacker on
-# every rung. Fails below 50 named crash points or 2 shards. 29–37 s on
-# a 2-vCPU VM with an ext4 `discard` mount, almost all of it freeing
-# fsynced files (DESIGN.md §14). The full sweep runs in the workspace
-# tests. A red run
+# every rung. Fails below 50 named crash points or 2 shards. 0.33–0.38 s
+# on a 2-vCPU VM with an ext4 `discard` mount; a VM whose discard made
+# freeing each fsynced file cost ~45 ms took 29–37 s (DESIGN.md §14).
+# The full sweep runs in the workspace tests. A red run
 # prints each failing plan and point with its seed; replay with
 #   target/release/lbs recovery-smoke --seed <seed>
 timeout 60 target/release/lbs recovery-smoke

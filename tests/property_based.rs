@@ -681,16 +681,14 @@ fn sealed(body: &[u8]) -> Vec<u8> {
 /// bytes of a real encoding — so arbitrary bytes get past the magic and
 /// checksum checks into the length arithmetic behind them.
 fn decode_all(cut: usize, raw: &[u8]) -> Result<(), String> {
-    use lbs_runtime::{decode_checkpoint, encode_checkpoint, scan, Checkpoint};
+    use lbs_runtime::{decode_checkpoint, encode_checkpoint, scan, CheckpointHeader};
 
     let map = Rect::square(0, 0, SIDE);
     let db = LocationDb::from_rows((0..3).map(|i| (UserId(i), Point::new(i as i64, 1)))).unwrap();
-    let mut policy = lbs_model::BulkPolicy::new("fuzz");
-    for user in db.users() {
-        policy.assign(user, map.into());
-    }
     let snapshot = lbs_model::encode_snapshot(&db).to_vec();
-    let ckpt = encode_checkpoint(&Checkpoint { epoch: 1, wal_seq: 0, k: 1, map, db, policy });
+    // 156 bytes before the CRC, so every `cut` up to 160 also splices
+    // inside the database length and the snapshot's own header.
+    let ckpt = encode_checkpoint(&CheckpointHeader { epoch: 1, wal_seq: 0, k: 1, map }, &db);
     let body = &ckpt[..ckpt.len() - 4];
     let splice = |real: &[u8]| [&real[..cut.min(real.len())], raw].concat();
     // A CRC-valid WAL frame carrying `seq` and then `raw`.
@@ -715,8 +713,8 @@ fn decode_all(cut: usize, raw: &[u8]) -> Result<(), String> {
     no_panic("scan(raw)", || scan(raw))?;
     no_panic("scan(frame)", || scan(&frame(1)))?;
     no_panic("scan(header + frame)", || scan(&[header, frame(base.wrapping_add(1))].concat()))?;
-    no_panic("decode_snapshot(raw)", || lbs_model::decode_snapshot(raw.to_vec().into()))?;
-    no_panic("decode_snapshot(spliced)", || lbs_model::decode_snapshot(splice(&snapshot).into()))?;
+    no_panic("decode_snapshot(raw)", || lbs_model::decode_snapshot(raw))?;
+    no_panic("decode_snapshot(spliced)", || lbs_model::decode_snapshot(&splice(&snapshot)[..]))?;
     no_panic("ShardPlan::decode", || lbs_runtime::ShardPlan::decode(&String::from_utf8_lossy(raw)))
 }
 
