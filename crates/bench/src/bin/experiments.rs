@@ -283,9 +283,9 @@ fn fig3(w: &MasterWorkload) {
 
 /// Figure 4(a): bulk anonymization time vs |D|, one column per #servers.
 ///
-/// Each cell is the median of [`FIG4A_REPEATS`] back-to-back runs — the
-/// same aggregation the `lbs bench` snapshot suite uses — so a single
-/// noisy run on a shared VM cannot distort the table.
+/// Each cell is the median of [`FIG4A_REPEATS`] back-to-back runs
+/// ([`median_p95_ns`]), so a single noisy run on a shared VM cannot
+/// distort the table.
 const FIG4A_REPEATS: usize = 3;
 
 fn fig4a(w: &MasterWorkload) {

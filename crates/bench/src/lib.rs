@@ -1,13 +1,17 @@
-//! Shared plumbing for the experiment harness and Criterion benches:
-//! workload caching, wall-clock timing, and table rendering — plus the
-//! `lbs bench` self-measuring suite ([`suite`], [`cases`]) and its
-//! committed snapshot format ([`snapshot`]).
+//! Shared plumbing for the paper-figure `experiments` binary and the
+//! Criterion benches: workload caching, wall-clock timing, and table
+//! rendering, plus run provenance ([`suite::git_rev`]) for the
+//! end-to-end benchmark's reports.
+//!
+//! Performance is measured in two places, neither of them here: the
+//! end-to-end benchmark `benches/lbs-benchmark` (wall time per layer),
+//! and the exact work-counter golden in `lbs_conformance::golden`
+//! (tree nodes, DP rows and cells, cache hits, WAL and checkpoint bytes),
+//! which `lbs conformance --golden tests/golden` checks in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cases;
-pub mod snapshot;
 pub mod suite;
 
 use lbs_model::LocationDb;
@@ -36,15 +40,6 @@ impl MasterWorkload {
     pub fn generate_seeded(quick: bool, seed: u64) -> Self {
         let base = if quick { BayAreaConfig::scaled_to(100_000) } else { BayAreaConfig::default() };
         let cfg = BayAreaConfig { seed, ..base };
-        let master = generate_master(&cfg);
-        MasterWorkload { cfg, master }
-    }
-
-    /// A master set of exactly `users` users under `seed` — the bench
-    /// suite's fixed-size workloads (`n` is embedded in every case name,
-    /// so two snapshots always measured the same population).
-    pub fn generate_sized(users: usize, seed: u64) -> Self {
-        let cfg = BayAreaConfig { seed, ..BayAreaConfig::scaled_to(users) };
         let master = generate_master(&cfg);
         MasterWorkload { cfg, master }
     }

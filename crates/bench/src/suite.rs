@@ -1,113 +1,6 @@
-//! The seeded benchmark runner behind `lbs bench`.
-//!
-//! All timing flows through one [`Sampler`] owned by the runner: case
-//! bodies in [`crate::cases`] receive it and wrap the region they want
-//! measured in [`Sampler::sample`]. They never read the clock themselves
-//! (enforced by the `no-wall-clock-in-bench-cases` lint), so every
-//! recorded nanosecond shares one timer and one calibration.
+//! Run provenance for benchmark reports.
 
-use crate::cases::{self, WorkBench};
-use crate::snapshot::{BenchSnapshot, CaseRecord, SCHEMA_VERSION};
-use lbs_metrics::median_p95_ns;
-use std::hint::black_box;
-use std::io::Write;
 use std::path::Path;
-use std::time::Instant;
-
-/// Which case list to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Tiny 10k-scale cases for CI smoke (seconds, not minutes).
-    Smoke,
-    /// The paper-scale suite: `Bulk_dp` at 100k/1M/1.75M × k ∈ {10, 50},
-    /// incremental commit latency, engine scaling, query-cache hits.
-    Full,
-    /// Smoke ∪ Full — what the committed baseline snapshot is built from,
-    /// so both tiers can later compare against it.
-    All,
-}
-
-impl Tier {
-    /// Parses the `--suite` flag value.
-    ///
-    /// # Errors
-    /// Unknown tier names.
-    pub fn parse(raw: &str) -> Result<Tier, String> {
-        match raw {
-            "smoke" => Ok(Tier::Smoke),
-            "full" => Ok(Tier::Full),
-            "all" => Ok(Tier::All),
-            other => Err(format!("unknown suite {other:?}; expected smoke|full|all")),
-        }
-    }
-}
-
-/// The harness timer: the only clock a bench case may read.
-///
-/// A case calls [`Sampler::sample`] once per repeat; the closure's wall
-/// time is recorded. Setup (workload generation, tree warmup, request
-/// pre-computation) happens outside `sample` and is never charged.
-pub struct Sampler {
-    repeats: u32,
-    samples: Vec<u64>,
-}
-
-impl Sampler {
-    fn new(repeats: u32) -> Self {
-        Sampler { repeats: repeats.max(1), samples: Vec::with_capacity(repeats as usize) }
-    }
-
-    /// How many timed repeats the case body should perform.
-    pub fn repeats(&self) -> u32 {
-        self.repeats
-    }
-
-    /// Times one execution of `f` and records it.
-    pub fn sample<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let started = Instant::now();
-        let value = black_box(f());
-        self.samples.push(started.elapsed().as_nanos() as u64);
-        value
-    }
-
-    fn into_record(self) -> CaseRecord {
-        let (median_ns, p95_ns) = median_p95_ns(&self.samples);
-        CaseRecord { median_ns, p95_ns, iters: self.samples.len() as u32 }
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Iterations of the calibration spin loop — fixed forever, so snapshots
-/// from different builds stay comparable.
-pub const CALIBRATION_SPINS: u64 = 1 << 24;
-
-/// Times a fixed, allocation-free splitmix64 spin loop
-/// ([`CALIBRATION_SPINS`] steps), taking the minimum of three runs. The
-/// result is this host's speed unit: snapshot comparisons divide every
-/// case by it, so a 2× slower machine with 2× slower cases reads as "no
-/// change". Returns at least 1 ns.
-pub fn calibrate_ns() -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..3 {
-        let mut state = 0x5EED_CAFE_F00D_D00Du64;
-        let mut acc = 0u64;
-        let started = Instant::now();
-        for _ in 0..CALIBRATION_SPINS {
-            acc ^= splitmix64(&mut state);
-        }
-        let elapsed = started.elapsed().as_nanos() as u64;
-        black_box(acc);
-        best = best.min(elapsed);
-    }
-    best.max(1)
-}
 
 /// Best-effort git revision of the checkout at `workspace_root`, read
 /// straight from `.git` (no subprocess, no git dependency): follows
@@ -136,73 +29,9 @@ pub fn git_rev(workspace_root: &Path) -> String {
     "unknown".to_string()
 }
 
-/// The deterministic case-name list a tier will run, in execution order.
-/// Same tier → same list; the workload seed does not change it.
-pub fn case_names(tier: Tier) -> Vec<String> {
-    cases::cases(tier).into_iter().map(|c| c.name).collect()
-}
-
-/// Runs the tier's cases under `seed` with `repeats` timed iterations
-/// each, writing one progress line per case to `progress`, and returns
-/// the finished snapshot (calibration included).
-pub fn run_suite(
-    tier: Tier,
-    seed: u64,
-    repeats: u32,
-    git_rev: String,
-    progress: &mut dyn Write,
-) -> BenchSnapshot {
-    let host_calibration_ns = calibrate_ns();
-    let _ = writeln!(progress, "calibration: {host_calibration_ns} ns / {CALIBRATION_SPINS} spins");
-    let mut wb = WorkBench::new(seed);
-    let mut records = std::collections::BTreeMap::new();
-    for mut case in cases::cases(tier) {
-        let mut sampler = Sampler::new(repeats);
-        (case.run)(&mut wb, &mut sampler);
-        let record = sampler.into_record();
-        let _ = writeln!(
-            progress,
-            "{:<32} median {:>10.3} ms  p95 {:>10.3} ms  ({} iters)",
-            case.name,
-            record.median_ns as f64 / 1e6,
-            record.p95_ns as f64 / 1e6,
-            record.iters
-        );
-        records.insert(case.name, record);
-    }
-    BenchSnapshot { schema: SCHEMA_VERSION, seed, git_rev, host_calibration_ns, cases: records }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sampler_records_one_sample_per_call() {
-        let mut s = Sampler::new(3);
-        assert_eq!(s.repeats(), 3);
-        let mut acc = 0u64;
-        for i in 0..s.repeats() as u64 {
-            acc += s.sample(|| i + 1);
-        }
-        assert_eq!(acc, 6);
-        let rec = s.into_record();
-        assert_eq!(rec.iters, 3);
-        assert!(rec.p95_ns >= rec.median_ns);
-    }
-
-    #[test]
-    fn calibration_is_positive() {
-        assert!(calibrate_ns() >= 1);
-    }
-
-    #[test]
-    fn tier_parse_roundtrip() {
-        assert_eq!(Tier::parse("smoke").unwrap(), Tier::Smoke);
-        assert_eq!(Tier::parse("full").unwrap(), Tier::Full);
-        assert_eq!(Tier::parse("all").unwrap(), Tier::All);
-        assert!(Tier::parse("tiny").is_err());
-    }
 
     #[test]
     fn git_rev_handles_missing_repo() {

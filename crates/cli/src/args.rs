@@ -15,7 +15,8 @@ pub struct Args {
 pub enum ArgsError {
     /// No subcommand given.
     MissingCommand,
-    /// A `--key` had no value, or a stray positional appeared.
+    /// A `--key` had no value or was given twice, or a stray positional
+    /// appeared.
     Malformed(String),
     /// A required option is absent.
     MissingOption(&'static str),
@@ -44,7 +45,8 @@ impl std::fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 impl Args {
-    /// Parses `argv` (without the program name).
+    /// Parses `argv` (without the program name). A repeated `--key` is
+    /// malformed rather than last-wins, so no value is silently dropped.
     pub fn parse<I, S>(argv: I) -> Result<Args, ArgsError>
     where
         I: IntoIterator<Item = S>,
@@ -61,7 +63,9 @@ impl Args {
                 return Err(ArgsError::Malformed(token));
             };
             let value = iter.next().ok_or_else(|| ArgsError::Malformed(token.clone()))?;
-            options.insert(key.to_string(), value);
+            if options.insert(key.to_string(), value).is_some() {
+                return Err(ArgsError::Malformed(format!("{token} given twice")));
+            }
         }
         Ok(Args { command, options })
     }
@@ -116,6 +120,10 @@ mod tests {
         assert!(matches!(Args::parse(["--users", "gen"]), Err(ArgsError::Malformed(_))));
         assert!(matches!(Args::parse(["gen", "stray"]), Err(ArgsError::Malformed(_))));
         assert!(matches!(Args::parse(["gen", "--users"]), Err(ArgsError::Malformed(_))));
+        assert_eq!(
+            Args::parse(["conformance", "--golden", "tests/golden", "--golden", "/tmp/x"]),
+            Err(ArgsError::Malformed("--golden given twice".into()))
+        );
     }
 
     #[test]

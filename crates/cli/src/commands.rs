@@ -38,8 +38,6 @@ pub enum CliError {
     Lint(String),
     /// Service runtime failure (WAL, checkpoint, recovery, serving).
     Runtime(lbs_runtime::RuntimeError),
-    /// Benchmark suite failure or a snapshot comparison beyond threshold.
-    Bench(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -61,7 +59,6 @@ impl std::fmt::Display for CliError {
             }
             CliError::Lint(msg) => write!(f, "lint failed: {msg}"),
             CliError::Runtime(e) => write!(f, "runtime error: {e}"),
-            CliError::Bench(msg) => write!(f, "bench failed: {msg}"),
         }
     }
 }
@@ -105,7 +102,6 @@ const COMMANDS: &[(&str, Command)] = &[
     ("lookup", lookup),
     ("conformance", conformance),
     ("lint", lint),
-    ("bench", bench),
     ("serve", serve),
     ("soak", soak),
     ("recover", recover),
@@ -316,14 +312,13 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if bless {
         let dir = golden_dir
             .ok_or_else(|| CliError::Anonymize("--bless true requires --golden DIR".into()))?;
-        let written = lbs_conformance::bless(&dir, seed).map_err(CliError::Anonymize)?;
-        let sharded = lbs_conformance::bless_sharded(&dir, seed).map_err(CliError::Anonymize)?;
-        let partitioned =
-            lbs_conformance::bless_partitioned(&dir, seed).map_err(CliError::Anonymize)?;
+        let counts = lbs_conformance::bless_all(&dir, seed).map_err(CliError::Anonymize)?;
+        let blessed: Vec<String> =
+            counts.iter().map(|(corpus, n)| format!("{n} {corpus}")).collect();
         writeln!(
             out,
-            "blessed {written} golden records, {sharded} sharded records and {partitioned} \
-             partitioned records into {} (master seed {seed}); review the diff",
+            "blessed {} records into {} (master seed {seed}); review the diff",
+            blessed.join(", "),
             dir.display()
         )?;
         return Ok(());
@@ -339,17 +334,11 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
     if let Some(dir) = golden_dir {
-        match lbs_conformance::check(&dir, seed) {
-            Ok(n) => writeln!(out, "golden corpus: {n} records match {}", dir.display())?,
-            Err(mut drift) => problems.append(&mut drift),
-        }
-        match lbs_conformance::check_sharded(&dir, seed) {
-            Ok(n) => writeln!(out, "sharded golden corpus: {n} records match {}", dir.display())?,
-            Err(mut drift) => problems.append(&mut drift),
-        }
-        match lbs_conformance::check_partitioned(&dir, seed) {
-            Ok(n) => {
-                writeln!(out, "partitioned golden corpus: {n} records match {}", dir.display())?
+        match lbs_conformance::check_all(&dir, seed) {
+            Ok(counts) => {
+                for (corpus, n) in counts {
+                    writeln!(out, "{corpus} golden corpus: {n} records match {}", dir.display())?;
+                }
             }
             Err(mut drift) => problems.append(&mut drift),
         }
@@ -401,68 +390,6 @@ fn lint(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              `// lbs-lint: allow(<lint>, reason = \"…\")`)",
             report.errors()
         )));
-    }
-    Ok(())
-}
-
-/// `lbs bench`: run the seeded performance suite and emit / gate on a
-/// machine-normalized snapshot.
-///
-/// `--suite smoke|full|all` picks the case list (default `full`),
-/// `--json PATH` writes the snapshot, `--compare OLD.json` compares this
-/// run against a committed baseline and fails when any shared case's
-/// calibration-normalized median regressed more than `--threshold`
-/// percent (default 20). A baseline sharing zero case names makes the
-/// gate vacuous and fails loudly unless `--allow-disjoint true`.
-fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let tier = lbs_bench::suite::Tier::parse(args.optional("suite").unwrap_or("full"))
-        .map_err(CliError::Bench)?;
-    let seed = args.parse_or("seed", BayAreaConfig::default().seed)?;
-    let repeats: u32 = args.parse_or("repeats", 5u32)?;
-    let threshold: f64 = args.parse_or("threshold", 20.0f64)?;
-    let rev = match find_workspace_root() {
-        Ok(root) => lbs_bench::suite::git_rev(&root),
-        Err(_) => "unknown".to_string(),
-    };
-    let snap = lbs_bench::suite::run_suite(tier, seed, repeats, rev, out);
-    if let Some(path) = args.optional("json") {
-        std::fs::write(path, snap.to_json())?;
-        writeln!(out, "snapshot written to {path}")?;
-    }
-    if let Some(old_path) = args.optional("compare") {
-        let raw = std::fs::read_to_string(old_path)?;
-        let old = lbs_bench::snapshot::BenchSnapshot::from_json(&raw).map_err(CliError::Bench)?;
-        let report = lbs_bench::snapshot::compare(&old, &snap, threshold);
-        write!(out, "{}", report.render())?;
-        if report.is_disjoint() {
-            let allow: bool = args.parse_or("allow-disjoint", false)?;
-            writeln!(
-                out,
-                "WARNING: baseline {old_path} shares ZERO case names with this run \
-                 ({} baseline cases, {} new cases) — the regression gate checked nothing",
-                report.missing_in_new.len(),
-                report.added_in_new.len()
-            )?;
-            if !allow {
-                return Err(CliError::Bench(format!(
-                    "snapshot comparison is vacuous: no case name is shared with {old_path} \
-                     (wrong baseline file, or a renamed suite?); pass --allow-disjoint true \
-                     to accept an intentionally disjoint baseline"
-                )));
-            }
-            writeln!(out, "compare: vacuous pass accepted via --allow-disjoint")?;
-            return Ok(());
-        }
-        if !report.passed() {
-            let worst = report.regressions();
-            return Err(CliError::Bench(format!(
-                "{} case(s) regressed beyond {threshold}% (worst: {} at {:.2}x normalized)",
-                worst.len(),
-                worst[0].name,
-                worst[0].ratio
-            )));
-        }
-        writeln!(out, "compare: ok ({} shared cases within {threshold}%)", report.rows.len())?;
     }
     Ok(())
 }
@@ -1014,84 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_smoke_snapshot_and_compare_gate() {
-        use lbs_bench::snapshot::{BenchSnapshot, CaseRecord, SCHEMA_VERSION};
-        use lbs_bench::suite::{case_names, Tier};
-
-        let dir = TempDir::new("bench");
-        let baseline = |median_ns: u64, cal: u64| {
-            let cases = case_names(Tier::Smoke)
-                .into_iter()
-                .map(|name| (name, CaseRecord { median_ns, p95_ns: median_ns, iters: 1 }))
-                .collect();
-            BenchSnapshot {
-                schema: SCHEMA_VERSION,
-                seed: 7,
-                git_rev: "test".into(),
-                host_calibration_ns: cal,
-                cases,
-            }
-        };
-
-        // A baseline so slow no real run can regress against it: the
-        // compare-pass path and the snapshot write in one suite run.
-        let slow = dir.path("slow.json");
-        std::fs::write(&slow, baseline(u64::MAX / 1_000, 1).to_json()).unwrap();
-        let snap_path = dir.path("bench.json");
-        let msg = run_line(&[
-            "bench",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "2",
-            "--seed",
-            "7",
-            "--json",
-            &snap_path,
-            "--compare",
-            &slow,
-        ])
-        .unwrap();
-        assert!(msg.contains("calibration:"), "{msg}");
-        assert!(msg.contains("snapshot written"), "{msg}");
-        assert!(msg.contains("compare: ok"), "{msg}");
-
-        let snap = BenchSnapshot::from_json(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
-        assert_eq!(snap.seed, 7);
-        assert_eq!(snap.schema, SCHEMA_VERSION);
-        assert!(snap.host_calibration_ns >= 1);
-        let mut expect = case_names(Tier::Smoke);
-        expect.sort();
-        assert_eq!(snap.cases.keys().cloned().collect::<Vec<_>>(), expect);
-
-        // A baseline so fast every case must regress: the nonzero-exit path.
-        let fast = dir.path("fast.json");
-        std::fs::write(&fast, baseline(1, u64::MAX / 1_000).to_json()).unwrap();
-        let err = run_line(&[
-            "bench",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "1",
-            "--seed",
-            "7",
-            "--compare",
-            &fast,
-        ])
-        .unwrap_err();
-        assert!(matches!(err, CliError::Bench(ref msg) if msg.contains("regressed")), "{err:?}");
-    }
-
-    #[test]
-    fn bench_rejects_unknown_suite() {
-        let err = run_line(&["bench", "--suite", "gigantic"]).unwrap_err();
-        assert!(
-            matches!(err, CliError::Bench(ref msg) if msg.contains("unknown suite")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn parallel_anonymize_matches_verifier() {
         let dir = TempDir::new("parallel");
         let snap = dir.path("snapshot.bin");
@@ -1167,7 +1016,7 @@ mod tests {
         let msg = run_line(&["conformance", "--bless", "true", "--golden", &gdir, "--seed", "7"])
             .unwrap();
         assert!(
-            msg.contains("blessed 12 golden records, 3 sharded records and 12 partitioned records"),
+            msg.contains("blessed 12 policy, 3 sharded, 12 partitioned, 9 work records"),
             "{msg}"
         );
         assert!(msg.contains("seed 7"), "{msg}");
@@ -1176,10 +1025,11 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         stems.sort();
-        assert_eq!(stems.len(), 27);
+        assert_eq!(stems.len(), 36);
         assert!(stems.contains(&"uniform-k2-binary.json".to_string()), "{stems:?}");
         assert!(stems.contains(&"sharded_8.json".to_string()), "{stems:?}");
         assert!(stems.contains(&"partitioned_skewed-k50-s64.json".to_string()), "{stems:?}");
+        assert!(stems.contains(&"work_churn-deadline.json".to_string()), "{stems:?}");
 
         // Blessing without a target directory is a usage error.
         let err = run_line(&["conformance", "--bless", "true"]).unwrap_err();
@@ -1433,61 +1283,6 @@ mod tests {
         // Healing is idempotent: a re-scrub of the healed tree is clean.
         let msg = run_line(&["scrub", "--dir", &service]).unwrap();
         assert!(msg.contains("scrub: clean"), "{msg}");
-    }
-
-    #[test]
-    fn bench_compare_against_disjoint_baseline_fails_loudly() {
-        use lbs_bench::snapshot::{BenchSnapshot, CaseRecord, SCHEMA_VERSION};
-
-        let dir = TempDir::new("bench-disjoint");
-        let alien = dir.path("alien.json");
-        let cases = [("renamed/case-a", 100u64), ("renamed/case-b", 50)]
-            .into_iter()
-            .map(|(name, ns)| {
-                (name.to_string(), CaseRecord { median_ns: ns, p95_ns: ns, iters: 1 })
-            })
-            .collect();
-        let snap = BenchSnapshot {
-            schema: SCHEMA_VERSION,
-            seed: 7,
-            git_rev: "test".into(),
-            host_calibration_ns: 1000,
-            cases,
-        };
-        std::fs::write(&alien, snap.to_json()).unwrap();
-
-        // Zero shared case names: the gate is vacuous, so it must fail…
-        let err = run_line(&[
-            "bench",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "1",
-            "--seed",
-            "7",
-            "--compare",
-            &alien,
-        ])
-        .unwrap_err();
-        assert!(matches!(err, CliError::Bench(ref msg) if msg.contains("vacuous")), "{err:?}");
-
-        // …unless the disjoint baseline is explicitly accepted.
-        let msg = run_line(&[
-            "bench",
-            "--suite",
-            "smoke",
-            "--repeats",
-            "1",
-            "--seed",
-            "7",
-            "--compare",
-            &alien,
-            "--allow-disjoint",
-            "true",
-        ])
-        .unwrap();
-        assert!(msg.contains("WARNING"), "{msg}");
-        assert!(msg.contains("vacuous pass accepted"), "{msg}");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!    `brute_force_optimal_cost` must agree with the DP, and the literal
 //!    Definition-6 check `literal_k_anonymity` must hold at `k` and fail
 //!    at `|D| + 1`.
-//! 3. **Golden corpus** — frozen JSON records
-//!    ([`golden::GoldenRecord`]) pin exact costs and assignment
-//!    fingerprints for a fixed sub-matrix; intentional changes are
-//!    re-blessed via the CLI and reviewed as a diff.
+//! 3. **Golden corpora** ([`golden`]) — frozen JSON records pin exact
+//!    costs and assignment fingerprints for a fixed sub-matrix, and every
+//!    deterministic work counter of tiny seeded runs; intentional
+//!    changes are re-blessed via the CLI and reviewed as a diff.
 //! 4. **Durability oracle** ([`durability`]) — one seeded sweep drives
 //!    named crash plans (WAL boundaries and tears, torn checkpoint temp
 //!    files, a rotten newest generation), seeded disk faults, on-disk rot
@@ -45,9 +45,9 @@ pub use durability::{
     DurabilityReport, LifeLog, Recovered, Reference,
 };
 pub use golden::{
-    bless, bless_partitioned, bless_sharded, check, check_partitioned, check_sharded,
-    compute_corpus, compute_partitioned_corpus, compute_sharded_corpus, policy_fingerprint,
-    GoldenRecord, JurisdictionRecord, PartitionedGoldenRecord, ShardedGoldenRecord,
+    bless_all, check_all, compute_corpus, compute_partitioned_corpus, compute_sharded_corpus,
+    compute_work_corpus, policy_fingerprint, GoldenRecord, JurisdictionRecord,
+    PartitionedGoldenRecord, ShardedGoldenRecord, WorkGoldenRecord,
 };
 pub use harness::{run_matrix, run_scenario, ConformanceReport, ScenarioOutcome};
 pub use scenario::{scenario_matrix, Algorithm, Density, Scenario, Tier, DEFAULT_MASTER_SEED};

@@ -162,19 +162,6 @@ pub const LINTS: &[LintDef] = &[
         deep: false,
     },
     LintDef {
-        name: "no-wall-clock-in-bench-cases",
-        severity: Severity::Error,
-        summary: "bench case bodies read time only through the harness Sampler",
-        doc: "Committed bench snapshots are comparable across hosts only because \
-              every recorded nanosecond flows through one timer (`suite::Sampler`) \
-              under one host calibration. A raw `Instant::now`/`SystemTime` inside \
-              `crates/bench/src/cases.rs` measures outside that contract: its \
-              numbers silently skip calibration and the median/p95 aggregation. \
-              Wrap the region in `sampler.sample(..)` instead; the timer itself \
-              lives in the suite/harness modules, which are exempt.",
-        deep: false,
-    },
-    LintDef {
         name: "panic-reachability",
         severity: Severity::Error,
         summary: "no panicking construct is reachable from a service entry point (--deep)",

@@ -79,8 +79,6 @@ pub fn applies(lint: &str, crate_name: &str, role: FileRole) -> bool {
         // filesystem implementation) is exempt.
         "no-raw-fs-in-runtime" => role == Lib && crate_name == "runtime",
         "no-wall-clock-in-dp" => role == Lib && !matches!(crate_name, "metrics" | "bench"),
-        // Path-scoped to the cases module by the matcher itself.
-        "no-wall-clock-in-bench-cases" => crate_name == "bench",
         _ => true,
     }
 }
@@ -202,10 +200,6 @@ fn is_seq(code: &[Token<'_>], at: usize, pattern: &[&str]) -> bool {
 pub fn run_all(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
     let code = info.code.as_slice();
     let on = |lint: &str, line: u32| applies(lint, info.crate_name, info.role_at(line));
-    // The bench timing contract is per-module: only case bodies
-    // (crates/bench/src/cases.rs and any cases/ submodule) are barred
-    // from the raw clock; the harness in suite.rs owns the timer.
-    let in_bench_cases = info.path.ends_with("/cases.rs") || info.path.contains("/cases/");
 
     for (i, t) in code.iter().enumerate() {
         // no-unwrap-in-lib: `.unwrap()` / `.expect(` and path forms.
@@ -342,27 +336,6 @@ pub fn run_all(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
                     "`SystemTime` outside lbs-metrics/bench; DP outputs must not \
                      depend on wall clocks"
                         .to_string(),
-                );
-            }
-        }
-
-        // no-wall-clock-in-bench-cases: bench case bodies measure only
-        // through the harness Sampler, never the raw clock.
-        if in_bench_cases && on("no-wall-clock-in-bench-cases", t.line) {
-            let is_instant_now = t.is_ident("Instant")
-                && code.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && code.get(i + 2).is_some_and(|n| n.is_ident("now"));
-            if is_instant_now || t.is_ident("SystemTime") {
-                info.push(
-                    out,
-                    "no-wall-clock-in-bench-cases",
-                    t,
-                    format!(
-                        "`{}` in a bench case body; wrap the measured region in \
-                         `sampler.sample(..)` so it shares the harness timer and \
-                         host calibration",
-                        t.text
-                    ),
                 );
             }
         }

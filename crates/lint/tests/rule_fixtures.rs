@@ -91,40 +91,6 @@ fn wall_clock_fires_outside_metrics_and_bench_only() {
 }
 
 #[test]
-fn wall_clock_in_bench_cases_fires_in_the_cases_module_only() {
-    let src = "fn case() { let t = Instant::now(); }\nfn case2() { let s = SystemTime::now(); }\n";
-    let report = lint_source("crates/bench/src/cases.rs", src);
-    assert_eq!(
-        hits(&report),
-        [("no-wall-clock-in-bench-cases", 1, 21), ("no-wall-clock-in-bench-cases", 2, 22)],
-        "{report:?}"
-    );
-    assert_eq!(report.errors(), 2);
-    // The harness timer itself lives in suite.rs — exempt, as is the
-    // rest of the bench crate.
-    assert!(lint_source("crates/bench/src/suite.rs", src).violations.is_empty());
-    assert!(lint_source("crates/bench/src/lib.rs", src.trim_end())
-        .violations
-        .iter()
-        .all(|v| v.lint != "no-wall-clock-in-bench-cases"));
-    // A cases/ submodule is covered too.
-    let report = lint_source("crates/bench/src/cases/micro.rs", src);
-    assert!(report.violations.iter().all(|v| v.lint == "no-wall-clock-in-bench-cases"));
-    assert_eq!(report.errors(), 2);
-    // Other crates' wall-clock reads are no-wall-clock-in-dp territory;
-    // this rule never fires there, even for files named cases.rs.
-    let report = lint_source("crates/core/src/cases.rs", src);
-    assert!(report.violations.iter().all(|v| v.lint == "no-wall-clock-in-dp"), "{report:?}");
-}
-
-#[test]
-fn wall_clock_in_bench_cases_respects_reasoned_pragmas() {
-    let src = "fn case() {\n    // lbs-lint: allow(no-wall-clock-in-bench-cases, reason = \"one-off drift probe\")\n    let t = Instant::now();\n}\n";
-    let report = lint_source("crates/bench/src/cases.rs", src);
-    assert_eq!(report.errors(), 0, "{report:?}");
-}
-
-#[test]
 fn unchecked_io_in_runtime_fires_on_io_results_in_the_runtime_crate_only() {
     let src = "fn f(p: &std::path::Path) {\n    let mut file = File::create(p).unwrap();\n    file.write_all(b\"frame\").expect(\"boom\");\n    Some(1).unwrap();\n}\n";
     let report = lint_source("crates/runtime/src/wal.rs", src);

@@ -400,10 +400,10 @@ impl Metrics {
     }
 }
 
-/// Median and 95th-percentile of a set of nanosecond samples, the summary
-/// statistics the benchmark runner snapshots per case.
+/// Median and 95th-percentile of a set of nanosecond samples: the
+/// per-cell summary of the `experiments` binary's repeated runs.
 ///
-/// Conventions (pinned so snapshots are comparable across versions):
+/// Conventions (pinned so tables are comparable across versions):
 /// the median of an even-length set is the *upper* middle element (no
 /// averaging — the result is always one of the samples), and p95 is the
 /// nearest-rank percentile `⌈0.95·n⌉` (1-based), again always a sample.

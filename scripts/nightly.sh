@@ -1,27 +1,24 @@
 #!/usr/bin/env bash
-# Nightly durability + throughput trend.
+# Nightly durability soak + trend point.
 #
-# Two stages, both deterministic by seed:
-#
-#   1. `lbs soak --tier heavy` — the self-healing durability preset:
-#      checkpoint every commit so generations pile up, bounded retention
-#      (GC must hold the lineage to the configured window on disk),
-#      periodic mid-traffic scrub passes (a healthy disk must quarantine
-#      nothing), and mid-traffic shard crashes recovered across the
-#      pruned lineage. Any failure exits nonzero.
-#   2. `lbs bench --suite smoke` — the seeded benchmark suite, whose
-#      per-case medians become one append-only trend point.
+# Runs `lbs soak --tier heavy` — the self-healing durability preset,
+# deterministic by seed: checkpoint every commit so generations pile up,
+# bounded retention (GC must hold the lineage to the configured window
+# on disk), periodic mid-traffic scrub passes (a healthy disk must
+# quarantine nothing), and mid-traffic shard crashes recovered across
+# the pruned lineage. Any failure exits nonzero.
 #
 # Each run APPENDS one JSON line to the trend file (default
 # target/nightly-trend.jsonl, override with NIGHTLY_TREND_FILE), keyed by
 # UTC timestamp and git revision:
 #
-#   {"utc":"…","rev":"…","soak_updates":N,"soak_wall_s":N,
-#    "host_calibration_ns":N,"cases":{"<case>":<median_ns>,…}}
+#   {"utc":"…","rev":"…","soak_updates":N,"soak_wall_s":N}
 #
-# The file is never rewritten — plot it directly to see the throughput
-# trajectory across nightly runs. Shrink the soak for a quick local run
-# with e.g. NIGHTLY_SOAK_ARGS="--users 2000 --queries-per-epoch 64".
+# The file is never rewritten — plot it directly to see the soak's
+# throughput across nightly runs. Per-stage timings come from the
+# end-to-end benchmark (`benches/lbs-benchmark`, see BENCHMARK.json).
+# Shrink the soak for a quick local run with e.g.
+# NIGHTLY_SOAK_ARGS="--users 2000 --queries-per-epoch 64".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,22 +37,18 @@ soak_wall=$((SECONDS - soak_start))
 soak_updates="$(sed -n 's/^ *traffic: \([0-9]*\) updates.*/\1/p' target/nightly_soak.txt | head -1)"
 soak_updates="${soak_updates:-0}"
 
-echo "== bench (smoke tier, nightly trend point) =="
-target/release/lbs bench --suite smoke --repeats 3 --json target/nightly_bench.json
-
 echo "== appending trend point to ${TREND_FILE} =="
 mkdir -p "$(dirname "$TREND_FILE")"
 rev="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-jq -c \
+jq -n -c \
   --arg utc "$utc" \
   --arg rev "$rev" \
   --argjson soak_updates "$soak_updates" \
   --argjson soak_wall_s "$soak_wall" \
   '{utc: $utc, rev: $rev, soak_updates: $soak_updates,
-    soak_wall_s: $soak_wall_s, host_calibration_ns,
-    cases: (.cases | with_entries(.value |= .median_ns))}' \
-  target/nightly_bench.json >>"$TREND_FILE"
+    soak_wall_s: $soak_wall_s}' \
+  >>"$TREND_FILE"
 
 tail -1 "$TREND_FILE"
 echo "nightly OK"

@@ -7,10 +7,23 @@
 //! `cargo test --release --test conformance_smoke -- --ignored`.
 
 use lbs_conformance::{
-    check, check_partitioned, check_sharded, run_matrix, run_scenario, scenario_matrix, Tier,
-    DEFAULT_MASTER_SEED,
+    check_all, compute_partitioned_corpus, compute_sharded_corpus, run_matrix, run_scenario,
+    scenario_matrix, PartitionedGoldenRecord, ShardedGoldenRecord, Tier, DEFAULT_MASTER_SEED,
 };
 use std::path::Path;
+
+fn golden_dir() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
+}
+
+/// The checked-in `tests/golden/<id>.json`.
+fn stored_golden(id: &str) -> String {
+    let path = golden_dir().join(format!("{id}.json"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+const REBLESS: &str =
+    "if intentional, re-bless with `lbs conformance --bless true --golden tests/golden`";
 
 fn assert_report_clean(tier: Tier, min_instances: usize) {
     let report = run_matrix(DEFAULT_MASTER_SEED, tier);
@@ -44,42 +57,40 @@ fn smoke_matrix_holds_every_oracle() {
     }
 }
 
+/// Every checked-in corpus: policies, the sharded and partitioned
+/// pipelines, and the work counters.
 #[test]
 fn golden_corpus_matches_the_checked_in_records() {
-    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
-    match check(dir, DEFAULT_MASTER_SEED) {
-        Ok(n) => assert_eq!(n, 12),
-        Err(problems) => panic!(
-            "golden drift — if intentional, re-bless with \
-             `lbs conformance --bless true --golden tests/golden`:\n{}",
-            problems.join("\n")
-        ),
+    match check_all(golden_dir(), DEFAULT_MASTER_SEED) {
+        Ok(counts) => {
+            assert_eq!(counts, [("policy", 12), ("sharded", 3), ("partitioned", 12), ("work", 9)])
+        }
+        Err(problems) => panic!("golden drift — {REBLESS}:\n{}", problems.join("\n")),
     }
 }
 
+/// The sharded corpus alone, record by record, so a drift here is named
+/// by its own test.
 #[test]
 fn sharded_golden_corpus_matches_the_checked_in_records() {
-    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
-    match check_sharded(dir, DEFAULT_MASTER_SEED) {
-        Ok(n) => assert_eq!(n, 3),
-        Err(problems) => panic!(
-            "sharded golden drift — if intentional, re-bless with \
-             `lbs conformance --bless true --golden tests/golden`:\n{}",
-            problems.join("\n")
-        ),
+    let fresh = compute_sharded_corpus(DEFAULT_MASTER_SEED).expect("sharded corpus");
+    assert_eq!(fresh.len(), 3);
+    for record in &fresh {
+        let stored: ShardedGoldenRecord =
+            serde_json::from_str(&stored_golden(&record.id)).expect("sharded golden parses");
+        assert_eq!(&stored, record, "{} drifted — {REBLESS}", record.id);
     }
 }
 
+/// The partitioned corpus alone, record by record.
 #[test]
 fn partitioned_golden_corpus_matches_the_checked_in_records() {
-    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"));
-    match check_partitioned(dir, DEFAULT_MASTER_SEED) {
-        Ok(n) => assert_eq!(n, 12),
-        Err(problems) => panic!(
-            "partitioned golden drift — if intentional, re-bless with \
-             `lbs conformance --bless true --golden tests/golden`:\n{}",
-            problems.join("\n")
-        ),
+    let fresh = compute_partitioned_corpus(DEFAULT_MASTER_SEED).expect("partitioned corpus");
+    assert_eq!(fresh.len(), 12);
+    for record in &fresh {
+        let stored: PartitionedGoldenRecord =
+            serde_json::from_str(&stored_golden(&record.id)).expect("partitioned golden parses");
+        assert_eq!(&stored, record, "{} drifted — {REBLESS}", record.id);
     }
 }
 
