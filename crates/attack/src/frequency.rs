@@ -119,6 +119,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "3 duplicates over a group of 3 divide to exactly 1.0")]
     fn full_duplicate_count_exposes_the_whole_group() {
         let (db, policy, cloak) = setup();
         // All 3 group members ask for the same sensitive POI.

@@ -18,7 +18,6 @@
 //! breaches, reproducing Example 1 ("if this attacker observes an LBS
 //! request with cloak R₃, he can identify the sender as C!").
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod frequency;

@@ -92,7 +92,10 @@ impl Casper {
         let Children::Four(siblings) = self.tree.node(parent).children else {
             return None;
         };
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "siblings is the child list of id's own parent, so id is always found")
+        #[expect(
+            clippy::expect_used,
+            reason = "siblings is the child list of id's own parent, so id is always found"
+        )]
         let me = Corner::from_index(
             siblings.iter().position(|&s| s == id).expect("child of its parent"),
         );

@@ -41,8 +41,11 @@ impl CircularKInside {
     }
 
     /// The center nearest to `p` (ties broken by center order).
+    #[expect(
+        clippy::expect_used,
+        reason = "CircularKInside::new rejects empty center sets, so min_by_key always finds one"
+    )]
     pub fn nearest_center(&self, p: &Point) -> Point {
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "CircularKInside::new rejects empty center sets, so min_by_key always finds one")
         *self.centers.iter().min_by_key(|c| c.dist2(p)).expect("centers nonempty")
     }
 }
@@ -94,8 +97,11 @@ impl CircularPolicy {
 
 /// The cheapest circle centered in `centers` covering all of `points`:
 /// minimizes radius² (equivalently area).
+#[expect(
+    clippy::expect_used,
+    reason = "both callers pass the policy's center set, verified nonempty at construction/entry"
+)]
 fn best_circle(centers: &[Point], points: &[Point]) -> Circle {
-    // lbs-lint: allow(no-unwrap-in-lib, reason = "both callers pass the policy's center set, verified nonempty at construction/entry")
     centers
         .iter()
         .map(|&c| Circle::covering(c, points))

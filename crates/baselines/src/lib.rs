@@ -26,7 +26,6 @@
 //!   cloaks): an exact exponential solver for small n and a greedy
 //!   heuristic, as executable evidence of the NP-completeness result.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod casper;

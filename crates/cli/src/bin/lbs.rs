@@ -1,5 +1,7 @@
 //! Thin shell around `lbs_cli`: parse, run, report.
 
+#![expect(clippy::print_stderr, reason = "a binary reports usage and fatal errors on stderr")]
+
 use lbs_cli::{command_names, run, Args};
 
 fn main() {

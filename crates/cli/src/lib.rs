@@ -19,7 +19,6 @@
 //! lives in this library so it is unit-testable; `src/bin/lbs.rs` is a
 //! thin shell.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod args;

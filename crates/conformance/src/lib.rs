@@ -31,7 +31,6 @@
 //! ([`DEFAULT_MASTER_SEED`]); every failure message carries the
 //! per-scenario derived seed so a red run replays directly with
 //! `lbs conformance --seed <seed>` or a targeted unit test.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod durability;

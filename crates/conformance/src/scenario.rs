@@ -297,7 +297,10 @@ pub fn scenario_matrix(master: u64, tier: Tier) -> Vec<Scenario> {
     for variant in 0..4usize {
         push(&mut out, master, Density::Clustered, 5, 2, Algorithm::CraftedBreach);
         // Distinguish the ids (push derives the seed from the id).
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "push() appended an element on the previous line, so last_mut() is Some")
+        #[expect(
+            clippy::expect_used,
+            reason = "push() appended an element on the previous line, so last_mut() is Some"
+        )]
         let last = out.last_mut().expect("just pushed");
         last.id = format!("{}#v{variant}", last.id);
         last.seed = derive_seed(last.seed, variant as u64 + 1);

@@ -89,7 +89,10 @@ fn dense_row(
 /// # Errors
 /// [`CoreError::StaleMatrix`] when a child row was not filled before its
 /// parent (postorder discipline violated).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive enumeration carries its accumulator state as arguments"
+)]
 fn enumerate_tuples(
     matrix: &DpMatrix,
     parent: NodeId,

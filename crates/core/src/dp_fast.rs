@@ -638,7 +638,10 @@ pub(crate) fn compute_row_with(
 /// body, and that sweep is pinned bit-identical to [`compute_row_with`]
 /// by `tests/differential.rs`, a row produced here from the same child
 /// costs is bit-identical to the row-wise reference.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "both callers pass two child slices plus the parent node's scalar fields; bundling them would only rename those fields"
+)]
 pub(crate) fn combine_children_row(
     dense1: &[u128],
     dense2: &[u128],

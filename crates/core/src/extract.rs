@@ -454,7 +454,9 @@ mod tests {
                 .unwrap();
         let mut m = bulk_dp_fast(&tree, 2).unwrap();
         let root = tree.root();
-        let [low, _] = *tree.node(root).children.as_slice() else { unreachable!() };
+        let [low, _] = *tree.node(root).children.as_slice() else {
+            panic!("the root of a 4-user binary tree is internal")
+        };
         assert!(tree.node(low).is_leaf());
         let c0 = tree.count(low);
         let mut row = m.row(root).unwrap().clone();

@@ -26,7 +26,6 @@
 //! * [`verify_policy_aware`] — an independent checker that a bulk policy
 //!   provides sender k-anonymity against policy-aware attackers.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod anonymizer;

@@ -97,7 +97,10 @@ pub fn brute_force_optimal_cost(tree: &SpatialTree, k: usize) -> Option<u128> {
             && config.is_complete(tree)
             && config.satisfies_k_summation(tree, k)
         {
-            // lbs-lint: allow(no-unwrap-in-lib, reason = "guarded by config.is_complete(tree) in the surrounding condition, so every node has a value")
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by config.is_complete(tree) in the surrounding condition, so every node has a value"
+            )]
             let cost = config.cost(tree).expect("all values set");
             best = Some(best.map_or(cost, |b: u128| b.min(cost)));
         }

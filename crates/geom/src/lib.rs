@@ -7,7 +7,6 @@
 //! proofs of the `Bulk_dp` algorithm compare costs (sums of cloak areas) for
 //! strict minimality; floating point would make "optimal" seed-dependent.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod circle;

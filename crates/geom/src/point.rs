@@ -61,6 +61,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "5.0 is the exact square root of 25")]
     fn dist2_is_exact_and_symmetric() {
         let a = Point::new(0, 0);
         let b = Point::new(3, 4);

@@ -86,6 +86,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "6.0 is the exact f64 image of the integer area 6")]
     fn dispatch_matches_inner_type() {
         let r: Region = Rect::new(0, 0, 2, 3).into();
         let c: Region = Circle::from_radius2(Point::new(0, 0), 4).into();

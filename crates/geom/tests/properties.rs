@@ -101,6 +101,7 @@ proptest! {
     /// Region containment agrees with the wrapped shape for points in and
     /// around the region.
     #[test]
+    #[expect(clippy::float_cmp, reason = "the dispatched area and the direct cast are the same integer-to-f64 conversion")]
     fn region_dispatch_consistent(rect in arb_square(), seed in any::<u64>()) {
         let region: Region = rect.into();
         let mut state = seed | 1;

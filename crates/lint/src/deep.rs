@@ -492,7 +492,7 @@ fn indexing_site(ctx: &FileCtx<'_>, owned: &[usize], open: usize) -> Option<Pani
     }
     let idx_tokens = &code[open + 1..close];
     // Guard: constant indices (fixed-size array access patterns).
-    if idx_tokens.iter().all(|t| t.kind == TokenKind::Int) {
+    if idx_tokens.iter().all(|t| t.kind == TokenKind::Number) {
         return None;
     }
     // Guard: ranges and length-derived arithmetic in the index.

@@ -10,7 +10,8 @@
 //!   strings are handled, including embedded quotes;
 //! * block comments nest (`/* /* */ */`) as in real Rust;
 //! * lifetimes (`'a`) are distinguished from char literals (`'a'`);
-//! * float literals are distinguished from integers (for `no-float-eq`);
+//! * a number lexes as one token, so `1.0` is not a `.` access and
+//!   `1.max(2)` and `0..10` still split where Rust splits them;
 //! * line comments are kept as tokens so suppression pragmas can be read
 //!   back out of the stream.
 //!
@@ -25,10 +26,9 @@ pub enum TokenKind {
     Ident,
     /// A lifetime such as `'a` or `'_` (not a char literal).
     Lifetime,
-    /// Integer literal (any base, any suffix except `f32`/`f64`).
-    Int,
-    /// Float literal (`1.0`, `1e3`, `2f64`, …).
-    Float,
+    /// Numeric literal: integer or float, any base, any suffix (`0xFF`,
+    /// `1_000u64`, `1.0`, `1e3`, `2f64`, …).
+    Number,
     /// String literal `"…"` (escapes included verbatim).
     Str,
     /// Raw string literal `r"…"` / `r#"…"#` (any hash depth), including
@@ -330,24 +330,13 @@ fn scan_char_or_lifetime(c: &mut Cursor<'_>) -> TokenKind {
 }
 
 fn scan_number(c: &mut Cursor<'_>) -> TokenKind {
-    let radix_prefixed = c.peek(0) == Some(b'0')
-        && matches!(c.peek(1), Some(b'x') | Some(b'X') | Some(b'o') | Some(b'b'));
-    if radix_prefixed {
-        c.bump_n(2);
-        while c.peek(0).is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_') {
-            c.bump();
-        }
-        return TokenKind::Int;
-    }
-    let mut float = false;
     while c.peek(0).is_some_and(|n| n.is_ascii_digit() || n == b'_') {
         c.bump();
     }
-    // Fractional part: `1.0` is a float, `1.max(2)` is Int `.` Ident, and
-    // range `1..2` is Int `..` Int.
+    // Fractional part: `1.0` is one token, `1.max(2)` is Number `.` Ident,
+    // and range `1..2` is Number `..` Number.
     if c.peek(0) == Some(b'.') && c.peek(1) != Some(b'.') && !c.peek(1).is_some_and(is_ident_start)
     {
-        float = true;
         c.bump();
         while c.peek(0).is_some_and(|n| n.is_ascii_digit() || n == b'_') {
             c.bump();
@@ -357,25 +346,15 @@ fn scan_number(c: &mut Cursor<'_>) -> TokenKind {
     if matches!(c.peek(0), Some(b'e') | Some(b'E')) {
         let sign = usize::from(matches!(c.peek(1), Some(b'+') | Some(b'-')));
         if c.peek(1 + sign).is_some_and(|n| n.is_ascii_digit()) {
-            float = true;
             c.bump_n(1 + sign);
             while c.peek(0).is_some_and(|n| n.is_ascii_digit() || n == b'_') {
                 c.bump();
             }
         }
     }
-    // Suffix (`u64`, `f32`, …).
-    let suffix_start = c.pos;
+    // Suffix (`u64`, `f32`, …); also the body of a `0x`/`0o`/`0b` literal.
     while c.peek(0).is_some_and(is_ident_continue) {
         c.bump();
     }
-    let suffix = &c.src[suffix_start..c.pos];
-    if suffix == "f32" || suffix == "f64" {
-        float = true;
-    }
-    if float {
-        TokenKind::Float
-    } else {
-        TokenKind::Int
-    }
+    TokenKind::Number
 }

@@ -1,13 +1,17 @@
 //! `lbs-lint`: a workspace-aware static-analysis pass for the invariants
-//! the compiler cannot see.
+//! neither the compiler nor clippy can see.
 //!
 //! The reproduction's core guarantees — bit-identical `Bulk_dp` outputs
 //! under any worker count, replayable master seeds, panic containment in
-//! the work-stealing engine — are *behavioral* properties. This crate
-//! makes them checkable on every commit: it lexes every Rust file in the
-//! workspace with a hand-rolled scanner ([`lexer`]), applies a registry
-//! of token-pattern lints ([`registry`], [`rules`]), honors reasoned
-//! suppression pragmas ([`pragma`]), and renders human or JSON
+//! the work-stealing engine — are *behavioral* properties. The rules
+//! clippy already implements (no unwrap, panic, print, float `==` or
+//! `unsafe` in library code) are the root `Cargo.toml`'s
+//! `[workspace.lints]` table. This crate checks the rest on every
+//! commit: wall-clock placement, serialization order and runtime io
+//! discipline, plus the interprocedural passes. It lexes every Rust file
+//! in the workspace with a hand-rolled scanner ([`lexer`]), applies a
+//! registry of token-pattern lints ([`registry`], [`rules`]), honors
+//! reasoned suppression pragmas ([`pragma`]), and renders human or JSON
 //! diagnostics ([`report`]).
 //!
 //! Entry points: [`lint_workspace`] (used by `lbs lint`, CI, and
@@ -18,7 +22,6 @@
 //! ([`parser`]) and run the panic-reachability and taint passes
 //! ([`deep`], [`taint`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;

@@ -1,4 +1,7 @@
 //! The lint registry: every lint `lbs-lint` knows, with per-lint docs.
+//! Rules that clippy or rustc already implement (unwrap, panic, print,
+//! float `==`, `unsafe`) are not here: they live in the root
+//! `Cargo.toml`'s `[workspace.lints]` table.
 //!
 //! Adding a lint is a three-step change (see DESIGN.md §8): register it
 //! here, implement its matcher in [`crate::rules`], and add a seeded
@@ -49,44 +52,6 @@ pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 /// Every lint, in reporting order.
 pub const LINTS: &[LintDef] = &[
     LintDef {
-        name: "no-unwrap-in-lib",
-        severity: Severity::Error,
-        summary: "library code must not call .unwrap()/.expect()",
-        doc: "Library crates return typed errors (`CoreError` and friends); a stray \
-              unwrap turns a recoverable condition into a worker panic that the \
-              work-stealing engine must contain. Tests, bins, benches and examples \
-              are exempt. Convert to `?`/`ok_or` or, when the call is provably \
-              infallible, suppress with a pragma explaining why.",
-        deep: false,
-    },
-    LintDef {
-        name: "no-panic-in-lib",
-        severity: Severity::Error,
-        summary: "library code must not invoke panic!/unreachable!/todo!/unimplemented!",
-        doc: "Same contract as no-unwrap-in-lib: library failure modes are values, \
-              not panics. `debug_assert!` stays allowed (compiled out in release).",
-        deep: false,
-    },
-    LintDef {
-        name: "no-unseeded-rng",
-        severity: Severity::Error,
-        summary: "randomness must flow through derive_seed (no thread_rng/from_entropy/OsRng)",
-        doc: "Every run of the system replays from one master seed \
-              (`lbs_workload::derive_seed`); ambient entropy anywhere — including \
-              tests — breaks conformance replay and golden blessing.",
-        deep: false,
-    },
-    LintDef {
-        name: "no-raw-thread-spawn",
-        severity: Severity::Error,
-        summary: "threads are created only by lbs-parallel::engine",
-        doc: "Deterministic scheduling, panic containment, and metrics attribution \
-              all live in the work-stealing engine; `std::thread::spawn` elsewhere \
-              bypasses all three. Use the engine, or scoped helpers inside \
-              lbs-parallel.",
-        deep: false,
-    },
-    LintDef {
         name: "no-wall-clock-in-dp",
         severity: Severity::Error,
         summary: "Instant::now/SystemTime only in lbs-metrics and bench code",
@@ -97,15 +62,6 @@ pub const LINTS: &[LintDef] = &[
         deep: false,
     },
     LintDef {
-        name: "no-float-eq",
-        severity: Severity::Error,
-        summary: "no ==/!= against float literals in cost code",
-        doc: "Exact cost arithmetic is integral (`u128` areas); float comparisons \
-              with == are a portability hazard. Compare with an epsilon or use the \
-              integral cost path.",
-        deep: false,
-    },
-    LintDef {
         name: "no-hashmap-in-serialized-output",
         severity: Severity::Error,
         summary: "serialized structs must not contain HashMap/HashSet fields",
@@ -113,23 +69,6 @@ pub const LINTS: &[LintDef] = &[
               HashMap field produces byte-different output across runs — exactly \
               the nondeterminism golden corpora exist to catch. Use BTreeMap / \
               BTreeSet, or mark the field `#[serde(skip)]`.",
-        deep: false,
-    },
-    LintDef {
-        name: "forbid-unsafe-header",
-        severity: Severity::Error,
-        summary: "every crate root must carry #![forbid(unsafe_code)]",
-        doc: "The workspace is 100% safe Rust; the forbid header makes that a \
-              compile-time guarantee per crate rather than a convention.",
-        deep: false,
-    },
-    LintDef {
-        name: "no-println-in-lib",
-        severity: Severity::Error,
-        summary: "library code must not print to stdout/stderr",
-        doc: "Library output goes through returned values, `std::io::Write` sinks \
-              (the CLI pattern), or lbs-metrics. println!/dbg! in a library is \
-              untestable and pollutes machine-readable CLI output.",
         deep: false,
     },
     LintDef {

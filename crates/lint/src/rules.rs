@@ -63,22 +63,16 @@ impl FileInfo<'_> {
 
 /// Whether `lint` applies to code at `role` in `crate_name`.
 pub fn applies(lint: &str, crate_name: &str, role: FileRole) -> bool {
-    use FileRole::{Bin, Example, Lib};
     match lint {
-        "no-unwrap-in-lib"
-        | "no-panic-in-lib"
-        | "no-println-in-lib"
-        | "no-float-eq"
-        | "no-hashmap-in-serialized-output"
-        | "forbid-unsafe-header" => role == Lib,
-        // Replayability is global: even tests must derive their seeds.
-        "no-unseeded-rng" => true,
-        "no-raw-thread-spawn" => matches!(role, Lib | Bin | Example) && crate_name != "parallel",
-        "no-unchecked-io-in-runtime" => role == Lib && crate_name == "runtime",
+        "no-hashmap-in-serialized-output" => role == FileRole::Lib,
         // Path-scoped further by the matcher: storage.rs (the seam's real
-        // filesystem implementation) is exempt.
-        "no-raw-fs-in-runtime" => role == Lib && crate_name == "runtime",
-        "no-wall-clock-in-dp" => role == Lib && !matches!(crate_name, "metrics" | "bench"),
+        // filesystem implementation) is exempt from no-raw-fs-in-runtime.
+        "no-unchecked-io-in-runtime" | "no-raw-fs-in-runtime" => {
+            role == FileRole::Lib && crate_name == "runtime"
+        }
+        "no-wall-clock-in-dp" => {
+            role == FileRole::Lib && !matches!(crate_name, "metrics" | "bench")
+        }
         _ => true,
     }
 }
@@ -202,26 +196,6 @@ pub fn run_all(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
     let on = |lint: &str, line: u32| applies(lint, info.crate_name, info.role_at(line));
 
     for (i, t) in code.iter().enumerate() {
-        // no-unwrap-in-lib: `.unwrap()` / `.expect(` and path forms.
-        if t.kind == TokenKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && i > 0
-            && (code[i - 1].is_punct(".") || code[i - 1].is_punct("::"))
-            && code.get(i + 1).is_some_and(|n| n.is_punct("("))
-            && on("no-unwrap-in-lib", t.line)
-        {
-            info.push(
-                out,
-                "no-unwrap-in-lib",
-                t,
-                format!(
-                    "`.{}()` in library code; return a typed error (`CoreError`, …) or \
-                     suppress with a reasoned pragma if provably infallible",
-                    t.text
-                ),
-            );
-        }
-
         // no-unchecked-io-in-runtime: unwrap/expect on the result of an
         // io-returning call inside lbs-runtime durability code.
         if t.kind == TokenKind::Ident
@@ -271,48 +245,6 @@ pub fn run_all(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
             );
         }
 
-        // no-panic-in-lib: panic-family macros.
-        if t.kind == TokenKind::Ident
-            && matches!(t.text, "panic" | "unreachable" | "todo" | "unimplemented")
-            && code.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            && on("no-panic-in-lib", t.line)
-        {
-            info.push(
-                out,
-                "no-panic-in-lib",
-                t,
-                format!("`{}!` in library code; return a typed error instead", t.text),
-            );
-        }
-
-        // no-unseeded-rng: ambient entropy sources.
-        if t.kind == TokenKind::Ident
-            && matches!(t.text, "thread_rng" | "from_entropy" | "OsRng")
-            && on("no-unseeded-rng", t.line)
-        {
-            info.push(
-                out,
-                "no-unseeded-rng",
-                t,
-                format!("`{}` breaks master-seed replay; derive seeds via `derive_seed`", t.text),
-            );
-        }
-
-        // no-raw-thread-spawn: `thread::spawn` outside lbs-parallel.
-        if t.is_ident("thread")
-            && code.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && code.get(i + 2).is_some_and(|n| n.is_ident("spawn"))
-            && on("no-raw-thread-spawn", t.line)
-        {
-            info.push(
-                out,
-                "no-raw-thread-spawn",
-                t,
-                "raw `thread::spawn`; threads are created only by `lbs-parallel::engine`"
-                    .to_string(),
-            );
-        }
-
         // no-wall-clock-in-dp: `Instant::now` / any `SystemTime` use.
         if on("no-wall-clock-in-dp", t.line) {
             if t.is_ident("Instant")
@@ -339,47 +271,9 @@ pub fn run_all(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
                 );
             }
         }
-
-        // no-float-eq: ==/!= adjacent to a float literal.
-        if t.kind == TokenKind::Punct
-            && (t.text == "==" || t.text == "!=")
-            && on("no-float-eq", t.line)
-        {
-            let left_float = i > 0 && code[i - 1].kind == TokenKind::Float;
-            let right_float = match code.get(i + 1) {
-                Some(n) if n.kind == TokenKind::Float => true,
-                Some(n) if n.is_punct("-") => {
-                    code.get(i + 2).is_some_and(|m| m.kind == TokenKind::Float)
-                }
-                _ => false,
-            };
-            if left_float || right_float {
-                info.push(
-                    out,
-                    "no-float-eq",
-                    t,
-                    format!("`{}` against a float literal; compare with an epsilon", t.text),
-                );
-            }
-        }
-
-        // no-println-in-lib: stdout/stderr macros.
-        if t.kind == TokenKind::Ident
-            && matches!(t.text, "println" | "print" | "eprintln" | "eprint" | "dbg")
-            && code.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            && on("no-println-in-lib", t.line)
-        {
-            info.push(
-                out,
-                "no-println-in-lib",
-                t,
-                format!("`{}!` in library code; write to an injected `io::Write` sink", t.text),
-            );
-        }
     }
 
     hashmap_in_serialized(info, out);
-    forbid_unsafe_header(info, out);
 }
 
 /// `no-hashmap-in-serialized-output`: HashMap/HashSet fields inside
@@ -457,26 +351,5 @@ fn hashmap_in_serialized(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
             j += 1;
         }
         i = j;
-    }
-}
-
-/// `forbid-unsafe-header`: every crate root must open with
-/// `#![forbid(unsafe_code)]`.
-fn forbid_unsafe_header(info: &FileInfo<'_>, out: &mut Vec<Violation>) {
-    let is_crate_root = info.path == "src/lib.rs" || info.path.ends_with("/src/lib.rs");
-    if !is_crate_root || !applies("forbid-unsafe-header", info.crate_name, info.role) {
-        return;
-    }
-    let code = info.code.as_slice();
-    let found = (0..code.len())
-        .any(|i| is_seq(code, i, &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"]));
-    if !found {
-        let at = Token { kind: TokenKind::Punct, text: "", line: 1, col: 1 };
-        info.push(
-            out,
-            "forbid-unsafe-header",
-            &at,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        );
     }
 }

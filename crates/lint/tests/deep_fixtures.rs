@@ -26,6 +26,10 @@ sink-macros = ["format"]
 "#;
 
 /// Deep-lints one fixture as library code of `lbs-core`.
+#[expect(
+    clippy::expect_used,
+    reason = "a fixture config that does not parse fails the calling test"
+)]
 fn deep(src: &str) -> LintReport {
     let files = vec![("crates/core/src/fixture.rs".to_string(), src.to_string())];
     lint_sources_deep(&files, CONFIG, &PassSet::all()).expect("fixture config parses")
@@ -176,13 +180,14 @@ fn allow_item_covers_a_whole_function_body() {
     let src = "pub fn serve_fixture(v: &[u64]) -> u64 {\n\
                \x20   helper(v)\n\
                }\n\
-               // lbs-lint: allow-item(panic-reachability, no-unwrap-in-lib, reason = \"fixture invariant\")\n\
+               // lbs-lint: allow-item(panic-reachability, no-wall-clock-in-dp, reason = \"fixture invariant\")\n\
                fn helper(v: &[u64]) -> u64 {\n\
+               \x20   let _t = Instant::now();\n\
                \x20   v.first().copied().unwrap()\n\
                }\n";
     let report = deep(src);
     assert_eq!(hits(&report), [] as [(&str, u32, u32); 0], "{report:?}");
-    assert!(report.suppressed >= 1, "{report:?}");
+    assert_eq!(report.suppressed, 2, "{report:?}");
 }
 
 #[test]

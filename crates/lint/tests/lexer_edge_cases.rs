@@ -19,7 +19,7 @@ fn raw_strings_are_opaque() {
     // A raw string containing `.unwrap()` and a fake pragma must stay one
     // token: rules and pragma parsing never look inside string literals.
     let src =
-        r###"let s = r#"x.unwrap() // lbs-lint: allow(no-unwrap-in-lib, reason = "fake")"#;"###;
+        r###"let s = r#"x.unwrap() // lbs-lint: allow(no-wall-clock-in-dp, reason = "fake")"#;"###;
     let toks = tokenize(src);
     let raws: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::RawStr).collect();
     assert_eq!(raws.len(), 1);
@@ -89,22 +89,16 @@ fn byte_strings_and_byte_chars() {
 }
 
 #[test]
-fn float_versus_int_versus_method_call() {
-    // `1.0 == x` must expose a Float for no-float-eq, but `1.max(2)` is an
-    // Int followed by a method call, and `0..10` is two Ints and a range.
-    let pairs = spell("let a = 1.0; let b = 1.max(2); let r = 0..10; let e = 2e3; let s = 1f64;");
-    let floats: Vec<_> =
-        pairs.iter().filter(|(k, _)| *k == TokenKind::Float).map(|(_, t)| t.clone()).collect();
-    assert_eq!(floats, ["1.0", "2e3", "1f64"]);
+fn numbers_versus_method_calls_and_ranges() {
+    // `1.0` and `2e3` are single tokens, but `1.max(2)` is a Number followed
+    // by a method call, and `0..10` is two Numbers and a range.
+    let pairs =
+        spell("let a = 1.0; let b = 1.max(2); let r = 0..10; let e = 2e3; let h = 0xFF_u32;");
+    let numbers: Vec<_> =
+        pairs.iter().filter(|(k, _)| *k == TokenKind::Number).map(|(_, t)| t.clone()).collect();
+    assert_eq!(numbers, ["1.0", "1", "2", "0", "10", "2e3", "0xFF_u32"]);
     assert!(pairs.contains(&(TokenKind::Ident, "max".to_string())));
     assert!(pairs.contains(&(TokenKind::Punct, "..".to_string())));
-}
-
-#[test]
-fn hex_and_underscored_literals_are_ints() {
-    let pairs = spell("let m = 0xFF_u32; let b = 0b1010; let o = 0o77; let big = 1_000_000;");
-    assert!(pairs.iter().all(|(k, _)| *k != TokenKind::Float));
-    assert!(pairs.contains(&(TokenKind::Int, "0xFF_u32".to_string())));
 }
 
 #[test]

@@ -36,6 +36,10 @@ sink-macros = ["format"]
 "#;
 
 /// Runs the full pipeline; returns whether it completed without panicking.
+#[expect(
+    clippy::expect_used,
+    reason = "CONFIG is a fixed valid config; a parse failure fails every case"
+)]
 fn survives(src: &str) -> bool {
     let src = src.to_string();
     catch_unwind(AssertUnwindSafe(|| {

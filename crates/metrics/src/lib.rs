@@ -23,7 +23,6 @@
 //!   both stages (wall-clock inclusion, like a sampling profiler's
 //!   inclusive time).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};

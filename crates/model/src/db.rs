@@ -320,7 +320,10 @@ impl LocationDbBuilder {
     pub fn add(&mut self, point: Point) -> UserId {
         let user = UserId(self.next_id);
         self.next_id += 1;
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "next_id increments monotonically, so each builder id is fresh and insert cannot collide")
+        #[expect(
+            clippy::expect_used,
+            reason = "next_id increments monotonically, so each builder id is fresh and insert cannot collide"
+        )]
         self.db.insert(user, point).expect("builder ids are sequential, cannot collide");
         user
     }

@@ -18,7 +18,6 @@
 //!   bulk anonymization algorithms compute and what cost (Definition 8's
 //!   `Cost(P, D)`) is defined over.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod db;

@@ -264,6 +264,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "20.0 is the exact f64 image of the integer cost 20")]
     fn cost_is_sum_of_areas() {
         let p = policy();
         // Two users in an 8 m² cloak plus one in a 4 m² cloak.

@@ -124,6 +124,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a lossless round trip must reproduce the cost bit for bit"
+    )]
     fn round_trip_preserves_everything() {
         let p = sample();
         let decoded = decode_policy(encode_policy(&p)).unwrap();

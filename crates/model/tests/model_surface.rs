@@ -21,6 +21,7 @@ fn policy() -> BulkPolicy {
 }
 
 #[test]
+#[expect(clippy::float_cmp, reason = "64.0 is the exact f64 image of the integer cost 64")]
 fn policy_stats_fields_are_exact() {
     let stats = policy().stats();
     assert_eq!(stats.users, 5);
@@ -73,6 +74,7 @@ fn snapshot_codec_handles_maximal_coordinates() {
 }
 
 #[test]
+#[expect(clippy::float_cmp, reason = "the empty policy's average area is exactly zero")]
 fn empty_policy_stats_are_zeroed() {
     let p = BulkPolicy::new("empty");
     let stats = p.stats();

@@ -814,7 +814,6 @@ pub fn anonymize_work_stealing_pooled(
 ///
 /// # Errors
 /// As [`anonymize_work_stealing`], plus unrecovered injected panics.
-#[allow(clippy::too_many_arguments)]
 pub fn anonymize_work_stealing_faulted(
     db: &LocationDb,
     map: Rect,
@@ -827,7 +826,10 @@ pub fn anonymize_work_stealing_faulted(
     anonymize_work_stealing_impl(db, map, k, servers, config, metrics, faults, None)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the private impl threads every public entry point's options, plus the scratch pool, through one signature"
+)]
 fn anonymize_work_stealing_impl(
     db: &LocationDb,
     map: Rect,

@@ -17,6 +17,7 @@ fn setup(n: usize) -> (LocationDb, Rect) {
 
 /// Partitions a fresh copy of `db`'s users; returns the reordered users
 /// with the jurisdictions over them.
+#[expect(clippy::unwrap_used, reason = "a partitioning error fails the calling test")]
 fn partition(
     db: &LocationDb,
     map: Rect,

@@ -22,7 +22,6 @@
 //!   frequency-counting attacks; the cache is flushed at long intervals.
 //! * [`CloakedLbs`] — an end-to-end service façade combining the three.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -20,7 +20,6 @@
 //!   explicit rejection; every rung preserves Definition 6, degrading
 //!   cost and latency but never anonymity.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checkpoint;

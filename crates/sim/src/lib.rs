@@ -18,7 +18,6 @@
 //! both for integration testing (every invariant is asserted every
 //! snapshot) and for the `end_to_end` example's reporting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use lbs_attack::{audit_policy, FrequencyAttacker};
@@ -224,7 +223,10 @@ pub fn run(config: &SimConfig) -> Result<SimReport, SimError> {
                 config.max_move_m,
                 derive_seed(config.seed, 1000 + t as u64),
             );
-            // lbs-lint: allow(no-unwrap-in-lib, reason = "random_moves draws users and in-map targets from this very db, so every move validates")
+            #[expect(
+                clippy::expect_used,
+                reason = "random_moves draws users and in-map targets from this very db, so every move validates"
+            )]
             db.apply_moves(&moves).expect("moves generated from current db");
             let (report, elapsed) = timed(|| engine.apply_moves(&moves))?;
             (report.moved, report.rows_recomputed, elapsed)
@@ -245,11 +247,17 @@ pub fn run(config: &SimConfig) -> Result<SimReport, SimError> {
         for _ in 0..n_requests {
             let user = users[rng.gen_range(0..users.len())];
             let category = &config.categories[rng.gen_range(0..config.categories.len())];
-            // lbs-lint: allow(no-unwrap-in-lib, reason = "user was just sampled from db.users(), so a location exists")
+            #[expect(
+                clippy::expect_used,
+                reason = "user was just sampled from db.users(), so a location exists"
+            )]
             let location = db.location(user).expect("sampled from db");
             let sr =
                 ServiceRequest::new(user, location, RequestParams::from_pairs([("poi", category)]));
-            // lbs-lint: allow(no-unwrap-in-lib, reason = "engine.policy() is masking and total for the current snapshot, so anonymize succeeds for a valid request")
+            #[expect(
+                clippy::expect_used,
+                reason = "engine.policy() is masking and total for the current snapshot, so anonymize succeeds for a valid request"
+            )]
             let ar = policy
                 .anonymize(&db, &sr, RequestId(next_rid))
                 .expect("valid request under a total policy");

@@ -72,7 +72,10 @@ impl SpatialTree {
 
     // lbs-lint: allow-item(panic-reachability, reason = "the only panic path is the arena-overflow expect, which fires past 4 billion nodes — far beyond addressable memory for Node")
     fn alloc(&mut self, rect: Rect, depth: u16, parent: Option<NodeId>, count: usize) -> NodeId {
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "arena index overflows u32 only past 4 billion nodes, far beyond addressable memory for Node")
+        #[expect(
+            clippy::expect_used,
+            reason = "arena index overflows u32 only past 4 billion nodes, far beyond addressable memory for Node"
+        )]
         let id = NodeId(u32::try_from(self.nodes.len()).expect("arena overflow"));
         self.nodes.push(Node {
             rect,
@@ -121,7 +124,10 @@ impl SpatialTree {
                 let rects = rect.quadrants();
                 let mut buckets: [Vec<(UserId, Point)>; 4] = Default::default();
                 for (u, p) in items {
-                    // lbs-lint: allow(no-unwrap-in-lib, reason = "half-open quadrants partition the parent rect, and every item was in the parent")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "half-open quadrants partition the parent rect, and every item was in the parent"
+                    )]
                     let b = rects
                         .iter()
                         .position(|r| r.contains(&p))
@@ -262,8 +268,11 @@ impl SpatialTree {
             let node = self.node(id);
             match node.children {
                 Children::None => return Some(id),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "half-open child rects partition the parent, and p is inside the parent by the loop invariant"
+                )]
                 _ => {
-                    // lbs-lint: allow(no-unwrap-in-lib, reason = "half-open child rects partition the parent, and p is inside the parent by the loop invariant")
                     id = *node
                         .children
                         .as_slice()

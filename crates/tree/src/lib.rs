@@ -21,7 +21,6 @@
 //! update leaf counts along root paths, and leaves split / subtrees collapse
 //! when their populations cross the threshold.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod build;

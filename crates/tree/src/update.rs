@@ -141,10 +141,16 @@ impl SpatialTree {
 
     /// Removes `user` from its leaf and decrements counts up to the root.
     fn detach_user(&mut self, user: lbs_model::UserId) -> NodeId {
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "apply_updates validates every update's user against the index before any mutation")
+        #[expect(
+            clippy::expect_used,
+            reason = "apply_updates validates every update's user against the index before any mutation"
+        )]
         let leaf = self.user_leaf.remove(&user).expect("validated before application");
         let list = &mut self.users[leaf.index()];
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "user_leaf and the per-leaf user lists are updated in lockstep, so membership agrees")
+        #[expect(
+            clippy::expect_used,
+            reason = "user_leaf and the per-leaf user lists are updated in lockstep, so membership agrees"
+        )]
         let pos =
             list.iter().position(|&(u, _)| u == user).expect("user index and leaf list agree");
         list.swap_remove(pos);
@@ -159,7 +165,10 @@ impl SpatialTree {
     /// Adds `user` at `p` to the current leaf containing `p` and increments
     /// counts up to the root.
     fn attach_user(&mut self, user: lbs_model::UserId, p: lbs_geom::Point) -> NodeId {
-        // lbs-lint: allow(no-unwrap-in-lib, reason = "apply_updates rejects off-map destinations before any mutation, so a containing leaf exists")
+        #[expect(
+            clippy::expect_used,
+            reason = "apply_updates rejects off-map destinations before any mutation, so a containing leaf exists"
+        )]
         let leaf = self.leaf_containing(&p).expect("validated to be on the map");
         self.users[leaf.index()].push((user, p));
         self.user_leaf.insert(user, leaf);

@@ -16,7 +16,6 @@
 //! seeds; Gaussians are generated with Box–Muller (the offline `rand` has
 //! no normal distribution).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use lbs_geom::{Point, Rect};
@@ -164,6 +163,10 @@ pub fn generate_master(cfg: &BayAreaConfig) -> LocationDb {
 ///
 /// # Panics
 /// If `n` exceeds the master size.
+#[expect(
+    clippy::expect_used,
+    reason = "rows is a permutation prefix of master's rows, whose ids are unique by LocationDb's own invariant"
+)]
 pub fn sample(master: &LocationDb, n: usize, seed: u64) -> LocationDb {
     assert!(n <= master.len(), "sample of {n} from {} users", master.len());
     let mut rng = StdRng::seed_from_u64(seed);
@@ -174,7 +177,6 @@ pub fn sample(master: &LocationDb, n: usize, seed: u64) -> LocationDb {
         rows.swap(i, j);
     }
     rows.truncate(n);
-    // lbs-lint: allow(no-unwrap-in-lib, reason = "rows is a permutation prefix of master's rows, whose ids are unique by LocationDb's own invariant")
     LocationDb::from_rows(rows).expect("ids unique in master")
 }
 

@@ -16,6 +16,8 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (workspace, warnings are errors) =="
+# Lint levels: the root Cargo.toml's [workspace.lints] table (no unwrap,
+# panic, print, float == or unsafe in library code; reasoned #[expect]).
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check + clippy (benchmark crate) =="
@@ -27,11 +29,12 @@ cargo fmt --manifest-path benches/lbs-benchmark/Cargo.toml --check
 cargo clippy --offline --manifest-path benches/lbs-benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "== lbs lint (workspace invariants, budget: 30 s) =="
-# Token-level invariant checker (crates/lint): panic-freedom in libraries,
-# seeded randomness only, no wall clocks in DP code, BTreeMap in serialized
-# output, reasoned suppression pragmas. Builds just the CLI crate first so
-# the stage stays well inside its 30-second budget (the scan itself is
-# < 1 s for ~100 files; the warm incremental build dominates). Nonzero
+# Token-level invariant checker (crates/lint) for what the clippy stage's
+# [workspace.lints] table cannot express: no wall clocks in DP code,
+# BTreeMap in serialized output, runtime io through the storage seam
+# without unwraps, reasoned suppression pragmas. Builds just the CLI
+# crate first so the stage stays well inside its 30-second budget (the
+# scan itself is < 1 s for ~140 files; the warm build dominates). Nonzero
 # exit on any unsuppressed error-severity finding; JSON goes to the log
 # for machine triage. Human-readable rerun: target/release/lbs lint
 cargo build --release -q -p lbs-cli
