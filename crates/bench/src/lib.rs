@@ -1,7 +1,6 @@
-//! Shared plumbing for the paper-figure `experiments` binary and the
-//! Criterion benches: workload caching, wall-clock timing, and table
-//! rendering, plus run provenance ([`suite::git_rev`]) for the
-//! end-to-end benchmark's reports.
+//! Shared plumbing for the paper-figure `experiments` binary: workload
+//! caching, wall-clock timing, and table rendering, plus run provenance
+//! ([`suite::git_rev`]) for the end-to-end benchmark's reports.
 //!
 //! Performance is measured in two places, neither of them here: the
 //! end-to-end benchmark `benches/lbs-benchmark` (wall time per layer),

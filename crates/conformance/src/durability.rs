@@ -3,14 +3,14 @@
 //! than the committed one.
 //!
 //! A clean reference run fixes the committed policy bytes at every WAL
-//! sequence number (`per_seq`) and, through a probing
-//! [`FaultFs`](lbs_runtime::FaultFs), the storage-operation indices of
-//! every WAL frame and checkpoint. Each sweep point then replays the same
-//! history through [`run_lives`]: a [`DiskFaultPlan`] injects the fault,
-//! every storage failure kills the process model, the next life recovers,
-//! and every recovery — plus a final restart of the finished run —
-//! must be **bit-identical** (`encode_policy` bytes) to the reference at
-//! the recovered durable sequence. Four phases, one master seed:
+//! sequence number (`per_seq`) and, through a probing [`FaultFs`], the
+//! storage-operation indices of every WAL frame and checkpoint. Each
+//! sweep point then replays the same history through [`run_lives`]: a
+//! [`DiskFaultPlan`] injects the fault, every storage failure kills the
+//! process model, the next life recovers, and every recovery — plus a
+//! final restart of the finished run — must be **bit-identical**
+//! (`encode_policy` bytes) to the reference at the recovered durable
+//! sequence. Four phases, one master seed:
 //!
 //! 1. **Named crash plans** — the disk states of a crash, each produced
 //!    by the storage seam rather than by editing files:
@@ -108,8 +108,8 @@ pub struct DurabilityReport {
     pub config: DurabilityConfig,
     /// Shards the sharded plan produced (0 when the phase did not run).
     pub shards: usize,
-    /// Points run per plan: the [`NAMED_PLANS`], `seeded`, `rot`, and
-    /// the sharded phase's `sharded/…` names.
+    /// Points run per plan: the four named crash plans, `seeded`, `rot`,
+    /// and the sharded phase's `sharded/…` names.
     pub points: BTreeMap<String, usize>,
     /// Longest WAL replay any single-runtime recovery needed.
     pub max_replay: usize,
@@ -148,7 +148,7 @@ impl DurabilityReport {
         self.points.get(name).copied().unwrap_or(0)
     }
 
-    /// Points run under the single-runtime [`NAMED_PLANS`].
+    /// Points run under the four single-runtime named crash plans.
     pub fn named_points(&self) -> usize {
         NAMED_PLANS.iter().map(|name| self.count(name)).sum()
     }

@@ -1,7 +1,7 @@
 //! The attacker-in-the-loop scenario runner.
 //!
-//! Every scenario produced by [`scenario_matrix`](crate::scenario_matrix)
-//! runs its algorithm, then faces the oracle stack:
+//! Every scenario produced by [`scenario_matrix`] runs its algorithm,
+//! then faces the oracle stack:
 //!
 //! 1. **`core::verify`** — masking, totality, group-size k-anonymity
 //!    (the Proposition-4 shortcut);
@@ -331,11 +331,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome, String> {
                 anonymize_partitioned(&db, map, k, servers).map_err(oops("sequential"))?;
             let tasks = reference.servers.len();
             let plan = FaultPlan::seeded(derive_seed(scenario.seed, 30 + plan_seed), tasks);
-            let config = EngineConfig {
-                workers,
-                max_task_retries: plan.max_panic_attempts(),
-                ..EngineConfig::default()
-            };
+            let config = EngineConfig { workers, max_task_retries: plan.max_panic_attempts() };
             let metrics = Metrics::new();
             let faulted = anonymize_work_stealing_faulted(
                 &db,

@@ -22,7 +22,7 @@
 //!    runtime's storage seam with crash-restart lives: every recovery is
 //!    bit-identical to the never-crashed run or fails loudly and typed.
 //!    Every degradation-ladder rung faces the policy-aware attacker too.
-//! 5. **Sharded soak** ([`soak`]) — seeded sustained traffic through the
+//! 5. **Sharded soak** ([`soak()`]) — seeded sustained traffic through the
 //!    sharded epoch-pipelined service with mid-traffic shard crashes:
 //!    no global stall, no attacker breach, aggregate cost within the
 //!    paper's divergence bound of the single-shard optimum.

@@ -3,7 +3,7 @@
 //! One seeded loop drives a Bay-Area-model population through the
 //! sharded runtime: every simulated second (one virtual-clock tick) a
 //! batch of random user movements is epoch-pipelined through
-//! [`ShardedRuntime::pump`] and a wave of cloaked queries is served
+//! [`ShardedRuntime::pump`](lbs_runtime::ShardedRuntime::pump) and a wave of cloaked queries is served
 //! against per-request deadlines that already expired — exactly the
 //! regime where the degradation ladder, not a fresh commit, answers.
 //! Seeded per-shard crashes are injected mid-traffic; the soak asserts

@@ -48,8 +48,8 @@ pub fn bulk_dp_fast_with_options(
     k: usize,
     use_lemma5: bool,
 ) -> Result<DpMatrix, CoreError> {
-    let mut scratch = DpScratch::with_lemma5(use_lemma5);
-    bulk_dp_fast_with_scratch(tree, k, &mut scratch)
+    check_binary(tree, k)?;
+    bulk_dp_fast_arena(tree, k, &mut DpScratch::new(), use_lemma5)
 }
 
 /// As [`bulk_dp_fast`], reusing a caller-owned [`DpScratch`] arena.
@@ -59,7 +59,6 @@ pub fn bulk_dp_fast_with_options(
 /// worker thread anonymizes many jurisdictions in sequence (the
 /// work-stealing engine in `lbs-parallel`), passing the same arena into
 /// every call keeps those allocations out of the per-task path entirely.
-/// The arena's Lemma-5 setting ([`DpScratch::with_lemma5`]) is honored.
 ///
 /// # Errors
 /// Same conditions as [`bulk_dp_fast`].
@@ -68,13 +67,19 @@ pub fn bulk_dp_fast_with_scratch(
     k: usize,
     scratch: &mut DpScratch,
 ) -> Result<DpMatrix, CoreError> {
+    check_binary(tree, k)?;
+    bulk_dp_fast_arena(tree, k, scratch, true)
+}
+
+/// The input checks every binary-tree entry point shares.
+fn check_binary(tree: &SpatialTree, k: usize) -> Result<(), CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidK);
     }
     if tree.config().kind != TreeKind::Binary {
         return Err(CoreError::Tree("bulk_dp_fast requires a binary (semi-quadrant) tree".into()));
     }
-    bulk_dp_fast_arena(tree, k, scratch)
+    Ok(())
 }
 
 /// The pre-arena row-at-a-time `Bulk_dp`: a literal postorder walk of the
@@ -85,18 +90,9 @@ pub fn bulk_dp_fast_with_scratch(
 ///
 /// # Errors
 /// Same conditions as [`bulk_dp_fast`].
-pub fn bulk_dp_fast_rowwise(
-    tree: &SpatialTree,
-    k: usize,
-    use_lemma5: bool,
-) -> Result<DpMatrix, CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidK);
-    }
-    if tree.config().kind != TreeKind::Binary {
-        return Err(CoreError::Tree("bulk_dp_fast requires a binary (semi-quadrant) tree".into()));
-    }
-    let mut scratch = Scratch { use_lemma5, ..Scratch::default() };
+pub fn bulk_dp_fast_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
+    check_binary(tree, k)?;
+    let mut scratch = Scratch::default();
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
         let row = compute_row_with(tree, &matrix, id, k, &mut scratch)?;
@@ -112,14 +108,15 @@ pub fn bulk_dp_fast_rowwise(
 /// children's costs as dense `&[u128]` slices. The block decomposition,
 /// branch evaluation order, and tie-breaks are exactly those of
 /// [`compute_row_with`], so the produced matrix is bit-identical to the
-/// row-wise reference — `tests/differential.rs` pins this.
+/// row-wise reference — `tests/differential.rs` pins this. `use_lemma5`
+/// is the ablation knob of [`bulk_dp_fast_with_options`].
 // lbs-lint: allow-item(panic-reachability, reason = "off/len/cost are filled in the same reverse sweep that reads them: children precede their parent, so off[c]+len[c] is already written and in bounds when the parent's ChildPair slices are taken; bounds checks here would defeat the arena layout's purpose")
 fn bulk_dp_fast_arena(
     tree: &SpatialTree,
     k: usize,
     scratch: &mut DpScratch,
+    use_lemma5: bool,
 ) -> Result<DpMatrix, CoreError> {
-    let use_lemma5 = scratch.inner.use_lemma5;
     scratch.flat.rebuild(tree);
     let flat = &scratch.flat;
     let n = flat.len();
@@ -400,26 +397,9 @@ struct OutRow {
 }
 
 impl DpScratch {
-    /// A fresh arena with the Lemma-5 pass-up bound enabled.
+    /// A fresh arena.
     pub fn new() -> Self {
         DpScratch::default()
-    }
-
-    /// A fresh arena with the Lemma-5 bound switchable off (the ablation
-    /// knob of [`bulk_dp_fast_with_options`]).
-    pub fn with_lemma5(use_lemma5: bool) -> Self {
-        DpScratch { inner: Scratch { use_lemma5, ..Scratch::default() }, ..DpScratch::default() }
-    }
-
-    /// Whether the Lemma-5 pass-up bound is applied by DPs using this arena.
-    pub fn use_lemma5(&self) -> bool {
-        self.inner.use_lemma5
-    }
-
-    /// Flips the Lemma-5 knob on an existing arena (a pooled arena may be
-    /// checked out by runs with either setting; buffers are kept).
-    pub fn set_lemma5(&mut self, use_lemma5: bool) {
-        self.inner.use_lemma5 = use_lemma5;
     }
 }
 
@@ -436,17 +416,16 @@ fn dense_cap_with(d: usize, depth: u16, k: usize, use_lemma5: bool) -> Option<us
     }
 }
 
-#[cfg(test)]
+/// [`dense_cap_with`] under the Lemma-5 bound, as every path but the
+/// ablation sweep applies it.
 fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
     dense_cap_with(d, depth, k, true)
 }
 
 /// Reusable per-node buffers (the DP touches these millions of times; keep
 /// the allocations out of the hot loop).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Whether the Lemma-5 pass-up bound is applied (ablation knob).
-    use_lemma5: bool,
     /// Block-1 (dense×dense) convolution: cost and argmin l₁ per sum j.
     conv_cost: Vec<u128>,
     conv_arg: Vec<u32>,
@@ -458,20 +437,6 @@ pub(crate) struct Scratch {
     s2_suffix: Vec<(u128, u32)>,
     /// Suffix minima of `D₂[l₂] + (d₁+l₂)·area` over l₂ (value, argmin l₂).
     s3_suffix: Vec<(u128, u32)>,
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch {
-            use_lemma5: true,
-            conv_cost: Vec::new(),
-            conv_arg: Vec::new(),
-            kernel: ConvKernel::default(),
-            conv_suffix: Vec::new(),
-            s2_suffix: Vec::new(),
-            s3_suffix: Vec::new(),
-        }
-    }
 }
 
 /// Computes one matrix row into caller-owned scratch. The incremental
@@ -492,7 +457,7 @@ pub(crate) fn compute_row_with(
     let area = node.rect.area();
 
     if node.is_leaf() {
-        let dense = match dense_cap_with(d, node.depth, k, scratch.use_lemma5) {
+        let dense = match dense_cap(d, node.depth, k) {
             None => Vec::new(),
             Some(cap) => {
                 (0..=cap).map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] }).collect()
@@ -569,7 +534,7 @@ pub(crate) fn compute_row_with(
     let block4_weighted = area * d as u128;
 
     // ---- Stage 2: M[m][u] over u ∈ [0..cap] ∪ {d}. ----
-    let cap = dense_cap_with(d, node.depth, k, scratch.use_lemma5);
+    let cap = dense_cap(d, node.depth, k);
     let mut dense = Vec::new();
     if let Some(cap) = cap {
         dense.reserve(cap + 1);
@@ -653,7 +618,7 @@ pub(crate) fn combine_children_row(
     k: usize,
     scratch: &mut DpScratch,
 ) -> Row {
-    let cap = dense_cap_with(d, depth, k, scratch.inner.use_lemma5);
+    let cap = dense_cap(d, depth, k);
     let pair = ChildPair { dense1, dense2, d1, d2 };
     combine_children(pair, d, area, cap, k, &mut scratch.inner, &mut scratch.out);
     let dense: Vec<Entry> = scratch
@@ -668,8 +633,8 @@ pub(crate) fn combine_children_row(
 
 /// The row of a leaf with population `d` — identical to
 /// [`compute_row_with`]'s leaf branch.
-pub(crate) fn leaf_row(d: usize, area: u128, depth: u16, k: usize, use_lemma5: bool) -> Row {
-    let dense = match dense_cap_with(d, depth, k, use_lemma5) {
+pub(crate) fn leaf_row(d: usize, area: u128, depth: u16, k: usize) -> Row {
+    let dense = match dense_cap(d, depth, k) {
         None => Vec::new(),
         Some(cap) => {
             (0..=cap).map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] }).collect()
@@ -858,8 +823,6 @@ mod tests {
                 "trial {trial}"
             );
         }
-        assert!(arena.use_lemma5());
-        assert!(!DpScratch::with_lemma5(false).use_lemma5());
     }
 
     #[test]

@@ -539,8 +539,6 @@ impl IncrementalAnonymizer {
         scratch: &mut DpScratch,
         cancel: &dyn Fn() -> bool,
     ) -> Result<TaskRows, CoreError> {
-        // Tasks must combine children exactly as the sequential sweep does.
-        scratch.set_lemma5(self.scratch.use_lemma5());
         let mut rows: Vec<(NodeId, Row)> = Vec::with_capacity(nodes.len());
         let mut index: HashMap<NodeId, usize> = HashMap::new();
         let mut costs: HashMap<NodeId, Vec<u128>> = HashMap::new();
@@ -553,13 +551,7 @@ impl IncrementalAnonymizer {
             }
             let node = self.tree.node(id);
             let row = match *node.children.as_slice() {
-                [] => leaf_row(
-                    node.count,
-                    node.rect.area(),
-                    node.depth,
-                    self.k,
-                    self.scratch.use_lemma5(),
-                ),
+                [] => leaf_row(node.count, node.rect.area(), node.depth, self.k),
                 [c1, c2] => {
                     let (d1, d2) = (self.tree.node(c1).count, self.tree.node(c2).count);
                     let dense1 = task_child_costs(
@@ -832,7 +824,7 @@ fn recompute_row(
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
     match *node.children.as_slice() {
-        [] => Ok(leaf_row(node.count, node.rect.area(), node.depth, k, scratch.use_lemma5())),
+        [] => Ok(leaf_row(node.count, node.rect.area(), node.depth, k)),
         [c1, c2] => {
             cache.ensure(tree, matrix, id, c1, report)?;
             cache.ensure(tree, matrix, id, c2, report)?;

@@ -1,32 +1,39 @@
-//! Work-stealing execution engine for jurisdiction anonymization.
+//! The work-stealing pool behind every concurrent path of the crate.
 //!
-//! [`anonymize_partitioned`](crate::anonymize_partitioned) runs servers
-//! one after another; this module runs them on a fixed pool of worker
-//! threads pulling [`JurisdictionTask`]s from a shared
+//! One loop serves two kinds of shared-nothing task. Jurisdiction runs
+//! ([`anonymize_work_stealing`], Section V) anonymize one jurisdiction
+//! per task; refresh plans ([`refresh_parallel`](crate::refresh_parallel),
+//! Section IV) recompute one disjoint dirty subtree per task. A fixed set
+//! of worker threads pulls indexed payloads from a shared
 //! [`crossbeam::deque::Injector`]. Each worker owns a LIFO deque plus a
 //! reusable [`DpScratch`] arena, and steals from siblings when both its
 //! deque and the injector run dry — the classic work-stealing discipline.
 //!
-//! Two properties the tests pin down:
+//! Properties the tests pin down:
 //!
-//! * **Determinism** — task results carry their partition index and are
-//!   merged in index order, so the produced [`BulkPolicy`] is
+//! * **Determinism** — results carry their payload index and come back
+//!   sorted by it, so the produced [`BulkPolicy`] or refreshed matrix is
 //!   *bit-identical* to the sequential run for any worker count and any
 //!   steal interleaving.
-//! * **Skew tolerance** — tasks are injected largest-population-first
-//!   (LPT scheduling), so one giant jurisdiction cannot strand the pool:
-//!   it starts first while the small tasks back-fill the other workers.
+//! * **Skew tolerance** — jurisdiction runs always inject the largest
+//!   population first (LPT scheduling), so one giant jurisdiction cannot
+//!   strand the pool: it starts first while the small tasks back-fill the
+//!   other workers.
+//! * **Partial progress** — every task runs under `catch_unwind`. A panic
+//!   replaces the worker's arena and surfaces as
+//!   [`CoreError::WorkerPanic`] (after up to
+//!   [`EngineConfig::max_task_retries`] re-injections); siblings still
+//!   complete, and their results are returned next to the first error.
 //!
-//! Worker panics are caught per task and surfaced as
-//! [`CoreError::WorkerPanic`] instead of aborting the run; the
-//! [`Metrics`] sink (optional everywhere) counts injections, executions,
-//! steals, scratch reuses, panics, and per-task queue-wait time.
+//! The [`Metrics`] sink (optional everywhere) counts injections,
+//! executions, steals, scratch reuses, panics, retries, and per-task
+//! queue-wait time.
 
 use crate::{partition_users, ParallelOutcome, ServerReport};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
 use lbs_core::{Anonymizer, CoreError, DpScratch};
-use lbs_geom::{Area, Point, Rect, Region};
+use lbs_geom::{Point, Rect, Region};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{BulkPolicy, LocationDb, UserId};
 use lbs_tree::{TreeConfig, TreeKind};
@@ -40,31 +47,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the work-stealing pool.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker threads. `0` means "ask the OS" (`available_parallelism`),
     /// and the pool never spawns more workers than there are tasks.
     pub workers: usize,
-    /// Inject tasks largest-population-first (LPT). Keeps a single huge
-    /// jurisdiction from becoming the tail of the schedule. Disable to
-    /// keep the partition order (useful when benchmarking the skew
-    /// pathology itself).
-    pub largest_first: bool,
-    /// Forward the Lemma-5 pass-up bound to each worker's DP scratch.
-    /// Disabling it is the Section-V ablation; results are identical.
-    pub use_lemma5: bool,
     /// How many times a *panicked* task is re-enqueued before the panic is
-    /// surfaced as [`CoreError::WorkerPanic`]. `0` (the default) keeps the
-    /// historical fail-fast behaviour. Conformance soak tests pair this
-    /// with a [`FaultPlan`] whose injected panics stop firing after a set
-    /// number of attempts, proving recovery produces bit-identical output.
+    /// surfaced as [`CoreError::WorkerPanic`]. `0` (the default) fails
+    /// fast. Conformance soak tests pair this with a [`FaultPlan`] whose
+    /// injected panics stop firing after a set number of attempts, proving
+    /// recovery produces bit-identical output.
     pub max_task_retries: u32,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { workers: 0, largest_first: true, use_lemma5: true, max_task_retries: 0 }
-    }
 }
 
 impl EngineConfig {
@@ -81,42 +74,22 @@ impl EngineConfig {
     }
 }
 
-/// One unit of work: anonymize the users of one jurisdiction.
-#[derive(Debug, Clone)]
-pub struct JurisdictionTask {
-    /// Position in the partition order (results are merged by this).
-    pub index: usize,
+/// One server's work: anonymize the users of one jurisdiction.
+#[derive(Debug)]
+pub(crate) struct JurisdictionTask {
     /// The server's jurisdiction rectangle.
-    pub jurisdiction: Rect,
+    jurisdiction: Rect,
     /// The whole partitioned population, shared by every task of a run
     /// and ordered so that each jurisdiction's users are contiguous.
-    pub population: Arc<[(UserId, Point)]>,
+    population: Arc<[(UserId, Point)]>,
     /// This jurisdiction's range of `population`.
-    pub range: Range<usize>,
-    /// When the task entered the injector (queue-wait metric baseline).
-    pub injected_at: Instant,
-    /// Execution attempt, starting at 0. Bumped each time a panicked task
-    /// is re-enqueued under [`EngineConfig::max_task_retries`].
-    pub attempt: u32,
+    range: Range<usize>,
 }
 
 impl JurisdictionTask {
-    /// Creates a task over `population[range]`; `injected_at` is stamped
-    /// (again) at injection.
-    pub fn new(
-        index: usize,
-        jurisdiction: Rect,
-        population: Arc<[(UserId, Point)]>,
-        range: Range<usize>,
-    ) -> Self {
-        // lbs-lint: allow(no-wall-clock-in-dp, reason = "injected_at feeds queue-wait metrics only; task ordering and DP output are index-deterministic")
-        let injected_at = Instant::now();
-        JurisdictionTask { index, jurisdiction, population, range, injected_at, attempt: 0 }
-    }
-
     /// The users inside the jurisdiction (empty for an out-of-bounds
     /// range).
-    pub fn users(&self) -> &[(UserId, Point)] {
+    fn users(&self) -> &[(UserId, Point)] {
         self.population.get(self.range.clone()).unwrap_or_default()
     }
 }
@@ -257,19 +230,18 @@ impl FaultPlan {
     }
 }
 
-/// Per-task result: the server report plus the server's policy, returned
-/// in partition (index) order.
-pub type TaskResult = (ServerReport, BulkPolicy);
+/// Per-task result: the server report plus the server's policy.
+pub(crate) type TaskResult = (ServerReport, BulkPolicy);
 
 /// A cross-run cache of worker [`DpScratch`] arenas.
 ///
-/// Within one engine run each worker already reuses its own arena from
-/// task to task ([`Counter::ScratchReuses`]); the pool extends that reuse
-/// across *runs* — the steady-state shape of a service re-anonymizing
-/// every epoch. Workers check an arena out at startup (a hit is counted
-/// under [`Counter::ScratchPoolHits`]; a miss allocates fresh) and check
-/// it back in when the run drains, so epoch `n+1` starts with epoch `n`'s
-/// fully grown buffers and the DP loop allocates nothing at all.
+/// Within one pool run each worker already reuses its own arena from task
+/// to task ([`Counter::ScratchReuses`]); the pool extends that reuse
+/// across *runs* — the steady-state shape of a service refreshing every
+/// commit. Workers check an arena out at startup (a hit is counted under
+/// [`Counter::ScratchPoolHits`]; a miss allocates fresh) and check it
+/// back in when the run drains, so run `n+1` starts with run `n`'s fully
+/// grown buffers.
 ///
 /// Pooling never changes results: arenas carry no row data between
 /// checkouts, only capacity.
@@ -284,24 +256,17 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Checks an arena out, reusing a pooled one when available. The
-    /// Lemma-5 knob is (re)applied either way, so a pooled arena from a
-    /// differently configured run behaves identically to a fresh one.
-    pub fn checkout(&self, use_lemma5: bool, metrics: Option<&Metrics>) -> DpScratch {
-        match self.arenas.lock().pop() {
-            Some(mut arena) => {
-                arena.set_lemma5(use_lemma5);
-                if let Some(m) = metrics {
-                    m.incr(Counter::ScratchPoolHits);
-                }
-                arena
-            }
-            None => DpScratch::with_lemma5(use_lemma5),
+    /// Checks an arena out, reusing a pooled one when available.
+    pub(crate) fn checkout(&self, metrics: Option<&Metrics>) -> DpScratch {
+        let pooled = self.arenas.lock().pop();
+        if let (Some(_), Some(m)) = (&pooled, metrics) {
+            m.incr(Counter::ScratchPoolHits);
         }
+        pooled.unwrap_or_default()
     }
 
     /// Returns an arena to the pool for a later run.
-    pub fn checkin(&self, arena: DpScratch) {
+    pub(crate) fn checkin(&self, arena: DpScratch) {
         self.arenas.lock().push(arena);
     }
 
@@ -321,11 +286,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Pops the next task: own deque first (hot, LIFO), then a batch from the
-/// injector, then a steal sweep over the sibling deques. `None` once every
-/// queue is observed empty — tasks never spawn subtasks, so empty
-/// everywhere means the pool is done. Generic over the task payload so the
-/// same stealing discipline serves jurisdiction runs and refresh plans.
+/// One indexed payload queued on the pool.
+struct Payload<T> {
+    index: usize,
+    /// Execution attempt, starting at 0; bumped on each re-injection of a
+    /// panicked payload under [`EngineConfig::max_task_retries`].
+    attempt: u32,
+    /// When the payload entered the injector (queue-wait metric baseline).
+    injected_at: Instant,
+    body: T,
+}
+
+/// Pops the next payload: own deque first (hot, LIFO), then a batch from
+/// the injector, then a steal sweep over the sibling deques. `None` once
+/// every queue is observed empty — tasks never spawn subtasks, so empty
+/// everywhere means the pool is done.
 fn find_task<T>(
     me: usize,
     local: &Worker<T>,
@@ -366,112 +341,61 @@ fn find_task<T>(
     }
 }
 
-/// Runs `tasks` on a work-stealing pool of [`EngineConfig::effective_workers`]
-/// threads, calling `server` for each task with that worker's reusable
-/// [`DpScratch`] arena; `server` returns the task's policy and its
-/// `Cost(P, D_j)`. Results come back **sorted by task index**, so the
-/// output is independent of scheduling.
-///
-/// A panicking `server` call is caught, counted under
-/// [`Counter::WorkerPanics`], and surfaced as the run's error; the worker
-/// replaces its scratch arena (the old one may be mid-mutation) and keeps
-/// draining the queue so sibling tasks still complete.
-///
-/// # Errors
-/// The first server error or panic (by completion order) is returned.
-pub fn run_tasks<F>(
-    tasks: Vec<JurisdictionTask>,
-    config: &EngineConfig,
-    server: F,
-    metrics: Option<&Metrics>,
-) -> Result<Vec<TaskResult>, CoreError>
-where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
-{
-    run_tasks_faulted(tasks, config, server, metrics, None)
-}
+/// What a [`run_pool`] run produced: every completed `(index, result)`
+/// pair sorted by index, plus the first error observed — partial progress
+/// survives an error.
+pub(crate) type PartialResults<R> = (Vec<(usize, R)>, Option<CoreError>);
 
-/// [`run_tasks`] with an optional deterministic [`FaultPlan`]: injected
-/// panics fire *before* the server is called (counted under
-/// [`Counter::FaultsInjected`]), stalls and worker delays reshape the
-/// schedule without touching results. Panicked tasks — injected or real —
-/// are re-enqueued up to [`EngineConfig::max_task_retries`] times
-/// (counted under [`Counter::TaskRetries`]); a task that exhausts its
-/// retries surfaces as [`CoreError::WorkerPanic`].
+/// Runs indexed `payloads`, injected in the given order, on a
+/// work-stealing pool of [`EngineConfig::effective_workers`] threads.
+/// `server` gets each payload with its worker's reusable [`DpScratch`]
+/// arena, checked out of `pool` when one is given (and checked back in
+/// when the run drains).
 ///
-/// Because results are merged by task index, a faulted run in which every
-/// task eventually succeeds is **bit-identical** to a fault-free run.
+/// Every call runs under `catch_unwind`. A panic — real, or injected by
+/// `faults` before `server` is called (counted under
+/// [`Counter::FaultsInjected`]) — is counted under
+/// [`Counter::WorkerPanics`] and replaces the worker's arena, which may be
+/// mid-mutation. The payload is re-injected up to
+/// [`EngineConfig::max_task_retries`] times ([`Counter::TaskRetries`]);
+/// after that the panic becomes a [`CoreError::WorkerPanic`]. `faults`
+/// stalls and worker delays reshape the schedule without touching results.
 ///
-/// # Errors
-/// The first unrecovered server error or panic (by completion order).
-pub fn run_tasks_faulted<F>(
-    tasks: Vec<JurisdictionTask>,
+/// An error never discards sibling results: the return value is every
+/// completed `(index, result)` pair **sorted by index**, plus the first
+/// error observed (by completion order). [`CoreError::Cancelled`] is
+/// routine (a deadline firing) and is not counted under
+/// [`Counter::ServerErrors`].
+pub(crate) fn run_pool<T, R, F>(
+    payloads: Vec<(usize, T)>,
     config: &EngineConfig,
-    server: F,
-    metrics: Option<&Metrics>,
-    faults: Option<&FaultPlan>,
-) -> Result<Vec<TaskResult>, CoreError>
-where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
-{
-    run_tasks_impl(tasks, config, server, metrics, faults, None)
-}
-
-/// [`run_tasks`] with worker arenas checked out of (and returned to) a
-/// caller-owned [`ScratchPool`], so repeated runs — re-anonymization
-/// epochs — stop allocating DP buffers after the first.
-///
-/// # Errors
-/// As [`run_tasks`].
-pub fn run_tasks_pooled<F>(
-    tasks: Vec<JurisdictionTask>,
-    config: &EngineConfig,
-    server: F,
-    metrics: Option<&Metrics>,
-    pool: &ScratchPool,
-) -> Result<Vec<TaskResult>, CoreError>
-where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
-{
-    run_tasks_impl(tasks, config, server, metrics, None, Some(pool))
-}
-
-fn run_tasks_impl<F>(
-    tasks: Vec<JurisdictionTask>,
-    config: &EngineConfig,
-    server: F,
-    metrics: Option<&Metrics>,
-    faults: Option<&FaultPlan>,
     pool: Option<&ScratchPool>,
-) -> Result<Vec<TaskResult>, CoreError>
+    faults: Option<&FaultPlan>,
+    metrics: Option<&Metrics>,
+    server: F,
+) -> PartialResults<R>
 where
-    F: Fn(&mut DpScratch, &JurisdictionTask) -> Result<(BulkPolicy, Area), CoreError> + Sync,
+    T: Send,
+    R: Send,
+    F: Fn(&mut DpScratch, &T) -> Result<R, CoreError> + Sync,
 {
-    let task_count = tasks.len();
+    let task_count = payloads.len();
     let workers = config.effective_workers(task_count);
     let injector = Injector::new();
-
-    // LPT: biggest sub-database first, so the long pole starts immediately.
-    let mut queue = tasks;
-    if config.largest_first {
-        queue.sort_by(|a, b| b.range.len().cmp(&a.range.len()).then(a.index.cmp(&b.index)));
-    }
-    for mut task in queue {
+    for (index, body) in payloads {
         // lbs-lint: allow(no-wall-clock-in-dp, reason = "injection timestamp feeds queue-wait metrics only; never read by the DP")
-        task.injected_at = Instant::now();
-        injector.push(task);
+        injector.push(Payload { index, attempt: 0, injected_at: Instant::now(), body });
     }
     if let Some(m) = metrics {
         m.add(Counter::TasksInjected, task_count as u64);
     }
 
-    let locals: Vec<Worker<JurisdictionTask>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<JurisdictionTask>> = locals.iter().map(Worker::stealer).collect();
-
-    let results: Mutex<Vec<(usize, TaskResult)>> = Mutex::new(Vec::with_capacity(task_count));
+    let locals: Vec<Worker<Payload<T>>> = (0..workers).map(|_| Worker::new_lifo()).collect();
+    let stealers: Vec<Stealer<Payload<T>>> = locals.iter().map(Worker::stealer).collect();
+    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(task_count));
     let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
 
-    crossbeam::scope(|scope| {
+    let scoped = crossbeam::scope(|scope| {
         for (me, local) in locals.iter().enumerate() {
             let injector = &injector;
             let stealers = &stealers[..];
@@ -484,177 +408,36 @@ where
                     // worker's share of the injector.
                     std::thread::sleep(delay);
                 }
-                let mut scratch = match pool {
-                    Some(p) => p.checkout(config.use_lemma5, metrics),
-                    None => DpScratch::with_lemma5(config.use_lemma5),
-                };
-                let mut executed_here = 0usize;
-                while let Some(task) = find_task(me, local, injector, stealers, metrics) {
+                let mut scratch = pool.map_or_else(DpScratch::new, |p| p.checkout(metrics));
+                // Whether `scratch` has already served a task of this run.
+                let mut served = false;
+                while let Some(mut task) = find_task(me, local, injector, stealers, metrics) {
                     if let Some(m) = metrics {
                         m.record(Stage::QueueWait, task.injected_at.elapsed());
                         m.incr(Counter::TasksExecuted);
-                        if executed_here > 0 {
+                        if served {
                             m.incr(Counter::ScratchReuses);
                         }
                     }
                     if let Some(stall) = faults.and_then(|f| f.stall_for(task.index)) {
                         std::thread::sleep(stall);
                     }
-                    // lbs-lint: allow(no-wall-clock-in-dp, reason = "per-task wall time feeds ServerReport/metrics only; the merged policy is order-independent")
-                    let started = Instant::now();
                     let outcome =
                         if faults.is_some_and(|f| f.should_panic(task.index, task.attempt)) {
                             if let Some(m) = metrics {
                                 m.incr(Counter::FaultsInjected);
                             }
-                            // lbs-lint: allow(location-taint, reason = "task index and attempt counter only; the task struct taints through field projection but no coordinate is in the message")
                             Err(Box::new(format!(
                                 "fault-injected panic: task={} attempt={}",
                                 task.index, task.attempt
                             )) as Box<dyn std::any::Any + Send>)
                         } else {
-                            catch_unwind(AssertUnwindSafe(|| server(&mut scratch, &task)))
+                            catch_unwind(AssertUnwindSafe(|| server(&mut scratch, &task.body)))
                         };
+                    served = true;
                     match outcome {
-                        Ok(Ok((policy, cost))) => {
-                            let report = ServerReport {
-                                jurisdiction: task.jurisdiction,
-                                users: task.range.len(),
-                                cost,
-                                elapsed: started.elapsed(),
-                            };
-                            results.lock().push((task.index, (report, policy)));
-                        }
+                        Ok(Ok(result)) => results.lock().push((task.index, result)),
                         Ok(Err(e)) => {
-                            if let Some(m) = metrics {
-                                m.incr(Counter::ServerErrors);
-                            }
-                            first_error.lock().get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            if let Some(m) = metrics {
-                                m.incr(Counter::WorkerPanics);
-                            }
-                            if task.attempt < config.max_task_retries {
-                                // Recovery path: hand the task back to the
-                                // pool for another attempt. Index-ordered
-                                // merging keeps the final output
-                                // bit-identical no matter which worker
-                                // (or how late) the retry lands on.
-                                if let Some(m) = metrics {
-                                    m.incr(Counter::TaskRetries);
-                                }
-                                let mut retry = task.clone();
-                                retry.attempt += 1;
-                                // lbs-lint: allow(no-wall-clock-in-dp, reason = "re-injection timestamp feeds queue-wait metrics only; retry results are bit-identical")
-                                retry.injected_at = Instant::now();
-                                injector.push(retry);
-                            } else {
-                                first_error
-                                    .lock()
-                                    .get_or_insert(CoreError::WorkerPanic(panic_message(payload)));
-                            }
-                            // The arena may hold a half-written row; discard it.
-                            scratch = DpScratch::with_lemma5(config.use_lemma5);
-                        }
-                    }
-                    executed_here += 1;
-                }
-                if let Some(p) = pool {
-                    p.checkin(scratch);
-                }
-            });
-        }
-    })
-    .map_err(|payload| CoreError::WorkerPanic(panic_message(payload)))?;
-
-    if let Some(err) = first_error.into_inner() {
-        return Err(err);
-    }
-    let mut gathered = results.into_inner();
-    gathered.sort_by_key(|(index, _)| *index);
-    Ok(gathered.into_iter().map(|(_, result)| result).collect())
-}
-
-/// One indexed payload queued on the generic pool run.
-struct Payload<T> {
-    index: usize,
-    injected_at: Instant,
-    body: T,
-}
-
-/// What a [`run_payloads`] run produced: every completed `(index, result)`
-/// pair sorted by index, plus the first error observed — partial progress
-/// survives an error.
-pub(crate) type PartialResults<R> = (Vec<(usize, R)>, Option<CoreError>);
-
-/// Runs arbitrary indexed payloads on the same work-stealing discipline as
-/// [`run_tasks`] — LIFO deques, injector batches, steal sweep with backoff,
-/// one reusable [`DpScratch`] arena per worker — without the
-/// jurisdiction-task extras (LPT ordering, fault plans, retries).
-///
-/// Unlike [`run_tasks`], an error does not discard sibling results: the
-/// return value is every completed `(index, result)` pair **sorted by
-/// index** plus the first error observed (by completion order). A
-/// cancelled run therefore keeps its partial progress, which
-/// deadline-bounded callers apply before resuming. [`CoreError::Cancelled`]
-/// is routine (a deadline firing) and is not counted under
-/// [`Counter::ServerErrors`].
-///
-/// # Errors
-/// Only a worker panic aborts the run.
-pub(crate) fn run_payloads<T, R, F>(
-    payloads: Vec<T>,
-    config: &EngineConfig,
-    pool: Option<&ScratchPool>,
-    metrics: Option<&Metrics>,
-    server: F,
-) -> Result<PartialResults<R>, CoreError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut DpScratch, usize, &T) -> Result<R, CoreError> + Sync,
-{
-    let task_count = payloads.len();
-    let workers = config.effective_workers(task_count);
-    let injector = Injector::new();
-    for (index, body) in payloads.into_iter().enumerate() {
-        // lbs-lint: allow(no-wall-clock-in-dp, reason = "injection timestamp feeds queue-wait metrics only; never read by the DP")
-        injector.push(Payload { index, injected_at: Instant::now(), body });
-    }
-    if let Some(m) = metrics {
-        m.add(Counter::TasksInjected, task_count as u64);
-    }
-
-    let locals: Vec<Worker<Payload<T>>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Payload<T>>> = locals.iter().map(Worker::stealer).collect();
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(task_count));
-    let first_error: Mutex<Option<CoreError>> = Mutex::new(None);
-
-    crossbeam::scope(|scope| {
-        for (me, local) in locals.iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers[..];
-            let results = &results;
-            let first_error = &first_error;
-            let server = &server;
-            scope.spawn(move |_| {
-                let mut scratch = match pool {
-                    Some(p) => p.checkout(config.use_lemma5, metrics),
-                    None => DpScratch::with_lemma5(config.use_lemma5),
-                };
-                let mut executed_here = 0usize;
-                while let Some(task) = find_task(me, local, injector, stealers, metrics) {
-                    if let Some(m) = metrics {
-                        m.record(Stage::QueueWait, task.injected_at.elapsed());
-                        m.incr(Counter::TasksExecuted);
-                        if executed_here > 0 {
-                            m.incr(Counter::ScratchReuses);
-                        }
-                    }
-                    match server(&mut scratch, task.index, &task.body) {
-                        Ok(result) => results.lock().push((task.index, result)),
-                        Err(e) => {
                             if let Some(m) = metrics {
                                 if !matches!(e, CoreError::Cancelled) {
                                     m.incr(Counter::ServerErrors);
@@ -662,20 +445,45 @@ where
                             }
                             first_error.lock().get_or_insert(e);
                         }
+                        Err(payload) => {
+                            if let Some(m) = metrics {
+                                m.incr(Counter::WorkerPanics);
+                            }
+                            // The arena may hold a half-written row; discard it.
+                            scratch = DpScratch::new();
+                            served = false;
+                            if task.attempt < config.max_task_retries {
+                                // Recovery path: index-ordered results keep
+                                // the output bit-identical no matter which
+                                // worker (or how late) the retry lands on.
+                                if let Some(m) = metrics {
+                                    m.incr(Counter::TaskRetries);
+                                }
+                                task.attempt += 1;
+                                // lbs-lint: allow(no-wall-clock-in-dp, reason = "re-injection timestamp feeds queue-wait metrics only; retry results are bit-identical")
+                                task.injected_at = Instant::now();
+                                injector.push(task);
+                            } else {
+                                first_error
+                                    .lock()
+                                    .get_or_insert(CoreError::WorkerPanic(panic_message(payload)));
+                            }
+                        }
                     }
-                    executed_here += 1;
                 }
                 if let Some(p) = pool {
                     p.checkin(scratch);
                 }
             });
         }
-    })
-    .map_err(|payload| CoreError::WorkerPanic(panic_message(payload)))?;
-
+    });
+    let mut first_error = first_error.into_inner();
+    if let Err(payload) = scoped {
+        first_error.get_or_insert(CoreError::WorkerPanic(panic_message(payload)));
+    }
     let mut gathered = results.into_inner();
     gathered.sort_by_key(|(index, _)| *index);
-    Ok((gathered, first_error.into_inner()))
+    (gathered, first_error)
 }
 
 /// `Stage::Partition`: one copy of `db`'s users, reordered by
@@ -692,28 +500,41 @@ pub(crate) fn partition_tasks(
     let population: Arc<[(UserId, Point)]> = users.into();
     Ok(jurisdictions
         .into_iter()
-        .enumerate()
-        .map(|(i, j)| JurisdictionTask::new(i, j.rect, Arc::clone(&population), j.users))
+        .map(|j| JurisdictionTask {
+            jurisdiction: j.rect,
+            population: Arc::clone(&population),
+            range: j.users,
+        })
         .collect())
 }
 
 /// One server: the optimal policy of `task`'s jurisdiction over its own
-/// lazy binary tree, and that policy's cost (0 for an empty
-/// jurisdiction).
+/// lazy binary tree, with its report — the policy's cost (0 for an empty
+/// jurisdiction) and the server's wall time.
 pub(crate) fn anonymize_task(
     task: &JurisdictionTask,
     k: usize,
     scratch: Option<&mut DpScratch>,
     metrics: Option<&Metrics>,
-) -> Result<(BulkPolicy, Area), CoreError> {
+) -> Result<TaskResult, CoreError> {
+    // lbs-lint: allow(no-wall-clock-in-dp, reason = "per-server wall time is reported in ServerReport timings only; policies are input-deterministic")
+    let started = Instant::now();
     let users = task.users();
-    if users.is_empty() {
-        return Ok((BulkPolicy::new("empty"), 0));
-    }
-    let config = TreeConfig::lazy(TreeKind::Binary, task.jurisdiction, k);
-    let engine = Anonymizer::from_items(users.iter().copied(), config, k, scratch, metrics)?;
-    let cost = engine.cost();
-    Ok((engine.into_policy(), cost))
+    let (policy, cost) = if users.is_empty() {
+        (BulkPolicy::new("empty"), 0)
+    } else {
+        let config = TreeConfig::lazy(TreeKind::Binary, task.jurisdiction, k);
+        let engine = Anonymizer::from_items(users.iter().copied(), config, k, scratch, metrics)?;
+        let cost = engine.cost();
+        (engine.into_policy(), cost)
+    };
+    let report = ServerReport {
+        jurisdiction: task.jurisdiction,
+        users: users.len(),
+        cost,
+        elapsed: started.elapsed(),
+    };
+    Ok((report, policy))
 }
 
 /// `Stage::Merge`: the master policy as one bulk load of the k-way merge
@@ -783,37 +604,19 @@ pub fn anonymize_work_stealing(
     config: &EngineConfig,
     metrics: Option<&Metrics>,
 ) -> Result<ParallelOutcome, CoreError> {
-    anonymize_work_stealing_impl(db, map, k, servers, config, metrics, None, None)
+    anonymize_work_stealing_faulted(db, map, k, servers, config, metrics, None)
 }
 
-/// [`anonymize_work_stealing`] with worker arenas drawn from a caller-owned
-/// [`ScratchPool`]. Epoch loops (periodic re-anonymization of moving
-/// users) hold one pool for the lifetime of the service so every epoch
-/// after the first runs allocation-free in the DP; output is bit-identical
-/// to the unpooled run.
+/// [`anonymize_work_stealing`] under an optional deterministic
+/// [`FaultPlan`]: the conformance soak entry point. With retries covering
+/// the plan's injected panics, the outcome is **bit-identical** to the
+/// fault-free (and sequential) run; without retries the first surviving
+/// panic surfaces as [`CoreError::WorkerPanic`]. Tasks are injected
+/// largest population first (LPT), ties in partition order.
 ///
 /// # Errors
-/// As [`anonymize_work_stealing`].
-pub fn anonymize_work_stealing_pooled(
-    db: &LocationDb,
-    map: Rect,
-    k: usize,
-    servers: usize,
-    config: &EngineConfig,
-    metrics: Option<&Metrics>,
-    pool: &ScratchPool,
-) -> Result<ParallelOutcome, CoreError> {
-    anonymize_work_stealing_impl(db, map, k, servers, config, metrics, None, Some(pool))
-}
-
-/// [`anonymize_work_stealing`] under a deterministic [`FaultPlan`]: the
-/// conformance soak entry point. With retries covering the plan's
-/// injected panics, the outcome is **bit-identical** to the fault-free
-/// (and sequential) run; without retries the first surviving panic
-/// surfaces as [`CoreError::WorkerPanic`].
-///
-/// # Errors
-/// As [`anonymize_work_stealing`], plus unrecovered injected panics.
+/// As [`anonymize_work_stealing`], plus unrecovered injected panics. Any
+/// task error fails the whole run.
 pub fn anonymize_work_stealing_faulted(
     db: &LocationDb,
     map: Rect,
@@ -822,23 +625,6 @@ pub fn anonymize_work_stealing_faulted(
     config: &EngineConfig,
     metrics: Option<&Metrics>,
     faults: Option<&FaultPlan>,
-) -> Result<ParallelOutcome, CoreError> {
-    anonymize_work_stealing_impl(db, map, k, servers, config, metrics, faults, None)
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the private impl threads every public entry point's options, plus the scratch pool, through one signature"
-)]
-fn anonymize_work_stealing_impl(
-    db: &LocationDb,
-    map: Rect,
-    k: usize,
-    servers: usize,
-    config: &EngineConfig,
-    metrics: Option<&Metrics>,
-    faults: Option<&FaultPlan>,
-    pool: Option<&ScratchPool>,
 ) -> Result<ParallelOutcome, CoreError> {
     fn staged<T>(metrics: Option<&Metrics>, stage: Stage, f: impl FnOnce() -> T) -> T {
         match metrics {
@@ -853,17 +639,24 @@ fn anonymize_work_stealing_impl(
     let partition_time = partition_started.elapsed();
     let workers = config.effective_workers(tasks.len());
 
-    let server = |scratch: &mut DpScratch, task: &JurisdictionTask| {
-        anonymize_task(task, k, Some(scratch), metrics)
-    };
+    // LPT: biggest sub-database first, so the long pole starts
+    // immediately. The sort is stable, so ties keep partition order.
+    let mut queue: Vec<(usize, JurisdictionTask)> = tasks.into_iter().enumerate().collect();
+    queue.sort_by_key(|(_, task)| Reverse(task.range.len()));
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "server wall time is reported in ParallelOutcome timings only; task results are merge-order normalized")
     let run_started = Instant::now();
-    let task_results = run_tasks_impl(tasks, config, server, metrics, faults, pool)?;
+    let (results, error) = run_pool(queue, config, None, faults, metrics, |scratch, task| {
+        anonymize_task(task, k, Some(scratch), metrics)
+    });
     let server_wall_time = run_started.elapsed();
+    if let Some(err) = error {
+        return Err(err);
+    }
 
+    let results = results.into_iter().map(|(_, result)| result).collect();
     Ok(staged(metrics, Stage::Merge, || {
-        merge_results(k, task_results, partition_time, server_wall_time, workers)
+        merge_results(k, results, partition_time, server_wall_time, workers)
     }))
 }
 
@@ -873,6 +666,7 @@ mod tests {
     use crate::anonymize_partitioned;
     use lbs_core::verify_policy_aware;
     use lbs_workload::{generate_master, BayAreaConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn workload(n: usize) -> (LocationDb, Rect) {
         let mut cfg = BayAreaConfig::scaled_to(n);
@@ -954,15 +748,6 @@ mod tests {
         assert!(metrics.get(Counter::ScratchReuses) <= tasks.saturating_sub(1));
     }
 
-    /// One single-user task per index over a shared population.
-    fn one_user_tasks(n: usize) -> Vec<JurisdictionTask> {
-        let population: Arc<[(UserId, Point)]> =
-            (0..n).map(|i| (UserId(i as u64), Point::new(1, 1))).collect();
-        (0..n)
-            .map(|i| JurisdictionTask::new(i, Rect::square(0, 0, 16), population.clone(), i..i + 1))
-            .collect()
-    }
-
     #[test]
     fn merge_is_ascending_and_a_later_part_wins_a_repeated_id() {
         let r = |x: i64| -> Region { Rect::new(x, 0, x + 1, 1).into() };
@@ -982,38 +767,54 @@ mod tests {
         assert!(merge_ascending(Vec::new()).is_empty());
     }
 
-    #[test]
-    fn panicking_server_surfaces_as_worker_panic_error() {
-        let tasks = one_user_tasks(6);
-        let metrics = Metrics::new();
-        let cfg = EngineConfig { workers: 2, ..EngineConfig::default() };
-        let err = run_tasks(
-            tasks,
-            &cfg,
-            |_, task| {
-                if task.index == 3 {
-                    panic!("injected failure in task 3");
-                }
-                Ok((BulkPolicy::new("ok"), 0))
-            },
-            Some(&metrics),
-        )
-        .unwrap_err();
-        match err {
-            CoreError::WorkerPanic(msg) => assert!(msg.contains("injected failure")),
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        assert_eq!(metrics.get(Counter::WorkerPanics), 1);
-        // The pool drains the queue even after a panic.
-        assert_eq!(metrics.get(Counter::TasksExecuted), 6);
+    /// `n` payloads `(i, i)`, injected in index order.
+    fn indexed(n: usize) -> Vec<(usize, usize)> {
+        (0..n).map(|i| (i, i)).collect()
     }
 
     #[test]
-    fn server_error_is_propagated_not_panicked() {
-        let tasks = one_user_tasks(1);
-        let err = run_tasks(tasks, &EngineConfig::default(), |_, _| Err(CoreError::InvalidK), None)
-            .unwrap_err();
-        assert_eq!(err, CoreError::InvalidK);
+    fn panicking_task_surfaces_as_worker_panic_and_keeps_sibling_results() {
+        // One worker makes the arena history exact: the first task executed
+        // panics on the initial arena, and the five after it share the
+        // replacement — four reuses, not five.
+        let metrics = Metrics::new();
+        let fired = AtomicBool::new(false);
+        let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
+        let (results, error) = run_pool(indexed(6), &cfg, None, None, Some(&metrics), |_, &i| {
+            if !fired.swap(true, Ordering::SeqCst) {
+                panic!("injected failure in task {i}");
+            }
+            Ok(i * 10)
+        });
+        match error {
+            Some(CoreError::WorkerPanic(msg)) => assert!(msg.contains("injected failure")),
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        // The pool drains the queue after a panic, and every sibling's
+        // result survives, sorted by index.
+        assert_eq!(results.len(), 5);
+        assert!(results.windows(2).all(|w| w[0].0 < w[1].0), "{results:?}");
+        assert!(results.iter().all(|&(i, r)| r == i * 10), "{results:?}");
+        assert_eq!(metrics.get(Counter::WorkerPanics), 1);
+        assert_eq!(metrics.get(Counter::TasksExecuted), 6);
+        assert_eq!(metrics.get(Counter::ScratchReuses), 4, "a replaced arena starts unused");
+    }
+
+    #[test]
+    fn server_error_is_returned_next_to_sibling_results() {
+        let metrics = Metrics::new();
+        let cfg = EngineConfig { workers: 2, ..EngineConfig::default() };
+        let (results, error) = run_pool(indexed(4), &cfg, None, None, Some(&metrics), |_, &i| {
+            if i == 2 {
+                Err(CoreError::InvalidK)
+            } else {
+                Ok(i)
+            }
+        });
+        assert_eq!(error, Some(CoreError::InvalidK));
+        assert_eq!(results, [(0, 0), (1, 1), (3, 3)]);
+        assert_eq!(metrics.get(Counter::ServerErrors), 1);
+        assert_eq!(metrics.get(Counter::WorkerPanics), 0);
     }
 
     #[test]
@@ -1043,7 +844,7 @@ mod tests {
             .stall_on(1, std::time::Duration::from_millis(2))
             .delay_worker(0, std::time::Duration::from_millis(1));
         let metrics = Metrics::new();
-        let cfg = EngineConfig { workers: 4, max_task_retries: 2, ..EngineConfig::default() };
+        let cfg = EngineConfig { workers: 4, max_task_retries: 2 };
         let ws =
             anonymize_work_stealing_faulted(&db, map, k, 8, &cfg, Some(&metrics), Some(&faults))
                 .unwrap();
@@ -1094,66 +895,24 @@ mod tests {
     }
 
     #[test]
-    fn pooled_runs_reuse_arenas_across_epochs_bit_identically() {
-        let (db, map) = workload(1_200);
-        let k = 10;
-        let seq = anonymize_partitioned(&db, map, k, 8).unwrap();
+    fn pooled_runs_conserve_and_reuse_arenas() {
         let pool = ScratchPool::new();
         let cfg = EngineConfig { workers: 4, ..EngineConfig::default() };
         let metrics = Metrics::new();
-        // Epoch 1 starts with an empty pool. A late-spawning worker may
-        // still hit (a fast sibling can drain the queue and check its
-        // arena back in first), so the invariant is conservation, not a
-        // hit count: every fresh allocation (checkout minus hit) grows
-        // the idle set left behind.
-        let first =
-            anonymize_work_stealing_pooled(&db, map, k, 8, &cfg, Some(&metrics), &pool).unwrap();
-        let workers = first.workers as u64;
+        let run = || run_pool(indexed(16), &cfg, Some(&pool), None, Some(&metrics), |_, &i| Ok(i));
+        // Run 1 starts with an empty pool. A late-spawning worker may still
+        // hit (a fast sibling can drain the queue and check its arena back
+        // in first), so the invariant is conservation, not a hit count:
+        // every fresh allocation (checkout minus hit) grows the idle set.
+        let (first, error) = run();
+        assert!(error.is_none());
         let hits_cold = metrics.get(Counter::ScratchPoolHits);
-        assert_eq!(pool.idle() as u64 + hits_cold, workers, "arena conservation after epoch 1");
-        assert!(pool.idle() >= 1, "epoch 1 must leave at least one arena parked");
-        // Epoch 2 finds a warm pool: its first checkout is a hit.
-        let second =
-            anonymize_work_stealing_pooled(&db, map, k, 8, &cfg, Some(&metrics), &pool).unwrap();
-        assert!(
-            metrics.get(Counter::ScratchPoolHits) > hits_cold,
-            "a warm pool must serve at least one checkout"
-        );
-        assert!(pool.idle() >= 1);
-        // Both epochs are bit-identical to the sequential reference.
-        for outcome in [&first, &second] {
-            assert_eq!(outcome.total_cost, seq.total_cost);
-            assert_eq!(outcome.policy.len(), seq.policy.len());
-            for (user, region) in seq.policy.iter() {
-                assert_eq!(outcome.policy.cloak_of(user), Some(region));
-            }
-        }
-    }
-
-    #[test]
-    fn pool_checkout_reapplies_the_lemma5_knob() {
-        let pool = ScratchPool::new();
-        pool.checkin(DpScratch::with_lemma5(false));
-        let metrics = Metrics::new();
-        let arena = pool.checkout(true, Some(&metrics));
-        assert!(arena.use_lemma5(), "pooled arena must adopt the new run's setting");
-        assert_eq!(metrics.get(Counter::ScratchPoolHits), 1);
-        assert_eq!(pool.idle(), 0);
-        let fresh = pool.checkout(false, Some(&metrics));
-        assert!(!fresh.use_lemma5());
-        assert_eq!(metrics.get(Counter::ScratchPoolHits), 1, "empty pool allocates, no hit");
-    }
-
-    #[test]
-    fn lemma5_ablation_is_bit_identical() {
-        let (db, map) = workload(900);
-        let k = 6;
-        let on = anonymize_work_stealing(&db, map, k, 4, &EngineConfig::default(), None).unwrap();
-        let off_cfg = EngineConfig { use_lemma5: false, ..EngineConfig::default() };
-        let off = anonymize_work_stealing(&db, map, k, 4, &off_cfg, None).unwrap();
-        assert_eq!(on.total_cost, off.total_cost);
-        for (user, region) in on.policy.iter() {
-            assert_eq!(off.policy.cloak_of(user), Some(region));
-        }
+        assert_eq!(pool.idle() as u64 + hits_cold, 4, "arena conservation after run 1");
+        // Run 2 finds a warm pool: its first checkout is a hit.
+        let (second, error) = run();
+        assert!(error.is_none());
+        assert!(metrics.get(Counter::ScratchPoolHits) > hits_cold, "a warm pool must serve");
+        assert_eq!(first, second);
+        assert_eq!(first, indexed(16));
     }
 }

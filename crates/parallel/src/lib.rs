@@ -19,11 +19,13 @@
 //! [`anonymize_partitioned`] runs the servers one after another and times
 //! each individually, so `max(per-server time)` is the simulated parallel
 //! wall time on any host — exact for shared-nothing servers.
-//! [`anonymize_threaded`] and [`anonymize_work_stealing`] actually run
-//! them concurrently on the [`engine`] module's work-stealing pool: a
-//! fixed set of workers pulling jurisdiction tasks from a `crossbeam`
+//! [`anonymize_work_stealing`] actually runs them concurrently, largest
+//! jurisdiction first, on the [`engine`] module's work-stealing pool: a
+//! fixed set of workers pulling indexed tasks from a `crossbeam`
 //! injector, each with a reusable DP scratch arena, producing output
-//! bit-identical to the sequential run.
+//! bit-identical to the sequential run. [`refresh_parallel`] runs the
+//! disjoint dirty subtrees of a Section IV incremental refresh on the same
+//! pool.
 
 #![warn(missing_docs)]
 
@@ -35,9 +37,7 @@ pub use partition::{partition_users, Jurisdiction};
 pub use refresh::refresh_parallel;
 
 pub use engine::{
-    anonymize_work_stealing, anonymize_work_stealing_faulted, anonymize_work_stealing_pooled,
-    run_tasks, run_tasks_faulted, run_tasks_pooled, EngineConfig, FaultPlan, JurisdictionTask,
-    ScratchPool, TaskResult,
+    anonymize_work_stealing, anonymize_work_stealing_faulted, EngineConfig, FaultPlan, ScratchPool,
 };
 
 use lbs_core::CoreError;
@@ -73,7 +73,7 @@ pub struct ParallelOutcome {
     pub partition_time: Duration,
     /// Wall time of the server phase as actually executed (sequentially
     /// for [`anonymize_partitioned`], on the work-stealing pool for
-    /// [`anonymize_work_stealing`] / [`anonymize_threaded`]).
+    /// [`anonymize_work_stealing`]).
     pub server_wall_time: Duration,
     /// Worker threads used for the server phase (1 for the sequential
     /// runner).
@@ -116,41 +116,12 @@ pub fn anonymize_partitioned(
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "aggregate server wall time is reported in ParallelOutcome timings only")
     let servers_started = Instant::now();
-    let mut results = Vec::with_capacity(tasks.len());
-    for task in &tasks {
-        // lbs-lint: allow(no-wall-clock-in-dp, reason = "per-server wall time is reported in ServerReport timings only; policies are input-deterministic")
-        let started = Instant::now();
-        let (policy, cost) = engine::anonymize_task(task, k, None, None)?;
-        let report = ServerReport {
-            jurisdiction: task.jurisdiction,
-            users: task.range.len(),
-            cost,
-            elapsed: started.elapsed(),
-        };
-        results.push((report, policy));
-    }
+    let results = tasks
+        .iter()
+        .map(|task| engine::anonymize_task(task, k, None, None))
+        .collect::<Result<Vec<_>, _>>()?;
     let server_wall_time = servers_started.elapsed();
     Ok(engine::merge_results(k, results, partition_time, server_wall_time, 1))
-}
-
-/// As [`anonymize_partitioned`], but actually running the servers on the
-/// work-stealing pool with default [`EngineConfig`] (one worker per
-/// available core, capped by jurisdiction count). Per-server timings
-/// include scheduler interference, so use the sequential variant for the
-/// timing experiments. The resulting policy is bit-identical to the
-/// sequential one.
-///
-/// # Errors
-/// First server error wins; others are discarded. A panicking server
-/// surfaces as [`CoreError::WorkerPanic`] instead of aborting the
-/// process.
-pub fn anonymize_threaded(
-    db: &LocationDb,
-    map: Rect,
-    k: usize,
-    servers: usize,
-) -> Result<ParallelOutcome, CoreError> {
-    anonymize_work_stealing(db, map, k, servers, &EngineConfig::default(), None)
 }
 
 #[cfg(test)]
@@ -194,18 +165,6 @@ mod tests {
             assert!(outcome.policy.is_masking_and_total(&db));
             assert!(verify_policy_aware(&outcome.policy, &db, k).is_ok());
         }
-    }
-
-    #[test]
-    fn threaded_and_sequential_agree_on_cost() {
-        let (db, map) = workload(1_500);
-        let k = 10;
-        let seq = anonymize_partitioned(&db, map, k, 8).unwrap();
-        let thr = anonymize_threaded(&db, map, k, 8).unwrap();
-        assert_eq!(seq.total_cost, thr.total_cost);
-        assert_eq!(seq.policy.len(), thr.policy.len());
-        assert_eq!(seq.servers.len(), thr.servers.len());
-        assert!(verify_policy_aware(&thr.policy, &db, k).is_ok());
     }
 
     #[test]

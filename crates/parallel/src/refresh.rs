@@ -16,9 +16,11 @@
 //! Cancellation keeps the sequential path's partial-progress contract:
 //! rows of tasks that completed before the deadline are applied and
 //! retired from the pending set, so a later refresh (parallel or not)
-//! resumes where this one stopped and completes identically.
+//! resumes where this one stopped and completes identically. A panicking
+//! task keeps the same contract: the pool catches it, its siblings' rows
+//! are applied, and the refresh returns [`CoreError::WorkerPanic`].
 
-use crate::engine::{run_payloads, EngineConfig, ScratchPool};
+use crate::engine::{run_pool, EngineConfig, ScratchPool};
 use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer, IncrementalReport};
 use lbs_metrics::{Counter, Metrics};
 
@@ -37,13 +39,16 @@ const TASKS_PER_WORKER: usize = 4;
 /// is polled once per computed row on whichever worker computes it; as in
 /// [`IncrementalAnonymizer::refresh_cancellable`], the first row's poll is
 /// taken before the dirty walk, so an expired deadline cancels in `O(1)`.
-/// On cancellation, completed tasks' rows are applied before the error
-/// returns, preserving resumable partial progress. `SubtreeCacheHits`
-/// counts the cache hits of every applied row, cancelled or not.
+/// On cancellation or a task panic, completed tasks' rows are applied
+/// before the error returns, preserving resumable partial progress; a
+/// panicked task is re-run first up to [`EngineConfig::max_task_retries`]
+/// times. `SubtreeCacheHits` counts the cache hits of every applied row,
+/// whether the refresh finished or not.
 ///
 /// # Errors
 /// [`CoreError::Cancelled`] when `cancel` fires with rows still pending;
-/// DP errors otherwise.
+/// [`CoreError::WorkerPanic`] when a task panics past its retries; DP
+/// errors otherwise.
 pub fn refresh_parallel(
     inc: &mut IncrementalAnonymizer,
     config: &EngineConfig,
@@ -90,10 +95,10 @@ fn refresh_into(
     }
 
     let shared: &IncrementalAnonymizer = inc;
-    let (completed, error) =
-        run_payloads(plan.tasks, config, pool, metrics, |scratch, _index, nodes: &Vec<_>| {
-            shared.compute_task_rows(nodes, scratch, &cancel)
-        })?;
+    let payloads = plan.tasks.into_iter().enumerate().collect();
+    let (completed, error) = run_pool(payloads, config, pool, None, metrics, |scratch, nodes| {
+        shared.compute_task_rows(nodes, scratch, &cancel)
+    });
     // Apply whatever finished — in index order, so progress is
     // deterministic — before surfacing any error. Tasks touch disjoint
     // rows, so partially applied plans stay correct and resumable.
@@ -279,6 +284,44 @@ mod tests {
             assert_eq!(par.matrix(), &matrix, "{workers} workers");
             assert_eq!(metrics.get(Counter::DirtySubtrees), 0, "cancelled before planning");
         }
+    }
+
+    #[test]
+    fn panicking_task_keeps_sibling_rows_and_a_later_refresh_completes_identically() {
+        let (mut seq, mut par, pending) = stage_round(TreeKind::Binary, 41);
+        seq.refresh().unwrap();
+
+        // The cancel hook is polled once per computed row on the worker
+        // computing it: panic on the 4th poll, inside whichever task is
+        // running then. Its siblings never see another panic.
+        let polls = std::sync::atomic::AtomicUsize::new(0);
+        let panicking = || {
+            if polls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 3 {
+                panic!("injected failure in a refresh task");
+            }
+            false
+        };
+        let metrics = Metrics::new();
+        let config = EngineConfig { workers: 2, ..EngineConfig::default() };
+        let err =
+            refresh_parallel(&mut par, &config, None, Some(&metrics), &panicking).unwrap_err();
+        match err {
+            CoreError::WorkerPanic(msg) => assert!(msg.contains("injected failure"), "{msg}"),
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        assert_eq!(metrics.get(Counter::WorkerPanics), 1);
+        let dirty = metrics.get(Counter::DirtySubtrees);
+        assert!(dirty > 2, "the plan must have siblings: {dirty}");
+        assert_eq!(metrics.get(Counter::TasksExecuted), dirty, "the pool drains every task");
+        // Completed siblings' rows were applied and retired; the panicked
+        // task's rows and the spine stay pending.
+        assert!(!par.is_fresh());
+        assert!(par.pending_rows() < pending, "{} of {pending} rows pending", par.pending_rows());
+
+        // A later refresh completes to the sequential result.
+        refresh_parallel(&mut par, &config, None, None, &|| false).unwrap();
+        assert!(par.is_fresh());
+        assert_eq!(par.matrix(), seq.matrix());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! anonymizer. This crate makes that assumption hold under failure:
 //!
 //! * **Durability** — churn batches go through a CRC-framed write-ahead
-//!   log ([`wal`]) before they touch any state; committed state is
-//!   periodically checkpointed ([`checkpoint`]) with atomic publication.
+//!   log ([`Wal`]) before they touch any state; committed state is
+//!   periodically checkpointed ([`write_checkpoint`]) with atomic
+//!   publication.
 //!   Crash recovery loads the newest valid checkpoint, rebuilds the tree
 //!   and matrix (deterministic functions of the database), and replays
 //!   the WAL suffix recomputing only dirty DP rows — bit-identical to a
@@ -15,7 +16,7 @@
 //!   refresh cancels cooperatively at semi-quadrant (row) granularity,
 //!   and transient faults retry with seeded-jitter exponential backoff.
 //!   All time is injected through a [`Clock`], so schedules replay.
-//! * **Degradation ladder** ([`degrade`]) — fresh optimal policy →
+//! * **Degradation ladder** ([`Rung`]) — fresh optimal policy →
 //!   last-committed cloak → coarser semi-quadrant ancestor cloak →
 //!   explicit rejection; every rung preserves Definition 6, degrading
 //!   cost and latency but never anonymity.

@@ -232,19 +232,11 @@ impl ShardPlan {
         Ok(ShardPlan { k, map, regions })
     }
 
-    /// Writes the manifest into `dir` as [`MANIFEST_FILE`] on the real
-    /// filesystem. See [`ShardPlan::store_via`].
-    ///
-    /// # Errors
-    /// Filesystem failures.
-    pub fn store(&self, dir: &Path) -> Result<(), RuntimeError> {
-        self.store_via(crate::storage::real_fs().as_ref(), dir)
-    }
-
-    /// Writes the manifest into `dir` atomically through `storage`: temp
-    /// file + fsync + rename, the same publish protocol as checkpoints. A
-    /// crash mid-write leaves either the old manifest or the new one —
-    /// never a torn `shards.plan` that strands the whole fleet.
+    /// Writes the manifest into `dir` as [`MANIFEST_FILE`], atomically
+    /// through `storage`: temp file + fsync + rename, the same publish
+    /// protocol as checkpoints. A crash mid-write leaves either the old
+    /// manifest or the new one — never a torn `shards.plan` that strands
+    /// the whole fleet.
     ///
     /// # Errors
     /// Storage failures (injected disk faults included).
@@ -260,15 +252,6 @@ impl ShardPlan {
         file.sync().map_err(|e| io_err("sync", &tmp, e))?;
         drop(file);
         storage.rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))
-    }
-
-    /// Reads the manifest back from `dir` on the real filesystem. See
-    /// [`ShardPlan::load_via`].
-    ///
-    /// # Errors
-    /// A missing directory, unreadable file, or malformed manifest.
-    pub fn load(dir: &Path) -> Result<ShardPlan, RuntimeError> {
-        Self::load_via(crate::storage::real_fs().as_ref(), dir)
     }
 
     /// Reads the manifest back from `dir` through `storage`.

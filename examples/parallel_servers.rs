@@ -39,12 +39,12 @@ fn main() {
         verify_policy_aware(&outcome.policy, &db, k).expect("master policy anonymous");
     }
 
-    // The threaded runner exercises the true concurrent path (one OS
-    // thread per server).
-    let threaded = anonymize_threaded(&db, map, k, 8).unwrap();
+    // The work-stealing runner exercises the true concurrent path (one
+    // worker per core, largest jurisdiction first).
+    let pooled = anonymize_work_stealing(&db, map, k, 8, &EngineConfig::default(), None).unwrap();
     println!(
-        "\nthreaded run (8 servers): cost {} m^2 — identical to sequential: {}",
-        threaded.total_cost,
-        threaded.total_cost == anonymize_partitioned(&db, map, k, 8).unwrap().total_cost
+        "\nwork-stealing run (8 servers): cost {} m^2 — identical to sequential: {}",
+        pooled.total_cost,
+        pooled.total_cost == anonymize_partitioned(&db, map, k, 8).unwrap().total_cost
     );
 }

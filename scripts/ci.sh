@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, clippy, workspace invariant lint (lbs lint),
-# release build, full test suite, attacker-in-the-loop conformance smoke
-# with the golden corpora (policies and exact work counters), recovery
-# and soak smokes. Wall-time performance is not gated here: it is
+# Local CI gate: formatting, clippy, rustdoc, workspace invariant lint
+# (lbs lint), release build, full test suite, attacker-in-the-loop
+# conformance smoke with the golden corpora (policies and exact work
+# counters), recovery and soak smokes. Wall-time performance is not gated here: it is
 # measured by benches/lbs-benchmark (BENCHMARK.json), whose tests run
 # below.
 #
@@ -19,6 +19,14 @@ echo "== cargo clippy (workspace, warnings are errors) =="
 # Lint levels: the root Cargo.toml's [workspace.lints] table (no unwrap,
 # panic, print, float == or unsafe in library code; reasoned #[expect]).
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (first-party crates, warnings are errors) =="
+# A dangling or ambiguous intra-doc link (a renamed or deleted item, a
+# link to a private module) fails here. The vendor/ stand-ins are
+# excluded: they mirror upstream docs, not this project's. ~5 s warm.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude bytes --exclude crossbeam \
+    --exclude parking_lot --exclude proptest --exclude rand --exclude serde \
+    --exclude serde_derive --exclude serde_json
 
 echo "== cargo fmt --check + clippy (benchmark crate) =="
 # benches/lbs-benchmark is a workspace of its own (empty [workspace]), so

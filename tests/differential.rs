@@ -13,14 +13,13 @@
 //! * The arena-flattened bulk sweeps (`bulk_dp_fast`,
 //!   `bulk_dp_fast_quad`) vs their pre-arena row-at-a-time references —
 //!   whole-matrix equality (costs *and* split choices) across a seeded
-//!   density × k × tree-shape grid, plus the pooled 1–8-worker engine
-//!   paths that run the arena sweep in production.
+//!   density × k × tree-shape grid, plus the 1–8-worker engine runs that
+//!   drive the arena sweep in production.
 
 use lbs_core::{
     bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, bulk_dp_fast_quad_rowwise,
     bulk_dp_fast_rowwise, bulk_dp_fast_with_options, verify_policy_aware,
 };
-use lbs_parallel::{anonymize_work_stealing_pooled, ScratchPool};
 use policy_aware_lbs::prelude::*;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -119,21 +118,6 @@ fn work_stealing_engine_is_bit_identical_to_sequential_servers() {
             assert_eq!(seq.cost, par.cost);
         }
     }
-    // The legacy entry point is now a thin wrapper over the engine.
-    let threaded = anonymize_threaded(&db, map, k, 16).unwrap();
-    assert_eq!(threaded.total_cost, reference.total_cost);
-    assert_same_policy(&reference.policy, &threaded.policy, "anonymize_threaded");
-}
-
-#[test]
-fn disabling_lpt_ordering_does_not_change_the_result() {
-    let k = 8;
-    let (db, map) = bay(1_200);
-    let reference = anonymize_partitioned(&db, map, k, 8).unwrap();
-    let cfg = EngineConfig { workers: 4, largest_first: false, ..EngineConfig::default() };
-    let ws = anonymize_work_stealing(&db, map, k, 8, &cfg, None).unwrap();
-    assert_eq!(ws.total_cost, reference.total_cost);
-    assert_same_policy(&reference.policy, &ws.policy, "FIFO injection order");
 }
 
 /// The arena-flattened binary sweep vs the pre-arena rowwise walk:
@@ -157,7 +141,7 @@ fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
                     SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Binary, map, k)).unwrap();
                 let context = format!("side={side} k={k} trial={trial} n={n}");
 
-                let rowwise = bulk_dp_fast_rowwise(&tree, k, true).unwrap();
+                let rowwise = bulk_dp_fast_rowwise(&tree, k).unwrap();
                 let arena = bulk_dp_fast(&tree, k).unwrap();
                 assert_eq!(rowwise, arena, "{context}: binary matrices diverge");
 
@@ -202,24 +186,20 @@ fn arena_quad_sweep_is_byte_identical_to_rowwise_reference() {
     }
 }
 
-/// The clustered (Bay-Area-shaped) workload through every 1–8-worker
-/// engine path — plain and scratch-pooled — stays bit-identical to the
-/// sequential server loop. This is the production configuration of the
-/// arena sweep: each worker runs it in a reused `DpScratch`.
+/// The clustered (Bay-Area-shaped) workload through the engine at every
+/// worker count from 1 to 8 stays bit-identical to the sequential server
+/// loop. This is the production configuration of the arena sweep: each
+/// worker runs it in a reused `DpScratch`.
 #[test]
 fn arena_sweep_through_engine_paths_matches_sequential_servers() {
     let k = 12;
     let (db, map) = bay(2_500);
     let reference = anonymize_partitioned(&db, map, k, 16).unwrap();
-    let pool = ScratchPool::new();
     for workers in 1usize..=8 {
         let cfg = EngineConfig { workers, ..EngineConfig::default() };
-        let plain = anonymize_work_stealing(&db, map, k, 16, &cfg, None).unwrap();
-        assert_eq!(plain.total_cost, reference.total_cost, "{workers} workers");
-        assert_same_policy(&reference.policy, &plain.policy, &format!("{workers} workers"));
-        let pooled = anonymize_work_stealing_pooled(&db, map, k, 16, &cfg, None, &pool).unwrap();
-        assert_eq!(pooled.total_cost, reference.total_cost, "{workers} workers pooled");
-        assert_same_policy(&reference.policy, &pooled.policy, &format!("{workers} workers pooled"));
+        let ws = anonymize_work_stealing(&db, map, k, 16, &cfg, None).unwrap();
+        assert_eq!(ws.total_cost, reference.total_cost, "{workers} workers");
+        assert_same_policy(&reference.policy, &ws.policy, &format!("{workers} workers"));
     }
 }
 

@@ -219,7 +219,7 @@ fn conv_pipeline(db: &LocationDb, k: usize) -> Result<(), String> {
     let map = Rect::square(0, 0, SIDE);
     let tree = SpatialTree::build(db, TreeConfig::lazy(TreeKind::Binary, map, k))
         .map_err(|e| format!("tree: {e}"))?;
-    let matrix = match bulk_dp_fast_rowwise(&tree, k, true) {
+    let matrix = match bulk_dp_fast_rowwise(&tree, k) {
         Err(CoreError::InsufficientPopulation { .. }) => return Ok(()),
         Err(e) => return Err(format!("dp: {e}")),
         Ok(m) => m,
@@ -690,6 +690,14 @@ fn decode_all(cut: usize, raw: &[u8]) -> Result<(), String> {
     // inside the database length and the snapshot's own header.
     let ckpt = encode_checkpoint(&CheckpointHeader { epoch: 1, wal_seq: 0, k: 1, map }, &db);
     let body = &ckpt[..ckpt.len() - 4];
+    // 143 bytes, a circle cloak last: every `cut` reaches into the
+    // entries, and the longer ones into both region arms.
+    let circle = Circle { center: Point::new(1, 1), radius2: 2 };
+    let policy = BulkPolicy::from_assignments(
+        "fuzz",
+        vec![(UserId(0), map.into()), (UserId(1), map.into()), (UserId(2), circle.into())],
+    );
+    let policy = lbs_model::encode_policy(&policy).to_vec();
     let splice = |real: &[u8]| [&real[..cut.min(real.len())], raw].concat();
     // A CRC-valid WAL frame carrying `seq` and then `raw`.
     let frame = |seq: u64| {
@@ -715,6 +723,8 @@ fn decode_all(cut: usize, raw: &[u8]) -> Result<(), String> {
     no_panic("scan(header + frame)", || scan(&[header, frame(base.wrapping_add(1))].concat()))?;
     no_panic("decode_snapshot(raw)", || lbs_model::decode_snapshot(raw))?;
     no_panic("decode_snapshot(spliced)", || lbs_model::decode_snapshot(&splice(&snapshot)[..]))?;
+    no_panic("decode_policy(raw)", || lbs_model::decode_policy(raw.to_vec().into()))?;
+    no_panic("decode_policy(spliced)", || lbs_model::decode_policy(splice(&policy).into()))?;
     no_panic("ShardPlan::decode", || lbs_runtime::ShardPlan::decode(&String::from_utf8_lossy(raw)))
 }
 
@@ -722,8 +732,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Decoders of disk and user bytes never panic: checkpoint bodies,
-    /// WAL frames and headers, snapshots, and shard manifests all return
-    /// typed errors on arbitrary input. Failing inputs are minimized
+    /// WAL frames and headers, snapshots, policies, and shard manifests
+    /// all return typed errors on arbitrary input. Failing inputs are minimized
     /// through the 1-minimal shrinker.
     #[test]
     fn decoders_return_typed_errors_on_arbitrary_bytes(
