@@ -53,7 +53,7 @@ impl Anonymizer {
     ///
     /// * `scratch` — a caller-owned [`DpScratch`] arena reused across
     ///   builds (both tree kinds; the arena carries the flat-tree
-    ///   snapshot, the row cost arena, and the quad-DP buffers). The
+    ///   snapshot, the convolution buffers, and the quad-DP buffers). The
     ///   work-stealing engine hands each worker thread one arena so
     ///   steady-state jurisdiction builds allocate nothing in the DP loop.
     /// * `metrics` — a [`Metrics`] sink receiving [`Stage::TreeBuild`],

@@ -10,7 +10,8 @@
 //! (`O(|B||D|³)` total). Use [`crate::bulk_dp_fast`] for anything beyond a
 //! few hundred users — this function exists to validate it.
 
-use crate::{CoreError, DpMatrix, Entry, Row, INFINITE_COST};
+use crate::matrix::Splits;
+use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree};
 
 /// Runs the first-cut `Bulk_dp` over `tree` (quad or binary) for anonymity
@@ -45,11 +46,7 @@ fn dense_row(
     if node.is_leaf() {
         // Lines 5-10 of Algorithm 1: a leaf either passes all d(m) users up
         // (cost 0) or passes up u ≤ d(m)−k, cloaking the other d(m)−u here.
-        let dense = (0..=d.saturating_sub(k))
-            .take_while(|_| d >= k)
-            .map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] })
-            .collect();
-        return Ok(Row { d, dense, special: Entry::zero([0; 4]) });
+        return Ok(Row::leaf(d, area, d.checked_sub(k)));
     }
 
     // Lines 11-20: enumerate every tuple (u₁..u_n) of child pass-ups,
@@ -59,29 +56,27 @@ fn dense_row(
     let mut tuples: Vec<(usize, u128, [u32; 4])> = Vec::new();
     enumerate_tuples(matrix, id, children, 0, 0, 0, &mut [0u32; 4], &mut tuples)?;
 
-    let u_max = d.saturating_sub(k);
-    let mut dense = vec![Entry::UNREACHABLE; if d >= k { u_max + 1 } else { 0 }];
-    for (u, cell) in dense.iter_mut().enumerate() {
-        let mut best = Entry::UNREACHABLE;
+    // u = d(m) is the special cell: every child passes everything up, at
+    // cost 0, so the row stores only u ∈ [0..d−k].
+    let len = d.checked_sub(k).map_or(0, |u_max| u_max + 1);
+    let mut dense = Vec::with_capacity(len);
+    let mut splits = Vec::with_capacity(len);
+    for u in 0..len {
+        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
         for &(j, base, split) in &tuples {
             let feasible = j == u || j >= u + k;
             if !feasible {
                 continue;
             }
             let cost = base + area * (j - u) as u128;
-            if cost < best.cost {
-                best = Entry { cost, split };
+            if cost < best.0 {
+                best = (cost, split);
             }
         }
-        *cell = best;
+        dense.push(best.0);
+        splits.push(best.1);
     }
-
-    // u = d(m): every child passes everything up; cost 0 by construction.
-    let mut special_split = [0u32; 4];
-    for (i, &c) in children.iter().enumerate() {
-        special_split[i] = tree.count(c) as u32;
-    }
-    Ok(Row { d, dense, special: Entry::zero(special_split) })
+    Ok(Row { d, dense, splits: Splits::Explicit(splits) })
 }
 
 /// Recursively enumerates child pass-up tuples, accumulating `j` and cost.
@@ -110,12 +105,12 @@ fn enumerate_tuples(
     let row = matrix
         .row(children[idx])
         .ok_or_else(|| crate::dp_fast::missing_child_row(parent, children[idx]))?;
-    for (u, entry) in row.iter() {
-        if entry.cost == INFINITE_COST {
+    for (u, cost) in row.iter() {
+        if cost == INFINITE_COST {
             continue;
         }
         split[idx] = u as u32;
-        enumerate_tuples(matrix, parent, children, idx + 1, j + u, base + entry.cost, split, out)?;
+        enumerate_tuples(matrix, parent, children, idx + 1, j + u, base + cost, split, out)?;
     }
     Ok(())
 }

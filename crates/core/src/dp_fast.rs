@@ -21,9 +21,14 @@
 //! `j ≥ u+k` queries with one precomputed suffix-minimum array. This keeps
 //! the constant factor small enough to bulk-anonymize a million users in
 //! seconds on one core.
+//!
+//! Each dense cell stores its cost and a packed tag naming the branch
+//! that won it ([`Win`]), not its split: extraction reads the split of
+//! one cell per node, and [`DpMatrix::split_of`] recovers it from the tag.
 
 use crate::flat::{minplus_argmin, ConvKernel, FlatTree, NO_CHILD};
-use crate::{CoreError, DpMatrix, Entry, Row, INFINITE_COST};
+use crate::matrix::Splits;
+use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
 
 /// Runs the optimized `Bulk_dp` over a **binary** tree.
@@ -58,7 +63,7 @@ pub fn bulk_dp_fast_with_options(
 /// allocates them once and lets them grow to the high-water mark. When a
 /// worker thread anonymizes many jurisdictions in sequence (the
 /// work-stealing engine in `lbs-parallel`), passing the same arena into
-/// every call keeps those allocations out of the per-task path entirely.
+/// every call keeps those buffer allocations out of the per-task path.
 ///
 /// # Errors
 /// Same conditions as [`bulk_dp_fast`].
@@ -102,15 +107,16 @@ pub fn bulk_dp_fast_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatrix, Co
 }
 
 /// The arena-flattened bulk sweep: snapshot the tree breadth-first into
-/// SoA arrays, run the DP by scanning slots in reverse (children before
-/// parents, no pointer chasing), and keep every dense row in one
-/// contiguous cost arena so each parent's convolution reads its
-/// children's costs as dense `&[u128]` slices. The block decomposition,
-/// branch evaluation order, and tie-breaks are exactly those of
-/// [`compute_row_with`], so the produced matrix is bit-identical to the
-/// row-wise reference — `tests/differential.rs` pins this. `use_lemma5`
-/// is the ablation knob of [`bulk_dp_fast_with_options`].
-// lbs-lint: allow-item(panic-reachability, reason = "off/len/cost are filled in the same reverse sweep that reads them: children precede their parent, so off[c]+len[c] is already written and in bounds when the parent's ChildPair slices are taken; bounds checks here would defeat the arena layout's purpose")
+/// SoA arrays and run the DP by scanning slots in reverse (children before
+/// parents, no pointer chasing into tree nodes). Each row is written in
+/// place as a cost column plus a branch-tag column, and each parent's
+/// convolution reads its children's cost columns as dense `&[u128]`
+/// slices. The block decomposition, branch evaluation order, and
+/// tie-breaks are exactly those of [`compute_row_with`], so every cell's
+/// cost and [`DpMatrix::split_of`] equal the row-wise reference's —
+/// `tests/differential.rs` pins this. `use_lemma5` is the ablation knob
+/// of [`bulk_dp_fast_with_options`].
+// lbs-lint: allow-item(panic-reachability, reason = "slot and first_child index the FlatTree snapshot built by the rebuild call above: every first_child entry of an internal slot names two live slots, all below flat.len(); bounds checks here would defeat the snapshot's purpose")
 fn bulk_dp_fast_arena(
     tree: &SpatialTree,
     k: usize,
@@ -119,84 +125,55 @@ fn bulk_dp_fast_arena(
 ) -> Result<DpMatrix, CoreError> {
     scratch.flat.rebuild(tree);
     let flat = &scratch.flat;
-    let n = flat.len();
-    let a = &mut scratch.rows;
-    a.off.clear();
-    a.off.resize(n, 0);
-    a.len.clear();
-    a.len.resize(n, 0);
-    a.cost.clear();
-    a.split.clear();
-
-    for slot in (0..n).rev() {
+    let mut matrix = DpMatrix::new(k, tree.arena_len());
+    for slot in (0..flat.len()).rev() {
         let d = flat.count[slot];
         let area = flat.area[slot];
         let cap = dense_cap_with(d, flat.depth[slot], k, use_lemma5);
-        a.off[slot] = a.cost.len();
         let first = flat.first_child[slot];
-        if first == NO_CHILD {
-            if let Some(cap) = cap {
-                for u in 0..=cap {
-                    a.cost.push(area * (d - u) as u128);
-                    a.split.push([0; 4]);
-                }
-                a.len[slot] = cap + 1;
-            }
-            continue;
-        }
-        debug_assert_eq!(flat.arity[slot], 2, "binary tree");
-        let (c1, c2) = (first as usize, first as usize + 1);
-        let pair = ChildPair {
-            dense1: &a.cost[a.off[c1]..a.off[c1] + a.len[c1]],
-            dense2: &a.cost[a.off[c2]..a.off[c2] + a.len[c2]],
-            d1: flat.count[c1],
-            d2: flat.count[c2],
-        };
-        combine_children(pair, d, area, cap, k, &mut scratch.inner, &mut scratch.out);
-        a.cost.extend_from_slice(&scratch.out.cost);
-        a.split.extend_from_slice(&scratch.out.split);
-        a.len[slot] = scratch.out.cost.len();
-    }
-
-    // Materialize the arena into the caller-visible matrix format. The
-    // forward scan reads the cost arena back-to-front region-wise but
-    // each row's cells contiguously.
-    let mut matrix = DpMatrix::new(k, tree.arena_len());
-    for slot in 0..n {
-        let (off, len) = (a.off[slot], a.len[slot]);
-        let dense: Vec<Entry> =
-            (off..off + len).map(|i| Entry { cost: a.cost[i], split: a.split[i] }).collect();
-        let special = if flat.first_child[slot] == NO_CHILD {
-            Entry::zero([0; 4])
+        let row = if first == NO_CHILD {
+            Row::leaf(d, area, cap)
         } else {
-            let c1 = flat.first_child[slot] as usize;
-            Entry::zero([flat.count[c1] as u32, flat.count[c1 + 1] as u32, 0, 0])
+            debug_assert_eq!(flat.arity[slot], 2, "binary tree");
+            let (c1, c2) = (first as usize, first as usize + 1);
+            let id = flat.ids[slot];
+            let child = |c: usize| {
+                matrix
+                    .row(flat.ids[c])
+                    .map(|r| r.dense.as_slice())
+                    .ok_or_else(|| missing_child_row(id, flat.ids[c]))
+            };
+            let pair = ChildPair {
+                dense1: child(c1)?,
+                dense2: child(c2)?,
+                d1: flat.count[c1],
+                d2: flat.count[c2],
+            };
+            combine_children(pair, d, area, cap, k, &mut scratch.inner)
         };
-        matrix.set_row(flat.ids[slot], Row { d: flat.count[slot], dense, special });
+        matrix.set_row(flat.ids[slot], row);
     }
     Ok(matrix)
 }
 
-/// The two children of a binary node, as dense cost slices into the row
-/// arena plus their populations.
-struct ChildPair<'a> {
-    dense1: &'a [u128],
-    dense2: &'a [u128],
-    d1: usize,
-    d2: usize,
+/// The two children of a binary node, as dense cost slices plus their
+/// populations.
+pub(crate) struct ChildPair<'a> {
+    pub(crate) dense1: &'a [u128],
+    pub(crate) dense2: &'a [u128],
+    pub(crate) d1: usize,
+    pub(crate) d2: usize,
 }
 
-/// Which Stage-2 branch won a dense cell, carrying just enough to
-/// reconstruct the split after the fact. Deferring split resolution to
-/// the single winner (instead of materializing one per candidate branch)
-/// is what lets the convolution drop its argmin column: the winning
-/// `l1` for a `Conv(j)` cell is recovered by one ascending rescan of the
-/// diagonal, which finds the *first* `l1` attaining the minimum — the
-/// same representative the strict-`<` update rule of the row-wise loop
-/// records.
-#[derive(Clone, Copy)]
-enum Win {
-    /// Block 1 at sum `j`: split `[l1, j−l1, 0, 0]` with `l1` rescanned.
+/// Which Stage-2 branch won a dense cell: the tag [`combine_children`]
+/// stores instead of the split, packed into a `u32` by [`Win::pack`].
+/// [`Win::split`] turns it back into the split for the one cell per node
+/// that extraction reads; only `Conv(j)` needs a rescan, of one diagonal
+/// of the children's cost columns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Win {
+    /// Block 1 at sum `j`: split `[l1, j−l1, 0, 0]`, with `l1` the
+    /// smallest index on diagonal `j` reaching the minimum.
     Conv(u32),
     /// Block 2 at `l1` (covers both the exact `u = l1 + d2` cell and the
     /// suffix branch): split `[l1, d2, 0, 0]`.
@@ -207,13 +184,69 @@ enum Win {
     Block4,
 }
 
+/// Bits of a packed [`Win`] left for its payload; the top two carry the
+/// branch. A payload is below the length of a child's dense row (or the
+/// sum of both for `Conv`), and a row of 2²⁹ cells would already take
+/// 8 GiB, so 30 bits are never exceeded.
+const TAG_SHIFT: u32 = 30;
+
+impl Win {
+    /// The branch and its payload in one `u32`.
+    pub(crate) fn pack(self) -> u32 {
+        match self {
+            Win::Conv(j) => j,
+            Win::S2(l1) => 1 << TAG_SHIFT | l1,
+            Win::S3(l2) => 2 << TAG_SHIFT | l2,
+            Win::Block4 => 3 << TAG_SHIFT,
+        }
+    }
+
+    /// Inverse of [`pack`](Self::pack).
+    pub(crate) fn unpack(tag: u32) -> Win {
+        let payload = tag & ((1 << TAG_SHIFT) - 1);
+        match tag >> TAG_SHIFT {
+            0 => Win::Conv(payload),
+            1 => Win::S2(payload),
+            2 => Win::S3(payload),
+            _ => Win::Block4,
+        }
+    }
+
+    /// The split `[u₁, u₂]` this branch gives dense cell `u` of cost
+    /// `cost` at a node of area `area` over `pair`. A `Conv(j)` cell costs
+    /// `conv[j] + (j − u)·area`, so its `l₁` is the smallest on diagonal
+    /// `j` reaching `conv[j]` — the row-wise reference's tie-break.
+    ///
+    /// `None` when the branch does not fit the children: an `l₁`, `l₂`
+    /// or `j` outside their rows, or a diagonal with no witness.
+    pub(crate) fn split(
+        self,
+        pair: ChildPair<'_>,
+        u: usize,
+        cost: u128,
+        area: u128,
+    ) -> Option<[u32; 2]> {
+        let ChildPair { dense1, dense2, d1, d2 } = pair;
+        match self {
+            Win::Conv(j) => {
+                let lift = area.checked_mul((j as usize).checked_sub(u)? as u128)?;
+                let l1 = minplus_argmin(dense1, dense2, j as usize, cost.checked_sub(lift)?)?;
+                Some([l1, j - l1])
+            }
+            Win::S2(l1) => ((l1 as usize) < dense1.len()).then_some([l1, d2 as u32]),
+            Win::S3(l2) => ((l2 as usize) < dense2.len()).then_some([d1 as u32, l2]),
+            Win::Block4 => Some([d1 as u32, d2 as u32]),
+        }
+    }
+}
+
 /// One parent row of the arena sweep: Stage 1 (block decomposition of
-/// `temp`) and Stage 2 (resolving every dense `u`), writing cost and
-/// split columns into `out`. This is [`compute_row_with`]'s internal-node
+/// `temp`) and Stage 2 (resolving every dense `u`), returning the row's
+/// cost and tag columns. This is [`compute_row_with`]'s internal-node
 /// body transcribed onto slices — same branches, same order, same
 /// strict-`<` / `<=` asymmetries — with the convolution running
-/// cost-only over contiguous slices and each cell's split resolved once
-/// from the winning branch.
+/// cost-only over contiguous slices and each cell recording only which
+/// branch won it.
 // lbs-lint: allow-item(panic-reachability, reason = "every scratch vector is resized to conv_len+1 (or the row cap) at the top of the stage that indexes it, and j = l1+l2 < a1+a2-1 = conv_len by the loop bounds; this is the DP inner loop, where a stray bounds check is measurable")
 fn combine_children(
     pair: ChildPair<'_>,
@@ -222,8 +255,7 @@ fn combine_children(
     cap: Option<usize>,
     k: usize,
     ws: &mut Scratch,
-    out: &mut OutRow,
-) {
+) -> Row {
     let ChildPair { dense1, dense2, d1, d2 } = pair;
     let (a1, a2) = (dense1.len(), dense2.len());
 
@@ -270,90 +302,75 @@ fn combine_children(
     // ---- Stage 2: M[m][u] over u ∈ [0..cap] ∪ {d}. ----
     // Same candidate branches in the same order with the same strict-`<`
     // updates as the row-wise loop; only the bookkeeping differs — each
-    // branch records a `Win` tag, and the single winner's split is
-    // materialized after the scan.
-    out.cost.clear();
-    out.split.clear();
-    if let Some(cap) = cap {
-        out.cost.reserve(cap + 1);
-        out.split.reserve(cap + 1);
-        for u in 0..=cap {
-            let mut best_cost = INFINITE_COST;
-            let mut win: Option<Win> = None;
+    // cell records the winning branch's tag, not its split.
+    let len = cap.map_or(0, |cap| cap + 1);
+    let mut dense = Vec::with_capacity(len);
+    let mut tags = Vec::with_capacity(len);
+    for u in 0..len {
+        let mut best_cost = INFINITE_COST;
+        // Block 4 provides a finite candidate for every dense u
+        // (u ≤ d−k ⟹ d ≥ u+k), so this placeholder is always replaced.
+        let mut win = Win::Block4;
 
-            // Exact branch j == u (m cloaks nothing).
-            if u < conv_len && ws.conv_cost[u] < best_cost {
-                best_cost = ws.conv_cost[u];
-                win = Some(Win::Conv(u as u32));
-            }
-            if u >= d2 && u - d2 < a1 {
-                let cost = dense1[u - d2];
-                if cost < best_cost {
-                    best_cost = cost;
-                    win = Some(Win::S2((u - d2) as u32));
-                }
-            }
-            if u >= d1 && u - d1 < a2 {
-                let cost = dense2[u - d1];
-                if cost < best_cost {
-                    best_cost = cost;
-                    win = Some(Win::S3((u - d1) as u32));
-                }
-            }
-            // (Block 4 exact would need u == d, impossible for dense u.)
-
-            // Cloak-at-least-k branch: min over j ≥ u + k of temp[j] +
-            // (j−u)·area, evaluated per block via the suffix arrays. Each
-            // stored value is temp[j] + j·area; subtract u·area at the end.
-            let lo = u + k;
-            let mut weighted_best = INFINITE_COST;
-            let mut weighted_win = Win::Block4;
-            let (w, j) = ws.conv_suffix[lo.min(conv_len)];
-            if w < weighted_best {
-                weighted_best = w;
-                weighted_win = Win::Conv(j);
-            }
-            let l1_from = lo.saturating_sub(d2).min(a1);
-            let (w, l1) = ws.s2_suffix[l1_from];
-            if w < weighted_best {
-                weighted_best = w;
-                weighted_win = Win::S2(l1);
-            }
-            let l2_from = lo.saturating_sub(d1).min(a2);
-            let (w, l2) = ws.s3_suffix[l2_from];
-            if w < weighted_best {
-                weighted_best = w;
-                weighted_win = Win::S3(l2);
-            }
-            if d >= lo && block4_weighted < weighted_best {
-                weighted_best = block4_weighted;
-                weighted_win = Win::Block4;
-            }
-            if weighted_best != INFINITE_COST {
-                let cost = weighted_best - area * u as u128;
-                if cost < best_cost {
-                    best_cost = cost;
-                    win = Some(weighted_win);
-                }
-            }
-
-            let split = match win {
-                Some(Win::Conv(j)) => {
-                    let l1 = minplus_argmin(dense1, dense2, j as usize, ws.conv_cost[j as usize]);
-                    [l1, j - l1, 0, 0]
-                }
-                Some(Win::S2(l1)) => [l1, d2 as u32, 0, 0],
-                Some(Win::S3(l2)) => [d1 as u32, l2, 0, 0],
-                Some(Win::Block4) => [d1 as u32, d2 as u32, 0, 0],
-                // Unreachable: block 4 guarantees a finite candidate for
-                // every dense u (u ≤ d−k ⟹ d ≥ u+k). Mirrors
-                // `Entry::UNREACHABLE`'s split for defense in depth.
-                None => [0; 4],
-            };
-            out.cost.push(best_cost);
-            out.split.push(split);
+        // Exact branch j == u (m cloaks nothing).
+        if u < conv_len && ws.conv_cost[u] < best_cost {
+            best_cost = ws.conv_cost[u];
+            win = Win::Conv(u as u32);
         }
+        if u >= d2 && u - d2 < a1 {
+            let cost = dense1[u - d2];
+            if cost < best_cost {
+                best_cost = cost;
+                win = Win::S2((u - d2) as u32);
+            }
+        }
+        if u >= d1 && u - d1 < a2 {
+            let cost = dense2[u - d1];
+            if cost < best_cost {
+                best_cost = cost;
+                win = Win::S3((u - d1) as u32);
+            }
+        }
+        // (Block 4 exact would need u == d, impossible for dense u.)
+
+        // Cloak-at-least-k branch: min over j ≥ u + k of temp[j] +
+        // (j−u)·area, evaluated per block via the suffix arrays. Each
+        // stored value is temp[j] + j·area; subtract u·area at the end.
+        let lo = u + k;
+        let mut weighted_best = INFINITE_COST;
+        let mut weighted_win = Win::Block4;
+        let (w, j) = ws.conv_suffix[lo.min(conv_len)];
+        if w < weighted_best {
+            weighted_best = w;
+            weighted_win = Win::Conv(j);
+        }
+        let l1_from = lo.saturating_sub(d2).min(a1);
+        let (w, l1) = ws.s2_suffix[l1_from];
+        if w < weighted_best {
+            weighted_best = w;
+            weighted_win = Win::S2(l1);
+        }
+        let l2_from = lo.saturating_sub(d1).min(a2);
+        let (w, l2) = ws.s3_suffix[l2_from];
+        if w < weighted_best {
+            weighted_best = w;
+            weighted_win = Win::S3(l2);
+        }
+        if d >= lo && block4_weighted < weighted_best {
+            weighted_best = block4_weighted;
+            weighted_win = Win::Block4;
+        }
+        if weighted_best != INFINITE_COST {
+            let cost = weighted_best - area * u as u128;
+            if cost < best_cost {
+                best_cost = cost;
+                win = weighted_win;
+            }
+        }
+        dense.push(best_cost);
+        tags.push(win.pack());
     }
+    Row { d, dense, splits: Splits::Tags(tags) }
 }
 
 /// Reusable DP scratch arena for [`bulk_dp_fast_with_scratch`].
@@ -361,39 +378,14 @@ fn combine_children(
 /// Owns the per-node convolution and suffix-minimum buffers of the
 /// optimized `Bulk_dp`. The buffers grow to the largest node processed
 /// and are retained across calls, so one arena per worker thread removes
-/// all allocation from the steady-state DP loop.
+/// all allocation from the steady-state DP loop but the rows themselves.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     inner: Scratch,
     /// Breadth-first SoA snapshot of the tree being swept.
     pub(crate) flat: FlatTree,
-    /// Contiguous per-row result arena (all dense cells of all rows).
-    pub(crate) rows: RowArena,
-    /// Staging row: a parent's cells are built here, then appended to
-    /// `rows` (the append would otherwise alias the child slices being
-    /// read).
-    out: OutRow,
     /// Sparse-table buffers of the quad-tree sweep.
     pub(crate) quad: crate::dp_fast_quad::QuadArena,
-}
-
-/// The dense cells of every computed row, stored as parallel cost/split
-/// columns. `off[slot] .. off[slot]+len[slot]` indexes slot's row; cost
-/// reads during the child convolution touch only the `u128` column —
-/// half the stride of the 32-byte [`Entry`] layout.
-#[derive(Debug, Default)]
-pub(crate) struct RowArena {
-    pub(crate) off: Vec<usize>,
-    pub(crate) len: Vec<usize>,
-    pub(crate) cost: Vec<u128>,
-    pub(crate) split: Vec<[u32; 4]>,
-}
-
-/// One row being assembled (cost and split columns).
-#[derive(Debug, Default)]
-struct OutRow {
-    cost: Vec<u128>,
-    split: Vec<[u32; 4]>,
 }
 
 impl DpScratch {
@@ -439,8 +431,9 @@ pub(crate) struct Scratch {
     s3_suffix: Vec<(u128, u32)>,
 }
 
-/// Computes one matrix row into caller-owned scratch. The incremental
-/// maintainer hoists one [`Scratch`] across its whole dirty-row sweep.
+/// Computes one matrix row, with explicit splits, into caller-owned
+/// scratch: the row engine of [`bulk_dp_fast_rowwise`], the reference
+/// [`combine_children`] is checked against.
 ///
 /// # Errors
 /// [`CoreError::StaleMatrix`] when a child row is missing (postorder
@@ -457,13 +450,7 @@ pub(crate) fn compute_row_with(
     let area = node.rect.area();
 
     if node.is_leaf() {
-        let dense = match dense_cap(d, node.depth, k) {
-            None => Vec::new(),
-            Some(cap) => {
-                (0..=cap).map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] }).collect()
-            }
-        };
-        return Ok(Row { d, dense, special: Entry::zero([0; 4]) });
+        return Ok(Row::leaf(d, area, dense_cap(d, node.depth, k)));
     }
 
     let children = node.children.as_slice();
@@ -486,10 +473,9 @@ pub(crate) fn compute_row_with(
     scratch.conv_cost.resize(conv_len, INFINITE_COST);
     scratch.conv_arg.clear();
     scratch.conv_arg.resize(conv_len, 0);
-    for (l1, e1) in dense1.iter().enumerate() {
-        let base = e1.cost;
-        for (l2, e2) in dense2.iter().enumerate() {
-            let cost = base + e2.cost;
+    for (l1, &base) in dense1.iter().enumerate() {
+        for (l2, &cost2) in dense2.iter().enumerate() {
+            let cost = base + cost2;
             let j = l1 + l2;
             if cost < scratch.conv_cost[j] {
                 scratch.conv_cost[j] = cost;
@@ -512,7 +498,7 @@ pub(crate) fn compute_row_with(
     scratch.s2_suffix.clear();
     scratch.s2_suffix.resize(a1 + 1, (INFINITE_COST, 0));
     for l1 in (0..a1).rev() {
-        let weighted = dense1[l1].cost.saturating_add(area * (l1 + d2) as u128);
+        let weighted = dense1[l1].saturating_add(area * (l1 + d2) as u128);
         scratch.s2_suffix[l1] = if weighted <= scratch.s2_suffix[l1 + 1].0 {
             (weighted, l1 as u32)
         } else {
@@ -523,7 +509,7 @@ pub(crate) fn compute_row_with(
     scratch.s3_suffix.clear();
     scratch.s3_suffix.resize(a2 + 1, (INFINITE_COST, 0));
     for l2 in (0..a2).rev() {
-        let weighted = dense2[l2].cost.saturating_add(area * (d1 + l2) as u128);
+        let weighted = dense2[l2].saturating_add(area * (d1 + l2) as u128);
         scratch.s3_suffix[l2] = if weighted <= scratch.s3_suffix[l2 + 1].0 {
             (weighted, l2 as u32)
         } else {
@@ -535,74 +521,73 @@ pub(crate) fn compute_row_with(
 
     // ---- Stage 2: M[m][u] over u ∈ [0..cap] ∪ {d}. ----
     let cap = dense_cap(d, node.depth, k);
-    let mut dense = Vec::new();
-    if let Some(cap) = cap {
-        dense.reserve(cap + 1);
-        for u in 0..=cap {
-            let mut best = Entry::UNREACHABLE;
+    let len = cap.map_or(0, |cap| cap + 1);
+    let mut dense = Vec::with_capacity(len);
+    let mut splits = Vec::with_capacity(len);
+    for u in 0..len {
+        // (cost, split); unreachable until a branch reaches it.
+        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
 
-            // Exact branch j == u (m cloaks nothing).
-            if u < conv_len && scratch.conv_cost[u] < best.cost {
-                let l1 = scratch.conv_arg[u];
-                best = Entry { cost: scratch.conv_cost[u], split: [l1, u as u32 - l1, 0, 0] };
-            }
-            if u >= d2 && u - d2 < a1 {
-                let cost = dense1[u - d2].cost;
-                if cost < best.cost {
-                    best = Entry { cost, split: [(u - d2) as u32, d2 as u32, 0, 0] };
-                }
-            }
-            if u >= d1 && u - d1 < a2 {
-                let cost = dense2[u - d1].cost;
-                if cost < best.cost {
-                    best = Entry { cost, split: [d1 as u32, (u - d1) as u32, 0, 0] };
-                }
-            }
-            // (Block 4 exact would need u == d, impossible for dense u.)
-
-            // Cloak-at-least-k branch: min over j ≥ u + k of temp[j] +
-            // (j−u)·area, evaluated per block via the suffix arrays. Each
-            // stored value is temp[j] + j·area; subtract u·area at the end.
-            let lo = u + k;
-            let mut weighted_best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
-            let (w, j) = scratch.conv_suffix[lo.min(conv_len)];
-            if w < weighted_best.0 {
-                let l1 = scratch.conv_arg[j as usize];
-                weighted_best = (w, [l1, j - l1, 0, 0]);
-            }
-            let l1_from = lo.saturating_sub(d2).min(a1);
-            let (w, l1) = scratch.s2_suffix[l1_from];
-            if w < weighted_best.0 {
-                weighted_best = (w, [l1, d2 as u32, 0, 0]);
-            }
-            let l2_from = lo.saturating_sub(d1).min(a2);
-            let (w, l2) = scratch.s3_suffix[l2_from];
-            if w < weighted_best.0 {
-                weighted_best = (w, [d1 as u32, l2, 0, 0]);
-            }
-            if d >= lo && block4_weighted < weighted_best.0 {
-                weighted_best = (block4_weighted, [d1 as u32, d2 as u32, 0, 0]);
-            }
-            if weighted_best.0 != INFINITE_COST {
-                let cost = weighted_best.0 - area * u as u128;
-                if cost < best.cost {
-                    best = Entry { cost, split: weighted_best.1 };
-                }
-            }
-            dense.push(best);
+        // Exact branch j == u (m cloaks nothing).
+        if u < conv_len && scratch.conv_cost[u] < best.0 {
+            let l1 = scratch.conv_arg[u];
+            best = (scratch.conv_cost[u], [l1, u as u32 - l1, 0, 0]);
         }
-    }
+        if u >= d2 && u - d2 < a1 {
+            let cost = dense1[u - d2];
+            if cost < best.0 {
+                best = (cost, [(u - d2) as u32, d2 as u32, 0, 0]);
+            }
+        }
+        if u >= d1 && u - d1 < a2 {
+            let cost = dense2[u - d1];
+            if cost < best.0 {
+                best = (cost, [d1 as u32, (u - d1) as u32, 0, 0]);
+            }
+        }
+        // (Block 4 exact would need u == d, impossible for dense u.)
 
-    let special = Entry::zero([d1 as u32, d2 as u32, 0, 0]);
-    Ok(Row { d, dense, special })
+        // Cloak-at-least-k branch: min over j ≥ u + k of temp[j] +
+        // (j−u)·area, evaluated per block via the suffix arrays. Each
+        // stored value is temp[j] + j·area; subtract u·area at the end.
+        let lo = u + k;
+        let mut weighted_best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        let (w, j) = scratch.conv_suffix[lo.min(conv_len)];
+        if w < weighted_best.0 {
+            let l1 = scratch.conv_arg[j as usize];
+            weighted_best = (w, [l1, j - l1, 0, 0]);
+        }
+        let l1_from = lo.saturating_sub(d2).min(a1);
+        let (w, l1) = scratch.s2_suffix[l1_from];
+        if w < weighted_best.0 {
+            weighted_best = (w, [l1, d2 as u32, 0, 0]);
+        }
+        let l2_from = lo.saturating_sub(d1).min(a2);
+        let (w, l2) = scratch.s3_suffix[l2_from];
+        if w < weighted_best.0 {
+            weighted_best = (w, [d1 as u32, l2, 0, 0]);
+        }
+        if d >= lo && block4_weighted < weighted_best.0 {
+            weighted_best = (block4_weighted, [d1 as u32, d2 as u32, 0, 0]);
+        }
+        if weighted_best.0 != INFINITE_COST {
+            let cost = weighted_best.0 - area * u as u128;
+            if cost < best.0 {
+                best = (cost, weighted_best.1);
+            }
+        }
+        dense.push(best.0);
+        splits.push(best.1);
+    }
+    Ok(Row { d, dense, splits: Splits::Explicit(splits) })
 }
 
 /// Builds one internal binary [`Row`] from its children's **dense cost
 /// slices** via [`combine_children`] — the incremental maintainer's row
 /// engine. Because [`combine_children`] is the arena sweep's parent-row
-/// body, and that sweep is pinned bit-identical to [`compute_row_with`]
+/// body, and that sweep is pinned cell-for-cell to [`compute_row_with`]
 /// by `tests/differential.rs`, a row produced here from the same child
-/// costs is bit-identical to the row-wise reference.
+/// costs has the reference's costs and splits.
 #[expect(
     clippy::too_many_arguments,
     reason = "both callers pass two child slices plus the parent node's scalar fields; bundling them would only rename those fields"
@@ -620,27 +605,13 @@ pub(crate) fn combine_children_row(
 ) -> Row {
     let cap = dense_cap(d, depth, k);
     let pair = ChildPair { dense1, dense2, d1, d2 };
-    combine_children(pair, d, area, cap, k, &mut scratch.inner, &mut scratch.out);
-    let dense: Vec<Entry> = scratch
-        .out
-        .cost
-        .iter()
-        .zip(&scratch.out.split)
-        .map(|(&cost, &split)| Entry { cost, split })
-        .collect();
-    Row { d, dense, special: Entry::zero([d1 as u32, d2 as u32, 0, 0]) }
+    combine_children(pair, d, area, cap, k, &mut scratch.inner)
 }
 
 /// The row of a leaf with population `d` — identical to
 /// [`compute_row_with`]'s leaf branch.
 pub(crate) fn leaf_row(d: usize, area: u128, depth: u16, k: usize) -> Row {
-    let dense = match dense_cap(d, depth, k) {
-        None => Vec::new(),
-        Some(cap) => {
-            (0..=cap).map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] }).collect()
-        }
-    };
-    Row { d, dense, special: Entry::zero([0; 4]) }
+    Row::leaf(d, area, dense_cap(d, depth, k))
 }
 
 /// Typed replacement for the old "children computed first" panic.
@@ -798,7 +769,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
         // One arena reused across many instances must produce exactly the
-        // matrices a fresh arena produces — entries, splits, and costs.
+        // matrices a fresh arena produces, and every cell's cost and split
+        // must equal the row-wise reference's.
         let mut rng = StdRng::seed_from_u64(0x5C4A7C);
         let mut arena = DpScratch::new();
         for trial in 0..25 {
@@ -811,11 +783,19 @@ mod tests {
             let tree = SpatialTree::build(&d, cfg).unwrap();
             let reused = bulk_dp_fast_with_scratch(&tree, k, &mut arena).unwrap();
             let fresh = bulk_dp_fast(&tree, k).unwrap();
+            assert_eq!(reused, fresh, "trial {trial}");
+            let reference = bulk_dp_fast_rowwise(&tree, k).unwrap();
             for id in tree.postorder() {
-                let (a, b) = (reused.row(id).unwrap(), fresh.row(id).unwrap());
+                let (a, b) = (reused.row(id).unwrap(), reference.row(id).unwrap());
                 assert_eq!(a.d, b.d, "trial {trial} node {id}");
                 assert_eq!(a.dense, b.dense, "trial {trial} node {id}");
-                assert_eq!(a.special, b.special, "trial {trial} node {id}");
+                for (u, _) in a.iter() {
+                    assert_eq!(
+                        reused.split_of(&tree, id, u).unwrap(),
+                        reference.split_of(&tree, id, u).unwrap(),
+                        "trial {trial} node {id} u={u}"
+                    );
+                }
             }
             assert_eq!(
                 reused.optimal_cost(&tree).ok(),
@@ -834,7 +814,7 @@ mod tests {
         let m = bulk_dp_fast(&tree, 2).unwrap();
         for id in tree.postorder() {
             let row = m.row(id).unwrap();
-            assert_eq!(row.special.cost, 0, "{id}");
+            assert_eq!(row.cost(row.d), Some(0), "{id}");
             assert_eq!(row.d, tree.count(id));
         }
     }

@@ -18,7 +18,8 @@
 //! anything, conservative relative to the binary-tree lemma.)
 
 use crate::flat::NO_CHILD;
-use crate::{CoreError, DpMatrix, DpScratch, Entry, Row, INFINITE_COST};
+use crate::matrix::Splits;
+use crate::{CoreError, DpMatrix, DpScratch, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
 
 /// One sparse cost-by-sum table entry: the cheapest way for a child pair
@@ -104,7 +105,7 @@ pub fn bulk_dp_fast_quad_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatri
 /// enumeration order, same `sort_unstable`/`dedup` on the same input
 /// sequence, same suffix sweep and cursor walk — so the produced matrix
 /// is bit-identical to the row-wise reference.
-// lbs-lint: allow-item(panic-reachability, reason = "off/len/cost are filled in the same reverse sweep that reads them: children precede their parent in the breadth-first snapshot, so a.off[ci]+a.len[ci] is already written and in bounds when the parent's candidate slices are taken, and q.suffix is resized to total.len()+1 before the sweeps that index it")
+// lbs-lint: allow-item(panic-reachability, reason = "slot and first_child index the FlatTree snapshot built by the rebuild call above, whose internal slots name four live child slots below flat.len(); q.cand has four lists, and q.suffix is resized to total.len()+1 before the sweeps that index it")
 fn bulk_dp_fast_quad_arena(
     tree: &SpatialTree,
     k: usize,
@@ -113,29 +114,16 @@ fn bulk_dp_fast_quad_arena(
     scratch.flat.rebuild(tree);
     let flat = &scratch.flat;
     let q = &mut scratch.quad;
-    let a = &mut scratch.rows;
-    let n = flat.len();
-    a.off.clear();
-    a.off.resize(n, 0);
-    a.len.clear();
-    a.len.resize(n, 0);
-    a.cost.clear();
-    a.split.clear();
+    let mut matrix = DpMatrix::new(k, tree.arena_len());
 
-    for slot in (0..n).rev() {
+    for slot in (0..flat.len()).rev() {
         let d = flat.count[slot];
         let area = flat.area[slot];
         let cap = dense_cap(d, flat.depth[slot], k);
-        a.off[slot] = a.cost.len();
         let first = flat.first_child[slot];
+        let id = flat.ids[slot];
         if first == NO_CHILD {
-            if let Some(cap) = cap {
-                for u in 0..=cap {
-                    a.cost.push(area * (d - u) as u128);
-                    a.split.push([0; 4]);
-                }
-                a.len[slot] = cap + 1;
-            }
+            matrix.set_row(id, Row::leaf(d, area, cap));
             continue;
         }
         debug_assert_eq!(flat.arity[slot], 4, "quad tree");
@@ -145,10 +133,12 @@ fn bulk_dp_fast_quad_arena(
         // always free, exactly as `candidates` reads it off a `Row`.
         for i in 0..4 {
             let ci = c0 + i;
-            let (off, len) = (a.off[ci], a.len[ci]);
+            let child = matrix
+                .row(flat.ids[ci])
+                .ok_or_else(|| crate::dp_fast::missing_child_row(id, flat.ids[ci]))?;
             let cand = &mut q.cand[i];
             cand.clear();
-            cand.extend(a.cost[off..off + len].iter().enumerate().map(|(l, &c)| (l, c)));
+            cand.extend(child.dense.iter().copied().enumerate());
             cand.push((flat.count[ci], 0));
         }
 
@@ -171,7 +161,6 @@ fn bulk_dp_fast_quad_arena(
                 if weighted <= q.suffix[i + 1].0 { (weighted, i) } else { q.suffix[i + 1] };
         }
 
-        let id = flat.ids[slot];
         let (s12, s34, total) = (&q.s12, &q.s34, &q.total);
         let lookup = |table: &[SumEntry], j: usize, side: &str| -> Result<[u32; 2], CoreError> {
             let idx = table.binary_search_by_key(&j, |e| e.j).map_err(|_| {
@@ -188,52 +177,33 @@ fn bulk_dp_fast_quad_arena(
             Ok([s12[0], s12[1], s34[0], s34[1]])
         };
 
-        if let Some(cap) = cap {
-            let mut exact = 0usize;
-            let mut lower = 0usize;
-            for u in 0..=cap {
-                let mut best = Entry::UNREACHABLE;
-                while exact < total.len() && total[exact].j < u {
-                    exact += 1;
-                }
-                if exact < total.len() && total[exact].j == u {
-                    best = Entry { cost: total[exact].cost, split: resolve(&total[exact])? };
-                }
-                while lower < total.len() && total[lower].j < u + k {
-                    lower += 1;
-                }
-                let (weighted, argmin) = q.suffix[lower];
-                if weighted != INFINITE_COST {
-                    let cost = weighted - area * u as u128;
-                    if cost < best.cost {
-                        best = Entry { cost, split: resolve(&total[argmin])? };
-                    }
-                }
-                a.cost.push(best.cost);
-                a.split.push(best.split);
+        let len = cap.map_or(0, |cap| cap + 1);
+        let mut dense = Vec::with_capacity(len);
+        let mut splits = Vec::with_capacity(len);
+        let mut exact = 0usize;
+        let mut lower = 0usize;
+        for u in 0..len {
+            let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+            while exact < total.len() && total[exact].j < u {
+                exact += 1;
             }
-            a.len[slot] = cap + 1;
+            if exact < total.len() && total[exact].j == u {
+                best = (total[exact].cost, resolve(&total[exact])?);
+            }
+            while lower < total.len() && total[lower].j < u + k {
+                lower += 1;
+            }
+            let (weighted, argmin) = q.suffix[lower];
+            if weighted != INFINITE_COST {
+                let cost = weighted - area * u as u128;
+                if cost < best.0 {
+                    best = (cost, resolve(&total[argmin])?);
+                }
+            }
+            dense.push(best.0);
+            splits.push(best.1);
         }
-    }
-
-    // Materialize the arena into the caller-visible matrix format.
-    let mut matrix = DpMatrix::new(k, tree.arena_len());
-    for slot in 0..n {
-        let (off, len) = (a.off[slot], a.len[slot]);
-        let dense: Vec<Entry> =
-            (off..off + len).map(|i| Entry { cost: a.cost[i], split: a.split[i] }).collect();
-        let special = if flat.first_child[slot] == NO_CHILD {
-            Entry::zero([0; 4])
-        } else {
-            let c0 = flat.first_child[slot] as usize;
-            Entry::zero([
-                flat.count[c0] as u32,
-                flat.count[c0 + 1] as u32,
-                flat.count[c0 + 2] as u32,
-                flat.count[c0 + 3] as u32,
-            ])
-        };
-        matrix.set_row(flat.ids[slot], Row { d: flat.count[slot], dense, special });
+        matrix.set_row(id, Row { d, dense, splits: Splits::Explicit(splits) });
     }
     Ok(matrix)
 }
@@ -245,10 +215,7 @@ fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
 
 /// A child row as a sparse candidate list `(l, cost)`.
 fn candidates(row: &Row) -> Vec<(usize, u128)> {
-    let mut out: Vec<(usize, u128)> =
-        row.dense.iter().enumerate().map(|(l, e)| (l, e.cost)).collect();
-    out.push((row.d, row.special.cost));
-    out
+    row.iter().collect()
 }
 
 /// All pair sums of two candidate lists, sorted by `j`, min-cost per `j`,
@@ -292,10 +259,11 @@ pub(crate) struct LocalRows<'a> {
     pub rows: &'a [(NodeId, Row)],
 }
 
-impl LocalRows<'_> {
+impl<'a> LocalRows<'a> {
     // lbs-lint: allow-item(panic-reachability, reason = "index maps node ids to positions in rows and the two are built in lockstep by the task loop, so every stored position is below rows.len()")
-    fn get(&self, id: NodeId) -> Option<&Row> {
-        self.index.get(&id).map(|&i| &self.rows[i].1)
+    pub(crate) fn get(&self, id: NodeId) -> Option<&'a Row> {
+        let rows: &'a [(NodeId, Row)] = self.rows;
+        self.index.get(&id).map(|&i| &rows[i].1)
     }
 }
 
@@ -326,13 +294,7 @@ pub(crate) fn quad_row_overlay(
     let area = node.rect.area();
 
     if node.is_leaf() {
-        let dense = match dense_cap(d, node.depth, k) {
-            None => Vec::new(),
-            Some(cap) => {
-                (0..=cap).map(|u| Entry { cost: area * (d - u) as u128, split: [0; 4] }).collect()
-            }
-        };
-        return Ok(Row { d, dense, special: Entry::zero([0; 4]) });
+        return Ok(Row::leaf(d, area, dense_cap(d, node.depth, k)));
     }
 
     let children = node.children.as_slice();
@@ -379,41 +341,33 @@ pub(crate) fn quad_row_overlay(
         Ok([s12[0], s12[1], s34[0], s34[1]])
     };
 
-    let cap = dense_cap(d, node.depth, k);
-    let mut dense = Vec::new();
-    if let Some(cap) = cap {
-        dense.reserve(cap + 1);
-        let mut exact = 0usize;
-        let mut lower = 0usize;
-        for u in 0..=cap {
-            let mut best = Entry::UNREACHABLE;
-            while exact < total.len() && total[exact].j < u {
-                exact += 1;
-            }
-            if exact < total.len() && total[exact].j == u {
-                best = Entry { cost: total[exact].cost, split: resolve(&total[exact])? };
-            }
-            while lower < total.len() && total[lower].j < u + k {
-                lower += 1;
-            }
-            let (weighted, argmin) = suffix[lower];
-            if weighted != INFINITE_COST {
-                let cost = weighted - area * u as u128;
-                if cost < best.cost {
-                    best = Entry { cost, split: resolve(&total[argmin])? };
-                }
-            }
-            dense.push(best);
+    let len = dense_cap(d, node.depth, k).map_or(0, |cap| cap + 1);
+    let mut dense = Vec::with_capacity(len);
+    let mut splits = Vec::with_capacity(len);
+    let mut exact = 0usize;
+    let mut lower = 0usize;
+    for u in 0..len {
+        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        while exact < total.len() && total[exact].j < u {
+            exact += 1;
         }
+        if exact < total.len() && total[exact].j == u {
+            best = (total[exact].cost, resolve(&total[exact])?);
+        }
+        while lower < total.len() && total[lower].j < u + k {
+            lower += 1;
+        }
+        let (weighted, argmin) = suffix[lower];
+        if weighted != INFINITE_COST {
+            let cost = weighted - area * u as u128;
+            if cost < best.0 {
+                best = (cost, resolve(&total[argmin])?);
+            }
+        }
+        dense.push(best.0);
+        splits.push(best.1);
     }
-
-    let special_split = [
-        tree.count(children[0]) as u32,
-        tree.count(children[1]) as u32,
-        tree.count(children[2]) as u32,
-        tree.count(children[3]) as u32,
-    ];
-    Ok(Row { d, dense, special: Entry::zero(special_split) })
+    Ok(Row { d, dense, splits: Splits::Explicit(splits) })
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! licenses picking *which* locations arbitrarily — every choice yields an
 //! optimal policy of identical cost and anonymity. The top-down traversal
 //! here mirrors the paper's description: start from the minimum-cost entry
-//! of the root row (`u = 0` for a complete configuration), follow the
-//! recorded child splits, then assign concrete users bottom-up.
+//! of the root row (`u = 0` for a complete configuration), follow each
+//! visited cell's child split ([`DpMatrix::split_of`] resolves it from the
+//! cell's branch tag), then assign concrete users bottom-up.
 //!
 //! One routine, [`DpMatrix::extract_cloaks`], serves bulk extraction and
 //! incremental commits. It is one walk down (pass-up targets into a `Vec`
@@ -17,7 +18,8 @@
 //! of re-extracting it (a leaf splits its users again but writes no
 //! cloaks). Without a cache every live node is extracted.
 
-use crate::{Configuration, CoreError, DpMatrix, INFINITE_COST};
+use crate::matrix::stale;
+use crate::{Configuration, CoreError, DpMatrix};
 use lbs_geom::Region;
 use lbs_model::{BulkPolicy, UserId};
 use lbs_tree::{NodeId, SpatialTree};
@@ -120,10 +122,6 @@ pub(crate) struct Extraction {
     pub(crate) cloaked: Vec<(UserId, u32)>,
     /// Nodes extracted (every live node when nothing was reused).
     pub(crate) nodes: usize,
-}
-
-fn stale(message: String) -> CoreError {
-    CoreError::StaleMatrix(message)
 }
 
 impl DpMatrix {
@@ -267,15 +265,11 @@ impl DpMatrix {
             if reused {
                 continue;
             }
-            let row = self.row(id).ok_or_else(|| stale(format!("missing row for {id}")))?;
-            let entry = row
-                .get(u)
-                .filter(|e| e.cost != INFINITE_COST)
-                .ok_or_else(|| stale(format!("row {id} has no feasible entry for u={u}")))?;
-            for (&child, &split) in tree.node(id).children.as_slice().iter().zip(&entry.split) {
+            let split = self.split_of(tree, id, u)?;
+            for (&child, &split) in tree.node(id).children.as_slice().iter().zip(&split) {
                 let slot = by_slot
                     .get_mut(child.index())
-                    .ok_or_else(|| stale(format!("{child} is outside the arena")))?;
+                    .ok_or_else(|| stale(format!("a child of {id} is outside the arena")))?;
                 *slot = split as usize;
                 stack.push(child);
             }
@@ -295,7 +289,9 @@ pub(crate) fn cloak_regions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, verify_policy_aware, Entry, Row};
+    use crate::dp_fast::Win;
+    use crate::matrix::Splits;
+    use crate::{bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, verify_policy_aware, Row};
     use lbs_geom::{Point, Rect};
     use lbs_model::{encode_policy, LocationDb};
     use lbs_tree::{TreeConfig, TreeKind};
@@ -303,7 +299,8 @@ mod tests {
 
     /// The extractor as it stood before the one-pass walk: a
     /// `Configuration` map of targets, one pool `Vec` per node, and an
-    /// unsorted bulk load. Kept as the reference the walk must match.
+    /// unsorted bulk load, reading each visited cell's split through
+    /// [`DpMatrix::split_of`]. Kept as the reference the walk must match.
     fn reference_extract_policy(m: &DpMatrix, tree: &SpatialTree) -> BulkPolicy {
         m.optimal_cost(tree).unwrap();
         let mut config = Configuration::new();
@@ -312,10 +309,9 @@ mod tests {
         while let Some(id) = stack.pop() {
             let u = targets[id.index()];
             config.set(id, u);
-            let entry = m.row(id).unwrap().get(u).unwrap();
-            assert_ne!(entry.cost, INFINITE_COST);
+            let split = m.split_of(tree, id, u).unwrap();
             for (i, &child) in tree.node(id).children.as_slice().iter().enumerate() {
-                targets[child.index()] = entry.split[i] as usize;
+                targets[child.index()] = split[i] as usize;
                 stack.push(child);
             }
         }
@@ -444,7 +440,7 @@ mod tests {
     }
 
     /// A tree whose root has two leaf children, the first holding `c0`
-    /// users, and its matrix with the root's `u = 0` cell rewritten to
+    /// users, and its matrix with the root's `u = 0` tag rewritten to
     /// pass `c0 + extra` ids up from that leaf (whose row is rewritten to
     /// accept that target). Only the pool-size check can catch it.
     fn corrupted(extra: usize) -> (SpatialTree, DpMatrix) {
@@ -458,12 +454,18 @@ mod tests {
             panic!("the root of a 4-user binary tree is internal")
         };
         assert!(tree.node(low).is_leaf());
-        let c0 = tree.count(low);
-        let mut row = m.row(root).unwrap().clone();
-        row.dense[0].split = [(c0 + extra) as u32, 0, 0, 0];
-        m.set_row(root, row);
-        m.set_row(low, Row { d: c0 + extra, dense: vec![], special: Entry::zero([0; 4]) });
+        let target = tree.count(low) + extra;
+        set_tag(&mut m, root, 0, Win::S2(target as u32));
+        m.set_row(low, Row::leaf(target + 1, 1, Some(target)));
         (tree, m)
+    }
+
+    /// Overwrites the branch tag of cell `u` of `id`'s row.
+    fn set_tag(m: &mut DpMatrix, id: NodeId, u: usize, win: Win) {
+        let mut row = m.row(id).unwrap().clone();
+        let Splits::Tags(tags) = &mut row.splits else { panic!("binary rows carry tags") };
+        tags[u] = win.pack();
+        m.set_row(id, row);
     }
 
     #[test]
@@ -475,6 +477,61 @@ mod tests {
         }
         // The walk down alone accepts the corrupted rows.
         assert!(m.extract_configuration(&tree).is_ok());
+    }
+
+    #[test]
+    fn a_corrupted_tag_or_child_cost_is_a_stale_matrix_not_a_panic() {
+        let mut rng = StdRng::seed_from_u64(0x7A65);
+        let points: Vec<(i64, i64)> =
+            (0..80).map(|_| (rng.gen_range(0..32), rng.gen_range(0..32))).collect();
+        let d = db(&points);
+        let k = 3;
+        let tree =
+            SpatialTree::build(&d, TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, 32), k))
+                .unwrap();
+        let m = bulk_dp_fast(&tree, k).unwrap();
+        let config = m.extract_configuration(&tree).unwrap();
+        let expect_stale = |m: &DpMatrix, id: NodeId, u: usize, what: &str| {
+            let split = m.split_of(&tree, id, u);
+            assert!(matches!(split, Err(CoreError::StaleMatrix(_))), "{what}: {split:?}");
+            let policy = m.extract_policy(&tree);
+            assert!(matches!(policy, Err(CoreError::StaleMatrix(_))), "{what}: {policy:?}");
+        };
+
+        // Tags naming an l1, l2 or j outside the root's children's rows.
+        let root = tree.root();
+        let [c1, c2] = *tree.node(root).children.as_slice() else { panic!("internal root") };
+        let (a1, a2) = (m.row(c1).unwrap().dense.len(), m.row(c2).unwrap().dense.len());
+        for win in [Win::S2(a1 as u32), Win::S3(a2 as u32), Win::Conv((a1 + a2) as u32)] {
+            let mut bad = m.clone();
+            set_tag(&mut bad, root, 0, win);
+            expect_stale(&bad, root, 0, &format!("{win:?}"));
+        }
+
+        // A child cost raised under a visited Conv cell: the diagonal no
+        // longer reaches the cell's cost.
+        let conv = tree.postorder().into_iter().find(|&id| {
+            let u = config.get(id).unwrap();
+            match &m.row(id).unwrap().splits {
+                Splits::Tags(tags) => {
+                    tags.get(u).is_some_and(|&t| matches!(Win::unpack(t), Win::Conv(_)))
+                }
+                Splits::Explicit(_) => false,
+            }
+        });
+        let id = conv.expect("some visited cell is won by the convolution");
+        let u = config.get(id).unwrap();
+        let child = tree.node(id).children.as_slice()[0];
+        let mut bad = m.clone();
+        let mut row = bad.row(child).unwrap().clone();
+        row.dense.iter_mut().for_each(|cost| *cost += 1);
+        bad.set_row(child, row);
+        expect_stale(&bad, id, u, "raised child cost");
+
+        // A missing child row.
+        let mut bad = m.clone();
+        bad.clear_row(child);
+        expect_stale(&bad, id, u, "missing child row");
     }
 
     #[test]

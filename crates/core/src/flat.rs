@@ -11,12 +11,11 @@
 //! children's, and a reverse slot scan visits children before parents
 //! (the postorder discipline the DP requires) with zero pointer chasing.
 //!
-//! The per-row result cells live in one contiguous cost arena (`u128`
-//! costs and `[u32; 4]` splits in separate arrays) instead of per-node
-//! `Vec<Entry>` rows, so the Stage-1 convolution of a parent reads its
-//! children's costs as two dense `&[u128]` slices — half the memory
-//! traffic of the 32-byte `Entry` stride, and contiguous for the
-//! hardware prefetcher.
+//! Each row keeps its costs in a column of their own (`Vec<u128>`, with
+//! the branch tags or splits in a second column), so the Stage-1
+//! convolution of a parent reads its children's costs as two dense
+//! `&[u128]` slices — no split bytes in the stride, and contiguous for
+//! the hardware prefetcher.
 
 use lbs_tree::{NodeId, SpatialTree};
 
@@ -89,9 +88,9 @@ const NARROW_LIMIT: u128 = (u64::MAX / 4) as u128;
 ///
 /// The kernel carries **no argmin column** — dropping it is what makes
 /// the inner loop an unconditional `min` over a contiguous window, free
-/// of data-dependent branches and stores of a second array. The DP
-/// resolves the one argmin it actually needs per output cell afterwards
-/// with [`minplus_argmin`]. When every input cost is below 2⁶² (the
+/// of data-dependent branches and stores of a second array. Extraction
+/// resolves the one argmin it needs per visited node afterwards with
+/// [`minplus_argmin`]. When every input cost is below 2⁶² (the
 /// common case: costs are exact `area·users` products), the loop runs in
 /// u64 lanes, which the compiler turns into straight-line SIMD; a u128
 /// scalar lane with the same update rule covers the rest. Both lanes
@@ -177,21 +176,23 @@ pub fn minplus_convolve(c1: &[u128], c2: &[u128]) -> Vec<u128> {
 }
 
 /// Ascending rescan of convolution diagonal `j` for the smallest `l1`
-/// attaining `target` (the diagonal's minimum, as computed by
-/// [`ConvKernel`]). This is exactly the representative a strict-`<`
-/// update rule with `l1` ascending records, so split extraction through
-/// this function is bit-identical to an argmin column — the tie-break is
-/// part of the bit-identity contract with the row-wise DP.
-pub fn minplus_argmin(c1: &[u128], c2: &[u128], j: usize, target: u128) -> u32 {
-    let lo = (j + 1).saturating_sub(c2.len());
-    let hi = j.min(c1.len() - 1);
-    for l1 in lo..=hi {
-        if c1[l1] + c2[j - l1] == target {
-            return l1 as u32;
-        }
-    }
-    debug_assert!(false, "conv cell {j} lost its witness");
-    lo as u32
+/// with `c1[l1] + c2[j − l1] == target` (the diagonal's minimum, as
+/// computed by [`ConvKernel`]). This is exactly the representative a
+/// strict-`<` update rule with `l1` ascending records, so split
+/// extraction through this function is bit-identical to an argmin
+/// column — the tie-break is part of the bit-identity contract with the
+/// row-wise DP.
+///
+/// `None` when no pair on the diagonal sums to `target` — including an
+/// empty diagonal (`j ≥ c1.len() + c2.len() − 1`, or an empty input). A
+/// corrupted row reaches this; it never panics or overflows.
+pub fn minplus_argmin(c1: &[u128], c2: &[u128], j: usize, target: u128) -> Option<u32> {
+    let lo = j.saturating_add(1).saturating_sub(c2.len());
+    // Ascending l1 from lo pairs with descending l2 from j − lo.
+    let left = c1.get(lo..=j.min(c1.len().checked_sub(1)?))?;
+    let right = c2.get(..=j.checked_sub(lo)?)?.iter().rev();
+    let hit = left.iter().zip(right).position(|(&a, &b)| a.checked_add(b) == Some(target))?;
+    Some((lo + hit) as u32)
 }
 
 #[cfg(test)]
@@ -220,7 +221,7 @@ mod tests {
                 }
             }
             assert_eq!(got, best, "j={j}");
-            assert_eq!(minplus_argmin(&c1, &c2, j, got), best_l1, "argmin at j={j}");
+            assert_eq!(minplus_argmin(&c1, &c2, j, got), Some(best_l1), "argmin at j={j}");
         }
     }
 
@@ -229,8 +230,18 @@ mod tests {
         // c1[0]+c2[1] == c1[1]+c2[0] at j=1; the earlier l1 must win.
         let cost = minplus_convolve(&[4, 4], &[4, 4]);
         assert_eq!(cost, vec![8, 8, 8]);
-        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 1, 8), 0);
-        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 2, 8), 1);
+        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 1, 8), Some(0));
+        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 2, 8), Some(1));
+    }
+
+    #[test]
+    fn argmin_without_a_witness_is_none_not_a_panic() {
+        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 1, 7), None, "no pair sums to 7");
+        assert_eq!(minplus_argmin(&[4, 4], &[4, 4], 3, 8), None, "j past the last diagonal");
+        assert_eq!(minplus_argmin(&[], &[4, 4], 0, 4), None, "empty c1");
+        assert_eq!(minplus_argmin(&[4, 4], &[], 0, 4), None, "empty c2");
+        let max = INFINITE_COST;
+        assert_eq!(minplus_argmin(&[max], &[1], 0, 0), None, "a sum past u128 overflows to none");
     }
 
     #[test]

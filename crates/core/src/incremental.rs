@@ -16,12 +16,12 @@
 //!   in one batch collapse: each shared ancestor is visited (and its row
 //!   recomputed) exactly once per commit, no matter how many moves dirtied
 //!   it.
-//! * **Subtree cost-vector caching** — recomputing an internal binary row
-//!   needs only the **dense cost slices** of its two children. Each clean
-//!   subtree's cost vector is memoized in a [`CostCache`] keyed by the
-//!   tree's per-node version counter, so an untouched sibling feeds the
-//!   convolution kernel without widening its matrix row again on every
-//!   commit that dirties its parent.
+//! * **Cost columns read in place** — recomputing an internal binary row
+//!   needs only the **dense cost columns** of its two children, and a
+//!   row stores its costs as a column of their own, so an untouched
+//!   sibling feeds the convolution kernel straight from the matrix. A
+//!   [`CostCache`] of the tree's per-node version counters tells such a
+//!   re-read (a cache hit) from a first read at a new version (a miss).
 //! * **Parallel refresh plans** — [`plan_refresh`](IncrementalAnonymizer::plan_refresh)
 //!   splits the dirty set into disjoint dirty subtrees (tasks) plus the
 //!   shared ancestor spine. Tasks touch disjoint rows and read only
@@ -63,9 +63,9 @@ pub struct IncrementalReport {
     pub rows_recomputed: usize,
     /// Live rows that could be reused untouched.
     pub rows_reused: usize,
-    /// Child cost vectors served from the subtree cache.
+    /// Child cost columns re-read at a version a refresh already read.
     pub cache_hits: usize,
-    /// Child cost vectors widened from matrix rows (cache fills).
+    /// Child cost columns first read at their current version.
     pub cache_misses: usize,
     /// Disjoint dirty subtrees refreshed as parallel tasks (0 when the
     /// refresh ran sequentially without a plan).
@@ -94,114 +94,75 @@ struct Extracted {
     deleted: Vec<UserId>,
 }
 
-/// The dense cost slice of one subtree, memoized at a tree version.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    /// [`SpatialTree::version`] of the node when the vector was captured.
-    version: u64,
-    /// The row's dense column: `dense[u] = row.dense[u].cost`.
-    dense: Vec<u128>,
-}
-
-/// Version-keyed memo of subtree cost vectors, indexed by arena id.
+/// The tree version at which each child row was last read, indexed by
+/// arena id: the bookkeeping behind the refresh's cache counters.
 ///
-/// A hit means the node's row has not been recomputed since the vector was
-/// captured (the tree bumps a node's version exactly when its row goes
-/// stale), so the cached dense column equals what widening the matrix row
-/// would produce — the convolution kernel reads it directly.
+/// A row's cost column is read in place, so nothing is copied on either
+/// outcome. A hit means the child row has not been recomputed since a
+/// refresh last read or wrote it (the tree bumps a node's version exactly
+/// when its row goes stale): an untouched sibling read again.
+/// `cache_hits` and `cache_misses` count the two outcomes, and the work
+/// golden pins them.
 #[derive(Debug, Clone, Default)]
 struct CostCache {
-    entries: Vec<Option<CacheEntry>>,
+    versions: Vec<Option<u64>>,
 }
 
 impl CostCache {
     /// Grows the index to cover `arena_len` node slots.
     fn resize(&mut self, arena_len: usize) {
-        if self.entries.len() < arena_len {
-            self.entries.resize_with(arena_len, || None);
+        if self.versions.len() < arena_len {
+            self.versions.resize(arena_len, None);
         }
     }
 
-    /// The cached vector for `id` if it was captured at `version`.
-    fn get(&self, id: NodeId, version: u64) -> Option<&[u128]> {
-        match self.entries.get(id.index()) {
-            Some(Some(e)) if e.version == version => Some(&e.dense),
-            _ => None,
-        }
-    }
-
-    /// Makes `child`'s vector valid at the current tree version, widening
-    /// its matrix row on a miss. Counts the outcome into `report`.
+    /// `child`'s cost column, and whether it is current at the child's
+    /// tree version (a hit).
     ///
     /// # Errors
     /// [`CoreError::StaleMatrix`] when the child row is missing.
-    fn ensure(
+    fn read<'m>(
+        &self,
+        tree: &SpatialTree,
+        matrix: &'m DpMatrix,
+        parent: NodeId,
+        child: NodeId,
+    ) -> Result<(&'m [u128], bool), CoreError> {
+        let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
+        let current = self.versions.get(child.index()) == Some(&Some(tree.version(child)));
+        Ok((&row.dense, current))
+    }
+
+    /// [`read`](Self::read), counting the outcome into `report` and
+    /// recording the version on a miss.
+    ///
+    /// # Errors
+    /// As [`read`](Self::read).
+    fn ensure<'m>(
         &mut self,
         tree: &SpatialTree,
-        matrix: &DpMatrix,
+        matrix: &'m DpMatrix,
         parent: NodeId,
         child: NodeId,
         report: &mut IncrementalReport,
-    ) -> Result<(), CoreError> {
-        let version = tree.version(child);
-        let idx = child.index();
-        self.resize(idx + 1);
-        // lbs-lint: allow-item(panic-reachability, reason = "resize above guarantees idx is in bounds")
-        let slot = &mut self.entries[idx];
-        if let Some(e) = slot {
-            if e.version == version {
-                report.cache_hits += 1;
-                return Ok(());
-            }
+    ) -> Result<&'m [u128], CoreError> {
+        let (dense, hit) = self.read(tree, matrix, parent, child)?;
+        if hit {
+            report.cache_hits += 1;
+        } else {
+            report.cache_misses += 1;
+            self.store(child, tree.version(child));
         }
-        let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
-        report.cache_misses += 1;
-        match slot {
-            Some(e) => {
-                e.version = version;
-                e.dense.clear();
-                e.dense.extend(row.dense.iter().map(|cell| cell.cost));
-            }
-            None => {
-                *slot = Some(CacheEntry {
-                    version,
-                    dense: row.dense.iter().map(|cell| cell.cost).collect(),
-                });
-            }
-        }
-        Ok(())
+        Ok(dense)
     }
 
-    /// Captures `row`'s dense column for `id` at `version` (called for
-    /// every freshly recomputed row, so parents applied later in the same
-    /// sweep hit the cache).
-    fn store(&mut self, id: NodeId, version: u64, row: &Row) {
-        let idx = id.index();
-        self.resize(idx + 1);
-        match &mut self.entries[idx] {
-            Some(e) => {
-                e.version = version;
-                e.dense.clear();
-                e.dense.extend(row.dense.iter().map(|cell| cell.cost));
-            }
-            slot => {
-                *slot = Some(CacheEntry {
-                    version,
-                    dense: row.dense.iter().map(|cell| cell.cost).collect(),
-                });
-            }
-        }
-    }
-
-    /// The vector previously guaranteed by [`ensure`](Self::ensure).
-    ///
-    /// The empty-slice fallback is unreachable after a successful `ensure`
-    /// for the same id (ensure either fills the slot or errors); it exists
-    /// only because this crate forbids panicking accessors.
-    fn dense(&self, id: NodeId) -> &[u128] {
-        match self.entries.get(id.index()) {
-            Some(Some(e)) => &e.dense,
-            _ => &[],
+    /// Records that `id`'s row is current at `version` (called for every
+    /// freshly recomputed row, so parents applied later in the same sweep
+    /// hit).
+    fn store(&mut self, id: NodeId, version: u64) {
+        self.resize(id.index() + 1);
+        if let Some(slot) = self.versions.get_mut(id.index()) {
+            *slot = Some(version);
         }
     }
 }
@@ -230,9 +191,9 @@ pub struct RefreshPlan {
 pub struct TaskRows {
     /// `(node, fresh row)` pairs in the task's postorder.
     pub rows: Vec<(NodeId, Row)>,
-    /// Child cost vectors served from the subtree cache.
+    /// Child cost columns re-read at a version a refresh already read.
     pub cache_hits: usize,
-    /// Child cost vectors widened from matrix rows.
+    /// Child cost columns first read at their current version.
     pub cache_misses: usize,
 }
 
@@ -269,8 +230,8 @@ pub struct IncrementalAnonymizer {
     /// of the stale rows: restructuring may free some of these ids, which
     /// the next refresh sweep simply skips.
     pending: HashSet<NodeId>,
-    /// Version-keyed subtree cost vectors (binary trees only; the quad
-    /// sweep reads sparse candidate tables straight from matrix rows).
+    /// Version of each child row last read (binary trees only; the quad
+    /// sweep reads its children's rows without counting).
     cache: CostCache,
     /// Convolution/suffix buffers reused across refreshes.
     scratch: DpScratch,
@@ -527,9 +488,9 @@ impl IncrementalAnonymizer {
 
     /// Computes the fresh rows of one plan task **without mutating
     /// anything** — safe to run concurrently for disjoint tasks sharing
-    /// `&self`. Child cost slices resolve, in order: rows computed earlier
-    /// in this task, the (read-only) subtree cache, widening the matrix
-    /// row. `cancel` is polled before each row.
+    /// `&self`. A child row resolves to one computed earlier in this task,
+    /// else to the matrix row, counted as a cache hit when the (read-only)
+    /// version cache is current for it. `cancel` is polled before each row.
     ///
     /// # Errors
     /// [`CoreError::Cancelled`] when `cancel` fires; DP errors otherwise.
@@ -541,41 +502,19 @@ impl IncrementalAnonymizer {
     ) -> Result<TaskRows, CoreError> {
         let mut rows: Vec<(NodeId, Row)> = Vec::with_capacity(nodes.len());
         let mut index: HashMap<NodeId, usize> = HashMap::new();
-        let mut costs: HashMap<NodeId, Vec<u128>> = HashMap::new();
         let (mut hits, mut misses) = (0usize, 0usize);
-        let mut tmp1: Vec<u128> = Vec::new();
-        let mut tmp2: Vec<u128> = Vec::new();
         for &id in nodes {
             if cancel() {
                 return Err(CoreError::Cancelled);
             }
             let node = self.tree.node(id);
+            let local = LocalRows { index: &index, rows: &rows };
             let row = match *node.children.as_slice() {
                 [] => leaf_row(node.count, node.rect.area(), node.depth, self.k),
                 [c1, c2] => {
                     let (d1, d2) = (self.tree.node(c1).count, self.tree.node(c2).count);
-                    let dense1 = task_child_costs(
-                        &self.tree,
-                        &self.matrix,
-                        &self.cache,
-                        &costs,
-                        id,
-                        c1,
-                        &mut tmp1,
-                        &mut hits,
-                        &mut misses,
-                    )?;
-                    let dense2 = task_child_costs(
-                        &self.tree,
-                        &self.matrix,
-                        &self.cache,
-                        &costs,
-                        id,
-                        c2,
-                        &mut tmp2,
-                        &mut hits,
-                        &mut misses,
-                    )?;
+                    let dense1 = task_child_costs(self, &local, id, c1, &mut hits, &mut misses)?;
+                    let dense2 = task_child_costs(self, &local, id, c2, &mut hits, &mut misses)?;
                     combine_children_row(
                         dense1,
                         dense2,
@@ -588,25 +527,15 @@ impl IncrementalAnonymizer {
                         scratch,
                     )
                 }
-                _ => {
-                    let overlay = LocalRows { index: &index, rows: &rows };
-                    quad_row_overlay(&self.tree, &self.matrix, Some(&overlay), id, self.k)?
-                }
+                _ => quad_row_overlay(&self.tree, &self.matrix, Some(&local), id, self.k)?,
             };
-            match self.kind {
-                TreeKind::Binary => {
-                    costs.insert(id, row.dense.iter().map(|cell| cell.cost).collect());
-                }
-                TreeKind::Quad => {
-                    index.insert(id, rows.len());
-                }
-            }
+            index.insert(id, rows.len());
             rows.push((id, row));
         }
         Ok(TaskRows { rows, cache_hits: hits, cache_misses: misses })
     }
 
-    /// Installs one task's rows: matrix rows set, cost vectors captured,
+    /// Installs one task's rows: matrix rows set, their versions recorded,
     /// pending entries retired. Returns the number of rows applied.
     ///
     /// Tasks touch disjoint rows, so apply order does not affect the final
@@ -615,7 +544,7 @@ impl IncrementalAnonymizer {
         let applied = task.rows.len();
         for (id, row) in task.rows {
             if self.kind == TreeKind::Binary {
-                self.cache.store(id, self.tree.version(id), &row);
+                self.cache.store(id, self.tree.version(id));
             }
             self.matrix.set_row(id, row);
             self.pending.remove(&id);
@@ -652,7 +581,7 @@ impl IncrementalAnonymizer {
                 report,
             )?;
             if self.kind == TreeKind::Binary {
-                self.cache.store(id, self.tree.version(id), &row);
+                self.cache.store(id, self.tree.version(id));
             }
             self.matrix.set_row(id, row);
             self.pending.remove(&id);
@@ -810,9 +739,8 @@ fn dirty_postorder_from(
     order
 }
 
-/// Recomputes one row for the sequential sweep, filling the cost cache
-/// through [`CostCache::ensure`] so repeated parents widen each clean
-/// child at most once per version.
+/// Recomputes one row for the sequential sweep, reading each child's
+/// cost column through [`CostCache::ensure`].
 fn recompute_row(
     tree: &SpatialTree,
     matrix: &DpMatrix,
@@ -826,12 +754,12 @@ fn recompute_row(
     match *node.children.as_slice() {
         [] => Ok(leaf_row(node.count, node.rect.area(), node.depth, k)),
         [c1, c2] => {
-            cache.ensure(tree, matrix, id, c1, report)?;
-            cache.ensure(tree, matrix, id, c2, report)?;
+            let dense1 = cache.ensure(tree, matrix, id, c1, report)?;
+            let dense2 = cache.ensure(tree, matrix, id, c2, report)?;
             let (d1, d2) = (tree.node(c1).count, tree.node(c2).count);
             Ok(combine_children_row(
-                cache.dense(c1),
-                cache.dense(c2),
+                dense1,
+                dense2,
                 d1,
                 d2,
                 node.count,
@@ -845,36 +773,23 @@ fn recompute_row(
     }
 }
 
-/// Resolves a child's dense cost slice for a task without mutating shared
-/// state: task-local rows first, then a version-valid cache entry, then a
-/// widen of the matrix row into `tmp`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the lookup consults three cost sources and bumps two caller-owned counters, each borrowed separately from the task"
-)]
+/// Resolves a child's dense cost column for a task without mutating
+/// shared state: a row computed earlier in the task, else the matrix row,
+/// counted as a hit when the cache is current for it and a miss otherwise.
 fn task_child_costs<'a>(
-    tree: &SpatialTree,
-    matrix: &'a DpMatrix,
-    cache: &'a CostCache,
-    local: &'a HashMap<NodeId, Vec<u128>>,
+    inc: &'a IncrementalAnonymizer,
+    local: &LocalRows<'a>,
     parent: NodeId,
     child: NodeId,
-    tmp: &'a mut Vec<u128>,
     hits: &mut usize,
     misses: &mut usize,
 ) -> Result<&'a [u128], CoreError> {
-    if let Some(c) = local.get(&child) {
-        return Ok(c);
+    if let Some(row) = local.get(child) {
+        return Ok(&row.dense);
     }
-    if let Some(c) = cache.get(child, tree.version(child)) {
-        *hits += 1;
-        return Ok(c);
-    }
-    let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
-    *misses += 1;
-    tmp.clear();
-    tmp.extend(row.dense.iter().map(|cell| cell.cost));
-    Ok(tmp)
+    let (dense, hit) = inc.cache.read(&inc.tree, &inc.matrix, parent, child)?;
+    *if hit { hits } else { misses } += 1;
+    Ok(dense)
 }
 
 #[cfg(test)]
@@ -961,14 +876,14 @@ mod tests {
         let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), k);
         let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
 
-        // First batch fills the cache for every clean sibling it widens.
+        // First batch fills the cache for every clean sibling it reads.
         let moves = random_moves(&mut rng, n, 8, side);
         db.apply_moves(&moves).unwrap();
         let first = inc.apply_moves(&moves).unwrap();
         assert!(first.cache_misses > 0, "cold cache must fill: {first:?}");
 
-        // A second batch through the same region reuses captured vectors:
-        // the shared ancestors' clean children are served from the cache.
+        // A second batch through the same region re-reads clean siblings
+        // at versions the cache already holds.
         let moves = random_moves(&mut rng, n, 8, side);
         db.apply_moves(&moves).unwrap();
         let second = inc.apply_moves(&moves).unwrap();
@@ -1116,7 +1031,8 @@ mod tests {
 
     #[test]
     fn a_corrupted_row_fails_extraction_and_keeps_the_committed_policy() {
-        use crate::{Entry, Row};
+        use crate::dp_fast::Win;
+        use crate::matrix::Splits;
         use lbs_model::encode_policy;
         let mut rng = StdRng::seed_from_u64(23);
         let side = 128i64;
@@ -1139,9 +1055,17 @@ mod tests {
         let saved = (inc.matrix.row(root).unwrap().clone(), inc.matrix.row(low).unwrap().clone());
         let target = inc.tree.count(low) + 3;
         let mut row = saved.0.clone();
-        row.dense[0].split[0] = target as u32;
+        let Splits::Tags(tags) = &mut row.splits else { panic!("binary rows carry tags") };
+        tags[0] = Win::S2(target as u32).pack();
         inc.matrix.set_row(root, row);
-        inc.matrix.set_row(low, Row { d: target, dense: vec![], special: Entry::zero([0; 4]) });
+        // The first child's row gains a free cell at the target, where its
+        // own children pass everything up.
+        let mut child = saved.1.clone();
+        child.d = target + 1;
+        child.dense.resize(target + 1, 0);
+        let Splits::Tags(tags) = &mut child.splits else { panic!("binary rows carry tags") };
+        tags.resize(target + 1, Win::Block4.pack());
+        inc.matrix.set_row(low, child);
         match inc.extract() {
             Err(CoreError::StaleMatrix(msg)) => assert!(msg.contains("exceeds its pool"), "{msg}"),
             other => panic!("expected StaleMatrix, got {other:?}"),
@@ -1155,6 +1079,44 @@ mod tests {
         assert_eq!(report.nodes, inc.tree.live_len());
         let full = inc.matrix.extract_policy(&inc.tree).unwrap();
         assert_eq!(encode_policy(inc.committed_policy()), encode_policy(&full));
+    }
+
+    /// Every cell's cost and split of `inc`'s matrix equal those of a
+    /// fresh row-wise sweep over the maintained tree.
+    fn assert_cells_match_rowwise(inc: &IncrementalAnonymizer, context: &str) {
+        let tree = inc.tree();
+        let fresh = crate::bulk_dp_fast_rowwise(tree, inc.k()).unwrap();
+        for id in tree.postorder() {
+            let (kept, want) = (inc.matrix().row(id).unwrap(), fresh.row(id).unwrap());
+            assert_eq!(kept.d, want.d, "{context}: node {id}");
+            assert_eq!(kept.dense, want.dense, "{context}: node {id}");
+            for (u, _) in want.iter() {
+                assert_eq!(
+                    inc.matrix().split_of(tree, id, u).unwrap(),
+                    fresh.split_of(tree, id, u).unwrap(),
+                    "{context}: node {id} u={u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn maintained_cells_match_a_fresh_rowwise_sweep_after_every_batch() {
+        let mut rng = StdRng::seed_from_u64(0x5B117);
+        let side = 128i64;
+        let n = 300u64;
+        for k in [2usize, 5, 12] {
+            let db = random_db(&mut rng, n as usize, side);
+            let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), k);
+            let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
+            assert_cells_match_rowwise(&inc, &format!("k={k} initial"));
+            for round in 0..12 {
+                let count = rng.gen_range(1..=40);
+                let moves = random_moves(&mut rng, n, count, side);
+                inc.apply_moves(&moves).unwrap();
+                assert_cells_match_rowwise(&inc, &format!("k={k} round {round}"));
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use incremental::{
     first_poll_taken, ExtractReport, IncrementalAnonymizer, IncrementalReport, RefreshPlan,
     TaskRows,
 };
-pub use matrix::{DpMatrix, Entry, Row, INFINITE_COST};
+pub use matrix::{DpMatrix, Row, INFINITE_COST};
 pub use per_user_k::{anonymize_per_user_k, verify_per_user_k, KRequirements};
 pub use sticky::StickyAnonymizer;
 pub use verify::{brute_force_optimal_cost, verify_policy_aware, AnonymityViolation};

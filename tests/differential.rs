@@ -12,15 +12,18 @@
 //!   count.
 //! * The arena-flattened bulk sweeps (`bulk_dp_fast`,
 //!   `bulk_dp_fast_quad`) vs their pre-arena row-at-a-time references —
-//!   whole-matrix equality (costs *and* split choices) across a seeded
-//!   density × k × tree-shape grid, plus the 1–8-worker engine runs that
-//!   drive the arena sweep in production.
+//!   every cell's cost and split choice across a seeded density × k ×
+//!   tree-shape grid, plus the 1–8-worker engine runs that drive the
+//!   arena sweep in production.
+//! * The Lemma-5 work bound: dense×dense convolution pairs over the same
+//!   grid stay within `|B|·((k+1)·h_max + 1)²`.
 
 use lbs_core::{
     bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, bulk_dp_fast_quad_rowwise,
     bulk_dp_fast_rowwise, bulk_dp_fast_with_options, verify_policy_aware,
 };
 use policy_aware_lbs::prelude::*;
+use policy_aware_lbs::tree::NodeId;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -120,14 +123,13 @@ fn work_stealing_engine_is_bit_identical_to_sequential_servers() {
     }
 }
 
-/// The arena-flattened binary sweep vs the pre-arena rowwise walk:
-/// whole-matrix equality (every row's costs and split vectors, not just
-/// the optimum) over a seeded density × k grid. Density is driven by the
-/// map side at fixed n — side 16 packs many users per leaf (dense rows,
-/// duplicate coordinates), side 4096 scatters them (deep sparse trees).
-#[test]
-fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0004);
+/// The seeded density × k grid of the sweep differentials: three trees
+/// per (side, k). Density is driven by the map side at fixed n — side 16
+/// packs many users per leaf (dense rows, duplicate coordinates), side
+/// 4096 scatters them (deep sparse trees).
+fn density_k_grid(seed: u64, kind: TreeKind) -> Vec<(String, LocationDb, SpatialTree, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut grid = Vec::new();
     for side in [16i64, 64, 4096] {
         for k in [1usize, 3, 10, 50] {
             for trial in 0..3 {
@@ -137,52 +139,87 @@ fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
                 }))
                 .unwrap();
                 let map = Rect::square(0, 0, side);
-                let tree =
-                    SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Binary, map, k)).unwrap();
-                let context = format!("side={side} k={k} trial={trial} n={n}");
-
-                let rowwise = bulk_dp_fast_rowwise(&tree, k).unwrap();
-                let arena = bulk_dp_fast(&tree, k).unwrap();
-                assert_eq!(rowwise, arena, "{context}: binary matrices diverge");
-
-                let ref_policy = rowwise.extract_policy(&tree).unwrap();
-                let arena_policy = arena.extract_policy(&tree).unwrap();
-                assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
-                assert_same_policy(&ref_policy, &arena_policy, &context);
-                assert!(verify_policy_aware(&arena_policy, &db, k).is_ok(), "{context}");
+                let tree = SpatialTree::build(&db, TreeConfig::lazy(kind, map, k)).unwrap();
+                grid.push((format!("side={side} k={k} trial={trial} n={n}"), db, tree, k));
             }
         }
+    }
+    grid
+}
+
+/// The arena-flattened binary sweep vs the pre-arena rowwise walk: for
+/// every live node and every cell in its domain, equal cost and equal
+/// `split_of` (the arena stores branch tags, the rowwise walk explicit
+/// splits), plus the same extracted policy.
+#[test]
+fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
+    for (context, db, tree, k) in density_k_grid(0xD1FF_0004, TreeKind::Binary) {
+        let rowwise = bulk_dp_fast_rowwise(&tree, k).unwrap();
+        let arena = bulk_dp_fast(&tree, k).unwrap();
+        assert_eq!(rowwise.computed_rows(), arena.computed_rows(), "{context}");
+        for id in tree.postorder() {
+            let (want, got) = (rowwise.row(id).unwrap(), arena.row(id).unwrap());
+            assert_eq!(want.d, got.d, "{context}: node {id}");
+            assert_eq!(want.dense, got.dense, "{context}: costs of node {id}");
+            for (u, _) in want.iter() {
+                assert_eq!(
+                    rowwise.split_of(&tree, id, u).unwrap(),
+                    arena.split_of(&tree, id, u).unwrap(),
+                    "{context}: split of node {id} at u={u}"
+                );
+            }
+        }
+
+        let ref_policy = rowwise.extract_policy(&tree).unwrap();
+        let arena_policy = arena.extract_policy(&tree).unwrap();
+        assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
+        assert_same_policy(&ref_policy, &arena_policy, &context);
+        assert!(verify_policy_aware(&arena_policy, &db, k).is_ok(), "{context}");
     }
 }
 
 /// Same contract for the quad-tree sweep: `bulk_dp_fast_quad` vs the
-/// rowwise quad walk over the density × k grid.
+/// rowwise quad walk over the density × k grid. Both store explicit
+/// splits, so whole-matrix equality applies.
 #[test]
 fn arena_quad_sweep_is_byte_identical_to_rowwise_reference() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0005);
-    for side in [16i64, 64, 4096] {
-        for k in [1usize, 3, 10, 50] {
-            for trial in 0..3 {
-                let n = rng.gen_range(k.max(2)..260);
-                let db = LocationDb::from_rows((0..n).map(|i| {
-                    (UserId(i as u64), Point::new(rng.gen_range(0..side), rng.gen_range(0..side)))
-                }))
-                .unwrap();
-                let map = Rect::square(0, 0, side);
-                let tree =
-                    SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Quad, map, k)).unwrap();
-                let context = format!("side={side} k={k} trial={trial} n={n}");
+    for (context, _, tree, k) in density_k_grid(0xD1FF_0005, TreeKind::Quad) {
+        let rowwise = bulk_dp_fast_quad_rowwise(&tree, k).unwrap();
+        let arena = bulk_dp_fast_quad(&tree, k).unwrap();
+        assert_eq!(rowwise, arena, "{context}: quad matrices diverge");
 
-                let rowwise = bulk_dp_fast_quad_rowwise(&tree, k).unwrap();
-                let arena = bulk_dp_fast_quad(&tree, k).unwrap();
-                assert_eq!(rowwise, arena, "{context}: quad matrices diverge");
+        let ref_policy = rowwise.extract_policy(&tree).unwrap();
+        let arena_policy = arena.extract_policy(&tree).unwrap();
+        assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
+        assert_same_policy(&ref_policy, &arena_policy, &context);
+    }
+}
 
-                let ref_policy = rowwise.extract_policy(&tree).unwrap();
-                let arena_policy = arena.extract_policy(&tree).unwrap();
-                assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
-                assert_same_policy(&ref_policy, &arena_policy, &context);
-            }
+/// The per-node work bound behind the paper's `O(|B|·(kh)²)` claim:
+/// Lemma 5 caps the dense row of a node at depth `h` at `(k+1)·h + 1`
+/// cells, so the dense×dense (min,+) pairs `a₁·a₂` summed over internal
+/// nodes stay within `|B|·((k+1)·h_max + 1)²`.
+#[test]
+fn convolution_pairs_stay_within_the_lemma5_bound() {
+    for (context, _, tree, k) in density_k_grid(0xD1FF_0004, TreeKind::Binary) {
+        let matrix = bulk_dp_fast(&tree, k).unwrap();
+        let nodes = tree.postorder();
+        let cap = |id: NodeId| (k as u64 + 1) * tree.node(id).depth as u64 + 1;
+        let len = |id: NodeId| matrix.row(id).unwrap().dense.len() as u64;
+        for &id in &nodes {
+            assert!(len(id) <= cap(id), "{context}: node {id} row exceeds its Lemma-5 cap");
         }
+        let pairs: u64 = nodes
+            .iter()
+            .filter_map(|&id| match *tree.node(id).children.as_slice() {
+                [c1, c2] => Some(len(c1) * len(c2)),
+                _ => None,
+            })
+            .sum();
+        let h_max = nodes.iter().map(|&id| tree.node(id).depth as u64).max().unwrap();
+        let per_node = (k as u64 + 1) * h_max + 1;
+        let bound = tree.live_len() as u64 * per_node * per_node;
+        assert!(pairs <= bound, "{context}: {pairs} dense×dense pairs > bound {bound}");
     }
 }
 

@@ -197,11 +197,11 @@ fn render_dp_table(db: &LocationDb, kind: TreeKind, k: usize) -> String {
         if let Some(row) = matrix.row(id) {
             let cells: Vec<String> = row
                 .iter()
-                .map(|(u, entry)| {
-                    if entry.cost == INFINITE_COST {
+                .map(|(u, cost)| {
+                    if cost == INFINITE_COST {
                         format!("u{u}=inf")
                     } else {
-                        format!("u{u}={}", entry.cost)
+                        format!("u{u}={cost}")
                     }
                 })
                 .collect();

@@ -232,7 +232,7 @@ fn conv_pipeline(db: &LocationDb, k: usize) -> Result<(), String> {
         }
         let dense = |c: lbs_tree::NodeId| -> Result<Vec<u128>, String> {
             let row = matrix.row(c).ok_or_else(|| format!("missing row for {c}"))?;
-            Ok(row.dense.iter().map(|e| e.cost).collect())
+            Ok(row.dense.clone())
         };
         let (c1, c2) = (dense(children[0])?, dense(children[1])?);
         let got = minplus_convolve(&c1, &c2);
@@ -245,8 +245,8 @@ fn conv_pipeline(db: &LocationDb, k: usize) -> Result<(), String> {
                 return Err(format!("{id} j={j}: kernel {cost} != naive {want_cost}"));
             }
             let l1 = minplus_argmin(&c1, &c2, j, cost);
-            if l1 != want_l1 {
-                return Err(format!("{id} j={j}: argmin {l1} != smallest witness {want_l1}"));
+            if l1 != Some(want_l1) {
+                return Err(format!("{id} j={j}: argmin {l1:?} != smallest witness {want_l1}"));
             }
         }
     }
@@ -269,7 +269,7 @@ proptest! {
         prop_assert_eq!(got.len(), expect.len());
         for (j, (&cost, &(want_cost, want_l1))) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(cost, want_cost, "j={}", j);
-            prop_assert_eq!(minplus_argmin(&c1, &c2, j, cost), want_l1, "argmin j={}", j);
+            prop_assert_eq!(minplus_argmin(&c1, &c2, j, cost), Some(want_l1), "argmin j={}", j);
         }
     }
 
