@@ -312,13 +312,10 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if bless {
         let dir = golden_dir
             .ok_or_else(|| CliError::Anonymize("--bless true requires --golden DIR".into()))?;
-        let counts = lbs_conformance::bless_all(&dir, seed).map_err(CliError::Anonymize)?;
-        let blessed: Vec<String> =
-            counts.iter().map(|(corpus, n)| format!("{n} {corpus}")).collect();
+        let n = lbs_conformance::bless_all(&dir, seed).map_err(CliError::Anonymize)?;
         writeln!(
             out,
-            "blessed {} records into {} (master seed {seed}); review the diff",
-            blessed.join(", "),
+            "blessed {n} records into {} (master seed {seed}); review the diff",
             dir.display()
         )?;
         return Ok(());
@@ -335,11 +332,7 @@ fn conformance(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if let Some(dir) = golden_dir {
         match lbs_conformance::check_all(&dir, seed) {
-            Ok(counts) => {
-                for (corpus, n) in counts {
-                    writeln!(out, "{corpus} golden corpus: {n} records match {}", dir.display())?;
-                }
-            }
+            Ok(n) => writeln!(out, "golden corpus: {n} records match {}", dir.display())?,
             Err(mut drift) => problems.append(&mut drift),
         }
     }
@@ -1015,10 +1008,7 @@ mod tests {
         let gdir = dir.path("golden");
         let msg = run_line(&["conformance", "--bless", "true", "--golden", &gdir, "--seed", "7"])
             .unwrap();
-        assert!(
-            msg.contains("blessed 12 policy, 3 sharded, 12 partitioned, 9 work records"),
-            "{msg}"
-        );
+        assert!(msg.contains("blessed 36 records into"), "{msg}");
         assert!(msg.contains("seed 7"), "{msg}");
         let mut stems: Vec<String> = std::fs::read_dir(&gdir)
             .unwrap()

@@ -1,24 +1,29 @@
-//! The checked-in golden corpora under `tests/golden`.
+//! The checked-in golden corpus under `tests/golden`.
 //!
-//! Four corpora share one directory and one bless/check path
-//! ([`bless_all`], [`check_all`]):
+//! Every file holds one [`GoldenRecord`]: its id (also the file stem),
+//! the seed its inputs derive from, and a sorted map of exact named
+//! values. [`bless_all`] writes the corpus and [`check_all`] diffs it.
+//! Four families fill it:
 //!
-//! * **policy** ([`GoldenRecord`]) — exact cost, group structure and a
-//!   fingerprint of the full user→cloak assignment for each (density, k,
-//!   tree) cell;
-//! * **sharded** ([`ShardedGoldenRecord`]) and **partitioned**
-//!   ([`PartitionedGoldenRecord`]) — the §V pipelines' merged policies
-//!   and per-part outputs;
-//! * **work** ([`WorkGoldenRecord`]) — every deterministic work counter
-//!   (tree nodes, DP rows and cells, extracted nodes, cache hits, WAL and
-//!   checkpoint bytes, …) of tiny seeded bulk, incremental, partitioned,
-//!   churn and query-cache runs. Counters carry no timing noise, so the
-//!   check is exact: a changed counter is a changed algorithm.
+//! * **policy** (`<density>-k<k>-<tree>`) — exact cost, group structure
+//!   and a fingerprint of the full user→cloak assignment;
+//! * **sharded** (`sharded_<n>`) and **partitioned**
+//!   (`partitioned_<density>-k<k>-s<servers>`) — the §V pipelines'
+//!   merged policies and per-part outputs, one zero-padded indexed key
+//!   per part (`shard_fingerprints.0`, `jurisdictions.07.cost`), so map
+//!   order is partition order;
+//! * **work** (`work_<family>-<parameter>`) — every deterministic work
+//!   counter (tree nodes, DP rows and cells, extracted nodes, cache hits,
+//!   WAL and checkpoint bytes, …) of tiny seeded bulk, incremental,
+//!   partitioned, churn and query-cache runs. Counters carry no timing
+//!   noise, so the check is exact: a changed counter is a changed
+//!   algorithm.
 //!
 //! Every record derives from [`DEFAULT_MASTER_SEED`](crate::DEFAULT_MASTER_SEED)
-//! (or the `--seed` given). Any refactor that silently shifts an optimal
-//! policy or the work done to reach it trips a corpus; intentional
-//! changes are re-blessed with
+//! (or the `--seed` given). A drift names the record, its seed and every
+//! moved key as `stored → computed`. Any refactor that silently shifts an
+//! optimal policy or the work done to reach it trips the corpus;
+//! intentional changes are re-blessed with
 //! `lbs conformance --bless true --golden tests/golden` and reviewed as
 //! a diff.
 
@@ -43,36 +48,154 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One frozen conformance output.
+/// Value name → exact value.
+type Values = BTreeMap<String, u128>;
+
+/// One frozen output: the exact named values of one seeded run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GoldenRecord {
-    /// Record id, also the file stem: `<density>-k<k>-<tree>`.
+    /// Record id, also the file stem.
     pub id: String,
-    /// The derived seed the database was generated from.
+    /// The derived seed the run's inputs were generated from.
     pub seed: u64,
-    /// Density profile name.
-    pub density: String,
-    /// Database size.
-    pub users: usize,
-    /// Anonymity level.
-    pub k: usize,
-    /// Tree family: `binary` or `quad`.
-    pub tree: String,
-    /// The optimal `Cost(P, D)`.
-    pub cost: u128,
-    /// Number of cloak groups in the optimal policy.
-    pub groups: usize,
-    /// Smallest group (≥ k by construction).
-    pub min_group: usize,
-    /// FNV-1a over the sorted `user:cloak` assignment strings — pins the
-    /// exact policy, not just its cost.
-    pub fingerprint: u64,
+    /// Value name → exact value. A list is one key per item, zero-padded
+    /// so map order is list order: `jurisdictions.07.cost`.
+    pub values: Values,
 }
 
-/// The corpus cells: every density × k ∈ {2, 8} × {binary, quad} at 64
-/// users. Pure function of `master`.
-fn cases(master: u64) -> Vec<(Density, usize, TreeKind)> {
-    let _ = master;
+impl GoldenRecord {
+    /// Diffs this freshly computed record against the stored
+    /// `dir/<id>.json`.
+    ///
+    /// # Errors
+    /// The missing or unreadable file, or the drift line: the record, its
+    /// seed and every moved key as `stored → computed`.
+    pub fn check(&self, dir: &Path) -> Result<(), String> {
+        let path = dir.join(format!("{}.json", self.id));
+        let stored: GoldenRecord = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|raw| serde_json::from_str(&raw).ok())
+            .ok_or_else(|| {
+                format!(
+                    "{}: missing or unreadable golden {} — run with --bless",
+                    self.id,
+                    path.display()
+                )
+            })?;
+        let show = |v: Option<&u128>| v.map_or_else(|| "absent".to_string(), u128::to_string);
+        let keys: BTreeSet<&String> = stored.values.keys().chain(self.values.keys()).collect();
+        let mut moved: Vec<String> = keys
+            .into_iter()
+            .filter_map(|key| {
+                let (was, now) = (stored.values.get(key), self.values.get(key));
+                (was != now).then(|| format!("{key} {} → {}", show(was), show(now)))
+            })
+            .collect();
+        if stored.seed != self.seed {
+            moved.push(format!("seed {} → {}", stored.seed, self.seed));
+        }
+        if stored.id != self.id {
+            moved.push(format!("id {} → {}", stored.id, self.id));
+        }
+        if moved.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{} (seed {}): golden drift — {}", self.id, self.seed, moved.join(", ")))
+        }
+    }
+}
+
+/// `Values` from literal `(name, value)` pairs.
+fn named<const N: usize>(pairs: [(&str, u128); N]) -> Values {
+    pairs.into_iter().map(|(name, value)| (name.to_string(), value)).collect()
+}
+
+/// The key of item `i` of a `len`-item list under `prefix`, zero-padded
+/// to the width of the last index so map order is list order.
+fn indexed(prefix: &str, i: usize, len: usize) -> String {
+    let width = len.saturating_sub(1).to_string().len();
+    format!("{prefix}.{i:0width$}")
+}
+
+/// The record's seed: FNV-1a of its id folded into `master` — the same
+/// id-hash → seed scheme as the scenario matrix.
+fn id_seed(master: u64, id: &str) -> u64 {
+    derive_seed(master, crate::fnv1a(id.bytes()))
+}
+
+/// Computes every record for `master`: the policy, sharded, partitioned
+/// and work families, in that order.
+///
+/// # Errors
+/// Set-up, tree, DP, runtime or I/O failures as messages.
+pub fn compute_all(master: u64) -> Result<Vec<GoldenRecord>, String> {
+    let mut records = policy_records(master)?;
+    records.extend(sharded_records(master)?);
+    records.extend(partitioned_records(master)?);
+    records.extend(work_records(master, WORK_WORKERS)?);
+    Ok(records)
+}
+
+/// Regenerates every record into `dir/<id>.json` (the `--bless` path).
+/// Returns the number written.
+///
+/// # Errors
+/// Computation or I/O failures as messages.
+pub fn bless_all(dir: &Path, master: u64) -> Result<usize, String> {
+    let records = compute_all(master)?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+    for record in &records {
+        let path = dir.join(format!("{}.json", record.id));
+        let json = serde_json::to_string_pretty(record)
+            .map_err(|e| format!("{}: serialize: {e}", record.id))?;
+        std::fs::write(&path, json + "\n")
+            .map_err(|e| format!("{}: write: {e}", path.display()))?;
+    }
+    Ok(records.len())
+}
+
+/// Recomputes every record and diffs it against `dir`. Returns the number
+/// of records checked.
+///
+/// # Errors
+/// One message per missing, unreadable or divergent record, each carrying
+/// its seed so a red check replays directly, and one per stale
+/// `dir/*.json` that no record produces.
+pub fn check_all(dir: &Path, master: u64) -> Result<usize, Vec<String>> {
+    let records = compute_all(master).map_err(|e| vec![e])?;
+    let mut problems: Vec<String> = records.iter().filter_map(|r| r.check(dir).err()).collect();
+    let ids: BTreeSet<&str> = records.iter().map(|r| r.id.as_str()).collect();
+    let mut stale: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| {
+            path.extension().is_some_and(|ext| ext == "json")
+                && !path.file_stem().and_then(|s| s.to_str()).is_some_and(|s| ids.contains(s))
+        })
+        .map(|path| format!("{}: stale golden — no record has this id; delete it", path.display()))
+        .collect();
+    stale.sort();
+    problems.append(&mut stale);
+    if problems.is_empty() {
+        Ok(records.len())
+    } else {
+        Err(problems)
+    }
+}
+
+/// FNV-1a fingerprint of the full assignment, independent of iteration
+/// order (assignments are sorted before hashing).
+pub fn policy_fingerprint(policy: &BulkPolicy) -> u64 {
+    let mut lines: Vec<String> =
+        policy.iter().map(|(user, region)| format!("{user}:{region}")).collect();
+    lines.sort_unstable();
+    crate::fnv1a(lines.iter().flat_map(|line| line.bytes().chain([b'\n'])))
+}
+
+/// The policy family's cells: every density × k ∈ {2, 8} × {binary, quad}.
+fn cases() -> Vec<(Density, usize, TreeKind)> {
     let mut out = Vec::new();
     for density in Density::ALL {
         for k in [2usize, 8] {
@@ -91,136 +214,14 @@ fn tree_name(kind: TreeKind) -> &'static str {
     }
 }
 
-/// The record's seed: FNV-1a of its id folded into `master` — the same
-/// id-hash → seed scheme as the scenario matrix.
-fn id_seed(master: u64, id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    derive_seed(master, h)
-}
-
-/// One corpus's record type: how it is named, filed and diffed.
-trait Record: Serialize + for<'de> Deserialize<'de> + PartialEq {
-    /// The corpus name [`bless_all`] and [`check_all`] report.
-    const CORPUS: &'static str;
-
-    /// The record id, also its file stem.
-    fn id(&self) -> &str;
-
-    /// The message for a fresh record that differs from the stored one;
-    /// it carries the seed, so a red check replays directly.
-    fn drift(stored: &Self, fresh: &Self) -> String;
-}
-
-/// Writes one pretty-printed `dir/<id>.json` per record. Returns the
-/// corpus name and the number written.
-fn write_records<T: Record>(dir: &Path, records: &[T]) -> Result<(&'static str, usize), String> {
-    for record in records {
-        let path = dir.join(format!("{}.json", record.id()));
-        let json = serde_json::to_string_pretty(record)
-            .map_err(|e| format!("{}: serialize: {e}", record.id()))?;
-        std::fs::write(&path, json + "\n")
-            .map_err(|e| format!("{}: write: {e}", path.display()))?;
-    }
-    Ok((T::CORPUS, records.len()))
-}
-
-/// Diffs freshly computed `records` against `dir/<id>.json`, appending
-/// one message per missing or unreadable file and one per divergent
-/// record to `problems`. Returns the corpus name and the number of
-/// records checked.
-fn diff_records<T: Record>(
-    dir: &Path,
-    records: Result<Vec<T>, String>,
-    problems: &mut Vec<String>,
-) -> (&'static str, usize) {
-    let records = records.unwrap_or_else(|e| {
-        problems.push(e);
-        Vec::new()
-    });
-    for fresh in &records {
-        let path = dir.join(format!("{}.json", fresh.id()));
-        let stored: Option<T> =
-            std::fs::read_to_string(&path).ok().and_then(|raw| serde_json::from_str(&raw).ok());
-        match stored {
-            None => problems.push(format!(
-                "{}: missing or unreadable {} golden {} — run with --bless",
-                fresh.id(),
-                T::CORPUS,
-                path.display()
-            )),
-            Some(stored) if &stored != fresh => problems.push(T::drift(&stored, fresh)),
-            Some(_) => {}
-        }
-    }
-    (T::CORPUS, records.len())
-}
-
-/// Regenerates every corpus into `dir` (the `--bless` path). Returns
-/// `(corpus, records written)` per corpus.
-///
-/// # Errors
-/// Computation or I/O failures as messages.
-pub fn bless_all(dir: &Path, master: u64) -> Result<Vec<(&'static str, usize)>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    Ok(vec![
-        write_records(dir, &compute_corpus(master)?)?,
-        write_records(dir, &compute_sharded_corpus(master)?)?,
-        write_records(dir, &compute_partitioned_corpus(master)?)?,
-        write_records(dir, &compute_work_corpus(master)?)?,
-    ])
-}
-
-/// Recomputes every corpus and diffs it against `dir`. Returns
-/// `(corpus, records checked)` per corpus.
-///
-/// # Errors
-/// One message per missing, unreadable or divergent record over every
-/// corpus, each carrying its seed so a red check replays directly.
-pub fn check_all(dir: &Path, master: u64) -> Result<Vec<(&'static str, usize)>, Vec<String>> {
-    let mut problems = Vec::new();
-    let counts = vec![
-        diff_records(dir, compute_corpus(master), &mut problems),
-        diff_records(dir, compute_sharded_corpus(master), &mut problems),
-        diff_records(dir, compute_partitioned_corpus(master), &mut problems),
-        diff_records(dir, compute_work_corpus(master), &mut problems),
-    ];
-    if problems.is_empty() {
-        Ok(counts)
-    } else {
-        Err(problems)
-    }
-}
-
-/// FNV-1a fingerprint of the full assignment, independent of iteration
-/// order (assignments are sorted before hashing).
-pub fn policy_fingerprint(policy: &BulkPolicy) -> u64 {
-    let mut lines: Vec<String> =
-        policy.iter().map(|(user, region)| format!("{user}:{region}")).collect();
-    lines.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in &lines {
-        for b in line.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= 0x0A;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Computes the policy corpus records for `master`.
-///
-/// # Errors
-/// Propagates tree/DP failures as messages.
-pub fn compute_corpus(master: u64) -> Result<Vec<GoldenRecord>, String> {
+/// The policy family at 64 users: the optimal `Cost(P, D)`, the number
+/// of cloak groups, the smallest group (≥ k by construction), and the
+/// assignment fingerprint, which pins the exact policy, not just its
+/// cost.
+fn policy_records(master: u64) -> Result<Vec<GoldenRecord>, String> {
     let users = 64usize;
-    let map = lbs_geom::Rect::square(0, 0, 1024);
-    cases(master)
+    let map = Rect::square(0, 0, 1024);
+    cases()
         .into_iter()
         .map(|(density, k, kind)| {
             let id = format!("{}-k{}-{}", density.name(), k, tree_name(kind));
@@ -235,78 +236,31 @@ pub fn compute_corpus(master: u64) -> Result<Vec<GoldenRecord>, String> {
             .map_err(|e| format!("{id}: dp: {e}"))?;
             let policy = matrix.extract_policy(&tree).map_err(|e| format!("{id}: extract: {e}"))?;
             let cost = matrix.optimal_cost(&tree).map_err(|e| format!("{id}: cost: {e}"))?;
-            Ok(GoldenRecord {
-                id,
-                seed,
-                density: density.name().to_string(),
-                users,
-                k,
-                tree: tree_name(kind).to_string(),
-                cost,
-                groups: policy.groups().len(),
-                min_group: policy.min_group_size().unwrap_or(0),
-                fingerprint: policy_fingerprint(&policy),
-            })
+            let values = named([
+                ("users", users as u128),
+                ("k", k as u128),
+                ("cost", cost),
+                ("groups", policy.groups().len() as u128),
+                ("min_group", policy.min_group_size().unwrap_or(0) as u128),
+                ("fingerprint", policy_fingerprint(&policy).into()),
+            ]);
+            Ok(GoldenRecord { id, seed, values })
         })
         .collect()
 }
 
-impl Record for GoldenRecord {
-    const CORPUS: &'static str = "policy";
-
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn drift(stored: &Self, fresh: &Self) -> String {
-        format!(
-            "{} (seed {}): golden drift — stored cost {} fp {:#x}, computed cost {} fp {:#x}",
-            fresh.id, fresh.seed, stored.cost, stored.fingerprint, fresh.cost, fresh.fingerprint
-        )
-    }
-}
-
-/// One frozen sharded-pipeline output: the shared-nothing partition of
-/// the jurisdiction tree at a fixed shard count, with the merged policy
-/// pinned by fingerprint and the per-shard parts pinned individually.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardedGoldenRecord {
-    /// Record id, also the file stem: `sharded_<n>`.
-    pub id: String,
-    /// The derived seed the database was generated from.
-    pub seed: u64,
-    /// Database size.
-    pub users: usize,
-    /// Anonymity level.
-    pub k: usize,
-    /// Shards requested from the planner.
-    pub shards_requested: usize,
-    /// Shards the plan settled on (the planner backs off rather than
-    /// produce an empty jurisdiction).
-    pub shards_actual: usize,
-    /// Exact aggregate cost of the merged sharded policy.
-    pub cost: u128,
-    /// Exact cost of the single-shard optimum over the same database —
-    /// pins the paper's ≤1% divergence bound alongside the policy itself.
-    pub single_cost: u128,
-    /// FNV-1a fingerprint of the merged whole-population assignment.
-    pub merged_fingerprint: u64,
-    /// Per-shard policy fingerprints, in plan order.
-    pub shard_fingerprints: Vec<u64>,
-}
-
-/// The sharded corpus cells: uniform 160-user population at k = 4,
+/// The sharded family: a uniform 160-user population at k = 4,
 /// partitioned 2/4/8 ways. (Uniform, not clustered: the greedy
 /// partitioner backs off to fewer jurisdictions when a dense cluster
-/// swallows the population, and the corpus wants real splits.) Pure
-/// function of `master`.
-///
-/// # Errors
-/// Propagates planning/DP failures as messages.
-pub fn compute_sharded_corpus(master: u64) -> Result<Vec<ShardedGoldenRecord>, String> {
+/// swallows the population, and the corpus wants real splits.) Pins the
+/// shards the plan settled on, the merged policy's cost and fingerprint,
+/// each shard's fingerprint in plan order, and the single-shard optimum
+/// (`single_cost`), so the paper's ≤1% divergence bound sits beside the
+/// policy itself.
+fn sharded_records(master: u64) -> Result<Vec<GoldenRecord>, String> {
     let users = 160usize;
     let k = 4usize;
-    let map = lbs_geom::Rect::square(0, 0, 1024);
+    let map = Rect::square(0, 0, 1024);
     [2usize, 4, 8]
         .into_iter()
         .map(|shards| {
@@ -315,92 +269,35 @@ pub fn compute_sharded_corpus(master: u64) -> Result<Vec<ShardedGoldenRecord>, S
             let db = Density::Uniform.generate(users, map, derive_seed(seed, 10));
             let outcome = lbs_runtime::sharded_bulk(&db, map, k, shards)
                 .map_err(|e| format!("{id}: sharded bulk: {e}"))?;
-            let single = lbs_core::Anonymizer::build(&db, map, k)
-                .map_err(|e| format!("{id}: single-shard: {e}"))?;
-            Ok(ShardedGoldenRecord {
-                id,
-                seed,
-                users,
-                k,
-                shards_requested: shards,
-                shards_actual: outcome.plan.len(),
-                cost: outcome.cost,
-                single_cost: single.cost(),
-                merged_fingerprint: policy_fingerprint(&outcome.merged),
-                shard_fingerprints: outcome.policies.iter().map(policy_fingerprint).collect(),
-            })
+            let single =
+                Anonymizer::build(&db, map, k).map_err(|e| format!("{id}: single-shard: {e}"))?;
+            let mut values = named([
+                ("users", users as u128),
+                ("k", k as u128),
+                ("shards_requested", shards as u128),
+                ("shards_actual", outcome.plan.len() as u128),
+                ("cost", outcome.cost),
+                ("single_cost", single.cost()),
+                ("merged_fingerprint", policy_fingerprint(&outcome.merged).into()),
+            ]);
+            let parts = outcome.policies.len();
+            for (i, policy) in outcome.policies.iter().enumerate() {
+                let key = indexed("shard_fingerprints", i, parts);
+                values.insert(key, policy_fingerprint(policy).into());
+            }
+            Ok(GoldenRecord { id, seed, values })
         })
         .collect()
 }
 
-impl Record for ShardedGoldenRecord {
-    const CORPUS: &'static str = "sharded";
-
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn drift(stored: &Self, fresh: &Self) -> String {
-        format!(
-            "{} (seed {}): sharded golden drift — stored cost {} fp {:#x}, \
-             computed cost {} fp {:#x}",
-            fresh.id,
-            fresh.seed,
-            stored.cost,
-            stored.merged_fingerprint,
-            fresh.cost,
-            fresh.merged_fingerprint
-        )
-    }
-}
-
-/// One jurisdiction of a frozen partitioned run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JurisdictionRecord {
-    /// The jurisdiction rect as `[x0, y0, x1, y1]`.
-    pub rect: [i64; 4],
-    /// Users inside the jurisdiction.
-    pub users: usize,
-    /// The jurisdiction server's `Cost(P, D_j)`.
-    pub cost: u128,
-}
-
-/// One frozen partitioned-pipeline output (Section V): the jurisdictions
-/// the greedy partitioner chose, each server's population and cost, and
-/// the merged master policy pinned by fingerprint — the output of
+/// The partitioned family (Section V): every density × k ∈ {8, 50} ×
+/// servers ∈ {16, 64} over 4,000 users, run on two workers through
 /// [`anonymize_work_stealing`], which is bit-identical at every worker
-/// count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionedGoldenRecord {
-    /// Record id, also the file stem: `partitioned_<density>-k<k>-s<servers>`.
-    pub id: String,
-    /// The derived seed the database was generated from.
-    pub seed: u64,
-    /// Density profile name.
-    pub density: String,
-    /// Database size.
-    pub users: usize,
-    /// Anonymity level.
-    pub k: usize,
-    /// Jurisdictions requested from the partitioner.
-    pub servers_requested: usize,
-    /// Σ server costs of the merged policy.
-    pub cost: u128,
-    /// FNV-1a fingerprint of the merged master policy.
-    pub fingerprint: u64,
-    /// Per-jurisdiction `(rect, users, cost)`, in partition order.
-    pub jurisdictions: Vec<JurisdictionRecord>,
-}
-
-/// The partitioned corpus cells: every density × k ∈ {8, 50} × servers ∈
-/// {16, 64} over 4,000 users, run on two workers. Pure function of
-/// `master`.
-///
-/// # Errors
-/// Propagates partition/DP failures as messages.
-pub fn compute_partitioned_corpus(master: u64) -> Result<Vec<PartitionedGoldenRecord>, String> {
+/// count. Pins Σ server costs, the merged policy's fingerprint, and per
+/// jurisdiction, in partition order, its rect, users and cost.
+fn partitioned_records(master: u64) -> Result<Vec<GoldenRecord>, String> {
     let users = 4_000usize;
-    let map = lbs_geom::Rect::square(0, 0, 1 << 12);
+    let map = Rect::square(0, 0, 1 << 12);
     let engine = EngineConfig { workers: 2, ..EngineConfig::default() };
     let mut out = Vec::new();
     for density in Density::ALL {
@@ -411,96 +308,30 @@ pub fn compute_partitioned_corpus(master: u64) -> Result<Vec<PartitionedGoldenRe
                 let db = density.generate(users, map, derive_seed(seed, 10));
                 let outcome = anonymize_work_stealing(&db, map, k, servers, &engine, None)
                     .map_err(|e| format!("{id}: partitioned: {e}"))?;
-                let jurisdictions = outcome
-                    .servers
-                    .iter()
-                    .map(|s| {
-                        let r = s.jurisdiction;
-                        JurisdictionRecord {
-                            rect: [r.x0, r.y0, r.x1, r.y1],
-                            users: s.users,
-                            cost: s.cost,
-                        }
-                    })
-                    .collect();
-                out.push(PartitionedGoldenRecord {
-                    id,
-                    seed,
-                    density: density.name().to_string(),
-                    users,
-                    k,
-                    servers_requested: servers,
-                    cost: outcome.total_cost,
-                    fingerprint: policy_fingerprint(&outcome.policy),
-                    jurisdictions,
-                });
+                let mut values = named([
+                    ("users", users as u128),
+                    ("k", k as u128),
+                    ("servers_requested", servers as u128),
+                    ("cost", outcome.total_cost),
+                    ("fingerprint", policy_fingerprint(&outcome.policy).into()),
+                ]);
+                let parts = outcome.servers.len();
+                for (i, server) in outcome.servers.iter().enumerate() {
+                    let key = indexed("jurisdictions", i, parts);
+                    let r = server.jurisdiction;
+                    for (name, coord) in [("x0", r.x0), ("y0", r.y0), ("x1", r.x1), ("y1", r.y1)] {
+                        let coord = u128::try_from(coord)
+                            .map_err(|_| format!("{id}: {key}.{name} {coord} is negative"))?;
+                        values.insert(format!("{key}.{name}"), coord);
+                    }
+                    values.insert(format!("{key}.users"), server.users as u128);
+                    values.insert(format!("{key}.cost"), server.cost);
+                }
+                out.push(GoldenRecord { id, seed, values });
             }
         }
     }
     Ok(out)
-}
-
-impl Record for PartitionedGoldenRecord {
-    const CORPUS: &'static str = "partitioned";
-
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn drift(stored: &Self, fresh: &Self) -> String {
-        format!(
-            "{} (seed {}): partitioned golden drift — stored cost {} fp {:#x} over {} \
-             jurisdictions, computed cost {} fp {:#x} over {}",
-            fresh.id,
-            fresh.seed,
-            stored.cost,
-            stored.fingerprint,
-            stored.jurisdictions.len(),
-            fresh.cost,
-            fresh.fingerprint,
-            fresh.jurisdictions.len()
-        )
-    }
-}
-
-/// One frozen work profile: every deterministic work counter of one tiny
-/// seeded run, by name. Scheduling- and clock-dependent values (stolen
-/// tasks, scratch reuse, replay milliseconds) are never recorded, so a
-/// changed counter means a changed algorithm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkGoldenRecord {
-    /// Record id, also the file stem: `work_<family>-<parameter>`.
-    pub id: String,
-    /// The derived seed the run's population and traffic came from.
-    pub seed: u64,
-    /// Counter name → value.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl Record for WorkGoldenRecord {
-    const CORPUS: &'static str = "work";
-
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// Names every counter whose value moved, stored → computed.
-    fn drift(stored: &Self, fresh: &Self) -> String {
-        let show = |v: Option<&u64>| v.map_or_else(|| "absent".to_string(), u64::to_string);
-        let names: BTreeSet<&String> =
-            stored.counters.keys().chain(fresh.counters.keys()).collect();
-        let mut moved: Vec<String> = names
-            .into_iter()
-            .filter_map(|name| {
-                let (was, now) = (stored.counters.get(name), fresh.counters.get(name));
-                (was != now).then(|| format!("{name} {} → {}", show(was), show(now)))
-            })
-            .collect();
-        if stored.seed != fresh.seed {
-            moved.push(format!("seed {} → {}", stored.seed, fresh.seed));
-        }
-        format!("{} (seed {}): work golden drift — {}", fresh.id, fresh.seed, moved.join(", "))
-    }
 }
 
 /// Users in every work-corpus population: big enough that the tree has
@@ -512,18 +343,11 @@ const WORK_USERS: usize = 6_000;
 /// The corpus pins two, so the parallel refresh plan is exercised.
 const WORK_WORKERS: usize = 2;
 
-/// Computes the work corpus for `master`: bulk at k ∈ {10, 50},
-/// incremental batches of m ∈ {1, 64, 4096} moves, 16 jurisdictions on
-/// two workers, a two-shard service under churn (fresh and with expired
-/// deadlines), and a query-cache pass.
-///
-/// # Errors
-/// Set-up, DP, runtime or I/O failures as messages.
-pub fn compute_work_corpus(master: u64) -> Result<Vec<WorkGoldenRecord>, String> {
-    work_corpus(master, WORK_WORKERS)
-}
-
-fn work_corpus(master: u64, workers: usize) -> Result<Vec<WorkGoldenRecord>, String> {
+/// The work family for `master`, at `workers` workers: bulk at k ∈
+/// {10, 50}, incremental batches of m ∈ {1, 64, 4096} moves, 16
+/// jurisdictions on the engine, a two-shard service under churn (fresh
+/// and with expired deadlines), and a query-cache pass.
+fn work_records(master: u64, workers: usize) -> Result<Vec<GoldenRecord>, String> {
     Ok(vec![
         bulk_work(master, 10)?,
         bulk_work(master, 50)?,
@@ -545,13 +369,13 @@ fn work_population(master: u64, id: String) -> (String, u64, LocationDb, Rect) {
 }
 
 /// The named lbs-metrics counters of `metrics`.
-fn metric_counters(metrics: &Metrics, counters: &[Counter]) -> BTreeMap<String, u64> {
-    counters.iter().map(|&c| (c.name().to_string(), metrics.get(c))).collect()
+fn metric_counters(metrics: &Metrics, counters: &[Counter]) -> Values {
+    counters.iter().map(|&c| (c.name().to_string(), metrics.get(c).into())).collect()
 }
 
 /// `Bulk_dp` end to end: the tree's shape, the DP rows and cells it
 /// filled (the Lemma-5 bound caps the cells), and the extraction.
-fn bulk_work(master: u64, k: usize) -> Result<WorkGoldenRecord, String> {
+fn bulk_work(master: u64, k: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, format!("work_bulk-k{k}"));
     let metrics = Metrics::new();
     let config = TreeConfig::lazy(TreeKind::Binary, map, k);
@@ -561,18 +385,18 @@ fn bulk_work(master: u64, k: usize) -> Result<WorkGoldenRecord, String> {
     let rows = engine.tree().postorder().into_iter().filter_map(|node| matrix.row(node));
     let cells: usize = rows.map(|row| row.dense.len() + 1).sum();
     let stats = engine.tree_stats();
-    let mut counters = metric_counters(&metrics, &[Counter::ExtractNodes, Counter::CloaksWritten]);
-    counters.insert("tree.nodes".into(), stats.nodes as u64);
-    counters.insert("tree.leaves".into(), stats.leaves as u64);
-    counters.insert("dp.rows".into(), matrix.computed_rows() as u64);
-    counters.insert("dp.cells".into(), cells as u64);
-    Ok(WorkGoldenRecord { id, seed, counters })
+    let mut values = metric_counters(&metrics, &[Counter::ExtractNodes, Counter::CloaksWritten]);
+    values.insert("tree.nodes".into(), stats.nodes as u128);
+    values.insert("tree.leaves".into(), stats.leaves as u128);
+    values.insert("dp.rows".into(), matrix.computed_rows() as u128);
+    values.insert("dp.cells".into(), cells as u128);
+    Ok(GoldenRecord { id, seed, values })
 }
 
 /// Two batched incremental commits of exactly `m` moves each (≤ 200 m,
 /// distinct users), each followed by an incremental extraction; the
 /// refresh and extraction reports are summed over both.
-fn incremental_work(master: u64, m: usize) -> Result<WorkGoldenRecord, String> {
+fn incremental_work(master: u64, m: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, format!("work_incremental-m{m}"));
     let k = 10;
     let mut inc = IncrementalAnonymizer::new(&db, TreeConfig::lazy(TreeKind::Binary, map, k), k)
@@ -580,8 +404,8 @@ fn incremental_work(master: u64, m: usize) -> Result<WorkGoldenRecord, String> {
     // The first extraction is the full one; the batches measure the rest.
     inc.extract().map_err(|e| format!("{id}: extract: {e}"))?;
     let fraction = m as f64 / db.len() as f64;
-    let mut counters = BTreeMap::new();
-    let mut add = |name: &str, n: usize| *counters.entry(name.to_string()).or_insert(0) += n as u64;
+    let mut values = Values::new();
+    let mut add = |name: &str, n: usize| *values.entry(name.to_string()).or_insert(0) += n as u128;
     for batch in 0..2 {
         let moves = random_moves(&db, &map, fraction, 200.0, derive_seed(seed, 2 + batch));
         if moves.len() != m {
@@ -596,18 +420,18 @@ fn incremental_work(master: u64, m: usize) -> Result<WorkGoldenRecord, String> {
         add("extract_nodes", extract.nodes);
         add("cloaks_written", extract.cloaks);
     }
-    Ok(WorkGoldenRecord { id, seed, counters })
+    Ok(GoldenRecord { id, seed, values })
 }
 
 /// The §V pipeline: 16 jurisdictions anonymized on the work-stealing
 /// engine, then merged.
-fn partitioned_work(master: u64, workers: usize) -> Result<WorkGoldenRecord, String> {
+fn partitioned_work(master: u64, workers: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, "work_partitioned-s16".to_string());
     let metrics = Metrics::new();
     let config = EngineConfig { workers, ..EngineConfig::default() };
     anonymize_work_stealing(&db, map, 10, 16, &config, Some(&metrics))
         .map_err(|e| format!("{id}: partitioned: {e}"))?;
-    let counters = metric_counters(
+    let values = metric_counters(
         &metrics,
         &[
             Counter::TasksExecuted,
@@ -616,7 +440,7 @@ fn partitioned_work(master: u64, workers: usize) -> Result<WorkGoldenRecord, Str
             Counter::CloaksWritten,
         ],
     );
-    Ok(WorkGoldenRecord { id, seed, counters })
+    Ok(GoldenRecord { id, seed, values })
 }
 
 /// Epochs of churn each service run pumps.
@@ -642,14 +466,14 @@ fn scratch_dir(id: &str) -> PathBuf {
 /// wave and serves a wave of requests, every fourth epoch scrubs. With
 /// `expired`, every request's deadline has already passed (the
 /// degradation ladder answers) and moves stay inside their shard.
-fn churn_work(master: u64, expired: bool, workers: usize) -> Result<WorkGoldenRecord, String> {
+fn churn_work(master: u64, expired: bool, workers: usize) -> Result<GoldenRecord, String> {
     let family = if expired { "work_churn-deadline" } else { "work_churn-fresh" };
     let (id, seed, db, map) = work_population(master, family.to_string());
     let dir = scratch_dir(&id);
     let result = drive_churn(&dir, seed, &db, map, expired, workers);
     let _ = std::fs::remove_dir_all(&dir);
-    let counters = result.map_err(|e| format!("{id}: {e}"))?;
-    Ok(WorkGoldenRecord { id, seed, counters })
+    let values = result.map_err(|e| format!("{id}: {e}"))?;
+    Ok(GoldenRecord { id, seed, values })
 }
 
 fn drive_churn(
@@ -659,7 +483,7 @@ fn drive_churn(
     map: Rect,
     expired: bool,
     workers: usize,
-) -> Result<BTreeMap<String, u64>, String> {
+) -> Result<Values, String> {
     let clock = Arc::new(ManualClock::new());
     let metrics = Arc::new(Metrics::new());
     let fs = FaultFs::new(DiskFaultPlan::new());
@@ -699,7 +523,7 @@ fn drive_churn(
             rt.scrub().map_err(|e| format!("epoch {epoch}: scrub: {e}"))?;
         }
     }
-    let mut counters = metric_counters(
+    let mut values = metric_counters(
         &metrics,
         &[
             Counter::ShardCommits,
@@ -717,12 +541,12 @@ fn drive_churn(
             Counter::RequestsShed,
         ],
     );
-    counters.insert("fs.ops".into(), fs.ops());
-    counters.insert("fs.writes".into(), fs.writes());
+    values.insert("fs.ops".into(), fs.ops().into());
+    values.insert("fs.writes".into(), fs.writes().into());
     let (wal, checkpoints) = stored_bytes(&rt)?;
-    counters.insert("wal.bytes".into(), wal);
-    counters.insert("checkpoint.bytes".into(), checkpoints);
-    Ok(counters)
+    values.insert("wal.bytes".into(), wal.into());
+    values.insert("checkpoint.bytes".into(), checkpoints.into());
+    Ok(values)
 }
 
 /// Bytes of every shard's WAL and of its retained checkpoints.
@@ -744,7 +568,7 @@ fn stored_bytes(rt: &ShardedRuntime) -> Result<(u64, u64), String> {
 /// The CSP answer cache: a fixed set of 512 cloaked nearest-cafe
 /// requests served twice. Senders sharing a cloak hit on the first pass
 /// already; the second pass hits throughout.
-fn query_cache_work(master: u64) -> Result<WorkGoldenRecord, String> {
+fn query_cache_work(master: u64) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, "work_query-cache".to_string());
     let engine = Anonymizer::build(&db, map, 10).map_err(|e| format!("{id}: bulk: {e}"))?;
     let pois: Vec<Poi> = db
@@ -771,9 +595,10 @@ fn query_cache_work(master: u64) -> Result<WorkGoldenRecord, String> {
             lbs.nearest_for(request, *location);
         }
     }
-    let counters = metric_counters(&metrics, &[Counter::CacheHits, Counter::CacheMisses]);
-    Ok(WorkGoldenRecord { id, seed, counters })
+    let values = metric_counters(&metrics, &[Counter::CacheHits, Counter::CacheMisses]);
+    Ok(GoldenRecord { id, seed, values })
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,118 +613,138 @@ mod tests {
     /// vary from run to run at two workers and are not recorded at all.
     const WORKER_DEPENDENT_COUNTERS: &[&str] = &["dirty_subtrees", "subtree_cache_hits"];
 
+    /// The values of `record` whose key starts with `prefix` and ends
+    /// with `suffix`, in key order.
+    fn list(record: &GoldenRecord, prefix: &str, suffix: &str) -> Vec<u128> {
+        let keys = record.values.iter().filter(|(key, _)| key.starts_with(prefix));
+        keys.filter(|(key, _)| key.ends_with(suffix)).map(|(_, v)| *v).collect()
+    }
+
     #[test]
-    fn corpus_is_deterministic_and_policy_sensitive() {
-        let a = compute_corpus(DEFAULT_MASTER_SEED).unwrap();
-        let b = compute_corpus(DEFAULT_MASTER_SEED).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 12);
-        for record in &a {
-            assert!(record.min_group >= record.k, "{}", record.id);
-            assert!(record.cost > 0, "{}", record.id);
-        }
-        let other = compute_corpus(DEFAULT_MASTER_SEED ^ 1).unwrap();
+    fn corpus_is_deterministic_and_seed_sensitive() {
+        let a = compute_all(DEFAULT_MASTER_SEED).unwrap();
+        assert_eq!(a, compute_all(DEFAULT_MASTER_SEED).unwrap());
+        assert_eq!(a.len(), 36);
+        let ids: BTreeSet<&str> = a.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids.len(), a.len(), "ids are file stems and must be unique");
+        let other = policy_records(DEFAULT_MASTER_SEED ^ 1).unwrap();
         assert!(
-            a.iter().zip(&other).any(|(x, y)| x.fingerprint != y.fingerprint),
+            a.iter().zip(&other).any(|(x, y)| x.values["fingerprint"] != y.values["fingerprint"]),
             "a different master seed must move at least one fingerprint"
         );
     }
 
     #[test]
-    fn sharded_corpus_is_deterministic_and_within_the_divergence_bound() {
-        let a = compute_sharded_corpus(DEFAULT_MASTER_SEED).unwrap();
-        let b = compute_sharded_corpus(DEFAULT_MASTER_SEED).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        for record in &a {
-            assert!(record.shards_actual >= 2, "{}: did not split", record.id);
-            assert_eq!(record.shard_fingerprints.len(), record.shards_actual, "{}", record.id);
-            assert!(
-                record.cost >= record.single_cost,
-                "{}: sharding cannot beat the optimum",
-                record.id
-            );
-            let divergence = lbs_runtime::divergence_pct(record.cost, record.single_cost);
+    fn policy_records_keep_every_group_at_k() {
+        let records = policy_records(DEFAULT_MASTER_SEED).unwrap();
+        assert_eq!(records.len(), 12);
+        for r in &records {
+            assert!(r.values["min_group"] >= r.values["k"], "{}", r.id);
+            assert!(r.values["cost"] > 0, "{}", r.id);
+        }
+    }
+
+    #[test]
+    fn sharded_records_split_within_the_divergence_bound() {
+        let records = sharded_records(DEFAULT_MASTER_SEED).unwrap();
+        assert_eq!(records.len(), 3);
+        for r in &records {
+            let (cost, single) = (r.values["cost"], r.values["single_cost"]);
+            assert!(r.values["shards_actual"] >= 2, "{}: did not split", r.id);
+            let parts = list(r, "shard_fingerprints.", "").len();
+            assert_eq!(parts as u128, r.values["shards_actual"], "{}", r.id);
+            assert!(cost >= single, "{}: sharding cannot beat the optimum", r.id);
+            let divergence = lbs_runtime::divergence_pct(cost, single);
             assert!(
                 divergence <= 1.0,
                 "{}: divergence {divergence:.3}% breaks the paper's 1% bound",
-                record.id
+                r.id
             );
         }
     }
 
     #[test]
-    fn partitioned_corpus_is_deterministic_and_tiles_every_user() {
-        let a = compute_partitioned_corpus(DEFAULT_MASTER_SEED).unwrap();
-        let b = compute_partitioned_corpus(DEFAULT_MASTER_SEED).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 12);
-        for record in &a {
-            let jurisdictions = record.jurisdictions.len();
-            assert!(jurisdictions >= 2, "{}: did not split", record.id);
-            assert!(jurisdictions <= record.servers_requested, "{}", record.id);
-            let users: usize = record.jurisdictions.iter().map(|j| j.users).sum();
-            assert_eq!(users, record.users, "{}: jurisdictions must cover every user", record.id);
-            let cost: u128 = record.jurisdictions.iter().map(|j| j.cost).sum();
-            assert_eq!(cost, record.cost, "{}: Σ server costs", record.id);
-            for j in &record.jurisdictions {
-                assert!(j.users == 0 || j.users >= record.k, "{}: 0 < {} < k", record.id, j.users);
+    fn partitioned_records_tile_every_user() {
+        let records = partitioned_records(DEFAULT_MASTER_SEED).unwrap();
+        assert_eq!(records.len(), 12);
+        for r in &records {
+            let users = list(r, "jurisdictions.", ".users");
+            assert!(users.len() >= 2, "{}: did not split", r.id);
+            assert!(users.len() as u128 <= r.values["servers_requested"], "{}", r.id);
+            let total: u128 = users.iter().sum();
+            assert_eq!(total, r.values["users"], "{}: jurisdictions must cover every user", r.id);
+            let cost: u128 = list(r, "jurisdictions.", ".cost").iter().sum();
+            assert_eq!(cost, r.values["cost"], "{}: Σ server costs", r.id);
+            for n in users {
+                assert!(n == 0 || n >= r.values["k"], "{}: 0 < {n} < k", r.id);
             }
         }
     }
 
     #[test]
-    fn work_corpus_is_deterministic_and_worker_independent() {
-        let a = compute_work_corpus(DEFAULT_MASTER_SEED).unwrap();
-        assert_eq!(a, compute_work_corpus(DEFAULT_MASTER_SEED).unwrap());
-        assert_eq!(a.len(), 9);
-        let one = work_corpus(DEFAULT_MASTER_SEED, 1).unwrap();
-        for (two, one) in a.iter().zip(&one) {
-            let independent = |r: &WorkGoldenRecord| {
-                let mut counters = r.counters.clone();
-                counters.retain(|name, _| !WORKER_DEPENDENT_COUNTERS.contains(&name.as_str()));
-                counters
-            };
+    fn work_records_are_worker_independent() {
+        let two = work_records(DEFAULT_MASTER_SEED, WORK_WORKERS).unwrap();
+        let one = work_records(DEFAULT_MASTER_SEED, 1).unwrap();
+        assert_eq!(two.len(), 9);
+        let independent = |r: &GoldenRecord| {
+            let mut values = r.values.clone();
+            values.retain(|name, _| !WORKER_DEPENDENT_COUNTERS.contains(&name.as_str()));
+            values
+        };
+        for (two, one) in two.iter().zip(&one) {
             assert_eq!(independent(two), independent(one), "{}", two.id);
         }
-        let churn = a.iter().find(|r| r.id == "work_churn-fresh").unwrap();
+        let churn = two.iter().find(|r| r.id == "work_churn-fresh").unwrap();
         for name in ["dirty_subtrees", "subtree_cache_hits", "checkpoints_written", "scrubs_run"] {
-            assert!(churn.counters[name] > 0, "{name} never moved: {:?}", churn.counters);
+            assert!(churn.values[name] > 0, "{name} never moved: {:?}", churn.values);
         }
     }
 
     #[test]
     fn bless_all_then_check_all_round_trips_and_names_drift() {
-        let dir = std::env::temp_dir().join(format!("lbs-golden-{}", std::process::id()));
-        let counts = [("policy", 12), ("sharded", 3), ("partitioned", 12), ("work", 9)];
-        assert_eq!(bless_all(&dir, DEFAULT_MASTER_SEED).unwrap(), counts);
-        assert_eq!(check_all(&dir, DEFAULT_MASTER_SEED).unwrap(), counts);
-        // Tamper with one stored record of every corpus.
-        fn tamper<T: Record>(dir: &Path, id: &str, edit: impl FnOnce(&mut T)) {
+        let dir = scratch_dir("golden");
+        assert_eq!(bless_all(&dir, DEFAULT_MASTER_SEED).unwrap(), 36);
+        assert_eq!(check_all(&dir, DEFAULT_MASTER_SEED).unwrap(), 36);
+        // Tamper with one stored value of every family; each drift names
+        // the key, stored → computed, with the record's seed.
+        let tampered = [
+            ("uniform-k2-binary", "cost"),
+            ("sharded_4", "merged_fingerprint"),
+            ("partitioned_uniform-k8-s16", "jurisdictions.00.cost"),
+            ("work_bulk-k10", "dp.cells"),
+        ];
+        let mut expected = Vec::new();
+        for (id, key) in tampered {
             let path = dir.join(format!("{id}.json"));
-            let mut record: T =
+            let mut record: GoldenRecord =
                 serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            edit(&mut record);
+            let value = record.values.get_mut(key).unwrap();
+            *value += 1;
+            let (was, now) = (*value, *value - 1);
+            expected
+                .push(format!("{id} (seed {}): golden drift — {key} {was} → {now}", record.seed));
             std::fs::write(&path, serde_json::to_string(&record).unwrap()).unwrap();
         }
-        tamper(&dir, "uniform-k2-binary", |r: &mut GoldenRecord| r.cost += 1);
-        tamper(&dir, "sharded_4", |r: &mut ShardedGoldenRecord| r.merged_fingerprint ^= 1);
-        tamper(&dir, "partitioned_uniform-k8-s16", |r: &mut PartitionedGoldenRecord| {
-            r.jurisdictions[0].cost += 1
-        });
-        tamper(&dir, "work_bulk-k10", |r: &mut WorkGoldenRecord| {
-            *r.counters.get_mut("dp.cells").unwrap() += 1
-        });
-        let problems = check_all(&dir, DEFAULT_MASTER_SEED).unwrap_err();
-        assert_eq!(problems.len(), 4, "{problems:?}");
-        assert!(problems[0].contains("uniform-k2-binary (seed"), "{}", problems[0]);
-        assert!(problems[1].contains("sharded golden drift"), "{}", problems[1]);
-        assert!(problems[2].contains("partitioned golden drift"), "{}", problems[2]);
-        assert!(problems[3].starts_with("work_bulk-k10 (seed "), "{}", problems[3]);
-        assert!(problems[3].contains("work golden drift — dp.cells "), "{}", problems[3]);
+        assert_eq!(check_all(&dir, DEFAULT_MASTER_SEED).unwrap_err(), expected);
         std::fs::remove_file(dir.join("sharded_2.json")).unwrap();
         let problems = check_all(&dir, DEFAULT_MASTER_SEED).unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("missing or unreadable sharded golden")));
+        assert!(problems.iter().any(|p| p.starts_with("sharded_2: missing or unreadable golden")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn check_all_names_every_stale_file() {
+        let dir = scratch_dir("golden-stale");
+        bless_all(&dir, DEFAULT_MASTER_SEED).unwrap();
+        // A retired cell's file and a stray one: no record produces either.
+        for stem in ["uniform-k4-binary", "sharded_16"] {
+            std::fs::copy(dir.join("sharded_2.json"), dir.join(format!("{stem}.json"))).unwrap();
+        }
+        std::fs::write(dir.join("notes.txt"), "not a record").unwrap();
+        let problems = check_all(&dir, DEFAULT_MASTER_SEED).unwrap_err();
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("sharded_16.json: stale golden"), "{}", problems[0]);
+        assert!(problems[1].contains("uniform-k4-binary.json: stale golden"), "{}", problems[1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! Attacker-in-the-loop conformance subsystem.
 //!
-//! Three layers of oracle, in increasing strength and decreasing scale:
+//! Five layers of oracle:
 //!
 //! 1. **Structural verification** — `lbs_core::verify_policy_aware` plus
 //!    the PRE-enumerating attacker's `audit_policy`, applied to *every*
@@ -11,9 +11,10 @@
 //!    `brute_force_optimal_cost` must agree with the DP, and the literal
 //!    Definition-6 check `literal_k_anonymity` must hold at `k` and fail
 //!    at `|D| + 1`.
-//! 3. **Golden corpora** ([`golden`]) — frozen JSON records pin exact
-//!    costs and assignment fingerprints for a fixed sub-matrix, and every
-//!    deterministic work counter of tiny seeded runs; intentional
+//! 3. **Golden corpus** ([`golden`]) — one frozen `{id, seed, values}`
+//!    JSON record per file pins exact costs and assignment fingerprints
+//!    for a fixed sub-matrix, the §V pipelines' per-part outputs, and
+//!    every deterministic work counter of tiny seeded runs; intentional
 //!    changes are re-blessed via the CLI and reviewed as a diff.
 //! 4. **Durability oracle** ([`durability`]) — one seeded sweep drives
 //!    named crash plans (WAL boundaries and tears, torn checkpoint temp
@@ -43,11 +44,15 @@ pub use durability::{
     audit_degradation_ladder, durability_sweep, run_lives, DegradationReport, DurabilityConfig,
     DurabilityReport, LifeLog, Recovered, Reference,
 };
-pub use golden::{
-    bless_all, check_all, compute_corpus, compute_partitioned_corpus, compute_sharded_corpus,
-    compute_work_corpus, policy_fingerprint, GoldenRecord, JurisdictionRecord,
-    PartitionedGoldenRecord, ShardedGoldenRecord, WorkGoldenRecord,
-};
+pub use golden::{bless_all, check_all, compute_all, policy_fingerprint, GoldenRecord};
 pub use harness::{run_matrix, run_scenario, ConformanceReport, ScenarioOutcome};
 pub use scenario::{scenario_matrix, Algorithm, Density, Scenario, Tier, DEFAULT_MASTER_SEED};
 pub use soak::{soak, SoakConfig, SoakCrash, SoakReport};
+
+/// 64-bit FNV-1a of `bytes`: the hash behind scenario and golden seeds,
+/// policy fingerprints and the soak fingerprint.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}

@@ -224,12 +224,7 @@ fn push(
     let id = format!("{}/{}/k{}/n{}", density.name(), algorithm.name(), k, users);
     // Stream the id itself so every cell of the matrix gets an
     // independent, collision-free seed under one master.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let seed = derive_seed(master, h);
+    let seed = derive_seed(master, crate::fnv1a(id.bytes()));
     out.push(Scenario { id, seed, density, users, k, algorithm });
 }
 

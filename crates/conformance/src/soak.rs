@@ -329,13 +329,6 @@ impl std::fmt::Display for SoakReport {
     }
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Runs one soak under `scratch` (a disposable directory; the sharded
 /// service state it creates is removed before returning).
 ///
@@ -391,7 +384,7 @@ pub fn soak(scratch: &Path, cfg: &SoakConfig) -> Result<SoakReport, String> {
         sharded_cost: 0,
         single_cost: 0,
         divergence_pct: 0.0,
-        fingerprint: 0xcbf2_9ce4_8422_2325,
+        fingerprint: 0,
         failures: Vec::new(),
     };
 
@@ -651,9 +644,8 @@ pub fn soak(scratch: &Path, cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     // Fingerprint: every counter plus the final merged policy, so two
     // runs agree iff their observable outcomes agree.
-    let mut h = report.fingerprint;
     let final_policy = crate::golden::policy_fingerprint(&rt.merged_policy());
-    for v in [
+    let values = [
         report.updates_applied as u64,
         report.migrations,
         report.served_fresh as u64,
@@ -667,10 +659,8 @@ pub fn soak(scratch: &Path, cfg: &SoakConfig) -> Result<SoakReport, String> {
         report.sharded_cost as u64,
         report.single_cost as u64,
         final_policy,
-    ] {
-        fnv1a(&mut h, &v.to_le_bytes());
-    }
-    report.fingerprint = h;
+    ];
+    report.fingerprint = crate::fnv1a(values.into_iter().flat_map(u64::to_le_bytes));
 
     let _ = std::fs::remove_dir_all(&dir);
     Ok(report)

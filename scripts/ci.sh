@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, clippy, rustdoc, workspace invariant lint
-# (lbs lint), release build, full test suite, attacker-in-the-loop
-# conformance smoke with the golden corpora (policies and exact work
-# counters), recovery and soak smokes. Wall-time performance is not gated here: it is
-# measured by benches/lbs-benchmark (BENCHMARK.json), whose tests run
-# below.
+# (lbs lint), release build, the full test suite (which runs the
+# attacker-in-the-loop conformance matrix and checks the golden corpus
+# of policies and exact work counters, each once), recovery and soak
+# smokes. Wall-time performance is not gated here: it is measured by
+# benches/lbs-benchmark (BENCHMARK.json), whose tests run below.
 #
 # The workspace builds fully offline (external deps are vendored under
 # vendor/), so this script needs no network access. Run it from anywhere
@@ -64,6 +64,23 @@ echo "== cargo build --release =="
 cargo build --release --workspace
 
 echo "== cargo test (workspace) =="
+# Besides every unit and integration test, this runs the conformance
+# gates once each (tests/conformance_smoke.rs): the attacker-in-the-loop
+# smoke matrix (>= 200 seeded scenarios, smoke_matrix_holds_every_oracle)
+# and the golden corpus under tests/golden
+# (golden_corpus_matches_the_checked_in_records) — optimal policies, the
+# sharded and partitioned pipelines, and the work golden: exact work
+# counters (tree nodes, DP rows and cells, cache hits, extracted nodes,
+# WAL and checkpoint bytes, …) of nine tiny seeded runs, which stand in
+# for a wall-clock perf gate because counters carry no noise. A red run
+# prints every failing scenario id and every drifted record with its
+# derived seed and each moved value, stored → computed; replay with
+#   target/release/lbs conformance --seed <seed>
+# and re-bless intentional golden or work-counter changes with
+#   target/release/lbs conformance --bless true --golden tests/golden
+# then review the JSON diff. The #[ignore]-gated soak tier is NOT part
+# of CI; run it manually:
+#   cargo test --release --test conformance_smoke -- --ignored
 cargo test --release --workspace -q
 
 echo "== benchmark crate tests (budget: 60 s) =="
@@ -75,24 +92,6 @@ echo "== benchmark crate tests (budget: 60 s) =="
 # a 2-vCPU VM) stays outside the budget; the run takes under a second.
 cargo test --release --offline --manifest-path benches/lbs-benchmark/Cargo.toml --no-run
 timeout 60 cargo test --release --offline --manifest-path benches/lbs-benchmark/Cargo.toml
-
-echo "== conformance-smoke (budget: 60 s) =="
-# Attacker-in-the-loop smoke sweep (>= 200 seeded scenarios) plus every
-# checked-in golden corpus under tests/golden: optimal policies, the
-# sharded and partitioned pipelines, and the work golden — exact work
-# counters (tree nodes, DP rows and cells, cache hits, extracted nodes,
-# WAL and checkpoint bytes, …) of nine tiny seeded runs, which stand in
-# for a wall-clock perf gate because counters carry no noise. Runs via
-# the release CLI, ~10 s on a 2-vCPU VM. A red run prints every failing
-# scenario id and every drifted record with its derived seed (a work
-# drift names each counter, stored → computed); replay with
-#   target/release/lbs conformance --seed <seed>
-# and re-bless intentional golden or work-counter changes with
-#   target/release/lbs conformance --bless true --golden tests/golden
-# then review the JSON diff. The #[ignore]-gated soak tier is NOT part
-# of CI; run it manually:
-#   cargo test --release --test conformance_smoke -- --ignored
-timeout 60 target/release/lbs conformance --golden tests/golden
 
 echo "== recovery-smoke (budget: 60 s) =="
 # The durability oracle, CI-sized: one reference service run, then every

@@ -1,25 +1,20 @@
 //! Conformance-subsystem integration tests.
 //!
-//! The full smoke matrix (203 instances) runs here in release builds
-//! and in the `conformance-smoke` CI stage via the release CLI; debug
-//! builds sample every seventh scenario so `cargo test -q` stays fast.
+//! The full smoke matrix (203 instances) runs here in release builds,
+//! which is how CI runs it; debug builds sample every seventh scenario
+//! so `cargo test -q` stays fast.
 //! The soak tier is `#[ignore]`-gated — run it with
 //! `cargo test --release --test conformance_smoke -- --ignored`.
 
 use lbs_conformance::{
-    check_all, compute_partitioned_corpus, compute_sharded_corpus, run_matrix, run_scenario,
-    scenario_matrix, PartitionedGoldenRecord, ShardedGoldenRecord, Tier, DEFAULT_MASTER_SEED,
+    check_all, compute_all, run_matrix, run_scenario, scenario_matrix, GoldenRecord, Tier,
+    DEFAULT_MASTER_SEED,
 };
 use std::path::Path;
+use std::sync::OnceLock;
 
 fn golden_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
-}
-
-/// The checked-in `tests/golden/<id>.json`.
-fn stored_golden(id: &str) -> String {
-    let path = golden_dir().join(format!("{id}.json"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 const REBLESS: &str =
@@ -45,7 +40,7 @@ fn assert_report_clean(tier: Tier, min_instances: usize) {
 fn smoke_matrix_holds_every_oracle() {
     if cfg!(debug_assertions) {
         // Debug sample: every 7th scenario (~30 cells, < 20 s). The full
-        // 203-instance sweep runs in release (CI conformance-smoke stage).
+        // 203-instance sweep runs in release (CI's workspace-test stage).
         let scenarios = scenario_matrix(DEFAULT_MASTER_SEED, Tier::Smoke);
         assert!(scenarios.len() >= 200, "smoke matrix must stay >= 200 instances");
         for scenario in scenarios.iter().step_by(7) {
@@ -57,41 +52,36 @@ fn smoke_matrix_holds_every_oracle() {
     }
 }
 
-/// Every checked-in corpus: policies, the sharded and partitioned
-/// pipelines, and the work counters.
+/// Every checked-in record: policies, the sharded and partitioned
+/// pipelines, and the work counters; a stale file fails it too.
 #[test]
 fn golden_corpus_matches_the_checked_in_records() {
     match check_all(golden_dir(), DEFAULT_MASTER_SEED) {
-        Ok(counts) => {
-            assert_eq!(counts, [("policy", 12), ("sharded", 3), ("partitioned", 12), ("work", 9)])
-        }
+        Ok(n) => assert_eq!(n, 36),
         Err(problems) => panic!("golden drift — {REBLESS}:\n{}", problems.join("\n")),
     }
 }
 
-/// The sharded corpus alone, record by record, so a drift here is named
-/// by its own test.
-#[test]
-fn sharded_golden_corpus_matches_the_checked_in_records() {
-    let fresh = compute_sharded_corpus(DEFAULT_MASTER_SEED).expect("sharded corpus");
-    assert_eq!(fresh.len(), 3);
-    for record in &fresh {
-        let stored: ShardedGoldenRecord =
-            serde_json::from_str(&stored_golden(&record.id)).expect("sharded golden parses");
-        assert_eq!(&stored, record, "{} drifted — {REBLESS}", record.id);
-    }
+/// Checks the `prefix` family of one shared computed corpus through the
+/// same per-record path as [`check_all`], so a drift there is named by
+/// its own test.
+fn assert_family_matches(prefix: &str, expected: usize) {
+    static CORPUS: OnceLock<Vec<GoldenRecord>> = OnceLock::new();
+    let corpus = CORPUS.get_or_init(|| compute_all(DEFAULT_MASTER_SEED).expect("golden corpus"));
+    let family: Vec<&GoldenRecord> = corpus.iter().filter(|r| r.id.starts_with(prefix)).collect();
+    assert_eq!(family.len(), expected, "{prefix}* records");
+    let problems: Vec<String> = family.iter().filter_map(|r| r.check(golden_dir()).err()).collect();
+    assert!(problems.is_empty(), "golden drift — {REBLESS}:\n{}", problems.join("\n"));
 }
 
-/// The partitioned corpus alone, record by record.
+#[test]
+fn sharded_golden_corpus_matches_the_checked_in_records() {
+    assert_family_matches("sharded_", 3);
+}
+
 #[test]
 fn partitioned_golden_corpus_matches_the_checked_in_records() {
-    let fresh = compute_partitioned_corpus(DEFAULT_MASTER_SEED).expect("partitioned corpus");
-    assert_eq!(fresh.len(), 12);
-    for record in &fresh {
-        let stored: PartitionedGoldenRecord =
-            serde_json::from_str(&stored_golden(&record.id)).expect("partitioned golden parses");
-        assert_eq!(&stored, record, "{} drifted — {REBLESS}", record.id);
-    }
+    assert_family_matches("partitioned_", 12);
 }
 
 /// Full soak: wider k sweep, more fault plans. Minutes in debug, ~10 s
