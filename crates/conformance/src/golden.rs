@@ -374,22 +374,34 @@ fn metric_counters(metrics: &Metrics, counters: &[Counter]) -> Values {
 }
 
 /// `Bulk_dp` end to end: the tree's shape, the DP rows and cells it
-/// filled (the Lemma-5 bound caps the cells), and the extraction.
+/// filled (the Lemma-5 bound caps the cells), the dense×dense (min,+)
+/// pairs its convolutions span, and the extraction.
 fn bulk_work(master: u64, k: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, format!("work_bulk-k{k}"));
     let metrics = Metrics::new();
     let config = TreeConfig::lazy(TreeKind::Binary, map, k);
     let engine = Anonymizer::build_instrumented(&db, config, k, None, Some(&metrics))
         .map_err(|e| format!("{id}: bulk: {e}"))?;
-    let matrix = engine.matrix();
-    let rows = engine.tree().postorder().into_iter().filter_map(|node| matrix.row(node));
-    let cells: usize = rows.map(|row| row.dense.len() + 1).sum();
+    let (tree, matrix) = (engine.tree(), engine.matrix());
+    let nodes = tree.postorder();
+    let cells: usize =
+        nodes.iter().filter_map(|&node| matrix.row(node)).map(|row| row.dense.len() + 1).sum();
+    let len = |node| matrix.row(node).map_or(0, |row| row.dense.len() as u128);
+    let pairs: u128 = nodes
+        .iter()
+        .filter_map(|&node| match *tree.node(node).children.as_slice() {
+            [c1, c2] => Some(len(c1) * len(c2)),
+            _ => None,
+        })
+        .sum();
     let stats = engine.tree_stats();
     let mut values = metric_counters(&metrics, &[Counter::ExtractNodes, Counter::CloaksWritten]);
     values.insert("tree.nodes".into(), stats.nodes as u128);
     values.insert("tree.leaves".into(), stats.leaves as u128);
+    values.insert("tree.depth".into(), stats.max_depth.into());
     values.insert("dp.rows".into(), matrix.computed_rows() as u128);
     values.insert("dp.cells".into(), cells as u128);
+    values.insert("dp.pairs".into(), pairs);
     Ok(GoldenRecord { id, seed, values })
 }
 
@@ -697,6 +709,24 @@ mod tests {
         let churn = two.iter().find(|r| r.id == "work_churn-fresh").unwrap();
         for name in ["dirty_subtrees", "subtree_cache_hits", "checkpoints_written", "scrubs_run"] {
             assert!(churn.values[name] > 0, "{name} never moved: {:?}", churn.values);
+        }
+    }
+
+    /// The paper's O(|B|·(kh)²) claim on the stored bulk work records:
+    /// Σ dense×dense pairs ≤ |B|·((k+1)·h_max + 1)², each row capped at
+    /// its Lemma-5 length (k+1)·h + 1.
+    #[test]
+    fn stored_bulk_work_stays_within_the_lemma5_pair_bound() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        for k in [10u128, 50] {
+            let path = dir.join(format!("work_bulk-k{k}.json"));
+            let record: GoldenRecord =
+                serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let value = |key: &str| record.values[key];
+            let per_node = (k + 1) * value("tree.depth") + 1;
+            let bound = value("tree.nodes") * per_node * per_node;
+            let pairs = value("dp.pairs");
+            assert!(pairs > 0 && pairs <= bound, "{}: {pairs} pairs > bound {bound}", record.id);
         }
     }
 
