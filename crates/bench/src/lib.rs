@@ -6,7 +6,8 @@
 //! end-to-end benchmark `benches/lbs-benchmark` (wall time per layer),
 //! and the exact work-counter golden in `lbs_conformance::golden`
 //! (tree nodes, DP rows and cells, cache hits, WAL and checkpoint bytes),
-//! which `lbs conformance --golden tests/golden` checks in CI.
+//! which the workspace tests check in CI and
+//! `lbs conformance --golden tests/golden` checks on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
