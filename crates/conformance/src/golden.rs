@@ -162,7 +162,15 @@ pub fn bless_all(dir: &Path, master: u64) -> Result<usize, String> {
 /// its seed so a red check replays directly, and one per stale
 /// `dir/*.json` that no record produces.
 pub fn check_all(dir: &Path, master: u64) -> Result<usize, Vec<String>> {
-    let records = compute_all(master).map_err(|e| vec![e])?;
+    check_records(&compute_all(master).map_err(|e| vec![e])?, dir)
+}
+
+/// [`check_all`] over already computed `records`, for a caller that also
+/// reads them otherwise and so computes them once.
+///
+/// # Errors
+/// As [`check_all`].
+pub fn check_records(records: &[GoldenRecord], dir: &Path) -> Result<usize, Vec<String>> {
     let mut problems: Vec<String> = records.iter().filter_map(|r| r.check(dir).err()).collect();
     let ids: BTreeSet<&str> = records.iter().map(|r| r.id.as_str()).collect();
     let mut stale: Vec<String> = std::fs::read_dir(dir)

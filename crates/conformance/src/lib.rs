@@ -44,7 +44,9 @@ pub use durability::{
     audit_degradation_ladder, durability_sweep, run_lives, DegradationReport, DurabilityConfig,
     DurabilityReport, LifeLog, Recovered, Reference,
 };
-pub use golden::{bless_all, check_all, compute_all, policy_fingerprint, GoldenRecord};
+pub use golden::{
+    bless_all, check_all, check_records, compute_all, policy_fingerprint, GoldenRecord,
+};
 pub use harness::{run_matrix, run_scenario, ConformanceReport, ScenarioOutcome};
 pub use scenario::{scenario_matrix, Algorithm, Density, Scenario, Tier, DEFAULT_MASTER_SEED};
 pub use soak::{soak, SoakConfig, SoakCrash, SoakReport};

@@ -80,8 +80,10 @@ pub(crate) struct JurisdictionTask {
     /// The server's jurisdiction rectangle.
     jurisdiction: Rect,
     /// The whole partitioned population, shared by every task of a run
-    /// and ordered so that each jurisdiction's users are contiguous.
-    population: Arc<[(UserId, Point)]>,
+    /// and ordered so that each jurisdiction's users are contiguous. An
+    /// `Arc<Vec>` rather than an `Arc<[_]>`: wrapping the partitioned
+    /// `Vec` moves it, where converting it to a slice would copy it.
+    population: Arc<Vec<(UserId, Point)>>,
     /// This jurisdiction's range of `population`.
     range: Range<usize>,
 }
@@ -488,7 +490,7 @@ where
 
 /// `Stage::Partition`: one copy of `db`'s users, reordered by
 /// [`partition_users`] so each jurisdiction is a contiguous range, and one
-/// task per jurisdiction over that shared slice, in partition order.
+/// task per jurisdiction over that shared copy, in partition order.
 pub(crate) fn partition_tasks(
     db: &LocationDb,
     map: Rect,
@@ -497,7 +499,7 @@ pub(crate) fn partition_tasks(
 ) -> Result<Vec<JurisdictionTask>, CoreError> {
     let mut users: Vec<(UserId, Point)> = db.iter().collect();
     let jurisdictions = partition_users(&mut users, map, k, servers).map_err(CoreError::Tree)?;
-    let population: Arc<[(UserId, Point)]> = users.into();
+    let population = Arc::new(users);
     Ok(jurisdictions
         .into_iter()
         .map(|j| JurisdictionTask {

@@ -13,7 +13,7 @@
 
 use lbs_geom::{Point, Rect};
 use lbs_model::UserId;
-use lbs_tree::{TreeConfig, TreeKind};
+use lbs_tree::{partition_in_place, TreeConfig, TreeKind};
 use std::ops::Range;
 
 /// One jurisdiction chosen by [`partition_users`]: a node of the map's
@@ -84,25 +84,6 @@ impl Cell {
             |rect, users| Cell { rect, depth: self.depth + 1, users, split: Split::Pending };
         [child(low, self.users.start..mid), child(high, mid..self.users.end)]
     }
-}
-
-/// Moves the users inside `low` to the front of `users` and returns how
-/// many there are. Unstable: the order within each side is arbitrary,
-/// which nothing downstream depends on (tree shape and the extracted
-/// policy are functions of the user *set*).
-fn partition_in_place(users: &mut [(UserId, Point)], low: &Rect) -> usize {
-    let mut front = 0;
-    let mut back = users.len();
-    while front < back {
-        let in_low = users.get(front).is_some_and(|(_, p)| low.contains(p));
-        if in_low {
-            front += 1;
-        } else {
-            back -= 1;
-            users.swap(front, back);
-        }
-    }
-    front
 }
 
 /// The paper's greedy partitioner over `users` on `map` (Section V):
@@ -239,20 +220,5 @@ mod tests {
         assert!(err.contains("u8") && err.contains("outside the map"), "{err}");
         let err = partition_users(&mut [], Rect::square(0, 0, 12), 1, 4).unwrap_err();
         assert!(err.contains("power of two"), "{err}");
-    }
-
-    #[test]
-    fn in_place_partition_splits_at_the_line() {
-        let low = Rect::new(0, 0, 4, 8);
-        let mut users: Vec<(UserId, Point)> = [(5, 1), (1, 1), (7, 7), (3, 0), (4, 4), (0, 7)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (UserId(i as u64), Point::new(x, y)))
-            .collect();
-        let mid = partition_in_place(&mut users, &low);
-        assert_eq!(mid, 3);
-        assert!(users[..mid].iter().all(|(_, p)| low.contains(p)));
-        assert!(users[mid..].iter().all(|(_, p)| !low.contains(p)));
-        assert_eq!(partition_in_place(&mut [], &low), 0);
     }
 }

@@ -3,7 +3,9 @@
 use crate::{Children, Node, NodeId, TreeConfig, TreeKind};
 use lbs_geom::{Point, Rect};
 use lbs_model::{LocationDb, UserId};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A lazily (or eagerly) materialized quad/binary tree over one location
 /// database snapshot.
@@ -18,8 +20,10 @@ pub struct SpatialTree {
     /// Users stored at each *leaf*; empty for internal nodes.
     pub(crate) users: Vec<Vec<(UserId, Point)>>,
     pub(crate) root: NodeId,
-    /// Which leaf currently stores each user.
-    pub(crate) user_leaf: HashMap<UserId, NodeId>,
+    /// Which leaf currently stores each user. Built on first use (bulk
+    /// anonymization never reads it); once built, incremental updates
+    /// keep it in step with the leaves.
+    pub(crate) user_leaf: OnceLock<HashMap<UserId, NodeId>>,
     /// Per-node modification counters, bumped whenever a node lands in an
     /// update's dirty set. Subtree caches (the incremental DP's cost-vector
     /// memo) key their entries on these, so a stale entry can never be
@@ -28,6 +32,27 @@ pub struct SpatialTree {
     /// Live (attached) node count, maintained by alloc/collapse so
     /// [`SpatialTree::live_len`] is O(1).
     pub(crate) live: usize,
+}
+
+/// Moves the rows inside `low` to the front of `rows` and returns how
+/// many there are: one in-place pass, no allocation. Unstable: the order
+/// within each side is arbitrary, which nothing downstream depends on
+/// (tree shape and the extracted policy are functions of the user *set*,
+/// and [`SpatialTree::from_items`] sorts each leaf by id).
+// lbs-lint: allow-item(panic-reachability, reason = "the flagged `[` is the `&mut [..]` slice type in the signature, not indexing; the body reads through get() and swaps only front < back <= len")
+pub fn partition_in_place(rows: &mut [(UserId, Point)], low: &Rect) -> usize {
+    let mut front = 0;
+    let mut back = rows.len();
+    while front < back {
+        let in_low = rows.get(front).is_some_and(|(_, p)| low.contains(p));
+        if in_low {
+            front += 1;
+        } else {
+            back -= 1;
+            rows.swap(front, back);
+        }
+    }
+    front
 }
 
 impl SpatialTree {
@@ -42,12 +67,15 @@ impl SpatialTree {
     /// Builds a tree over raw `(user, point)` rows under `config` — the
     /// one build path: [`SpatialTree::build`] collects its database into
     /// rows and calls this. User ids must be unique (a [`LocationDb`]'s
-    /// rows, or any sub-slice of them); the row order does not affect
-    /// the tree's shape.
+    /// rows, or any sub-slice of them); the row order affects neither the
+    /// tree's shape nor its leaves, which hold their users sorted by id.
+    ///
+    /// The build works in the one buffer `items`: each split partitions
+    /// its node's range in place, and each leaf copies its range once.
     ///
     /// # Errors
     /// Fails when the config is invalid or a location falls off the map.
-    pub fn from_items(items: Vec<(UserId, Point)>, config: TreeConfig) -> Result<Self, String> {
+    pub fn from_items(mut items: Vec<(UserId, Point)>, config: TreeConfig) -> Result<Self, String> {
         config.validate()?;
         if let Some(&(u, _)) = items.iter().find(|(_, p)| !config.map.contains(p)) {
             // The offending point is deliberately not echoed: raw sender
@@ -61,11 +89,11 @@ impl SpatialTree {
             nodes: Vec::new(),
             users: Vec::new(),
             root: NodeId(0),
-            user_leaf: HashMap::with_capacity(items.len()),
+            user_leaf: OnceLock::new(),
             versions: Vec::new(),
             live: 0,
         };
-        let root = tree.build_rec(config.map, 0, items, None);
+        let root = tree.build_rec(config.map, 0, &mut items, None);
         tree.root = root;
         Ok(tree)
     }
@@ -91,12 +119,16 @@ impl SpatialTree {
         id
     }
 
+    /// Allocates the subtree over `items` in preorder (low child before
+    /// high, quadrants in [`Rect::quadrants`] order). Internal nodes
+    /// partition `items` in place; a leaf sorts its range by id and
+    /// copies it once into its own list.
     // lbs-lint: allow-item(panic-reachability, reason = "id was just handed out by alloc, so nodes[id.index()] and users[id.index()] are in bounds by construction")
     pub(crate) fn build_rec(
         &mut self,
         rect: Rect,
         depth: u16,
-        items: Vec<(UserId, Point)>,
+        items: &mut [(UserId, Point)],
         parent: Option<NodeId>,
     ) -> NodeId {
         let id = self.alloc(rect, depth, parent, items.len());
@@ -104,55 +136,44 @@ impl SpatialTree {
             let children = self.split_node(id, items);
             self.nodes[id.index()].children = children;
         } else {
-            for &(u, _) in &items {
-                self.user_leaf.insert(u, id);
-            }
-            self.users[id.index()] = items;
+            items.sort_unstable_by_key(|&(u, _)| u);
+            self.users[id.index()] = items.to_vec();
         }
         id
     }
 
-    /// Splits `id` into children, distributing `items`. Does not link the
-    /// children into `id`; the caller does (so `build_rec` and incremental
-    /// splitting share this).
-    // lbs-lint: allow-item(panic-reachability, reason = "id is a live arena slot owned by this tree; bucket index b comes from position() over the 4 quadrant rects, so buckets[b], ids[i], and rects[i] all stay within the fixed-size arrays")
-    pub(crate) fn split_node(&mut self, id: NodeId, items: Vec<(UserId, Point)>) -> Children {
+    /// Splits `id` into children, partitioning `items` among them in
+    /// place. Does not link the children into `id`; the caller does (so
+    /// `build_rec` and incremental splitting share this).
+    // lbs-lint: allow-item(panic-reachability, reason = "id is a live arena slot owned by this tree; each split point comes from partition_in_place over the slice it splits, so split_at_mut stays within that slice")
+    pub(crate) fn split_node(&mut self, id: NodeId, items: &mut [(UserId, Point)]) -> Children {
         let rect = self.nodes[id.index()].rect;
         let depth = self.nodes[id.index()].depth;
         match self.config.kind {
             TreeKind::Quad => {
-                let rects = rect.quadrants();
-                let mut buckets: [Vec<(UserId, Point)>; 4] = Default::default();
-                for (u, p) in items {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "half-open quadrants partition the parent rect, and every item was in the parent"
-                    )]
-                    let b = rects
-                        .iter()
-                        .position(|r| r.contains(&p))
-                        .expect("point must fall in exactly one quadrant");
-                    buckets[b].push((u, p));
-                }
+                // Three passes peel off the first three quadrants; the
+                // half-open quadrants partition the parent, so the rest
+                // lie in the fourth.
+                let quadrants = rect.quadrants();
+                let [q0, q1, q2, _] = quadrants;
+                let mid = partition_in_place(items, &q0);
+                let (s0, rest) = items.split_at_mut(mid);
+                let mid = partition_in_place(rest, &q1);
+                let (s1, rest) = rest.split_at_mut(mid);
+                let mid = partition_in_place(rest, &q2);
+                let (s2, s3) = rest.split_at_mut(mid);
                 let mut ids = [NodeId(0); 4];
-                for (i, bucket) in buckets.into_iter().enumerate() {
-                    ids[i] = self.build_rec(rects[i], depth + 1, bucket, Some(id));
+                for ((slot, q), slice) in ids.iter_mut().zip(quadrants).zip([s0, s1, s2, s3]) {
+                    *slot = self.build_rec(q, depth + 1, slice, Some(id));
                 }
                 Children::Four(ids)
             }
             TreeKind::Binary => {
-                let axis = self.choose_binary_axis(&rect, &items);
+                let axis = self.choose_binary_axis(&rect, items);
                 let (low, high) = rect.split(axis);
-                let mut low_items = Vec::new();
-                let mut high_items = Vec::new();
-                for (u, p) in items {
-                    if low.contains(&p) {
-                        low_items.push((u, p));
-                    } else {
-                        debug_assert!(high.contains(&p));
-                        high_items.push((u, p));
-                    }
-                }
+                let mid = partition_in_place(items, &low);
+                let (low_items, high_items) = items.split_at_mut(mid);
+                debug_assert!(high_items.iter().all(|(_, p)| high.contains(p)));
                 let low_id = self.build_rec(low, depth + 1, low_items, Some(id));
                 let high_id = self.build_rec(high, depth + 1, high_items, Some(id));
                 Children::Two([low_id, high_id])
@@ -284,9 +305,20 @@ impl SpatialTree {
         }
     }
 
-    /// The leaf currently storing `user`.
+    /// The leaf currently storing `user`. The first call on a tree builds
+    /// its user index, in O(|D|); later calls are one hash lookup.
     pub fn leaf_of_user(&self, user: UserId) -> Option<NodeId> {
-        self.user_leaf.get(&user).copied()
+        self.user_leaf.get_or_init(|| self.index_users()).get(&user).copied()
+    }
+
+    /// A fresh user → leaf index read off the leaves' user lists
+    /// (internal and tombstoned nodes store no users).
+    pub(crate) fn index_users(&self) -> HashMap<UserId, NodeId> {
+        let mut index = HashMap::with_capacity(self.count(self.root));
+        for (users, slot) in self.users.iter().zip(0u32..) {
+            index.extend(users.iter().map(|&(u, _)| (u, NodeId(slot))));
+        }
+        index
     }
 
     /// Users stored at leaf `id` (empty slice for internal nodes).
@@ -307,8 +339,14 @@ impl SpatialTree {
     }
 
     /// Verifies internal invariants (counts sum, partition containment,
-    /// user-leaf index coherence). Test/debug aid; O(|tree| + |D|).
+    /// user-leaf index coherence). Test/debug aid; O(|tree| + |D|). A tree
+    /// whose index was never built is checked against a fresh one, which
+    /// is not kept, so the check leaves the tree as it found it.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let user_leaf = match self.user_leaf.get() {
+            Some(index) => Cow::Borrowed(index),
+            None => Cow::Owned(self.index_users()),
+        };
         for &id in &self.postorder() {
             let node = self.node(id);
             if node.detached {
@@ -323,7 +361,7 @@ impl SpatialTree {
                         if !node.rect.contains(p) {
                             return Err(format!("{id}: user {u} at {p} outside leaf rect"));
                         }
-                        if self.user_leaf.get(u) != Some(&id) {
+                        if user_leaf.get(u) != Some(&id) {
                             return Err(format!("{id}: user {u} index points elsewhere"));
                         }
                     }
@@ -351,7 +389,7 @@ impl SpatialTree {
                 }
             }
         }
-        if self.user_leaf.len() != self.count(self.root) {
+        if user_leaf.len() != self.count(self.root) {
             return Err("user index size != root count".into());
         }
         let attached = self.nodes.iter().filter(|n| !n.detached).count();
@@ -550,5 +588,290 @@ mod tests {
             assert_eq!(tree.node(w[0]).parent, Some(w[1]));
         }
         assert_eq!(tree.node(*path.last().unwrap()).depth, 0);
+    }
+
+    /// The builder as it stood before the one-buffer build: every split
+    /// copies each node's rows into fresh per-child `Vec`s (a row goes to
+    /// the first quadrant containing it), and each leaf keeps its rows in
+    /// input order. Kept as the reference the in-place build must match.
+    fn reference_from_items(items: Vec<(UserId, Point)>, config: TreeConfig) -> SpatialTree {
+        let mut tree = SpatialTree {
+            config,
+            nodes: Vec::new(),
+            users: Vec::new(),
+            root: NodeId(0),
+            user_leaf: OnceLock::new(),
+            versions: Vec::new(),
+            live: 0,
+        };
+        tree.root = reference_rec(&mut tree, config.map, 0, items, None);
+        tree
+    }
+
+    fn reference_rec(
+        tree: &mut SpatialTree,
+        rect: Rect,
+        depth: u16,
+        items: Vec<(UserId, Point)>,
+        parent: Option<NodeId>,
+    ) -> NodeId {
+        let id = tree.alloc(rect, depth, parent, items.len());
+        if !tree.config.may_split(&rect, depth, items.len()) {
+            tree.users[id.index()] = items;
+            return id;
+        }
+        let children = match tree.config.kind {
+            TreeKind::Quad => {
+                let rects = rect.quadrants();
+                let mut buckets: [Vec<(UserId, Point)>; 4] = Default::default();
+                for (u, p) in items {
+                    let b = rects.iter().position(|r| r.contains(&p)).unwrap();
+                    buckets[b].push((u, p));
+                }
+                let mut ids = [NodeId(0); 4];
+                for (i, bucket) in buckets.into_iter().enumerate() {
+                    ids[i] = reference_rec(tree, rects[i], depth + 1, bucket, Some(id));
+                }
+                Children::Four(ids)
+            }
+            TreeKind::Binary => {
+                let axis = tree.choose_binary_axis(&rect, &items);
+                let (low, high) = rect.split(axis);
+                let (low_items, high_items): (Vec<_>, Vec<_>) =
+                    items.into_iter().partition(|(_, p)| low.contains(p));
+                let low_id = reference_rec(tree, low, depth + 1, low_items, Some(id));
+                let high_id = reference_rec(tree, high, depth + 1, high_items, Some(id));
+                Children::Two([low_id, high_id])
+            }
+        };
+        tree.nodes[id.index()].children = children;
+        id
+    }
+
+    /// `got` has `want`'s arena slot for slot, and each leaf holds the
+    /// same users as `want`'s, sorted by id.
+    fn assert_same_tree(got: &SpatialTree, want: &SpatialTree, what: &str) {
+        assert_same_arena(got, want, what);
+        for (slot, (g, w)) in got.users.iter().zip(&want.users).enumerate() {
+            let mut sorted = w.clone();
+            sorted.sort_unstable_by_key(|&(u, _)| u);
+            assert_eq!(g, &sorted, "{what}: users at slot {slot}");
+        }
+    }
+
+    /// `got` has `want`'s arena slot for slot: rect, depth, parent,
+    /// children, count, tombstone and version.
+    fn assert_same_arena(got: &SpatialTree, want: &SpatialTree, what: &str) {
+        assert_eq!(got.root, want.root, "{what}");
+        assert_eq!(got.live, want.live, "{what}");
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{what}: arena length");
+        for (slot, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!(
+                (g.rect, g.depth, g.parent, g.children, g.count, g.detached),
+                (w.rect, w.depth, w.parent, w.children, w.count, w.detached),
+                "{what}: slot {slot}"
+            );
+        }
+        assert_eq!(got.versions, want.versions, "{what}");
+    }
+
+    /// Seeded populations on a `side`-wide map: uniform, clustered around
+    /// a few centres, skewed toward the origin corner, and coincident
+    /// (most users on one point, so splitting stops only at the depth cap).
+    fn populations(seed: u64, n: usize, side: i64) -> Vec<(&'static str, Vec<(UserId, Point)>)> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = |f: &mut dyn FnMut(&mut StdRng) -> (i64, i64), rng: &mut StdRng| {
+            (0..n as u64)
+                .map(|i| {
+                    let (x, y) = f(rng);
+                    (UserId(i), Point::new(x.clamp(0, side - 1), y.clamp(0, side - 1)))
+                })
+                .collect::<Vec<_>>()
+        };
+        let uniform = rows(&mut |r| (r.gen_range(0..side), r.gen_range(0..side)), &mut rng);
+        let centres: Vec<(i64, i64)> =
+            (0..4).map(|_| (rng.gen_range(0..side), rng.gen_range(0..side))).collect();
+        let spread = side / 32;
+        let clustered = rows(
+            &mut |r| {
+                let (cx, cy) = centres[r.gen_range(0..centres.len())];
+                (cx + r.gen_range(-spread..=spread), cy + r.gen_range(-spread..=spread))
+            },
+            &mut rng,
+        );
+        let skewed = rows(
+            &mut |r| {
+                let (a, b): (f64, f64) = (r.gen(), r.gen());
+                ((a.powi(4) * side as f64) as i64, (b.powi(4) * side as f64) as i64)
+            },
+            &mut rng,
+        );
+        let coincident = rows(
+            &mut |r| {
+                if r.gen_bool(0.8) {
+                    (side / 3, side / 3)
+                } else {
+                    (r.gen_range(0..side), r.gen_range(0..side))
+                }
+            },
+            &mut rng,
+        );
+        vec![
+            ("uniform", uniform),
+            ("clustered", clustered),
+            ("skewed", skewed),
+            ("coincident", coincident),
+        ]
+    }
+
+    #[test]
+    fn in_place_build_matches_the_copying_reference() {
+        use crate::Orientation;
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+        let side = 256;
+        let map = Rect::square(0, 0, side);
+        let mut capped = TreeConfig::lazy(TreeKind::Binary, map, 3);
+        capped.max_depth = 9;
+        let mut capped_quad = TreeConfig::lazy(TreeKind::Quad, map, 3);
+        capped_quad.max_depth = 4;
+        let configs = [
+            ("binary fixed-vertical", TreeConfig::lazy(TreeKind::Binary, map, 5)),
+            (
+                "binary balanced",
+                TreeConfig::lazy(TreeKind::Binary, map, 5).with_orientation(Orientation::Balanced),
+            ),
+            ("quad", TreeConfig::lazy(TreeKind::Quad, map, 5)),
+            ("eager binary", TreeConfig::eager(TreeKind::Binary, map, 7)),
+            ("eager quad", TreeConfig::eager(TreeKind::Quad, map, 3)),
+            ("binary depth-capped", capped),
+            ("quad depth-capped", capped_quad),
+        ];
+        let mut shuffler = StdRng::seed_from_u64(0x5EED);
+        for seed in 0..4u64 {
+            for (population, rows) in populations(seed, 150 + 300 * seed as usize, side) {
+                for (name, config) in configs {
+                    let what = format!("seed {seed} {population} {name}");
+                    let want = reference_from_items(rows.clone(), config);
+                    want.check_invariants().unwrap();
+                    let got = SpatialTree::from_items(rows.clone(), config).unwrap();
+                    got.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_same_tree(&got, &want, &what);
+                    let mut shuffled = rows.clone();
+                    shuffled.shuffle(&mut shuffler);
+                    let got = SpatialTree::from_items(shuffled, config).unwrap();
+                    assert_same_tree(&got, &want, &format!("{what} shuffled"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_partition_splits_at_the_line() {
+        let low = Rect::new(0, 0, 4, 8);
+        let mut rows: Vec<(UserId, Point)> = [(5, 1), (1, 1), (7, 7), (3, 0), (4, 4), (0, 7)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (UserId(i as u64), Point::new(x, y)))
+            .collect();
+        let mid = partition_in_place(&mut rows, &low);
+        assert_eq!(mid, 3);
+        assert!(rows[..mid].iter().all(|(_, p)| low.contains(p)));
+        assert!(rows[mid..].iter().all(|(_, p)| !low.contains(p)));
+        assert_eq!(partition_in_place(&mut [], &low), 0);
+    }
+
+    #[test]
+    fn user_index_is_built_on_first_use_and_carried_by_clones() {
+        let db = table1_db();
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, 4), 2);
+        let tree = SpatialTree::build(&db, cfg).unwrap();
+        assert!(tree.user_leaf.get().is_none(), "a build does not index users");
+        tree.check_invariants().unwrap();
+        assert!(tree.user_leaf.get().is_none(), "check_invariants leaves the tree as it was");
+
+        // A clone taken before the index exists answers on its own.
+        let early = tree.clone();
+        for (user, point) in db.iter() {
+            assert_eq!(early.leaf_of_user(user), early.leaf_containing(&point));
+        }
+        assert!(early.user_leaf.get().is_some());
+        assert!(tree.user_leaf.get().is_none(), "the clone's index is its own");
+
+        // The first lookup on the original builds its index; clones carry it.
+        for (user, point) in db.iter() {
+            assert_eq!(tree.leaf_of_user(user), tree.leaf_containing(&point));
+        }
+        assert_eq!(tree.leaf_of_user(UserId(99)), None);
+        let late = tree.clone();
+        assert_eq!(late.user_leaf.get(), tree.user_leaf.get());
+        late.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn updates_on_a_never_indexed_tree_match_an_indexed_one() {
+        use lbs_model::{Move, UserUpdate};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let side = 64i64;
+        let mut rng = StdRng::seed_from_u64(0x1DE7);
+        let points: Vec<(i64, i64)> =
+            (0..60).map(|_| (rng.gen_range(0..side), rng.gen_range(0..side))).collect();
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), 3);
+        let mut lazy = SpatialTree::build(&db(&points), cfg).unwrap();
+        let mut indexed = lazy.clone();
+        assert!(indexed.leaf_of_user(UserId(0)).is_some());
+        assert!(lazy.user_leaf.get().is_none());
+        // Pile users into one corner (splits), then delete and insert.
+        let mut updates: Vec<UserUpdate> = (0..20)
+            .map(|u| {
+                UserUpdate::Move(Move {
+                    user: UserId(u),
+                    to: Point::new(rng.gen_range(0..4), rng.gen_range(0..4)),
+                })
+            })
+            .collect();
+        updates.extend((40..50).map(|u| UserUpdate::Delete { user: UserId(u) }));
+        updates.extend((60..65).map(|u| UserUpdate::Insert {
+            user: UserId(u),
+            at: Point::new(rng.gen_range(0..side), rng.gen_range(0..side)),
+        }));
+        let a = lazy.apply_updates(&updates).unwrap();
+        let b = indexed.apply_updates(&updates).unwrap();
+        assert!(a.splits >= 1, "the batch must split a leaf");
+        assert_eq!((a.splits, a.collapses, &a.dirty), (b.splits, b.collapses, &b.dirty));
+        assert_same_arena(&lazy, &indexed, "never indexed vs indexed");
+        assert_eq!(lazy.users, indexed.users, "leaf lists in the same order");
+        assert_eq!(lazy.user_leaf.get(), indexed.user_leaf.get());
+        lazy.check_invariants().unwrap();
+        // A rejected batch on a never-indexed tree leaves it intact.
+        let mut fresh = SpatialTree::build(&db(&points), cfg).unwrap();
+        let bad = [UserUpdate::Delete { user: UserId(999) }];
+        assert!(fresh.apply_updates(&bad).is_err());
+        fresh.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_checks_index_coherence() {
+        let db = table1_db();
+        let cfg = TreeConfig::lazy(TreeKind::Quad, Rect::square(0, 0, 4), 2);
+        let tree = SpatialTree::build(&db, cfg).unwrap();
+        let leaf = tree.leaf_of_user(UserId(0)).unwrap();
+        let other = tree.leaf_of_user(UserId(4)).unwrap();
+        assert_ne!(leaf, other);
+        let mut stale = tree.clone();
+        stale.user_leaf.get_mut().unwrap().insert(UserId(0), other);
+        let err = stale.check_invariants().unwrap_err();
+        assert!(err.contains("index points elsewhere"), "{err}");
+        let mut short = tree.clone();
+        short.user_leaf.get_mut().unwrap().insert(UserId(77), leaf);
+        let err = short.check_invariants().unwrap_err();
+        assert!(err.contains("user index size"), "{err}");
+        // Without an index, a user stored in two leaves is caught too.
+        let mut twice = SpatialTree::build(&db, cfg).unwrap();
+        let row = twice.users[leaf.index()][0];
+        twice.users[other.index()].push(row);
+        twice.nodes[other.index()].count += 1;
+        assert!(twice.check_invariants().is_err());
+        tree.check_invariants().unwrap();
     }
 }

@@ -29,7 +29,7 @@ mod node;
 mod stats;
 mod update;
 
-pub use build::SpatialTree;
+pub use build::{partition_in_place, SpatialTree};
 pub use config::{Orientation, TreeConfig, TreeKind};
 pub use node::{Children, Node, NodeId};
 pub use stats::{leaf_csv, TreeStats};

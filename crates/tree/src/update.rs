@@ -8,8 +8,12 @@
 //! below it, and reporting the dirty node set the DP must revisit.
 
 use crate::{Children, NodeId, SpatialTree};
-use lbs_model::{Move, UserUpdate};
+use lbs_model::{Move, UserId, UserUpdate};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
+
+/// The user → leaf index an update batch reads and maintains.
+type UserIndex = HashMap<UserId, NodeId>;
 
 /// Outcome of [`SpatialTree::apply_moves`] / [`SpatialTree::apply_updates`].
 #[derive(Debug, Clone, Default)]
@@ -52,12 +56,26 @@ impl SpatialTree {
     /// Validation is all-or-nothing and order-aware (a batch may insert a
     /// user and then move it): if any update references a user in the
     /// wrong membership state or an off-map point, nothing is applied.
+    ///
+    /// The first batch on a tree builds its user index; the tree keeps it
+    /// (and its clones carry it) from then on.
     pub fn apply_updates(&mut self, updates: &[UserUpdate]) -> Result<UpdateReport, String> {
-        let mut overlay: HashMap<lbs_model::UserId, bool> = HashMap::new();
+        let mut index = self.user_leaf.take().unwrap_or_else(|| self.index_users());
+        let result = self.apply_indexed(updates, &mut index);
+        self.user_leaf = OnceLock::from(index);
+        result
+    }
+
+    /// [`SpatialTree::apply_updates`] over the index taken out of the tree.
+    fn apply_indexed(
+        &mut self,
+        updates: &[UserUpdate],
+        index: &mut UserIndex,
+    ) -> Result<UpdateReport, String> {
+        let mut overlay: HashMap<UserId, bool> = HashMap::new();
         for up in updates {
             let user = up.user();
-            let present =
-                overlay.get(&user).copied().unwrap_or_else(|| self.user_leaf.contains_key(&user));
+            let present = overlay.get(&user).copied().unwrap_or_else(|| index.contains_key(&user));
             match *up {
                 // Validation messages name the user id only — raw target
                 // coordinates must not reach error strings. The ids stay
@@ -98,27 +116,27 @@ impl SpatialTree {
         for up in updates {
             match *up {
                 UserUpdate::Move(m) => {
-                    let old_leaf = self.detach_user(m.user);
-                    let new_leaf = self.attach_user(m.user, m.to);
+                    let old_leaf = self.detach_user(index, m.user);
+                    let new_leaf = self.attach_user(index, m.user, m.to);
                     report.moved += 1;
                     self.mark_path_dirty(old_leaf, &mut report.dirty);
                     self.mark_path_dirty(new_leaf, &mut report.dirty);
                 }
                 UserUpdate::Insert { user, at } => {
-                    let leaf = self.attach_user(user, at);
+                    let leaf = self.attach_user(index, user, at);
                     report.inserted += 1;
                     self.mark_path_dirty(leaf, &mut report.dirty);
                 }
                 UserUpdate::Delete { user } => {
-                    let leaf = self.detach_user(user);
+                    let leaf = self.detach_user(index, user);
                     report.deleted += 1;
                     self.mark_path_dirty(leaf, &mut report.dirty);
                 }
             }
         }
 
-        self.collapse_pass(&mut report);
-        self.split_pass(&mut report);
+        self.collapse_pass(&mut report, index);
+        self.split_pass(&mut report, index);
         // Every dirtied node advances its version, invalidating any cached
         // derivation (DP cost vectors) of its pre-update row. Tombstoned
         // ids that linger in the dirty set advance too — harmless, they are
@@ -140,12 +158,12 @@ impl SpatialTree {
     }
 
     /// Removes `user` from its leaf and decrements counts up to the root.
-    fn detach_user(&mut self, user: lbs_model::UserId) -> NodeId {
+    fn detach_user(&mut self, index: &mut UserIndex, user: UserId) -> NodeId {
         #[expect(
             clippy::expect_used,
             reason = "apply_updates validates every update's user against the index before any mutation"
         )]
-        let leaf = self.user_leaf.remove(&user).expect("validated before application");
+        let leaf = index.remove(&user).expect("validated before application");
         let list = &mut self.users[leaf.index()];
         #[expect(
             clippy::expect_used,
@@ -164,14 +182,14 @@ impl SpatialTree {
 
     /// Adds `user` at `p` to the current leaf containing `p` and increments
     /// counts up to the root.
-    fn attach_user(&mut self, user: lbs_model::UserId, p: lbs_geom::Point) -> NodeId {
+    fn attach_user(&mut self, index: &mut UserIndex, user: UserId, p: lbs_geom::Point) -> NodeId {
         #[expect(
             clippy::expect_used,
             reason = "apply_updates rejects off-map destinations before any mutation, so a containing leaf exists"
         )]
         let leaf = self.leaf_containing(&p).expect("validated to be on the map");
         self.users[leaf.index()].push((user, p));
-        self.user_leaf.insert(user, leaf);
+        index.insert(user, leaf);
         let mut cur = Some(leaf);
         while let Some(id) = cur {
             self.nodes[id.index()].count += 1;
@@ -183,7 +201,7 @@ impl SpatialTree {
     /// Collapses every highest internal node whose population fell below
     /// the split threshold. Only dirty nodes can qualify, so the scan walks
     /// the dirty set top-down rather than the whole tree.
-    fn collapse_pass(&mut self, report: &mut UpdateReport) {
+    fn collapse_pass(&mut self, report: &mut UpdateReport, index: &mut UserIndex) {
         if self.config.split_threshold == 0 {
             return; // eager trees never restructure
         }
@@ -206,7 +224,7 @@ impl SpatialTree {
             if n.detached || n.is_leaf() {
                 continue; // already handled by an ancestor's collapse
             }
-            self.collapse_subtree(id, &mut report.detached);
+            self.collapse_subtree(id, &mut report.detached, index);
             report.collapses += 1;
             report.dirty.insert(id);
         }
@@ -214,7 +232,7 @@ impl SpatialTree {
 
     /// Turns internal node `id` into a leaf holding its subtree's users,
     /// tombstoning all descendants (appended to `detached`).
-    fn collapse_subtree(&mut self, id: NodeId, detached: &mut Vec<NodeId>) {
+    fn collapse_subtree(&mut self, id: NodeId, detached: &mut Vec<NodeId>, index: &mut UserIndex) {
         let mut gathered = Vec::with_capacity(self.nodes[id.index()].count);
         let mut stack: Vec<NodeId> = self.nodes[id.index()].children.as_slice().to_vec();
         while let Some(cur) = stack.pop() {
@@ -225,9 +243,7 @@ impl SpatialTree {
             detached.push(cur);
             gathered.append(&mut self.users[cur.index()]);
         }
-        for &(u, _) in &gathered {
-            self.user_leaf.insert(u, id);
-        }
+        index.extend(gathered.iter().map(|&(u, _)| (u, id)));
         debug_assert_eq!(gathered.len(), self.nodes[id.index()].count);
         self.users[id.index()] = gathered;
         self.nodes[id.index()].children = Children::None;
@@ -235,8 +251,9 @@ impl SpatialTree {
 
     /// Splits every dirty leaf that grew past the materialization limit,
     /// recursively (a split child may itself qualify; `build_rec` handles
-    /// that).
-    fn split_pass(&mut self, report: &mut UpdateReport) {
+    /// that), partitioning the taken leaf list in place as a fresh build
+    /// does, and points `index` at the new leaves.
+    fn split_pass(&mut self, report: &mut UpdateReport, index: &mut UserIndex) {
         let mut candidates: Vec<NodeId> = report
             .dirty
             .iter()
@@ -253,14 +270,15 @@ impl SpatialTree {
         // it (tests/incremental_batch.rs).
         candidates.sort_unstable_by_key(|id| id.index());
         for id in candidates {
-            let items = std::mem::take(&mut self.users[id.index()]);
-            let children = self.split_node(id, items);
+            let mut items = std::mem::take(&mut self.users[id.index()]);
+            let children = self.split_node(id, &mut items);
             self.nodes[id.index()].children = children;
             report.splits += 1;
             // New descendants are dirty: the DP has no rows for them yet.
             let mut stack: Vec<NodeId> = children.as_slice().to_vec();
             while let Some(cur) = stack.pop() {
                 report.dirty.insert(cur);
+                index.extend(self.users[cur.index()].iter().map(|&(u, _)| (u, cur)));
                 stack.extend_from_slice(self.nodes[cur.index()].children.as_slice());
             }
         }

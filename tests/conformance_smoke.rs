@@ -7,7 +7,7 @@
 //! `cargo test --release --test conformance_smoke -- --ignored`.
 
 use lbs_conformance::{
-    check_all, compute_all, run_matrix, run_scenario, scenario_matrix, GoldenRecord, Tier,
+    check_records, compute_all, run_matrix, run_scenario, scenario_matrix, GoldenRecord, Tier,
     DEFAULT_MASTER_SEED,
 };
 use std::path::Path;
@@ -52,22 +52,31 @@ fn smoke_matrix_holds_every_oracle() {
     }
 }
 
+/// The golden corpus, computed once per test binary and shared by the
+/// tests below.
+fn corpus() -> &'static [GoldenRecord] {
+    static CORPUS: OnceLock<Result<Vec<GoldenRecord>, String>> = OnceLock::new();
+    match CORPUS.get_or_init(|| compute_all(DEFAULT_MASTER_SEED)) {
+        Ok(records) => records,
+        Err(e) => panic!("golden corpus: {e}"),
+    }
+}
+
 /// Every checked-in record: policies, the sharded and partitioned
 /// pipelines, and the work counters; a stale file fails it too.
 #[test]
 fn golden_corpus_matches_the_checked_in_records() {
-    match check_all(golden_dir(), DEFAULT_MASTER_SEED) {
+    match check_records(corpus(), golden_dir()) {
         Ok(n) => assert_eq!(n, 36),
         Err(problems) => panic!("golden drift — {REBLESS}:\n{}", problems.join("\n")),
     }
 }
 
-/// Checks the `prefix` family of one shared computed corpus through the
-/// same per-record path as [`check_all`], so a drift there is named by
+/// Checks the `prefix` family of the shared corpus through the same
+/// per-record path as [`check_records`], so a drift there is named by
 /// its own test.
 fn assert_family_matches(prefix: &str, expected: usize) {
-    static CORPUS: OnceLock<Vec<GoldenRecord>> = OnceLock::new();
-    let corpus = CORPUS.get_or_init(|| compute_all(DEFAULT_MASTER_SEED).expect("golden corpus"));
+    let corpus = corpus();
     let family: Vec<&GoldenRecord> = corpus.iter().filter(|r| r.id.starts_with(prefix)).collect();
     assert_eq!(family.len(), expected, "{prefix}* records");
     let problems: Vec<String> = family.iter().filter_map(|r| r.check(golden_dir()).err()).collect();
