@@ -5,7 +5,9 @@
 //! paper's evaluation), then answer each incoming service request with a
 //! constant-time-ish policy lookup (0.3–0.5 ms reported in Section VII).
 
-use crate::{bulk_dp_fast, bulk_dp_fast_with_scratch, CoreError, DpMatrix, DpScratch};
+use crate::{
+    bulk_dp_fast, bulk_dp_fast_quad, bulk_dp_fast_with_scratch, CoreError, DpMatrix, DpScratch,
+};
 use lbs_geom::{Area, Point, Rect};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{
@@ -52,9 +54,9 @@ impl Anonymizer {
     /// As [`Anonymizer::build_with_config`], with two production hooks:
     ///
     /// * `scratch` — a caller-owned [`DpScratch`] arena reused across
-    ///   builds (both tree kinds; the arena carries the flat-tree
-    ///   snapshot, the convolution buffers, and the quad-DP buffers). The
-    ///   work-stealing engine hands each worker thread one arena so
+    ///   binary-tree builds (it carries the flat-tree snapshot and the
+    ///   convolution buffers of the binary sweep; a quad tree ignores it).
+    ///   The work-stealing engine hands each worker thread one arena so
     ///   steady-state jurisdiction builds allocate nothing in the DP loop.
     /// * `metrics` — a [`Metrics`] sink receiving [`Stage::TreeBuild`],
     ///   [`Stage::Dp`], and [`Stage::Extract`] spans plus the
@@ -104,10 +106,7 @@ impl Anonymizer {
                 Some(arena) => bulk_dp_fast_with_scratch(&tree, k, arena),
                 None => bulk_dp_fast(&tree, k),
             },
-            TreeKind::Quad => match scratch {
-                Some(arena) => crate::bulk_dp_fast_quad_with_scratch(&tree, k, arena),
-                None => crate::bulk_dp_fast_quad(&tree, k),
-            },
+            TreeKind::Quad => bulk_dp_fast_quad(&tree, k),
         })?;
         let (cost, policy) = staged(metrics, Stage::Extract, || {
             let cost = matrix.optimal_cost(&tree)?;

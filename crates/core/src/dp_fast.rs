@@ -134,7 +134,6 @@ fn bulk_dp_fast_arena(
         let row = if first == NO_CHILD {
             Row::leaf(d, area, cap)
         } else {
-            debug_assert_eq!(flat.arity[slot], 2, "binary tree");
             let (c1, c2) = (first as usize, first as usize + 1);
             let id = flat.ids[slot];
             let child = |c: usize| {
@@ -240,15 +239,15 @@ impl Win {
     }
 }
 
-/// One parent row of the arena sweep: Stage 1 (block decomposition of
-/// `temp`) and Stage 2 (resolving every dense `u`), returning the row's
-/// cost and tag columns. This is [`compute_row_with`]'s internal-node
-/// body transcribed onto slices — same branches, same order, same
-/// strict-`<` / `<=` asymmetries — with the convolution running
-/// cost-only over contiguous slices and each cell recording only which
-/// branch won it.
+/// One parent row of the arena sweep and of the incremental refresh:
+/// Stage 1 (block decomposition of `temp`) and Stage 2 (resolving every
+/// dense `u`), returning the row's cost and tag columns. This is
+/// [`compute_row_with`]'s internal-node body transcribed onto slices —
+/// same branches, same order, same strict-`<` / `<=` asymmetries — with
+/// the convolution running cost-only over contiguous slices and each
+/// cell recording only which branch won it.
 // lbs-lint: allow-item(panic-reachability, reason = "every scratch vector is resized to conv_len+1 (or the row cap) at the top of the stage that indexes it, and j = l1+l2 < a1+a2-1 = conv_len by the loop bounds; this is the DP inner loop, where a stray bounds check is measurable")
-fn combine_children(
+pub(crate) fn combine_children(
     pair: ChildPair<'_>,
     d: usize,
     area: u128,
@@ -375,17 +374,18 @@ fn combine_children(
 
 /// Reusable DP scratch arena for [`bulk_dp_fast_with_scratch`].
 ///
-/// Owns the per-node convolution and suffix-minimum buffers of the
-/// optimized `Bulk_dp`. The buffers grow to the largest node processed
-/// and are retained across calls, so one arena per worker thread removes
-/// all allocation from the steady-state DP loop but the rows themselves.
+/// Owns the flat-tree snapshot and the per-node convolution and
+/// suffix-minimum buffers of the optimized binary `Bulk_dp` (the quad
+/// DP allocates its sparse tables per row and takes no scratch). The
+/// buffers grow to the largest node processed and are retained across
+/// calls, so one arena per worker thread removes all allocation from the
+/// steady-state DP loop but the rows themselves.
 #[derive(Debug, Default)]
 pub struct DpScratch {
-    inner: Scratch,
+    /// Per-node convolution and suffix-minimum buffers.
+    pub(crate) inner: Scratch,
     /// Breadth-first SoA snapshot of the tree being swept.
     pub(crate) flat: FlatTree,
-    /// Sparse-table buffers of the quad-tree sweep.
-    pub(crate) quad: crate::dp_fast_quad::QuadArena,
 }
 
 impl DpScratch {
@@ -410,7 +410,7 @@ fn dense_cap_with(d: usize, depth: u16, k: usize, use_lemma5: bool) -> Option<us
 
 /// [`dense_cap_with`] under the Lemma-5 bound, as every path but the
 /// ablation sweep applies it.
-fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
+pub(crate) fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
     dense_cap_with(d, depth, k, true)
 }
 
@@ -580,38 +580,6 @@ pub(crate) fn compute_row_with(
         splits.push(best.1);
     }
     Ok(Row { d, dense, splits: Splits::Explicit(splits) })
-}
-
-/// Builds one internal binary [`Row`] from its children's **dense cost
-/// slices** via [`combine_children`] — the incremental maintainer's row
-/// engine. Because [`combine_children`] is the arena sweep's parent-row
-/// body, and that sweep is pinned cell-for-cell to [`compute_row_with`]
-/// by `tests/differential.rs`, a row produced here from the same child
-/// costs has the reference's costs and splits.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "both callers pass two child slices plus the parent node's scalar fields; bundling them would only rename those fields"
-)]
-pub(crate) fn combine_children_row(
-    dense1: &[u128],
-    dense2: &[u128],
-    d1: usize,
-    d2: usize,
-    d: usize,
-    area: u128,
-    depth: u16,
-    k: usize,
-    scratch: &mut DpScratch,
-) -> Row {
-    let cap = dense_cap(d, depth, k);
-    let pair = ChildPair { dense1, dense2, d1, d2 };
-    combine_children(pair, d, area, cap, k, &mut scratch.inner)
-}
-
-/// The row of a leaf with population `d` — identical to
-/// [`compute_row_with`]'s leaf branch.
-pub(crate) fn leaf_row(d: usize, area: u128, depth: u16, k: usize) -> Row {
-    Row::leaf(d, area, dense_cap(d, depth, k))
 }
 
 /// Typed replacement for the old "children computed first" panic.

@@ -11,39 +11,28 @@
 //! every intermediate table has `O(kh)` distinct sums and the per-node
 //! work stays `O((kh)²)` — the quad tree gets the binary tree's asymptotics.
 //!
+//! One row engine, [`quad_row`], computes every quad row: the bulk sweep
+//! calls it in postorder and the incremental refresh calls it for each
+//! dirty node, so both produce the same rows by construction.
+//!
 //! The Lemma-5 pass-up cap is applied with the node's *quad* depth; the
 //! unit tests cross-validate against the uncapped dense reference on
 //! hundreds of random instances. (A quad node has half the ancestors of
 //! the corresponding binary node, so the `(k+1)·h(m)` budget is, if
 //! anything, conservative relative to the binary-tree lemma.)
 
-use crate::flat::NO_CHILD;
+use crate::dp_fast::{dense_cap, missing_child_row};
 use crate::matrix::Splits;
-use crate::{CoreError, DpMatrix, DpScratch, Row, INFINITE_COST};
+use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
 
 /// One sparse cost-by-sum table entry: the cheapest way for a child pair
 /// to pass up exactly `j` locations, with the split achieving it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SumEntry {
+struct SumEntry {
     j: usize,
     cost: u128,
     split: [u32; 2],
-}
-
-/// Reusable sparse-table buffers of the quad sweep: the four candidate
-/// lists, both pair tables, their projections, the final table, and its
-/// suffix minima. Retained across nodes (and across calls, inside
-/// [`DpScratch`]) so the steady-state quad DP allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct QuadArena {
-    cand: [Vec<(usize, u128)>; 4],
-    s12: Vec<SumEntry>,
-    s34: Vec<SumEntry>,
-    pair12: Vec<(usize, u128)>,
-    pair34: Vec<(usize, u128)>,
-    total: Vec<SumEntry>,
-    suffix: Vec<(u128, usize)>,
 }
 
 /// Runs the optimized `Bulk_dp` over a **quad** tree.
@@ -52,39 +41,6 @@ pub(crate) struct QuadArena {
 /// [`CoreError::InvalidK`] for `k = 0`; [`CoreError::Tree`] when handed a
 /// binary tree (use [`crate::bulk_dp_fast`] there).
 pub fn bulk_dp_fast_quad(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
-    let mut scratch = DpScratch::new();
-    bulk_dp_fast_quad_with_scratch(tree, k, &mut scratch)
-}
-
-/// As [`bulk_dp_fast_quad`], reusing a caller-owned [`DpScratch`] arena
-/// across calls (the quad analogue of
-/// [`crate::bulk_dp_fast_with_scratch`]). The quad DP always applies the
-/// Lemma-5 cap with the node's quad depth — the arena's ablation knob
-/// only affects binary sweeps, as before.
-///
-/// # Errors
-/// Same conditions as [`bulk_dp_fast_quad`].
-pub fn bulk_dp_fast_quad_with_scratch(
-    tree: &SpatialTree,
-    k: usize,
-    scratch: &mut DpScratch,
-) -> Result<DpMatrix, CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidK);
-    }
-    if tree.config().kind != TreeKind::Quad {
-        return Err(CoreError::Tree("bulk_dp_fast_quad requires a quad tree".into()));
-    }
-    bulk_dp_fast_quad_arena(tree, k, scratch)
-}
-
-/// The pre-arena row-at-a-time quad sweep: a literal postorder walk
-/// computing one [`Row`] per node. Kept as the differential baseline for
-/// the arena-flattened path.
-///
-/// # Errors
-/// Same conditions as [`bulk_dp_fast_quad`].
-pub fn bulk_dp_fast_quad_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidK);
     }
@@ -93,140 +49,19 @@ pub fn bulk_dp_fast_quad_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatri
     }
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
-        let row = quad_row(tree, &matrix, id, k)?;
+        let row = quad_row(tree, &matrix, None, id, k)?;
         matrix.set_row(id, row);
     }
     Ok(matrix)
 }
 
-/// The arena-flattened quad sweep: reverse scan of the breadth-first SoA
-/// snapshot with all sparse tables drawn from [`QuadArena`]. Performs
-/// exactly the operation sequence of [`quad_row`] — same candidate
-/// enumeration order, same `sort_unstable`/`dedup` on the same input
-/// sequence, same suffix sweep and cursor walk — so the produced matrix
-/// is bit-identical to the row-wise reference.
-// lbs-lint: allow-item(panic-reachability, reason = "slot and first_child index the FlatTree snapshot built by the rebuild call above, whose internal slots name four live child slots below flat.len(); q.cand has four lists, and q.suffix is resized to total.len()+1 before the sweeps that index it")
-fn bulk_dp_fast_quad_arena(
-    tree: &SpatialTree,
-    k: usize,
-    scratch: &mut DpScratch,
-) -> Result<DpMatrix, CoreError> {
-    scratch.flat.rebuild(tree);
-    let flat = &scratch.flat;
-    let q = &mut scratch.quad;
-    let mut matrix = DpMatrix::new(k, tree.arena_len());
-
-    for slot in (0..flat.len()).rev() {
-        let d = flat.count[slot];
-        let area = flat.area[slot];
-        let cap = dense_cap(d, flat.depth[slot], k);
-        let first = flat.first_child[slot];
-        let id = flat.ids[slot];
-        if first == NO_CHILD {
-            matrix.set_row(id, Row::leaf(d, area, cap));
-            continue;
-        }
-        debug_assert_eq!(flat.arity[slot], 4, "quad tree");
-        let c0 = first as usize;
-        // Candidate lists: each child's dense cells as (l, cost) pairs
-        // plus its special value (d(child), 0) — the special cell is
-        // always free, exactly as `candidates` reads it off a `Row`.
-        for i in 0..4 {
-            let ci = c0 + i;
-            let child = matrix
-                .row(flat.ids[ci])
-                .ok_or_else(|| crate::dp_fast::missing_child_row(id, flat.ids[ci]))?;
-            let cand = &mut q.cand[i];
-            cand.clear();
-            cand.extend(child.dense.iter().copied().enumerate());
-            cand.push((flat.count[ci], 0));
-        }
-
-        // Associate: (c1 ⊗ c2) ⊗ (c3 ⊗ c4).
-        let (cand01, cand23) = q.cand.split_at(2);
-        convolve_into(&cand01[0], &cand01[1], &mut q.s12);
-        convolve_into(&cand23[0], &cand23[1], &mut q.s34);
-        q.pair12.clear();
-        q.pair12.extend(q.s12.iter().map(|e| (e.j, e.cost)));
-        q.pair34.clear();
-        q.pair34.extend(q.s34.iter().map(|e| (e.j, e.cost)));
-        convolve_into(&q.pair12, &q.pair34, &mut q.total);
-
-        // Suffix minima of total[i].cost + j·area for the "cloak ≥ k" branch.
-        q.suffix.clear();
-        q.suffix.resize(q.total.len() + 1, (INFINITE_COST, usize::MAX));
-        for i in (0..q.total.len()).rev() {
-            let weighted = q.total[i].cost.saturating_add(area * q.total[i].j as u128);
-            q.suffix[i] =
-                if weighted <= q.suffix[i + 1].0 { (weighted, i) } else { q.suffix[i + 1] };
-        }
-
-        let (s12, s34, total) = (&q.s12, &q.s34, &q.total);
-        let lookup = |table: &[SumEntry], j: usize, side: &str| -> Result<[u32; 2], CoreError> {
-            let idx = table.binary_search_by_key(&j, |e| e.j).map_err(|_| {
-                CoreError::StaleMatrix(format!(
-                    "pass-up sum {j} missing from the {side} pair table of {id:?}; \
-                     convolution tables are inconsistent with the final table"
-                ))
-            })?;
-            Ok(table[idx].split)
-        };
-        let resolve = |entry: &SumEntry| -> Result<[u32; 4], CoreError> {
-            let s12 = lookup(s12, entry.split[0] as usize, "c1⊗c2")?;
-            let s34 = lookup(s34, entry.split[1] as usize, "c3⊗c4")?;
-            Ok([s12[0], s12[1], s34[0], s34[1]])
-        };
-
-        let len = cap.map_or(0, |cap| cap + 1);
-        let mut dense = Vec::with_capacity(len);
-        let mut splits = Vec::with_capacity(len);
-        let mut exact = 0usize;
-        let mut lower = 0usize;
-        for u in 0..len {
-            let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
-            while exact < total.len() && total[exact].j < u {
-                exact += 1;
-            }
-            if exact < total.len() && total[exact].j == u {
-                best = (total[exact].cost, resolve(&total[exact])?);
-            }
-            while lower < total.len() && total[lower].j < u + k {
-                lower += 1;
-            }
-            let (weighted, argmin) = q.suffix[lower];
-            if weighted != INFINITE_COST {
-                let cost = weighted - area * u as u128;
-                if cost < best.0 {
-                    best = (cost, resolve(&total[argmin])?);
-                }
-            }
-            dense.push(best.0);
-            splits.push(best.1);
-        }
-        matrix.set_row(id, Row { d, dense, splits: Splits::Explicit(splits) });
-    }
-    Ok(matrix)
-}
-
-fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
-    let by_summation = d.checked_sub(k)?;
-    Some(by_summation.min((k + 1) * depth as usize))
-}
-
-/// A child row as a sparse candidate list `(l, cost)`.
-fn candidates(row: &Row) -> Vec<(usize, u128)> {
-    row.iter().collect()
-}
-
-/// All pair sums of two candidate lists, sorted by `j`, min-cost per `j`,
-/// written into a reused buffer. The enumeration order (`a` outer, `b`
-/// inner) and the `sort_unstable`/`dedup` pair are part of the
-/// bit-identity contract: `sort_unstable` is deterministic for a given
-/// input sequence, so the arena and row-wise sweeps — which feed it the
-/// same sequence — pick the same representative among equal-cost splits.
-fn convolve_into(a: &[(usize, u128)], b: &[(usize, u128)], out: &mut Vec<SumEntry>) {
-    out.clear();
-    out.reserve(a.len() * b.len());
+/// All pair sums of two candidate lists, sorted by `j`, min-cost per `j`.
+/// The enumeration order (`a` outer, `b` inner) and the
+/// `sort_unstable`/`dedup` pair fix which split represents equal-cost
+/// sums: `sort_unstable` is deterministic for a given input sequence, so
+/// equal child rows always yield the same table.
+fn convolve(a: &[(usize, u128)], b: &[(usize, u128)]) -> Vec<SumEntry> {
+    let mut out = Vec::with_capacity(a.len() * b.len());
     for &(la, ca) in a {
         if ca == INFINITE_COST {
             continue;
@@ -240,12 +75,6 @@ fn convolve_into(a: &[(usize, u128)], b: &[(usize, u128)], out: &mut Vec<SumEntr
     }
     out.sort_unstable_by_key(|e| (e.j, e.cost));
     out.dedup_by_key(|e| e.j);
-}
-
-/// Allocating wrapper over [`convolve_into`] (the row-wise path).
-fn convolve(a: &[(usize, u128)], b: &[(usize, u128)]) -> Vec<SumEntry> {
-    let mut out = Vec::new();
-    convolve_into(a, b, &mut out);
     out
 }
 
@@ -267,22 +96,18 @@ impl<'a> LocalRows<'a> {
     }
 }
 
-/// Computes one quad-node row via associated convolution.
+/// Computes one quad-node row via associated convolution — the row
+/// engine of both [`bulk_dp_fast_quad`] and the incremental refresh.
+/// `local` is an optional overlay of rows consulted before the matrix
+/// (the parallel refresh's task-local rows); an overlay row equal to the
+/// matrix row it shadows leaves the output unchanged.
 ///
 /// # Errors
 /// [`CoreError::StaleMatrix`] when a child row is missing or a convolved
 /// sum cannot be resolved back to its pair tables (postorder discipline
 /// violated or the matrix was mutated mid-sweep).
-fn quad_row(tree: &SpatialTree, matrix: &DpMatrix, id: NodeId, k: usize) -> Result<Row, CoreError> {
-    quad_row_overlay(tree, matrix, None, id, k)
-}
-
-/// [`quad_row`] with an optional local-row overlay consulted before the
-/// matrix — the incremental refresh's quad row engine. With `local =
-/// None` this *is* `quad_row`, so overlay rows equal to the matrix rows
-/// they shadow keep the output bit-identical.
-// lbs-lint: allow-item(panic-reachability, reason = "suffix is resized to total.len()+1 before the sweeps that index it, cands always holds 4 child lists for a quad node, and lookup indexes with a position returned by binary_search — the same lockstep invariants the arena sweep relies on")
-pub(crate) fn quad_row_overlay(
+// lbs-lint: allow-item(panic-reachability, reason = "suffix is allocated with total.len()+1 entries before the sweeps that index it, cands always holds 4 child lists for a quad node, and lookup indexes with a position returned by binary_search")
+pub(crate) fn quad_row(
     tree: &SpatialTree,
     matrix: &DpMatrix,
     local: Option<&LocalRows<'_>>,
@@ -299,16 +124,17 @@ pub(crate) fn quad_row_overlay(
 
     let children = node.children.as_slice();
     debug_assert_eq!(children.len(), 4, "quad tree");
-    let rows: Vec<&Row> = children
+    // Each child row as a sparse candidate list `(l, cost)`.
+    let cands: Vec<Vec<(usize, u128)>> = children
         .iter()
         .map(|&c| {
             local
                 .and_then(|l| l.get(c))
                 .or_else(|| matrix.row(c))
-                .ok_or_else(|| crate::dp_fast::missing_child_row(id, c))
+                .map(|row| row.iter().collect())
+                .ok_or_else(|| missing_child_row(id, c))
         })
         .collect::<Result<_, _>>()?;
-    let cands: Vec<Vec<(usize, u128)>> = rows.iter().map(|r| candidates(r)).collect();
 
     // Associate: (c1 ⊗ c2) ⊗ (c3 ⊗ c4).
     let s12 = convolve(&cands[0], &cands[1]);

@@ -293,7 +293,7 @@ mod tests {
     use crate::matrix::Splits;
     use crate::{bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, verify_policy_aware, Row};
     use lbs_geom::{Point, Rect};
-    use lbs_model::{encode_policy, LocationDb};
+    use lbs_model::{encode_policy, LocationDb, Move, UserUpdate};
     use lbs_tree::{TreeConfig, TreeKind};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -395,23 +395,50 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xE7_7AC7);
         let side = 64;
         let mut partial_cuts = 0;
+        let mut unsorted_pools = 0;
         for trial in 0..240 {
             let kind = if trial % 2 == 0 { TreeKind::Binary } else { TreeKind::Quad };
             let k = 1 + trial % 8;
             let n = rng.gen_range(k..=k * 12 + 20);
-            // Ids in random order, so no pool arrives sorted.
+            // Ids in random order. A build sorts each leaf by id, so the
+            // unsorted pools come from the churn batch below, whose
+            // `swap_remove`/`push` leaf edits leave leaves out of id order
+            // just as they do under incremental maintenance.
             let mut ids: Vec<u64> = (0..n as u64).collect();
             ids.shuffle(&mut rng);
-            let items: Vec<(UserId, Point)> = ids
-                .into_iter()
-                .map(|id| (UserId(id), Point::new(rng.gen_range(0..side), rng.gen_range(0..side))))
-                .collect();
+            let point =
+                |rng: &mut StdRng| Point::new(rng.gen_range(0..side), rng.gen_range(0..side));
+            let items: Vec<(UserId, Point)> =
+                ids.iter().map(|&id| (UserId(id), point(&mut rng))).collect();
             let config = if rng.gen_bool(0.5) {
                 TreeConfig::lazy(kind, Rect::square(0, 0, side), k)
             } else {
                 TreeConfig::eager(kind, Rect::square(0, 0, side), rng.gen_range(1..=5))
             };
-            let tree = SpatialTree::from_items(items, config).unwrap();
+            let mut tree = SpatialTree::from_items(items, config).unwrap();
+            if trial % 3 == 0 {
+                // Distinct users per event, so any order of the batch is valid.
+                let deletes = rng.gen_range(0..=n - k);
+                let moves = rng.gen_range(0..=n - deletes);
+                let inserts = rng.gen_range(0..=n as u64);
+                let mut batch: Vec<UserUpdate> = ids[moves..moves + deletes]
+                    .iter()
+                    .map(|&id| UserUpdate::Delete { user: UserId(id) })
+                    .collect();
+                for &id in &ids[..moves] {
+                    batch.push(UserUpdate::Move(Move { user: UserId(id), to: point(&mut rng) }));
+                }
+                for id in n as u64..n as u64 + inserts {
+                    batch.push(UserUpdate::Insert { user: UserId(id), at: point(&mut rng) });
+                }
+                batch.shuffle(&mut rng);
+                tree.apply_updates(&batch).unwrap();
+            }
+            unsorted_pools += usize::from(
+                tree.postorder()
+                    .into_iter()
+                    .any(|id| tree.leaf_users(id).windows(2).any(|pair| pair[0].0 > pair[1].0)),
+            );
             let m = match kind {
                 TreeKind::Binary => bulk_dp_fast(&tree, k).unwrap(),
                 TreeKind::Quad => bulk_dp_fast_quad(&tree, k).unwrap(),
@@ -437,6 +464,7 @@ mod tests {
             }
         }
         assert!(partial_cuts > 0, "no node both cloaked and passed ids up");
+        assert!(unsorted_pools > 0, "no trial extracted from a leaf pool out of id order");
     }
 
     /// A tree whose root has two leaf children, the first holding `c0`

@@ -1,5 +1,5 @@
 //! Breadth-first arena flattening of a [`SpatialTree`] and the SoA
-//! (min,+) convolution kernel shared by the binary and quad bulk DPs.
+//! (min,+) convolution kernel of the binary bulk DP.
 //!
 //! The tree crate's arena is optimized for incremental maintenance:
 //! nodes carry parent links, tombstones, and rectangles, and a bulk DP
@@ -24,7 +24,8 @@ pub(crate) const NO_CHILD: u32 = u32::MAX;
 
 /// A breadth-first structure-of-arrays snapshot of the live nodes of a
 /// [`SpatialTree`]. Slot 0 is the root; children of slot `s` occupy
-/// `first_child[s] ..` contiguously.
+/// `first_child[s] ..` contiguously (two per internal node of the binary
+/// trees the bulk sweep snapshots).
 #[derive(Debug, Default)]
 pub(crate) struct FlatTree {
     /// Arena id of each slot (for materializing matrix rows at the end).
@@ -37,8 +38,6 @@ pub(crate) struct FlatTree {
     pub area: Vec<u128>,
     /// Slot of the first child; siblings are adjacent. [`NO_CHILD`] at leaves.
     pub first_child: Vec<u32>,
-    /// Number of children: 0 (leaf), 2 (binary), or 4 (quad).
-    pub arity: Vec<u8>,
 }
 
 impl FlatTree {
@@ -49,7 +48,6 @@ impl FlatTree {
         self.depth.clear();
         self.area.clear();
         self.first_child.clear();
-        self.arity.clear();
 
         // `ids` doubles as the BFS queue: `head` dequeues while children
         // are appended at the tail, so slot order is breadth-first and
@@ -62,7 +60,6 @@ impl FlatTree {
             self.depth.push(node.depth);
             self.area.push(node.rect.area());
             let kids = node.children.as_slice();
-            self.arity.push(kids.len() as u8);
             if kids.is_empty() {
                 self.first_child.push(NO_CHILD);
             } else {
@@ -284,7 +281,6 @@ mod tests {
             assert_eq!(flat.depth[slot], node.depth);
             assert_eq!(flat.area[slot], node.rect.area());
             let kids = node.children.as_slice();
-            assert_eq!(flat.arity[slot] as usize, kids.len());
             total_children += kids.len();
             if kids.is_empty() {
                 assert_eq!(flat.first_child[slot], NO_CHILD);

@@ -35,13 +35,13 @@
 //!   changed and patches the policy in place (DESIGN.md §9).
 //!
 //! Rows are produced by the same engines the bulk sweeps use
-//! ([`combine_children_row`] wraps the arena sweep's parent-row body,
-//! [`quad_row_overlay`] the quad candidate-table body), so incremental
+//! ([`combine_children`] is the binary arena sweep's parent-row body,
+//! [`quad_row`] the quad sweep's whole row engine), so incremental
 //! maintenance inherits the bit-identity contract pinned by
 //! `tests/differential.rs`.
 
-use crate::dp_fast::{combine_children_row, leaf_row, missing_child_row};
-use crate::dp_fast_quad::{quad_row_overlay, LocalRows};
+use crate::dp_fast::{combine_children, dense_cap, missing_child_row, ChildPair};
+use crate::dp_fast_quad::{quad_row, LocalRows};
 use crate::extract::{cloak_regions, ExtractCache};
 use crate::{bulk_dp_fast, bulk_dp_fast_quad, CoreError, DpMatrix, DpScratch, Row};
 use lbs_geom::Area;
@@ -509,25 +509,20 @@ impl IncrementalAnonymizer {
             }
             let node = self.tree.node(id);
             let local = LocalRows { index: &index, rows: &rows };
+            let (d, area) = (node.count, node.rect.area());
+            let cap = dense_cap(d, node.depth, self.k);
             let row = match *node.children.as_slice() {
-                [] => leaf_row(node.count, node.rect.area(), node.depth, self.k),
+                [] => Row::leaf(d, area, cap),
                 [c1, c2] => {
-                    let (d1, d2) = (self.tree.node(c1).count, self.tree.node(c2).count);
-                    let dense1 = task_child_costs(self, &local, id, c1, &mut hits, &mut misses)?;
-                    let dense2 = task_child_costs(self, &local, id, c2, &mut hits, &mut misses)?;
-                    combine_children_row(
-                        dense1,
-                        dense2,
-                        d1,
-                        d2,
-                        node.count,
-                        node.rect.area(),
-                        node.depth,
-                        self.k,
-                        scratch,
-                    )
+                    let pair = ChildPair {
+                        dense1: task_child_costs(self, &local, id, c1, &mut hits, &mut misses)?,
+                        dense2: task_child_costs(self, &local, id, c2, &mut hits, &mut misses)?,
+                        d1: self.tree.node(c1).count,
+                        d2: self.tree.node(c2).count,
+                    };
+                    combine_children(pair, d, area, cap, self.k, &mut scratch.inner)
                 }
-                _ => quad_row_overlay(&self.tree, &self.matrix, Some(&local), id, self.k)?,
+                _ => quad_row(&self.tree, &self.matrix, Some(&local), id, self.k)?,
             };
             index.insert(id, rows.len());
             rows.push((id, row));
@@ -751,25 +746,20 @@ fn recompute_row(
     report: &mut IncrementalReport,
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
+    let (d, area) = (node.count, node.rect.area());
+    let cap = dense_cap(d, node.depth, k);
     match *node.children.as_slice() {
-        [] => Ok(leaf_row(node.count, node.rect.area(), node.depth, k)),
+        [] => Ok(Row::leaf(d, area, cap)),
         [c1, c2] => {
-            let dense1 = cache.ensure(tree, matrix, id, c1, report)?;
-            let dense2 = cache.ensure(tree, matrix, id, c2, report)?;
-            let (d1, d2) = (tree.node(c1).count, tree.node(c2).count);
-            Ok(combine_children_row(
-                dense1,
-                dense2,
-                d1,
-                d2,
-                node.count,
-                node.rect.area(),
-                node.depth,
-                k,
-                scratch,
-            ))
+            let pair = ChildPair {
+                dense1: cache.ensure(tree, matrix, id, c1, report)?,
+                dense2: cache.ensure(tree, matrix, id, c2, report)?,
+                d1: tree.node(c1).count,
+                d2: tree.node(c2).count,
+            };
+            Ok(combine_children(pair, d, area, cap, k, &mut scratch.inner))
         }
-        _ => quad_row_overlay(tree, matrix, None, id, k),
+        _ => quad_row(tree, matrix, None, id, k),
     }
 }
 

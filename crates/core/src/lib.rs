@@ -49,9 +49,7 @@ pub use dp_fast::{
     bulk_dp_fast, bulk_dp_fast_rowwise, bulk_dp_fast_with_options, bulk_dp_fast_with_scratch,
     DpScratch,
 };
-pub use dp_fast_quad::{
-    bulk_dp_fast_quad, bulk_dp_fast_quad_rowwise, bulk_dp_fast_quad_with_scratch,
-};
+pub use dp_fast_quad::bulk_dp_fast_quad;
 pub use error::CoreError;
 pub use flat::{minplus_argmin, minplus_convolve, ConvKernel};
 pub use incremental::{

@@ -96,7 +96,7 @@ impl ParsedFile {
 /// Rust keywords that can precede `(` without being calls.
 pub const CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "in", "as", "move", "ref", "else", "let",
-    "fn", "unsafe", "await", "box", "dyn", "where", "impl", "yield",
+    "fn", "unsafe", "await", "box", "dyn", "where", "impl", "yield", "mut",
 ];
 
 /// What a `{` opened, for the scope stack.

@@ -79,6 +79,32 @@ fn panic_reachability_true_negative_guarded_and_unreachable() {
     assert!(!report.violations.iter().any(|v| v.lint == "panic-reachability"), "{report:?}");
 }
 
+#[test]
+fn panic_reachability_reads_a_mut_slice_type_as_a_type_not_indexing() {
+    // `&mut [u8]` in a reachable signature is slice type syntax: `mut` is
+    // a keyword, so the `[` after it opens a type, not an index.
+    let src = "pub fn serve_fixture(rows: &mut [u8]) {\n\
+               \x20   f(rows)\n\
+               }\n\
+               fn f(rows: &mut [u8]) {\n\
+               \x20   rows.fill(0);\n\
+               }\n";
+    let report = deep(src);
+    assert!(!report.violations.iter().any(|v| v.lint == "panic-reachability"), "{report:?}");
+
+    // Unguarded indexing of that slice in the body is still a finding.
+    let src = "pub fn serve_fixture(rows: &mut [u8], i: usize) {\n\
+               \x20   f(rows, i)\n\
+               }\n\
+               fn f(rows: &mut [u8], i: usize) {\n\
+               \x20   rows[i] = 1;\n\
+               }\n";
+    let report = deep(src);
+    let v = only_lint(&report, "panic-reachability");
+    assert_eq!(v.line, 5, "{report:?}");
+    assert!(v.message.contains("serve_fixture"), "{}", v.message);
+}
+
 // ------------------------------------------------------------- location
 
 #[test]

@@ -39,7 +39,6 @@ pub struct SpatialTree {
 /// within each side is arbitrary, which nothing downstream depends on
 /// (tree shape and the extracted policy are functions of the user *set*,
 /// and [`SpatialTree::from_items`] sorts each leaf by id).
-// lbs-lint: allow-item(panic-reachability, reason = "the flagged `[` is the `&mut [..]` slice type in the signature, not indexing; the body reads through get() and swaps only front < back <= len")
 pub fn partition_in_place(rows: &mut [(UserId, Point)], low: &Rect) -> usize {
     let mut front = 0;
     let mut back = rows.len();

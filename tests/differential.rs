@@ -10,17 +10,19 @@
 //! * The work-stealing engine vs the sequential server loop — identical
 //!   `total_cost`, per-user cloaks, and report order for every worker
 //!   count.
-//! * The arena-flattened bulk sweeps (`bulk_dp_fast`,
-//!   `bulk_dp_fast_quad`) vs their pre-arena row-at-a-time references —
-//!   every cell's cost and split choice across a seeded density × k ×
-//!   tree-shape grid, plus the 1–8-worker engine runs that drive the
-//!   arena sweep in production.
+//! * The arena-flattened binary sweep (`bulk_dp_fast`) vs its pre-arena
+//!   row-at-a-time reference — every cell's cost and split choice across
+//!   a seeded density × k × tree-shape grid, plus the 1–8-worker engine
+//!   runs that drive the arena sweep in production. The quad DP
+//!   (`bulk_dp_fast_quad`) has a single row engine shared by its bulk and
+//!   incremental paths, so it has no second sweep to compare here; its
+//!   unit tests pin it to `bulk_dp_dense`.
 //! * The Lemma-5 work bound: dense×dense convolution pairs over the same
 //!   grid stay within `|B|·((k+1)·h_max + 1)²`.
 
 use lbs_core::{
-    bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_quad, bulk_dp_fast_quad_rowwise,
-    bulk_dp_fast_rowwise, bulk_dp_fast_with_options, verify_policy_aware,
+    bulk_dp_dense, bulk_dp_fast, bulk_dp_fast_rowwise, bulk_dp_fast_with_options,
+    verify_policy_aware,
 };
 use policy_aware_lbs::prelude::*;
 use policy_aware_lbs::tree::NodeId;
@@ -123,11 +125,11 @@ fn work_stealing_engine_is_bit_identical_to_sequential_servers() {
     }
 }
 
-/// The seeded density × k grid of the sweep differentials: three trees
+/// The seeded density × k grid of the sweep differentials: three binary trees
 /// per (side, k). Density is driven by the map side at fixed n — side 16
 /// packs many users per leaf (dense rows, duplicate coordinates), side
 /// 4096 scatters them (deep sparse trees).
-fn density_k_grid(seed: u64, kind: TreeKind) -> Vec<(String, LocationDb, SpatialTree, usize)> {
+fn density_k_grid(seed: u64) -> Vec<(String, LocationDb, SpatialTree, usize)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut grid = Vec::new();
     for side in [16i64, 64, 4096] {
@@ -139,7 +141,8 @@ fn density_k_grid(seed: u64, kind: TreeKind) -> Vec<(String, LocationDb, Spatial
                 }))
                 .unwrap();
                 let map = Rect::square(0, 0, side);
-                let tree = SpatialTree::build(&db, TreeConfig::lazy(kind, map, k)).unwrap();
+                let tree =
+                    SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Binary, map, k)).unwrap();
                 grid.push((format!("side={side} k={k} trial={trial} n={n}"), db, tree, k));
             }
         }
@@ -153,7 +156,7 @@ fn density_k_grid(seed: u64, kind: TreeKind) -> Vec<(String, LocationDb, Spatial
 /// splits), plus the same extracted policy.
 #[test]
 fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
-    for (context, db, tree, k) in density_k_grid(0xD1FF_0004, TreeKind::Binary) {
+    for (context, db, tree, k) in density_k_grid(0xD1FF_0004) {
         let rowwise = bulk_dp_fast_rowwise(&tree, k).unwrap();
         let arena = bulk_dp_fast(&tree, k).unwrap();
         assert_eq!(rowwise.computed_rows(), arena.computed_rows(), "{context}");
@@ -178,30 +181,13 @@ fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
     }
 }
 
-/// Same contract for the quad-tree sweep: `bulk_dp_fast_quad` vs the
-/// rowwise quad walk over the density × k grid. Both store explicit
-/// splits, so whole-matrix equality applies.
-#[test]
-fn arena_quad_sweep_is_byte_identical_to_rowwise_reference() {
-    for (context, _, tree, k) in density_k_grid(0xD1FF_0005, TreeKind::Quad) {
-        let rowwise = bulk_dp_fast_quad_rowwise(&tree, k).unwrap();
-        let arena = bulk_dp_fast_quad(&tree, k).unwrap();
-        assert_eq!(rowwise, arena, "{context}: quad matrices diverge");
-
-        let ref_policy = rowwise.extract_policy(&tree).unwrap();
-        let arena_policy = arena.extract_policy(&tree).unwrap();
-        assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
-        assert_same_policy(&ref_policy, &arena_policy, &context);
-    }
-}
-
 /// The per-node work bound behind the paper's `O(|B|·(kh)²)` claim:
 /// Lemma 5 caps the dense row of a node at depth `h` at `(k+1)·h + 1`
 /// cells, so the dense×dense (min,+) pairs `a₁·a₂` summed over internal
 /// nodes stay within `|B|·((k+1)·h_max + 1)²`.
 #[test]
 fn convolution_pairs_stay_within_the_lemma5_bound() {
-    for (context, _, tree, k) in density_k_grid(0xD1FF_0004, TreeKind::Binary) {
+    for (context, _, tree, k) in density_k_grid(0xD1FF_0004) {
         let matrix = bulk_dp_fast(&tree, k).unwrap();
         let nodes = tree.postorder();
         let cap = |id: NodeId| (k as u64 + 1) * tree.node(id).depth as u64 + 1;
