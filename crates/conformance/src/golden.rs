@@ -559,6 +559,7 @@ fn drive_churn(
             Counter::DegradedCommitted,
             Counter::DegradedCoarsened,
             Counter::RequestsShed,
+            Counter::DegradedGroupsDerived,
         ],
     );
     values.insert("fs.ops".into(), fs.ops().into());

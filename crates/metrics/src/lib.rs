@@ -119,11 +119,15 @@ pub enum Counter {
     /// Cloaks written by policy extractions (every user in a bulk build,
     /// the users cloaked at extracted nodes in a commit).
     CloaksWritten,
+    /// Committed cloak groups whose degradation rung was re-derived: the
+    /// groups of the users staged since the commit, once per derivation.
+    /// Untouched groups cost nothing and are not counted.
+    DegradedGroupsDerived,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 34] = [
         Counter::TasksInjected,
         Counter::TasksExecuted,
         Counter::TasksStolen,
@@ -157,6 +161,7 @@ impl Counter {
         Counter::GenerationFallbacks,
         Counter::ExtractNodes,
         Counter::CloaksWritten,
+        Counter::DegradedGroupsDerived,
     ];
 
     /// Stable snake_case name used in [`MetricsSnapshot`] keys.
@@ -195,6 +200,7 @@ impl Counter {
             Counter::GenerationFallbacks => "generation_fallbacks",
             Counter::ExtractNodes => "extract_nodes",
             Counter::CloaksWritten => "cloaks_written",
+            Counter::DegradedGroupsDerived => "degraded_groups_derived",
         }
     }
 

@@ -24,10 +24,18 @@
 //! below `k` live members, senders that left the map, and senders that
 //! joined after the last commit are shed, not served a weaker cloak: the
 //! ladder degrades cost and latency, never anonymity.
+//!
+//! Two derivations compute the same assignment. [`degraded_policy`]
+//! derives the whole degraded policy in one `O(n)` pass; it is the audit
+//! and the oracle. [`DegradedDelta`] is what the runtime serves from: it
+//! re-derives only the groups that the users staged since the commit
+//! belong to, at a cost proportional to those users, and leaves every
+//! other group on the Committed rung. Both call one rung decision, so
+//! they cannot drift apart.
 
 use lbs_geom::{Point, Rect, Region};
 use lbs_model::{BulkPolicy, LocationDb, UserId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Which rung of the ladder answered a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,7 +104,11 @@ pub struct DegradedPolicy {
 /// members (and senders unknown to the committed policy) are shed.
 ///
 /// The output is a pure function of `(committed, db)` — the attacker
-/// simulability that Definition 6 conformance checks rely on.
+/// simulability that Definition 6 conformance checks rely on. This is
+/// the whole-population derivation: the audit and the oracle for the
+/// delta that the runtime serves from. It assumes nothing
+/// about `committed`, so it also covers circle cloaks and cloaks that
+/// are no semi-quadrant.
 ///
 /// One pass over the committed policy (ascending user id), joined with
 /// the database sorted by user, puts every live sender in its cloak's
@@ -123,7 +135,7 @@ pub fn degraded_policy(
             while cloaks.next_if(|&(u, _)| u < user).is_some() {} // departed since the commit
             let (_, region) = cloaks.next_if(|&(u, _)| u == user)?;
             let g = *index.entry(*region).or_insert_with(|| {
-                groups.push(Group { cloak: *region, live: 0, lo: p, hi: p });
+                groups.push(Group::counted(*region));
                 groups.len() - 1
             });
             groups.get_mut(g)?.add(p);
@@ -154,32 +166,153 @@ pub fn degraded_policy(
     }
 }
 
-/// One committed cloak group's live members, as [`degraded_policy`]
-/// needs them: how many, and the bounding box of where they are now.
+/// The degraded policy as a delta against the committed one: a rung
+/// decision for each cloak group a user staged since the commit belongs
+/// to. Every other group is served its committed cloak with no work.
+///
+/// Built by [`DegradedDelta::derive`]; holds cloak regions and rungs
+/// only, never a sender's location.
+#[derive(Debug, Clone)]
+pub(crate) struct DegradedDelta {
+    /// Committed cloak of each touched group → its region and rung, or
+    /// `None` when the group is shed. Looked up, never iterated.
+    touched: HashMap<Region, Option<(Region, Rung)>>,
+}
+
+impl DegradedDelta {
+    /// Re-derives the rung of every committed cloak group that a user in
+    /// `touched` (the users staged since the commit) belongs to. Serving
+    /// from the result answers exactly as [`degraded_policy`] does, at
+    /// `O(|touched|)` cost instead of `O(n)`. A user staged twice is one
+    /// entry of the set, so a repeated departure counts once.
+    ///
+    /// # Precondition
+    /// `committed` is masking, total and policy-aware `k`-anonymous over
+    /// the database at the commit, and `db` differs from that database
+    /// only in the users of `touched`. Every policy the runtime publishes
+    /// is a `Bulk_dp` extraction over the committed database, so it
+    /// holds there: each group has at least `k` members, and each
+    /// member's committed location lies inside its cloak.
+    ///
+    /// Why that makes the delta exact: every candidate region of a group
+    /// — the cloak, then its semi-quadrant ancestors from
+    /// [`ancestor_chain`] — contains the cloak. An unmoved member lies
+    /// inside its cloak, so it never changes which candidate wins. A
+    /// group's rung then depends only on its live count (committed size
+    /// minus departed members) and the bounding box of its touched live
+    /// members' current locations. An untouched group keeps all of its
+    /// `k` or more members inside its cloak, and stays on the Committed
+    /// rung.
+    ///
+    /// Committed group sizes are counted, in one pass over `committed`,
+    /// only when some touched group lost a member.
+    pub(crate) fn derive(
+        committed: &BulkPolicy,
+        db: &LocationDb,
+        touched: &BTreeSet<UserId>,
+        map: &Rect,
+        k: usize,
+    ) -> Self {
+        let mut index: HashMap<Region, usize> = HashMap::new();
+        let mut groups: Vec<(Group, usize)> = Vec::new(); // with its departed members
+        for &user in touched {
+            // Joined after the commit: no committed cloak, shed by lookup.
+            let Some(region) = committed.cloak_of(user) else { continue };
+            let g = *index.entry(*region).or_insert_with(|| {
+                groups.push((Group::whole(*region), 0));
+                groups.len() - 1
+            });
+            let Some((group, departed)) = groups.get_mut(g) else { continue };
+            match db.location(user) {
+                Some(p) => group.cover(p),
+                None => *departed += 1,
+            }
+        }
+        if groups.iter().any(|&(_, departed)| departed > 0) {
+            let mut sizes = vec![0usize; groups.len()];
+            for (_, region) in committed.iter() {
+                if let Some(size) = index.get(region).and_then(|&g| sizes.get_mut(g)) {
+                    *size += 1;
+                }
+            }
+            for ((group, departed), size) in groups.iter_mut().zip(sizes) {
+                if *departed > 0 {
+                    group.live = Some(size.saturating_sub(*departed));
+                }
+            }
+        }
+        let touched = groups.iter().map(|(g, _)| (g.cloak, g.serve(map, k))).collect();
+        DegradedDelta { touched }
+    }
+
+    /// How many groups had their rung re-derived.
+    pub(crate) fn groups(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// The region and rung a member of the committed group `cloak` is
+    /// served on, or `None` when it is shed. An untouched group keeps its
+    /// committed cloak; a circle has no semi-quadrant ancestors and is
+    /// shed, as in [`degraded_policy`].
+    pub(crate) fn serve(&self, cloak: &Region) -> Option<(Region, Rung)> {
+        match self.touched.get(cloak) {
+            Some(&decision) => decision,
+            None => cloak.rect().map(|_| (*cloak, Rung::Committed)),
+        }
+    }
+}
+
+/// One committed cloak group's live members, as both derivations need
+/// them: how many, and the bounding box of where they are now.
 struct Group {
     cloak: Region,
-    live: usize,
-    lo: Point,
-    hi: Point,
+    /// Live members, or `None` for a group the delta saw lose nobody: it
+    /// is whole, so it has at least `k` members by the precondition.
+    live: Option<usize>,
+    /// Smallest and largest corner of the covered locations; `None` when
+    /// none are (a touched group whose touched members all departed).
+    bounds: Option<(Point, Point)>,
 }
 
 impl Group {
+    /// A group whose live members are counted as they are covered.
+    fn counted(cloak: Region) -> Self {
+        Group { cloak, live: Some(0), bounds: None }
+    }
+
+    /// A group taken whole from the commit until a departure is seen.
+    fn whole(cloak: Region) -> Self {
+        Group { cloak, live: None, bounds: None }
+    }
+
+    /// Counts one more live member, at `p`.
     fn add(&mut self, p: Point) {
-        self.live += 1;
-        self.lo = Point::new(self.lo.x.min(p.x), self.lo.y.min(p.y));
-        self.hi = Point::new(self.hi.x.max(p.x), self.hi.y.max(p.y));
+        self.live = self.live.map(|live| live + 1);
+        self.cover(p);
+    }
+
+    /// Widens the bounding box to hold `p`.
+    fn cover(&mut self, p: Point) {
+        self.bounds = Some(match self.bounds {
+            None => (p, p),
+            Some((lo, hi)) => {
+                (Point::new(lo.x.min(p.x), lo.y.min(p.y)), Point::new(hi.x.max(p.x), hi.y.max(p.y)))
+            }
+        });
     }
 
     /// The region and rung this group is served on, or `None` when it is
-    /// shed.
+    /// shed: the one rung decision [`degraded_policy`] and
+    /// [`DegradedDelta`] share.
     fn serve(&self, map: &Rect, k: usize) -> Option<(Region, Rung)> {
         let Region::Rect(cloak) = self.cloak else {
             return None; // circle cloaks have no semi-quadrant ancestors
         };
-        if self.live < k {
+        if self.live.is_some_and(|live| live < k) {
             return None; // group too small now — shedding beats a weaker cloak
         }
-        let holds_all = |r: &Rect| r.contains(&self.lo) && r.contains(&self.hi);
+        let holds_all =
+            |r: &Rect| self.bounds.is_none_or(|(lo, hi)| r.contains(&lo) && r.contains(&hi));
         if holds_all(&cloak) {
             return Some((self.cloak, Rung::Committed));
         }
@@ -283,10 +416,23 @@ mod tests {
     }
 
     /// One differential scenario: a committed policy, then churn the
-    /// commit has not seen — near and far moves (some off the map),
-    /// inserts, deletes deep enough to drop groups below `k`, and now and
-    /// then a circle cloak or a cloak that is no semi-quadrant at all.
-    fn churned_scenario(seed: u64) -> (BulkPolicy, LocationDb, Rect, usize) {
+    /// commit has not seen.
+    struct Churned {
+        committed: BulkPolicy,
+        db: LocationDb,
+        map: Rect,
+        k: usize,
+        /// Every user the churn moved, deleted or inserted.
+        touched: BTreeSet<UserId>,
+        /// Whether `committed` is still the commit's own `Bulk_dp` output
+        /// (no group was given a circle or an odd cloak).
+        bulk_dp: bool,
+    }
+
+    /// Near and far moves (some off the map), inserts, deletes deep
+    /// enough to drop groups below `k`, and now and then a circle cloak or
+    /// a cloak that is no semi-quadrant at all.
+    fn churned_scenario(seed: u64) -> Churned {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0A4D);
         let k = rng.gen_range(2..=6);
         let n = rng.gen_range(3 * k..=120);
@@ -295,11 +441,14 @@ mod tests {
         let (p_move, p_far, p_off, p_delete) =
             (rng.gen_range(0.0..0.6), rng.gen_range(0.0..0.5), 0.05, rng.gen_range(0.0..0.4));
         let mut rows = Vec::new();
+        let mut touched = BTreeSet::new();
         for (user, p) in db.iter() {
             if rng.gen_bool(p_delete) {
+                touched.insert(user);
                 continue;
             }
-            let to = if !rng.gen_bool(p_move) {
+            let moved = rng.gen_bool(p_move);
+            let to = if !moved {
                 p
             } else if rng.gen_bool(p_off) {
                 Point::new(side + rng.gen_range(0..8), rng.gen_range(-8..side))
@@ -310,9 +459,13 @@ mod tests {
                     |c: i64, rng: &mut StdRng| (c + rng.gen_range(-3..=3)).clamp(0, side - 1);
                 Point::new(jitter(p.x, &mut rng), jitter(p.y, &mut rng))
             };
+            if moved {
+                touched.insert(user);
+            }
             rows.push((user, to));
         }
         for i in 0..rng.gen_range(0..6u64) {
+            touched.insert(UserId(10_000 + i));
             rows.push((
                 UserId(10_000 + i),
                 Point::new(rng.gen_range(0..side), rng.gen_range(0..side)),
@@ -321,7 +474,8 @@ mod tests {
         let groups = committed.groups();
         let mut regions: Vec<&Region> = groups.keys().collect();
         regions.sort_by_key(|r| groups[*r].first().copied());
-        if rng.gen_bool(0.3) {
+        let circled = rng.gen_bool(0.3);
+        if circled {
             let members = &groups[regions[rng.gen_range(0..regions.len())]];
             let circle =
                 Region::Circle(Circle::from_radius2(Point::new(side / 2, side / 2), 1 << 14));
@@ -329,22 +483,32 @@ mod tests {
                 committed.assign(u, circle);
             }
         }
-        if rng.gen_bool(0.3) {
+        let odd = rng.gen_bool(0.3);
+        if odd {
             let members = &groups[regions[rng.gen_range(0..regions.len())]];
             let (x0, y0) = (rng.gen_range(0..side / 2), rng.gen_range(0..side / 2));
-            let odd = Region::Rect(Rect::new(x0, y0, x0 + rng.gen_range(1..side / 2), y0 + 13));
+            let cloak = Region::Rect(Rect::new(x0, y0, x0 + rng.gen_range(1..side / 2), y0 + 13));
             for &u in members {
-                committed.assign(u, odd);
+                committed.assign(u, cloak);
             }
         }
-        (committed, LocationDb::from_rows(rows).unwrap(), map, k)
+        let db = LocationDb::from_rows(rows).unwrap();
+        Churned { committed, db, map, k, touched, bulk_dp: !circled && !odd }
     }
 
+    /// The whole derivation against the reference over every scenario,
+    /// the circle and odd cloaks included. The delta is not run on those
+    /// two: the odd cloak is handed to a group without regard to where
+    /// its members are, so it need not mask them, and neither cloak is a
+    /// `Bulk_dp` output. That breaks [`DegradedDelta::derive`]'s
+    /// precondition — an untouched member outside its cloak would change
+    /// the rung without being looked at — and no policy the runtime
+    /// publishes does it.
     #[test]
     fn one_pass_derivation_matches_the_reference() {
         let mut seen = [0usize; 3]; // committed, coarsened, shed senders
         for seed in 0..240 {
-            let (committed, db, map, k) = churned_scenario(seed);
+            let Churned { committed, db, map, k, .. } = churned_scenario(seed);
             let got = degraded_policy(&committed, &db, &map, k);
             let want = reference_degraded_policy(&committed, &db, &map, k);
             assert_eq!(got.policy.name(), want.policy.name(), "seed {seed}");
@@ -358,15 +522,51 @@ mod tests {
         assert!(seen.iter().all(|&c| c > 100), "scenarios must exercise every outcome: {seen:?}");
     }
 
+    /// The delta serves every sender what the whole derivation serves, on
+    /// the scenarios whose committed policy is the commit's `Bulk_dp`
+    /// output, with only the churned users as the touched set.
+    #[test]
+    fn delta_serves_what_the_whole_derivation_serves() {
+        let (mut scenarios, mut served, mut with_departures) = (0, [0usize; 3], 0);
+        for seed in 0..240 {
+            let Churned { committed, db, map, k, touched, bulk_dp } = churned_scenario(seed);
+            if !bulk_dp {
+                continue;
+            }
+            let delta = DegradedDelta::derive(&committed, &db, &touched, &map, k);
+            let want = degraded_policy(&committed, &db, &map, k);
+            for user in db.users() {
+                let got = committed.cloak_of(user).and_then(|cloak| delta.serve(cloak));
+                let expected =
+                    want.policy.cloak_of(user).map(|region| (*region, want.rungs[&user]));
+                assert_eq!(got, expected, "seed {seed}: {user}");
+                served[match got {
+                    Some((_, Rung::Committed)) => 0,
+                    Some((_, _)) => 1,
+                    None => 2,
+                }] += 1;
+            }
+            assert!(delta.groups() <= touched.len(), "seed {seed}");
+            with_departures += touched.iter().any(|&u| !db.contains(u)) as usize;
+            scenarios += 1;
+        }
+        assert!(scenarios > 80, "{scenarios} scenarios kept their Bulk_dp policy");
+        assert!(served.iter().all(|&c| c > 100), "every outcome must occur: {served:?}");
+        assert!(with_departures > 40, "departures must occur: {with_departures}");
+    }
+
     #[test]
     fn unchanged_database_stays_on_the_committed_rung() {
         let k = 4;
         let (db, committed, map) = scenario(3, 40, k);
         let degraded = degraded_policy(&committed, &db, &map, k);
         assert!(degraded.shed.is_empty());
+        let delta = DegradedDelta::derive(&committed, &db, &BTreeSet::new(), &map, k);
+        assert_eq!(delta.groups(), 0, "nothing staged, nothing to derive");
         for (user, region) in committed.iter() {
             assert_eq!(degraded.policy.cloak_of(user), Some(region));
             assert_eq!(degraded.rungs.get(&user), Some(&Rung::Committed));
+            assert_eq!(delta.serve(region), Some((*region, Rung::Committed)));
         }
     }
 

@@ -4,7 +4,7 @@
 
 use crate::checkpoint::{self, Checkpoint, CheckpointHeader};
 use crate::clock::{Clock, SystemClock};
-use crate::degrade::{degraded_policy, DegradedPolicy, Rung};
+use crate::degrade::{DegradedDelta, Rung};
 use crate::error::RuntimeError;
 use crate::scrub::{scrub_dir, GcReport, ScrubReport};
 use crate::storage::{real_fs, StorageBackend};
@@ -18,6 +18,7 @@ use lbs_model::{
 use lbs_parallel::{refresh_parallel, EngineConfig, FaultPlan, ScratchPool};
 use lbs_query::{ClientAnswer, CloakedLbs};
 use lbs_tree::{TreeConfig, TreeKind};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -283,6 +284,7 @@ impl RuntimeBuilder {
             commits_since_checkpoint: 0,
             scratch_pool: ScratchPool::new(),
             lbs: self.lbs,
+            touched: BTreeSet::new(),
             degraded: None,
             next_request: 0,
         };
@@ -351,6 +353,7 @@ impl RuntimeBuilder {
             commits_since_checkpoint: 0,
             scratch_pool: ScratchPool::new(),
             lbs: self.lbs,
+            touched: BTreeSet::new(),
             degraded: None,
             next_request: 0,
         };
@@ -412,8 +415,14 @@ pub struct ServiceRuntime {
     /// Worker DP arenas reused across parallel refreshes (commit epochs).
     scratch_pool: ScratchPool,
     lbs: Option<CloakedLbs>,
-    /// Memoized degraded policy for (durable_seq, epoch).
-    degraded: Option<(u64, u64, DegradedPolicy)>,
+    /// Users staged since the commit, each once: the only senders whose
+    /// cloak group can have left the Committed rung. Cleared whenever
+    /// `committed_seq` catches up with `durable_seq`; a cancelled or
+    /// failed commit keeps it.
+    touched: BTreeSet<UserId>,
+    /// Memoized rung decisions of the touched groups for
+    /// `(durable_seq, epoch)`: cloak regions and rungs, no locations.
+    degraded: Option<(u64, u64, DegradedDelta)>,
     next_request: u64,
 }
 
@@ -492,6 +501,7 @@ impl ServiceRuntime {
         self.incr(Counter::WalAppends);
         self.db.apply_updates(updates)?;
         self.inc.stage_updates(updates)?;
+        self.touched.extend(updates.iter().map(UserUpdate::user));
         if let Some(m) = self.metrics.as_deref() {
             m.add(Counter::BatchedMoves, updates.len() as u64);
         }
@@ -574,6 +584,7 @@ impl ServiceRuntime {
         extract_committed(&mut self.inc, self.metrics.as_deref())?;
         self.epoch = target_epoch;
         self.committed_seq = self.durable_seq;
+        self.touched.clear();
         self.degraded = None;
         self.commits_since_checkpoint += 1;
         drop(span);
@@ -735,6 +746,7 @@ impl ServiceRuntime {
             extract_committed(&mut self.inc, self.metrics.as_deref())?;
             self.epoch += 1;
             self.committed_seq = self.durable_seq;
+            self.touched.clear();
             self.degraded = None;
             if let Some(lbs) = self.lbs.as_mut() {
                 lbs.set_policy_epoch(self.epoch);
@@ -778,26 +790,32 @@ impl ServiceRuntime {
                 return Ok((Rung::Fresh, *region));
             }
         }
-        // Rungs 1–2: one deterministic derivation labels each sender
-        // Committed (cloak unchanged) or Coarsened (ancestor cloak).
+        // Rungs 1–2: the groups touched since the commit are re-derived
+        // once per (durable_seq, epoch), each labelled Committed (cloak
+        // unchanged), Coarsened (ancestor cloak) or shed; every other
+        // group stays on its committed cloak.
         let key = (self.durable_seq, self.epoch);
         let cached = matches!(&self.degraded, Some((s, e, _)) if (*s, *e) == key);
         if !cached {
-            let derived =
-                degraded_policy(self.inc.committed_policy(), &self.db, &self.cfg.map, self.cfg.k);
-            self.degraded = Some((key.0, key.1, derived));
+            let (map, k) = (&self.cfg.map, self.cfg.k);
+            let committed = self.inc.committed_policy();
+            let delta = DegradedDelta::derive(committed, &self.db, &self.touched, map, k);
+            if let Some(m) = self.metrics.as_deref() {
+                m.add(Counter::DegradedGroupsDerived, delta.groups() as u64);
+            }
+            self.degraded = Some((key.0, key.1, delta));
         }
         // Invariant: the memo was just populated for `key` above.
-        if let Some((_, _, degraded)) = &self.degraded {
-            if let (Some(region), Some(rung)) =
-                (degraded.policy.cloak_of(user), degraded.rungs.get(&user))
-            {
-                self.incr(match rung {
-                    Rung::Committed => Counter::DegradedCommitted,
-                    _ => Counter::DegradedCoarsened,
-                });
-                return Ok((*rung, *region));
-            }
+        let served = match (&self.degraded, self.inc.committed_policy().cloak_of(user)) {
+            (Some((_, _, delta)), Some(cloak)) => delta.serve(cloak),
+            _ => None,
+        };
+        if let Some((region, rung)) = served {
+            self.incr(match rung {
+                Rung::Committed => Counter::DegradedCommitted,
+                _ => Counter::DegradedCoarsened,
+            });
+            return Ok((rung, region));
         }
         // Rung 3: shed.
         self.incr(Counter::RequestsShed);
