@@ -85,13 +85,14 @@ pub struct CircularPolicy {
 impl CircularPolicy {
     /// Converts into a [`BulkPolicy`] for verification and comparison.
     pub fn to_bulk(&self, name: &str) -> BulkPolicy {
-        let mut bulk = BulkPolicy::new(name);
-        for (members, circle) in &self.groups {
-            for &user in members {
-                bulk.assign(user, Region::Circle(*circle));
-            }
-        }
-        bulk
+        let assignments = self
+            .groups
+            .iter()
+            .flat_map(|(members, circle)| {
+                members.iter().map(|&user| (user, Region::Circle(*circle)))
+            })
+            .collect();
+        BulkPolicy::from_assignments(name, assignments)
     }
 }
 

@@ -67,13 +67,12 @@ impl KSharingCloaker {
 
     /// Materializes the groups formed so far as a [`BulkPolicy`].
     pub fn to_bulk(&self) -> BulkPolicy {
-        let mut bulk = BulkPolicy::new(format!("k-sharing(k={})", self.k));
-        for (members, rect) in &self.groups {
-            for &user in members {
-                bulk.assign(user, Region::Rect(*rect));
-            }
-        }
-        bulk
+        let assignments = self
+            .groups
+            .iter()
+            .flat_map(|(members, rect)| members.iter().map(|&user| (user, Region::Rect(*rect))))
+            .collect();
+        BulkPolicy::from_assignments(format!("k-sharing(k={})", self.k), assignments)
     }
 }
 

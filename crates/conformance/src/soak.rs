@@ -680,7 +680,7 @@ fn audit_served(
     report: &mut SoakReport,
 ) {
     let expired = Some(Duration::from_millis(1));
-    let mut served = BulkPolicy::new("soak-served");
+    let mut served = Vec::new();
     let mut served_rows: Vec<(UserId, Point)> = Vec::new();
     for &user in users_sorted {
         if mirror.location(user).is_none() {
@@ -688,7 +688,7 @@ fn audit_served(
         }
         match rt.cloak_for(user, expired) {
             Ok((_, region)) => {
-                served.assign(user, region);
+                served.push((user, region));
                 if let Some(p) = mirror.location(user) {
                     served_rows.push((user, p));
                 }
@@ -703,6 +703,7 @@ fn audit_served(
             }
         }
     }
+    let served = BulkPolicy::from_assignments("soak-served", served);
     report.audits += 1;
     if served_rows.is_empty() {
         report.failures.push(format!("audit at epoch {epoch}: nobody was served"));

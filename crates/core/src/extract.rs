@@ -157,10 +157,7 @@ impl DpMatrix {
     /// pass-up target no configuration of the tree can meet.
     pub fn extract_policy(&self, tree: &SpatialTree) -> Result<BulkPolicy, CoreError> {
         let extraction = self.extract_cloaks(tree, None)?;
-        Ok(BulkPolicy::from_assignments(
-            self.policy_name(),
-            cloak_regions(tree, extraction.cloaked).collect(),
-        ))
+        cloak_policy(tree, self.policy_name(), extraction.cloaked)
     }
 
     /// The name every extracted policy carries.
@@ -278,12 +275,36 @@ impl DpMatrix {
     }
 }
 
-/// Maps sorted `(user, arena slot)` cloaks to `(user, node rectangle)`.
-pub(crate) fn cloak_regions(
+/// Turns sorted `(user, arena slot)` cloaks into a policy's columns. A
+/// dense per-slot table numbers each cloaking node on first use, so the
+/// cloak table holds one rectangle per node and no region is hashed per
+/// user.
+///
+/// # Errors
+/// [`CoreError::StaleMatrix`] on a slot outside the arena or a user
+/// cloaked twice: no extraction of this tree produces either.
+pub(crate) fn cloak_policy(
     tree: &SpatialTree,
+    name: String,
     cloaked: Vec<(UserId, u32)>,
-) -> impl Iterator<Item = (UserId, Region)> + '_ {
-    cloaked.into_iter().map(|(user, slot)| (user, tree.node(NodeId(slot)).rect.into()))
+) -> Result<BulkPolicy, CoreError> {
+    const UNSEEN: u32 = u32::MAX;
+    let mut id_of = vec![UNSEEN; tree.arena_len()];
+    let mut cloaks: Vec<Region> = Vec::new();
+    let mut users = Vec::with_capacity(cloaked.len());
+    let mut cloak_ids = Vec::with_capacity(cloaked.len());
+    for (user, slot) in cloaked {
+        let id = id_of
+            .get_mut(slot as usize)
+            .ok_or_else(|| stale("a cloak names a slot outside the arena".into()))?;
+        if *id == UNSEEN {
+            *id = cloaks.len() as u32;
+            cloaks.push(tree.node(NodeId(slot)).rect.into());
+        }
+        users.push(user);
+        cloak_ids.push(*id);
+    }
+    BulkPolicy::from_columns(name, users, cloak_ids, cloaks).map_err(|e| stale(e.to_string()))
 }
 
 #[cfg(test)]

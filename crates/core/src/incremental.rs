@@ -42,7 +42,7 @@
 
 use crate::dp_fast::{combine_children, dense_cap, missing_child_row, ChildPair};
 use crate::dp_fast_quad::{quad_row, LocalRows};
-use crate::extract::{cloak_regions, ExtractCache};
+use crate::extract::{cloak_policy, ExtractCache};
 use crate::{bulk_dp_fast, bulk_dp_fast_quad, CoreError, DpMatrix, DpScratch, Row};
 use lbs_geom::Area;
 use lbs_model::{BulkPolicy, LocationDb, Move, UserId, UserUpdate};
@@ -636,7 +636,8 @@ impl IncrementalAnonymizer {
     /// and pass-up target both match what the last extraction saw there,
     /// and reuses the ids that node passed up; the rest is extracted in
     /// postorder by the routine behind [`DpMatrix::extract_policy`]. The
-    /// policy is then patched in place: users deleted since are removed,
+    /// policy is then patched in one merge pass over its sorted user
+    /// column ([`BulkPolicy::patch`]): users deleted since are removed,
     /// and every user cloaked at an extracted node is rewritten. The first
     /// extraction (and the one after a failure) extracts every node and
     /// replaces the policy whole. Either way the result equals
@@ -651,26 +652,25 @@ impl IncrementalAnonymizer {
         self.ensure_fresh()?;
         let extracted = &mut self.extracted;
         let full = extracted.cache.is_empty();
-        let extraction = match self.matrix.extract_cloaks(&self.tree, Some(&mut extracted.cache)) {
-            Ok(extraction) => extraction,
+        let (tree, matrix) = (&self.tree, &self.matrix);
+        let built =
+            matrix.extract_cloaks(tree, Some(&mut extracted.cache)).and_then(|extraction| {
+                let report =
+                    ExtractReport { nodes: extraction.nodes, cloaks: extraction.cloaked.len() };
+                Ok((report, cloak_policy(tree, matrix.policy_name(), extraction.cloaked)?))
+            });
+        let (report, cloaks) = match built {
+            Ok(built) => built,
             Err(e) => {
                 extracted.cache.clear();
                 extracted.deleted = Vec::new();
                 return Err(e);
             }
         };
-        let report = ExtractReport { nodes: extraction.nodes, cloaks: extraction.cloaked.len() };
-        let cloaks = cloak_regions(&self.tree, extraction.cloaked);
         if full {
-            extracted.policy =
-                BulkPolicy::from_assignments(self.matrix.policy_name(), cloaks.collect());
+            extracted.policy = cloaks;
         } else {
-            for user in extracted.deleted.drain(..) {
-                extracted.policy.remove(user);
-            }
-            for (user, region) in cloaks {
-                extracted.policy.assign(user, region);
-            }
+            extracted.policy.patch(std::mem::take(&mut extracted.deleted), &cloaks);
         }
         Ok(report)
     }

@@ -75,7 +75,7 @@ pub fn anonymize_per_user_k(
     let mut tiers: Vec<(usize, Vec<(UserId, lbs_geom::Point)>)> = classes.into_iter().collect();
     tiers.sort_by_key(|tier| std::cmp::Reverse(tier.0));
 
-    let mut policy = BulkPolicy::new("policy-aware-per-user-k");
+    let mut parts: Vec<BulkPolicy> = Vec::new();
     let mut carry: Option<(usize, Vec<(UserId, lbs_geom::Point)>)> = None;
     for (tier_k, mut members) in tiers {
         // A folded-down class raises this tier's effective k.
@@ -90,16 +90,13 @@ pub fn anonymize_per_user_k(
         }
         let sub = LocationDb::from_rows(members)
             .map_err(|e| CoreError::Tree(format!("per-user-k tier snapshot: {e}")))?;
-        let engine = Anonymizer::build(&sub, map, effective_k)?;
-        for (user, region) in engine.policy().iter() {
-            policy.assign(user, *region);
-        }
+        parts.push(Anonymizer::build(&sub, map, effective_k)?.into_policy());
     }
     if let Some((k, members)) = carry {
         // Even the loosest class (plus folded remnants) was too small.
         return Err(CoreError::InsufficientPopulation { population: members.len(), k });
     }
-    Ok(policy)
+    Ok(BulkPolicy::merge("policy-aware-per-user-k", &parts))
 }
 
 /// Checks policy-aware anonymity under per-user requirements: every
@@ -123,7 +120,7 @@ pub fn verify_per_user_k(
             Some(_) => {}
         }
     }
-    for (_, members) in policy.groups() {
+    for members in policy.group_members() {
         let required = members.iter().map(|&u| requirements.k_of(u)).max().unwrap_or(1);
         if members.len() < required {
             violations.push((members.len(), required));

@@ -91,15 +91,13 @@ impl StickyAnonymizer {
             live[nearest].extend(donor);
         }
 
-        let mut policy = BulkPolicy::new(format!("sticky(k={})", self.k));
+        let mut assignments = Vec::with_capacity(total);
         for members in &live {
             let points: Vec<Point> = members.iter().map(|&(_, p)| p).collect();
             let rect = smallest_binary_node(self.map, &points);
-            for &(user, _) in members {
-                policy.assign(user, rect.into());
-            }
+            assignments.extend(members.iter().map(|&(user, _)| (user, rect.into())));
         }
-        Ok(policy)
+        Ok(BulkPolicy::from_assignments(format!("sticky(k={})", self.k), assignments))
     }
 }
 

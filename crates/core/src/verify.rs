@@ -58,9 +58,13 @@ pub fn verify_policy_aware(
             Some(_) => {}
         }
     }
-    for (region, members) in policy.groups() {
-        if !members.is_empty() && members.len() < k {
-            violations.push(AnonymityViolation::SmallGroup { region, members });
+    // In cloak-table order, so the violations come out in the same order
+    // on every run; member lists are built only when some group is small.
+    if policy.group_sizes().iter().any(|&size| size < k) {
+        for (&region, members) in policy.cloaks().iter().zip(policy.group_members()) {
+            if members.len() < k {
+                violations.push(AnonymityViolation::SmallGroup { region, members });
+            }
         }
     }
     if violations.is_empty() {

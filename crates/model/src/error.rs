@@ -20,6 +20,8 @@ pub enum ModelError {
     },
     /// A serialized snapshot could not be decoded.
     CorruptSnapshot(String),
+    /// Policy columns that break the representation's invariants.
+    InvalidPolicy(String),
 }
 
 impl std::fmt::Display for ModelError {
@@ -31,6 +33,7 @@ impl std::fmt::Display for ModelError {
                 write!(f, "user {user} at ({x}, {y}) is outside the map")
             }
             ModelError::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
+            ModelError::InvalidPolicy(msg) => write!(f, "invalid policy columns: {msg}"),
         }
     }
 }

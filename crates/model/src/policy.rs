@@ -1,9 +1,10 @@
 //! Cloaking policies (Definition 4) and bulk per-snapshot policies.
 
-use crate::{AnonymizedRequest, LocationDb, RequestId, ServiceRequest, UserId};
+use crate::{AnonymizedRequest, LocationDb, ModelError, RequestId, ServiceRequest, UserId};
 use lbs_geom::{Area, Region};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A deterministic cloaking procedure — the paper's Definition 4, restricted
 /// to the *masking* policies the paper studies (the cloak must contain the
@@ -40,13 +41,9 @@ pub trait CloakingPolicy {
     /// by Definition 8's `Cost(P, D)` ("every user sends precisely one
     /// request"). Users the policy cannot anonymize are omitted.
     fn materialize(&self, db: &LocationDb) -> BulkPolicy {
-        let mut bulk = BulkPolicy::new(self.name());
-        for (user, _) in db.iter() {
-            if let Some(region) = self.cloak(db, user) {
-                bulk.assign(user, region);
-            }
-        }
-        bulk
+        let assignments =
+            db.iter().filter_map(|(user, _)| Some((user, self.cloak(db, user)?))).collect();
+        BulkPolicy::from_assignments(self.name(), assignments)
     }
 }
 
@@ -55,20 +52,119 @@ pub trait CloakingPolicy {
 ///
 /// This is what bulk anonymization computes, what `Cost(P, D)` is defined
 /// over, and what a policy-aware attacker knows in its entirety.
-/// The cloak table is a `BTreeMap` so that serialization (JSON debug
-/// dumps, future replication snapshots) and [`BulkPolicy::iter`] are
-/// deterministic — hash iteration order would leak process-local state
-/// into every serialized artifact (`no-hashmap-in-serialized-output`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Every group of a policy-aware k-anonymous policy has at least k
+/// members (Lemma 3), so a policy holds at most n/k distinct cloaks. The
+/// representation is three columns rather than a cloak per user:
+/// - `users`, strictly ascending, so a lookup is a binary search and
+///   [`BulkPolicy::iter`] is deterministic;
+/// - `cloak_ids`, parallel to `users`, each an index into `cloaks`;
+/// - `cloaks`, the cloak table: distinct regions, each used by at least
+///   one user, numbered in order of first use along `users`.
+///
+/// A cloak id therefore names a cloak group, and the table layout is a
+/// function of the assignments alone: equal policies have equal columns.
+/// Any [`Region`] fits the table, circles included.
+///
+/// A lookup reads a bucket index of the user column, built on first use
+/// and dropped by every change to the users.
+#[derive(Debug, Clone, Default)]
 pub struct BulkPolicy {
     name: String,
-    cloaks: BTreeMap<UserId, Region>,
+    users: Vec<UserId>,
+    cloak_ids: Vec<u32>,
+    cloaks: Vec<Region>,
+    index: OnceLock<UserIndex>,
+}
+
+/// The user column cut into buckets of equal id span, about one per four
+/// users: a lookup reads its bucket's bounds, then searches the few users
+/// between them, a handful of cache misses where a binary search over
+/// millions of users takes one per halving. Ids spread unevenly put more
+/// users in some buckets; a bucket's search is a binary search, so no
+/// lookup costs more than one over the whole column.
+#[derive(Debug, Clone, Default)]
+struct UserIndex {
+    /// The smallest user id.
+    base: u64,
+    /// Bucket `b` holds the ids in `base + [b << shift, (b + 1) << shift)`.
+    shift: u32,
+    /// Where each bucket starts in the user column, then the column's
+    /// length.
+    starts: Vec<u32>,
+}
+
+impl UserIndex {
+    fn new(users: &[UserId]) -> Self {
+        let (Some(first), Some(last)) = (users.first(), users.last()) else {
+            return UserIndex::default();
+        };
+        let buckets = (users.len() / 4).max(1) as u64;
+        // The smallest shift that leaves at most `buckets` buckets.
+        let shift = u64::BITS - ((last.0 - first.0) / buckets).leading_zeros();
+        let mut index = UserIndex { base: first.0, shift, starts: Vec::new() };
+        for (at, &user) in users.iter().enumerate() {
+            let bucket = index.bucket(user).unwrap_or(0);
+            while index.starts.len() <= bucket {
+                index.starts.push(at as u32);
+            }
+        }
+        index.starts.push(users.len() as u32);
+        index
+    }
+
+    /// The bucket `user` falls in, if it is not below every user.
+    fn bucket(&self, user: UserId) -> Option<usize> {
+        let offset = user.0.checked_sub(self.base)?;
+        Some(offset.checked_shr(self.shift).unwrap_or(0) as usize)
+    }
+
+    /// The range of the user column that holds `user` if any entry does.
+    fn range(&self, user: UserId) -> Option<std::ops::Range<usize>> {
+        let bucket = self.bucket(user)?;
+        let start = *self.starts.get(bucket)? as usize;
+        let end = *self.starts.get(bucket + 1)? as usize;
+        Some(start..end)
+    }
 }
 
 impl BulkPolicy {
     /// Creates an empty bulk policy.
     pub fn new(name: impl Into<String>) -> Self {
-        BulkPolicy { name: name.into(), cloaks: BTreeMap::new() }
+        BulkPolicy { name: name.into(), ..BulkPolicy::default() }
+    }
+
+    /// Builds a policy from its columns: `users` strictly ascending,
+    /// `cloak_ids[i]` the index in `cloaks` of `users[i]`'s cloak.
+    ///
+    /// The table may hold repeated or unused regions: equal regions are
+    /// merged into one id (by hashing the table, never a per-user
+    /// region), unused ones dropped, and the ids renumbered in order of
+    /// first use.
+    ///
+    /// # Errors
+    /// [`ModelError::InvalidPolicy`] when the columns differ in length,
+    /// `users` is not strictly ascending, or an id is outside `cloaks`.
+    pub fn from_columns(
+        name: impl Into<String>,
+        users: Vec<UserId>,
+        cloak_ids: Vec<u32>,
+        cloaks: Vec<Region>,
+    ) -> Result<Self, ModelError> {
+        let invalid = |msg: String| Err(ModelError::InvalidPolicy(msg));
+        if users.len() != cloak_ids.len() {
+            return invalid(format!("{} users but {} cloak ids", users.len(), cloak_ids.len()));
+        }
+        if let Some(pair) = users.windows(2).find(|pair| pair.first() >= pair.last()) {
+            return invalid(format!("users not strictly ascending at {pair:?}"));
+        }
+        if let Some(id) = cloak_ids.iter().find(|&&id| id as usize >= cloaks.len()) {
+            return invalid(format!("cloak id {id} outside a table of {}", cloaks.len()));
+        }
+        let mut policy =
+            BulkPolicy { name: name.into(), users, cloak_ids, cloaks, ..Self::default() };
+        policy.normalize();
+        Ok(policy)
     }
 
     /// Policy name.
@@ -76,111 +172,308 @@ impl BulkPolicy {
         &self.name
     }
 
-    /// Assigns (or reassigns) `user`'s cloak.
+    /// Assigns (or reassigns) `user`'s cloak. Appending a user above
+    /// every assigned one costs a scan of the cloak table; any other
+    /// assignment is a [`patch`](Self::patch), which rewrites the
+    /// columns. Build large policies with
+    /// [`from_assignments`](Self::from_assignments) or
+    /// [`from_columns`](Self::from_columns) instead.
     pub fn assign(&mut self, user: UserId, region: Region) {
-        self.cloaks.insert(user, region);
+        if self.users.last().is_some_and(|&last| last >= user) {
+            let upsert = BulkPolicy::from_assignments("", vec![(user, region)]);
+            self.patch(Vec::new(), &upsert);
+            return;
+        }
+        // A new last user keeps the table in first-use order.
+        self.index.take();
+        let id = match self.cloaks.iter().position(|r| *r == region) {
+            Some(id) => id as u32,
+            None => {
+                self.cloaks.push(region);
+                (self.cloaks.len() - 1) as u32
+            }
+        };
+        self.users.push(user);
+        self.cloak_ids.push(id);
     }
 
     /// Removes `user`'s cloak, returning it if one was assigned.
     pub fn remove(&mut self, user: UserId) -> Option<Region> {
-        self.cloaks.remove(&user)
+        let region = self.cloak_of(user).copied()?;
+        self.patch(vec![user], &BulkPolicy::default());
+        Some(region)
     }
 
     /// Builds a policy from one batch of assignments.
     ///
     /// Equivalent to [`BulkPolicy::assign`]-ing every pair in order
-    /// (later duplicates win), but bulk-loads the cloak table instead of
-    /// growing it by one random-order insert per user — at
-    /// bulk-anonymization scale (millions of users) the per-insert
-    /// rebalancing and cache misses dominate extraction time.
-    pub fn from_assignments(name: impl Into<String>, assignments: Vec<(UserId, Region)>) -> Self {
-        // `BTreeMap::from_iter` is std's bulk build: a stable sort by user
-        // (equal ids keep batch order, so the last occurrence wins —
-        // exactly the repeated-`assign` semantics) and one bottom-up load
-        // of full nodes. Already-sorted input, such as a k-way merge of
-        // per-jurisdiction policies, sorts in one linear pass.
-        BulkPolicy { name: name.into(), cloaks: BTreeMap::from_iter(assignments) }
+    /// (later duplicates win): one stable sort by user, then one pass
+    /// that keeps the last pair of each user and numbers cloaks on first
+    /// use.
+    pub fn from_assignments(
+        name: impl Into<String>,
+        mut assignments: Vec<(UserId, Region)>,
+    ) -> Self {
+        // Stable: equal ids keep batch order, so a run's last pair is the
+        // one repeated `assign` would leave.
+        assignments.sort_by_key(|&(user, _)| user);
+        let mut columns = ColumnBuilder::default();
+        for run in assignments.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(&(user, region)) = run.last() {
+                columns.push(user, region);
+            }
+        }
+        columns.finish(name)
+    }
+
+    /// Removes every user of `removed`, then assigns every cloak of
+    /// `upserts` — what [`remove`](Self::remove) and
+    /// [`assign`](Self::assign) one user at a time would leave, in one
+    /// merge pass over the sorted user columns: `O(n + m)` plus one hash
+    /// of each cloak table. A cloak of `upserts` already in the table
+    /// shares its entry; cloaks no user holds any more are dropped.
+    pub fn patch(&mut self, mut removed: Vec<UserId>, upserts: &BulkPolicy) {
+        self.index.take();
+        removed.sort_unstable();
+        // The merged table is this table then `upserts`' own; an upsert
+        // cloak already here is aliased to its id and never referenced.
+        let offset = self.cloaks.len() as u32;
+        let mut alias: Vec<u32> = (0..upserts.cloaks.len() as u32).map(|p| offset + p).collect();
+        let index: HashMap<&Region, usize> = upserts.cloaks.iter().zip(0..).collect();
+        for (region, id) in self.cloaks.iter().zip(0u32..) {
+            if let Some(slot) = index.get(region).and_then(|&p| alias.get_mut(p)) {
+                *slot = id;
+            }
+        }
+        let capacity = self.users.len() + upserts.users.len();
+        let (mut users, mut ids) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let mut old = self.users.iter().copied().zip(self.cloak_ids.iter().copied()).peekable();
+        let mut gone = removed.into_iter().peekable();
+        let mut keep = |user: UserId, id: u32, users: &mut Vec<UserId>, ids: &mut Vec<u32>| {
+            while gone.next_if(|&g| g < user).is_some() {}
+            if gone.next_if_eq(&user).is_none() {
+                users.push(user);
+                ids.push(id);
+            }
+        };
+        for (user, p) in upserts.users.iter().copied().zip(upserts.cloak_ids.iter().copied()) {
+            while let Some((u, id)) = old.next_if(|&(u, _)| u < user) {
+                keep(u, id, &mut users, &mut ids);
+            }
+            old.next_if(|&(u, _)| u == user); // replaced
+            users.push(user);
+            ids.push(alias.get(p as usize).copied().unwrap_or(offset));
+        }
+        for (u, id) in old {
+            keep(u, id, &mut users, &mut ids);
+        }
+        self.users = users;
+        self.cloak_ids = ids;
+        self.cloaks.extend_from_slice(&upserts.cloaks);
+        self.renumber();
+    }
+
+    /// Merges `parts` into one policy named `name`. A user in several
+    /// parts takes the last part's cloak, as repeated `assign` in part
+    /// order would.
+    ///
+    /// The `(user, cloak id)` pairs of every part, ids offset into the
+    /// concatenated cloak tables, take one stable sort by user, which
+    /// merges the parts' ascending runs; regions repeated across parts
+    /// are merged by hashing the table.
+    pub fn merge<'a>(
+        name: impl Into<String>,
+        parts: impl IntoIterator<Item = &'a BulkPolicy>,
+    ) -> BulkPolicy {
+        let mut pairs: Vec<(UserId, u32)> = Vec::new();
+        let mut cloaks: Vec<Region> = Vec::new();
+        for part in parts {
+            let offset = cloaks.len() as u32;
+            pairs.extend(part.users.iter().zip(&part.cloak_ids).map(|(&u, &id)| (u, offset + id)));
+            cloaks.extend_from_slice(&part.cloaks);
+        }
+        pairs.sort_by_key(|&(user, _)| user);
+        // `dedup_by` keeps the first of a run: hand it the later cloak.
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        let (users, cloak_ids) = pairs.into_iter().unzip();
+        let mut policy =
+            BulkPolicy { name: name.into(), users, cloak_ids, cloaks, ..Self::default() };
+        policy.normalize();
+        policy
+    }
+
+    /// Restores the table invariants over valid columns: unused cloaks
+    /// dropped, equal regions merged into one id, ids in first-use order.
+    /// Hashes the compacted table only, never a per-user region.
+    fn normalize(&mut self) {
+        self.renumber();
+        let mut first: HashMap<Region, u32> = HashMap::with_capacity(self.cloaks.len());
+        let alias: Vec<u32> =
+            self.cloaks.iter().zip(0u32..).map(|(&r, id)| *first.entry(r).or_insert(id)).collect();
+        if first.len() < self.cloaks.len() {
+            for id in &mut self.cloak_ids {
+                *id = alias.get(*id as usize).copied().unwrap_or(*id);
+            }
+            self.renumber();
+        }
+    }
+
+    /// Numbers cloaks in order of first use along `users` and drops the
+    /// ones nobody uses: `O(n + t)`, no hashing.
+    fn renumber(&mut self) {
+        const UNSEEN: u32 = u32::MAX;
+        let mut remap = vec![UNSEEN; self.cloaks.len()];
+        let mut table = Vec::new();
+        for id in &mut self.cloak_ids {
+            let Some(slot) = remap.get_mut(*id as usize) else { continue };
+            if *slot == UNSEEN {
+                *slot = table.len() as u32;
+                table.extend(self.cloaks.get(*id as usize).copied());
+            }
+            *id = *slot;
+        }
+        self.cloaks = table;
     }
 
     /// The cloak of `user`, if assigned.
     pub fn cloak_of(&self, user: UserId) -> Option<&Region> {
-        self.cloaks.get(&user)
+        self.cloak_entry(user).map(|(_, region)| region)
+    }
+
+    /// The cloak id (an index into [`cloaks`](Self::cloaks), naming the
+    /// user's cloak group) and the cloak of `user`, if assigned.
+    pub fn cloak_entry(&self, user: UserId) -> Option<(u32, &Region)> {
+        let id = *self.cloak_ids.get(self.position(user)?)?;
+        Some((id, self.cloaks.get(id as usize)?))
+    }
+
+    /// Where `user` is in the user column, if assigned.
+    fn position(&self, user: UserId) -> Option<usize> {
+        let range = self.index.get_or_init(|| UserIndex::new(&self.users)).range(user)?;
+        let start = range.start;
+        Some(start + self.users.get(range)?.binary_search(&user).ok()?)
+    }
+
+    /// The users with a cloak, ascending.
+    pub fn users(&self) -> &[UserId] {
+        &self.users
+    }
+
+    /// Each user's cloak id, parallel to [`users`](Self::users).
+    pub fn cloak_ids(&self) -> &[u32] {
+        &self.cloak_ids
+    }
+
+    /// The cloak table: distinct regions, each some user's cloak,
+    /// numbered in order of first use along [`users`](Self::users).
+    pub fn cloaks(&self) -> &[Region] {
+        &self.cloaks
     }
 
     /// Number of users with an assigned cloak.
     pub fn len(&self) -> usize {
-        self.cloaks.len()
+        self.users.len()
     }
 
     /// Whether no user has a cloak.
     pub fn is_empty(&self) -> bool {
-        self.cloaks.is_empty()
+        self.users.is_empty()
     }
 
     /// Iterates `(user, cloak)` assignments in ascending user-id order
     /// (deterministic across runs).
     pub fn iter(&self) -> impl Iterator<Item = (UserId, &Region)> + '_ {
-        self.cloaks.iter().map(|(&u, r)| (u, r))
+        self.users
+            .iter()
+            .zip(&self.cloak_ids)
+            .filter_map(|(&user, &id)| Some((user, self.cloaks.get(id as usize)?)))
     }
 
     /// Groups users by their cloak. A policy-aware attacker observing a
     /// request with cloak `ρ` knows the sender lies in `groups()[ρ]`, so
     /// policy-aware sender k-anonymity of a bulk policy is exactly
     /// "every group has at least k members" (Lemma 3 via configurations).
+    /// Members are ascending.
     pub fn groups(&self) -> HashMap<Region, Vec<UserId>> {
-        let mut groups: HashMap<Region, Vec<UserId>> = HashMap::new();
-        for (&user, &region) in &self.cloaks {
-            groups.entry(region).or_default().push(user);
+        self.cloaks.iter().copied().zip(self.group_members()).collect()
+    }
+
+    /// The members of every cloak group, ascending, indexed by cloak id.
+    pub fn group_members(&self) -> Vec<Vec<UserId>> {
+        let mut members: Vec<Vec<UserId>> = vec![Vec::new(); self.cloaks.len()];
+        for (&user, &id) in self.users.iter().zip(&self.cloak_ids) {
+            if let Some(group) = members.get_mut(id as usize) {
+                group.push(user);
+            }
         }
-        for members in groups.values_mut() {
-            members.sort_unstable();
+        members
+    }
+
+    /// The size of every cloak group, indexed by cloak id: one walk over
+    /// the id column.
+    pub fn group_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0usize; self.cloaks.len()];
+        for &id in &self.cloak_ids {
+            if let Some(size) = sizes.get_mut(id as usize) {
+                *size += 1;
+            }
         }
-        groups
+        sizes
     }
 
     /// The smallest cloak-group size, or `None` for an empty policy.
     pub fn min_group_size(&self) -> Option<usize> {
-        self.groups().values().map(Vec::len).min()
+        self.group_sizes().into_iter().min()
     }
 
     /// Whether every assigned cloak contains its user's location and every
     /// user of `db` has a cloak — i.e. the policy is masking and total.
     pub fn is_masking_and_total(&self, db: &LocationDb) -> bool {
-        db.iter().all(|(user, point)| {
-            self.cloaks.get(&user).is_some_and(|region| region.contains(&point))
-        })
+        db.iter().all(|(user, point)| self.cloak_of(user).is_some_and(|r| r.contains(&point)))
     }
 
     /// `Cost(P, D)` (Definition 8): the exact sum of rectangular cloak
     /// areas. Returns `None` if any cloak is non-rectangular (circular
     /// cloak costs are compared via [`BulkPolicy::cost_f64`]).
     pub fn cost_exact(&self) -> Option<Area> {
-        self.cloaks.values().map(|r| r.rect().map(|rect| rect.area())).sum()
+        let areas: Option<Vec<Area>> =
+            self.cloaks.iter().map(|r| r.rect().map(|rect| rect.area())).collect();
+        let areas = areas?;
+        Some(self.group_sizes().iter().zip(&areas).map(|(&size, &area)| size as Area * area).sum())
     }
 
-    /// `Cost(P, D)` as `f64`, defined for all cloak shapes.
+    /// `Cost(P, D)` as `f64`, defined for all cloak shapes: summed user by
+    /// user in ascending order, so the rounding is that of the per-user
+    /// sum.
     pub fn cost_f64(&self) -> f64 {
-        self.cloaks.values().map(Region::area_f64).sum()
+        let areas: Vec<f64> = self.cloaks.iter().map(Region::area_f64).collect();
+        self.cloak_ids.iter().filter_map(|&id| areas.get(id as usize)).sum()
     }
 
     /// Average cloak area per anonymized user (the paper's Figure 5(a)
     /// metric), or 0 for an empty policy.
     pub fn avg_area_f64(&self) -> f64 {
-        if self.cloaks.is_empty() {
+        if self.users.is_empty() {
             0.0
         } else {
-            self.cost_f64() / self.cloaks.len() as f64
+            self.cost_f64() / self.users.len() as f64
         }
     }
 
     /// Summary statistics for experiment reporting.
     pub fn stats(&self) -> PolicyStats {
-        let groups = self.groups();
+        let sizes = self.group_sizes();
         PolicyStats {
-            users: self.cloaks.len(),
-            groups: groups.len(),
-            min_group: groups.values().map(Vec::len).min().unwrap_or(0),
-            max_group: groups.values().map(Vec::len).max().unwrap_or(0),
+            users: self.users.len(),
+            groups: sizes.len(),
+            min_group: sizes.iter().copied().min().unwrap_or(0),
+            max_group: sizes.iter().copied().max().unwrap_or(0),
             cost_exact: self.cost_exact(),
             cost_f64: self.cost_f64(),
             avg_area: self.avg_area_f64(),
@@ -188,16 +481,63 @@ impl BulkPolicy {
     }
 }
 
-/// Consumes the policy into its `(user, cloak)` assignments, in
-/// ascending user-id order.
-impl IntoIterator for BulkPolicy {
-    type Item = (UserId, Region);
-    type IntoIter = std::collections::btree_map::IntoIter<UserId, Region>;
+/// Builds policy columns one assignment at a time, numbering each region
+/// on first sight. While users arrive strictly ascending, the columns
+/// built are the policy's own.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnBuilder {
+    columns: BulkPolicy,
+    ids: HashMap<Region, u32>,
+}
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.cloaks.into_iter()
+impl ColumnBuilder {
+    /// Appends `user`'s assignment to `region`.
+    pub(crate) fn push(&mut self, user: UserId, region: Region) {
+        let columns = &mut self.columns;
+        let next = columns.cloaks.len() as u32;
+        let id = *self.ids.entry(region).or_insert(next);
+        if id == next {
+            columns.cloaks.push(region);
+        }
+        columns.users.push(user);
+        columns.cloak_ids.push(id);
+    }
+
+    /// The policy the pushes describe, read as `assign` calls in push
+    /// order: users out of order or repeated go through
+    /// [`BulkPolicy::from_assignments`].
+    pub(crate) fn finish(self, name: impl Into<String>) -> BulkPolicy {
+        let BulkPolicy { users, cloak_ids, cloaks, .. } = self.columns;
+        if users.is_sorted_by(|a, b| a < b) {
+            return BulkPolicy {
+                name: name.into(),
+                users,
+                cloak_ids,
+                cloaks,
+                ..BulkPolicy::default()
+            };
+        }
+        let assignments = users
+            .into_iter()
+            .zip(cloak_ids)
+            .filter_map(|(user, id)| Some((user, *cloaks.get(id as usize)?)))
+            .collect();
+        BulkPolicy::from_assignments(name, assignments)
     }
 }
+
+/// Equal assignments under equal names; whether a lookup has built the
+/// index yet does not count.
+impl PartialEq for BulkPolicy {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.users == other.users
+            && self.cloak_ids == other.cloak_ids
+            && self.cloaks == other.cloaks
+    }
+}
+
+impl Eq for BulkPolicy {}
 
 impl CloakingPolicy for BulkPolicy {
     fn name(&self) -> &str {
@@ -205,7 +545,7 @@ impl CloakingPolicy for BulkPolicy {
     }
 
     fn cloak(&self, _db: &LocationDb, user: UserId) -> Option<Region> {
-        self.cloaks.get(&user).copied()
+        self.cloak_of(user).copied()
     }
 }
 
@@ -324,7 +664,7 @@ mod tests {
         assert_eq!(bulk.cloak_of(UserId(5)), Some(&r(2)), "the later duplicate wins");
         assert_eq!(bulk.len(), 3);
         assert!(bulk.iter().eq(assigned_one_by_one(&batch).iter()));
-        let owned: Vec<(UserId, Region)> = bulk.into_iter().collect();
+        let owned: Vec<(UserId, Region)> = bulk.iter().map(|(u, r)| (u, *r)).collect();
         assert_eq!(owned, vec![(UserId(1), r(1)), (UserId(3), r(3)), (UserId(5), r(2))]);
     }
 
@@ -345,6 +685,35 @@ mod tests {
             let reference = assigned_one_by_one(&batch);
             proptest::prop_assert_eq!(bulk.len(), reference.len());
             proptest::prop_assert!(bulk.iter().eq(reference.iter()));
+        }
+
+        /// Lookups through the bucket index find every assigned user and
+        /// no other, on dense ids, ids spread over all of `u64` and ids
+        /// at both ends of it.
+        #[test]
+        fn indexed_lookups_find_exactly_the_assigned_users(
+            raw in proptest::collection::vec((0u8..3, proptest::prelude::any::<u64>()), 0..200)
+        ) {
+            let ids: std::collections::BTreeSet<u64> = raw
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => v % 300,
+                    1 => v,
+                    _ => u64::MAX - v % 300,
+                })
+                .collect();
+            let r: Region = Rect::new(0, 0, 1, 1).into();
+            let bulk = BulkPolicy::from_assignments(
+                "ids",
+                ids.iter().map(|&u| (UserId(u), r)).collect(),
+            );
+            for &u in &ids {
+                for probe in [u.wrapping_sub(1), u, u.wrapping_add(1)] {
+                    let found = bulk.cloak_of(UserId(probe)).is_some();
+                    proptest::prop_assert_eq!(found, ids.contains(&probe), "id {}", probe);
+                }
+            }
+            proptest::prop_assert!(bulk.cloak_of(UserId(0)).is_some() == ids.contains(&0));
         }
     }
 

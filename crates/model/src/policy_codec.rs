@@ -6,6 +6,7 @@
 //! entry is a user id plus a cloak; rectangles dominate, so they get the
 //! compact arm.
 
+use crate::policy::ColumnBuilder;
 use crate::{BulkPolicy, ModelError, UserId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lbs_geom::{Circle, Point, Rect, Region};
@@ -16,19 +17,17 @@ const TAG_CIRCLE: u8 = 1;
 
 /// Encodes a bulk policy into a self-describing byte buffer.
 ///
-/// Entries are sorted by user id, so equal policies encode identically
-/// (byte-comparable snapshots for replication checks).
+/// Entries follow the policy's user column, ascending by user id, so
+/// equal policies encode identically (byte-comparable snapshots for
+/// replication checks).
 pub fn encode_policy(policy: &BulkPolicy) -> Bytes {
     let name = policy.name().as_bytes();
-    let mut entries: Vec<(UserId, &Region)> = policy.iter().collect();
-    entries.sort_by_key(|&(user, _)| user);
-
-    let mut buf = BytesMut::with_capacity(16 + name.len() + 48 * entries.len());
+    let mut buf = BytesMut::with_capacity(16 + name.len() + 48 * policy.len());
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(name.len() as u32);
     buf.put_slice(name);
-    buf.put_u64_le(entries.len() as u64);
-    for (user, region) in entries {
+    buf.put_u64_le(policy.len() as u64);
+    for (user, region) in policy.iter() {
         buf.put_u64_le(user.0);
         match region {
             Region::Rect(r) => {
@@ -51,6 +50,10 @@ pub fn encode_policy(policy: &BulkPolicy) -> Bytes {
 
 /// Decodes a policy produced by [`encode_policy`].
 ///
+/// Entries append to the policy's columns, each region numbered on first
+/// sight. Entries out of user order or repeated are also accepted, with
+/// the meaning of assigning them one by one (the last of a user wins).
+///
 /// # Errors
 /// [`ModelError::CorruptSnapshot`] on truncation, bad magic, bad region
 /// tags, or degenerate rectangles.
@@ -72,7 +75,7 @@ pub fn decode_policy(mut bytes: Bytes) -> Result<BulkPolicy, ModelError> {
         return Err(corrupt("truncated entry count"));
     }
     let count = bytes.get_u64_le() as usize;
-    let mut policy = BulkPolicy::new(name);
+    let mut columns = ColumnBuilder::default();
     for _ in 0..count {
         if bytes.remaining() < 9 {
             return Err(corrupt("truncated entry"));
@@ -103,12 +106,12 @@ pub fn decode_policy(mut bytes: Bytes) -> Result<BulkPolicy, ModelError> {
             }
             tag => return Err(ModelError::CorruptSnapshot(format!("unknown region tag {tag}"))),
         };
-        policy.assign(user, region);
+        columns.push(user, region);
     }
     if bytes.has_remaining() {
         return Err(corrupt("trailing bytes"));
     }
-    Ok(policy)
+    Ok(columns.finish(name))
 }
 
 #[cfg(test)]
@@ -194,5 +197,30 @@ mod tests {
         let decoded = decode_policy(encode_policy(&p)).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(decoded.name(), "empty");
+    }
+
+    #[test]
+    fn unordered_and_repeated_entries_decode_as_one_by_one_assignments() {
+        let (r1, r2): (Region, Region) =
+            (Rect::new(0, 0, 2, 2).into(), Rect::new(2, 2, 4, 4).into());
+        let mut p = BulkPolicy::new("p");
+        p.assign(UserId(1), r1);
+        p.assign(UserId(2), r2);
+        let raw = encode_policy(&p).to_vec();
+        let first = 4 + 4 + 1 + 8; // magic, name length, name, count
+        let entry = 8 + 1 + 32; // user, tag, rect
+        let with_users = |a: u64, b: u64| {
+            let mut raw = raw.clone();
+            raw[first..first + 8].copy_from_slice(&a.to_le_bytes());
+            raw[first + entry..first + entry + 8].copy_from_slice(&b.to_le_bytes());
+            decode_policy(Bytes::from(raw)).unwrap()
+        };
+        let swapped = with_users(2, 1);
+        assert_eq!(swapped.cloak_of(UserId(2)), Some(&r1));
+        assert_eq!(swapped.cloak_of(UserId(1)), Some(&r2));
+        let repeated = with_users(7, 7);
+        assert_eq!(repeated.len(), 1);
+        assert_eq!(repeated.cloak_of(UserId(7)), Some(&r2), "the later entry wins");
+        assert_eq!(repeated.cloaks(), [r2], "the overwritten cloak is dropped");
     }
 }

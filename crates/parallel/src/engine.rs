@@ -33,13 +33,12 @@ use crate::{partition_users, ParallelOutcome, ServerReport};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
 use lbs_core::{Anonymizer, CoreError, DpScratch};
-use lbs_geom::{Point, Rect, Region};
+use lbs_geom::{Point, Rect};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{BulkPolicy, LocationDb, UserId};
 use lbs_tree::{TreeConfig, TreeKind};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -539,9 +538,8 @@ pub(crate) fn anonymize_task(
     Ok((report, policy))
 }
 
-/// `Stage::Merge`: the master policy as one bulk load of the k-way merge
-/// of the per-task policies, plus Σ cost and the reports in partition
-/// order.
+/// `Stage::Merge`: the master policy as one [`BulkPolicy::merge`] of the
+/// per-task policies, plus Σ cost and the reports in partition order.
 pub(crate) fn merge_results(
     k: usize,
     results: Vec<TaskResult>,
@@ -552,35 +550,8 @@ pub(crate) fn merge_results(
     let name = format!("parallel(k={k},servers={})", results.len());
     let (servers, parts): (Vec<ServerReport>, Vec<BulkPolicy>) = results.into_iter().unzip();
     let total_cost = servers.iter().map(|s| s.cost).sum();
-    let policy = BulkPolicy::from_assignments(name, merge_ascending(parts));
+    let policy = BulkPolicy::merge(name, &parts);
     ParallelOutcome { policy, total_cost, servers, partition_time, server_wall_time, workers }
-}
-
-/// Merges policies — each iterated in ascending user order — into one
-/// ascending assignment list. Jurisdictions hold disjoint users; should
-/// an id repeat anyway, the later part's cloak comes later and so wins
-/// the bulk load, as repeated `assign` in part order would. Each part is
-/// consumed (and freed) as the merge advances.
-fn merge_ascending(parts: Vec<BulkPolicy>) -> Vec<(UserId, Region)> {
-    let mut merged = Vec::with_capacity(parts.iter().map(BulkPolicy::len).sum());
-    let mut streams: Vec<_> = parts.into_iter().map(|p| p.into_iter().peekable()).collect();
-    let mut heads: BinaryHeap<Reverse<(UserId, usize)>> = streams
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, stream)| stream.peek().map(|&(user, _)| Reverse((user, i))))
-        .collect();
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((_, i)) = *head;
-        let Some(stream) = streams.get_mut(i) else { break };
-        merged.extend(stream.next());
-        match stream.peek() {
-            Some(&(user, _)) => *head = Reverse((user, i)),
-            None => {
-                PeekMut::pop(head);
-            }
-        }
-    }
-    merged
 }
 
 /// Partitioned bulk anonymization on the work-stealing pool: the
@@ -593,7 +564,7 @@ fn merge_ascending(parts: Vec<BulkPolicy>) -> Vec<(UserId, Region)> {
 /// tree-free greedy partition of one copy of the users), per-server
 /// [`Stage::TreeBuild`]/[`Stage::Dp`]/[`Stage::Extract`] (via the
 /// instrumented [`Anonymizer`] build), [`Stage::QueueWait`], and
-/// [`Stage::Merge`] (k-way merge plus one bulk load).
+/// [`Stage::Merge`] (one [`BulkPolicy::merge`] of the per-task policies).
 ///
 /// # Errors
 /// As [`anonymize_partitioned`](crate::anonymize_partitioned); a worker
@@ -748,25 +719,6 @@ mod tests {
         assert_eq!(metrics.stage_calls(Stage::QueueWait), tasks);
         // Every task beyond each worker's first reuses that worker's arena.
         assert!(metrics.get(Counter::ScratchReuses) <= tasks.saturating_sub(1));
-    }
-
-    #[test]
-    fn merge_is_ascending_and_a_later_part_wins_a_repeated_id() {
-        let r = |x: i64| -> Region { Rect::new(x, 0, x + 1, 1).into() };
-        let part = |rows: &[(u64, i64)]| {
-            BulkPolicy::from_assignments(
-                "part",
-                rows.iter().map(|&(u, x)| (UserId(u), r(x))).collect(),
-            )
-        };
-        let parts =
-            vec![part(&[(1, 0), (4, 0), (9, 0)]), part(&[]), part(&[(2, 1), (4, 1), (5, 1)])];
-        let merged = merge_ascending(parts);
-        let users: Vec<u64> = merged.iter().map(|(u, _)| u.0).collect();
-        assert_eq!(users, [1, 2, 4, 4, 5, 9]);
-        let policy = BulkPolicy::from_assignments("merged", merged);
-        assert_eq!(policy.cloak_of(UserId(4)), Some(&r(1)), "part order decides a repeated id");
-        assert!(merge_ascending(Vec::new()).is_empty());
     }
 
     /// `n` payloads `(i, i)`, injected in index order.

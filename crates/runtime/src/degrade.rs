@@ -110,14 +110,14 @@ pub struct DegradedPolicy {
 /// about `committed`, so it also covers circle cloaks and cloaks that
 /// are no semi-quadrant.
 ///
-/// One pass over the committed policy (ascending user id), joined with
-/// the database sorted by user, puts every live sender in its cloak's
-/// group. A group keeps only its live count and the bounding box of its
-/// members' current locations: a rectangle holds every member exactly
-/// when it holds the box's two corners, so the ancestor chain is walked
-/// only for groups with a member outside its cloak. Senders come out in
-/// user order, so the policy and the rung table are bulk-built and
-/// `shed` needs no set.
+/// One pass over the committed policy's columns (ascending user id),
+/// joined with the database sorted by user, puts every live sender in
+/// its cloak's group; a group is its cloak id. A group keeps only its
+/// live count and the bounding box of its members' current locations: a
+/// rectangle holds every member exactly when it holds the box's two
+/// corners, so the ancestors are walked only for groups with a member
+/// outside its cloak. Senders come out in user order, so the policy and
+/// the rung table are bulk-built and `shed` needs no set.
 pub fn degraded_policy(
     committed: &BulkPolicy,
     db: &LocationDb,
@@ -126,20 +126,15 @@ pub fn degraded_policy(
 ) -> DegradedPolicy {
     let mut senders: Vec<(UserId, Point)> = db.iter().collect();
     senders.sort_unstable_by_key(|&(user, _)| user);
-    let mut index: HashMap<Region, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut cloaks = committed.iter().peekable();
+    let mut groups: Vec<Group> = committed.cloaks().iter().map(|&c| Group::counted(c)).collect();
+    let mut cloaks = committed.users().iter().zip(committed.cloak_ids()).peekable();
     let member_of: Vec<Option<usize>> = senders
         .iter()
         .map(|&(user, p)| {
-            while cloaks.next_if(|&(u, _)| u < user).is_some() {} // departed since the commit
-            let (_, region) = cloaks.next_if(|&(u, _)| u == user)?;
-            let g = *index.entry(*region).or_insert_with(|| {
-                groups.push(Group::counted(*region));
-                groups.len() - 1
-            });
-            groups.get_mut(g)?.add(p);
-            Some(g)
+            while cloaks.next_if(|&(&u, _)| u < user).is_some() {} // departed since the commit
+            let (_, &g) = cloaks.next_if(|&(&u, _)| u == user)?;
+            groups.get_mut(g as usize)?.add(p);
+            Some(g as usize)
         })
         .collect();
     let serving: Vec<Option<(Region, Rung)>> = groups.iter().map(|g| g.serve(map, k)).collect();
@@ -174,9 +169,9 @@ pub fn degraded_policy(
 /// only, never a sender's location.
 #[derive(Debug, Clone)]
 pub(crate) struct DegradedDelta {
-    /// Committed cloak of each touched group → its region and rung, or
+    /// Committed cloak id of each touched group → its region and rung, or
     /// `None` when the group is shed. Looked up, never iterated.
-    touched: HashMap<Region, Option<(Region, Rung)>>,
+    touched: HashMap<u32, Option<(Region, Rung)>>,
 }
 
 impl DegradedDelta {
@@ -204,8 +199,8 @@ impl DegradedDelta {
     /// `k` or more members inside its cloak, and stays on the Committed
     /// rung.
     ///
-    /// Committed group sizes are counted, in one pass over `committed`,
-    /// only when some touched group lost a member.
+    /// Committed group sizes are counted, in one walk over the committed
+    /// cloak-id column, only when some touched group lost a member.
     pub(crate) fn derive(
         committed: &BulkPolicy,
         db: &LocationDb,
@@ -213,35 +208,31 @@ impl DegradedDelta {
         map: &Rect,
         k: usize,
     ) -> Self {
-        let mut index: HashMap<Region, usize> = HashMap::new();
-        let mut groups: Vec<(Group, usize)> = Vec::new(); // with its departed members
+        let mut index: HashMap<u32, usize> = HashMap::new();
+        let mut groups: Vec<(u32, Group, usize)> = Vec::new(); // with its departed members
         for &user in touched {
             // Joined after the commit: no committed cloak, shed by lookup.
-            let Some(region) = committed.cloak_of(user) else { continue };
-            let g = *index.entry(*region).or_insert_with(|| {
-                groups.push((Group::whole(*region), 0));
+            let Some((id, &cloak)) = committed.cloak_entry(user) else { continue };
+            let g = *index.entry(id).or_insert_with(|| {
+                groups.push((id, Group::whole(cloak), 0));
                 groups.len() - 1
             });
-            let Some((group, departed)) = groups.get_mut(g) else { continue };
+            let Some((_, group, departed)) = groups.get_mut(g) else { continue };
             match db.location(user) {
                 Some(p) => group.cover(p),
                 None => *departed += 1,
             }
         }
-        if groups.iter().any(|&(_, departed)| departed > 0) {
-            let mut sizes = vec![0usize; groups.len()];
-            for (_, region) in committed.iter() {
-                if let Some(size) = index.get(region).and_then(|&g| sizes.get_mut(g)) {
-                    *size += 1;
-                }
-            }
-            for ((group, departed), size) in groups.iter_mut().zip(sizes) {
+        if groups.iter().any(|&(_, _, departed)| departed > 0) {
+            let sizes = committed.group_sizes();
+            for (id, group, departed) in &mut groups {
                 if *departed > 0 {
+                    let size = sizes.get(*id as usize).copied().unwrap_or(0);
                     group.live = Some(size.saturating_sub(*departed));
                 }
             }
         }
-        let touched = groups.iter().map(|(g, _)| (g.cloak, g.serve(map, k))).collect();
+        let touched = groups.iter().map(|(id, g, _)| (*id, g.serve(map, k))).collect();
         DegradedDelta { touched }
     }
 
@@ -250,12 +241,12 @@ impl DegradedDelta {
         self.touched.len()
     }
 
-    /// The region and rung a member of the committed group `cloak` is
-    /// served on, or `None` when it is shed. An untouched group keeps its
-    /// committed cloak; a circle has no semi-quadrant ancestors and is
-    /// shed, as in [`degraded_policy`].
-    pub(crate) fn serve(&self, cloak: &Region) -> Option<(Region, Rung)> {
-        match self.touched.get(cloak) {
+    /// The region and rung a member of the committed group `id`, whose
+    /// cloak is `cloak`, is served on, or `None` when it is shed. An
+    /// untouched group keeps its committed cloak; a circle has no
+    /// semi-quadrant ancestors and is shed, as in [`degraded_policy`].
+    pub(crate) fn serve(&self, id: u32, cloak: &Region) -> Option<(Region, Rung)> {
+        match self.touched.get(&id) {
             Some(&decision) => decision,
             None => cloak.rect().map(|_| (*cloak, Rung::Committed)),
         }
@@ -317,9 +308,44 @@ impl Group {
             return Some((self.cloak, Rung::Committed));
         }
         // None when somebody left the map entirely.
-        let ancestor = ancestor_chain(map, &cloak).into_iter().find(holds_all)?;
+        let ancestor = smallest_holding_ancestor(map, &cloak, holds_all)?;
         Some((Region::Rect(ancestor), Rung::Coarsened))
     }
+}
+
+/// The smallest rectangle of [`ancestor_chain`]`(map, cloak)` that
+/// `holds`, or `None` when not even `map` does — without building the
+/// chain. `holds` must be monotone under containment (true of a rectangle
+/// whenever it is true of one inside it), as holding a set of points is:
+/// the holding rectangles of the chain are then the ones from `map` down
+/// to some depth. So this walks down from `map` toward `cloak` while the
+/// next semi-quadrant still holds, stopping where the chain ends: at
+/// `cloak` itself, at a 1×1 cell, or at the smallest semi-quadrant that
+/// contains a `cloak` that is no semi-quadrant.
+fn smallest_holding_ancestor(
+    map: &Rect,
+    cloak: &Rect,
+    holds: impl Fn(&Rect) -> bool,
+) -> Option<Rect> {
+    if !holds(map) {
+        return None;
+    }
+    let mut cur = *map;
+    while cur != *cloak && (cur.width() > 1 || cur.height() > 1) {
+        let (a, b) = cur.split(cur.binary_split_axis());
+        let next = if a.contains_rect(cloak) {
+            a
+        } else if b.contains_rect(cloak) {
+            b
+        } else {
+            break;
+        };
+        if !holds(&next) {
+            break;
+        }
+        cur = next;
+    }
+    Some(cur)
 }
 
 impl DegradedPolicy {
@@ -357,6 +383,60 @@ mod tests {
         for pair in chain.windows(2) {
             assert!(pair[1].contains_rect(&pair[0]));
         }
+    }
+
+    /// The allocation-free walk finds the rectangle the chain's scan
+    /// finds, on semi-quadrant cloaks down to 1×1 cells, on cloaks that
+    /// are no semi-quadrant (some reaching off the map), and on bounds
+    /// that leave the map.
+    #[test]
+    fn ancestor_walk_matches_the_chain_scan() {
+        let mut rng = StdRng::seed_from_u64(0xA9C3);
+        let mut kinds = [0usize; 4]; // semi-quadrant, 1×1, odd, no ancestor holds
+        for _ in 0..4000 {
+            let side = 1i64 << rng.gen_range(0..8);
+            let map = Rect::square(rng.gen_range(-20..20), rng.gen_range(-20..20), side);
+            let cloak = if rng.gen_bool(0.6) {
+                let mut cur = map;
+                for _ in 0..rng.gen_range(0..20) {
+                    if cur.width() <= 1 && cur.height() <= 1 {
+                        break;
+                    }
+                    let (a, b) = cur.split(cur.binary_split_axis());
+                    cur = if rng.gen_bool(0.5) { a } else { b };
+                }
+                kinds[usize::from(cur.width() <= 1 && cur.height() <= 1)] += 1;
+                cur
+            } else {
+                kinds[2] += 1;
+                let x0 = map.x0 + rng.gen_range(-2..side + 2);
+                let y0 = map.y0 + rng.gen_range(-2..side + 2);
+                Rect::new(
+                    x0,
+                    y0,
+                    x0 + rng.gen_range(1..=side + 1),
+                    y0 + rng.gen_range(1..=side + 1),
+                )
+            };
+            let corner = |rng: &mut StdRng| {
+                Point::new(
+                    map.x0 + rng.gen_range(-3..side + 3),
+                    map.y0 + rng.gen_range(-3..side + 3),
+                )
+            };
+            let (p, q) = (corner(&mut rng), corner(&mut rng));
+            let (lo, hi) =
+                (Point::new(p.x.min(q.x), p.y.min(q.y)), Point::new(p.x.max(q.x), p.y.max(q.y)));
+            let holds = |r: &Rect| r.contains(&lo) && r.contains(&hi);
+            let want = ancestor_chain(&map, &cloak).into_iter().find(holds);
+            kinds[3] += usize::from(want.is_none());
+            assert_eq!(
+                smallest_holding_ancestor(&map, &cloak, holds),
+                want,
+                "map {map}, cloak {cloak}, bounds {lo}..{hi}"
+            );
+        }
+        assert!(kinds.iter().all(|&n| n > 200), "every kind must occur: {kinds:?}");
     }
 
     fn scenario(seed: u64, n: usize, k: usize) -> (LocationDb, BulkPolicy, Rect) {
@@ -536,7 +616,8 @@ mod tests {
             let delta = DegradedDelta::derive(&committed, &db, &touched, &map, k);
             let want = degraded_policy(&committed, &db, &map, k);
             for user in db.users() {
-                let got = committed.cloak_of(user).and_then(|cloak| delta.serve(cloak));
+                let got =
+                    committed.cloak_entry(user).and_then(|(id, cloak)| delta.serve(id, cloak));
                 let expected =
                     want.policy.cloak_of(user).map(|region| (*region, want.rungs[&user]));
                 assert_eq!(got, expected, "seed {seed}: {user}");
@@ -566,7 +647,8 @@ mod tests {
         for (user, region) in committed.iter() {
             assert_eq!(degraded.policy.cloak_of(user), Some(region));
             assert_eq!(degraded.rungs.get(&user), Some(&Rung::Committed));
-            assert_eq!(delta.serve(region), Some((*region, Rung::Committed)));
+            let (id, _) = committed.cloak_entry(user).unwrap();
+            assert_eq!(delta.serve(id, region), Some((*region, Rung::Committed)));
         }
     }
 

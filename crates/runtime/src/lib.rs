@@ -743,7 +743,7 @@ mod tests {
             rt.apply_batch(&batch).unwrap();
         }
         let users: Vec<UserId> = rt.db().users().collect();
-        let mut degraded = lbs_model::BulkPolicy::new("observed-degraded");
+        let mut degraded = Vec::new();
         let mut rungs_seen = std::collections::BTreeSet::new();
         let mut served_rows = Vec::new();
         for &user in &users {
@@ -751,13 +751,14 @@ mod tests {
                 Ok((rung, region)) => {
                     assert_ne!(rung, Rung::Fresh, "commits are blocked");
                     rungs_seen.insert(rung.name());
-                    degraded.assign(user, region);
+                    degraded.push((user, region));
                     served_rows.push((user, rt.db().location(user).unwrap()));
                 }
                 Err(RuntimeError::Shed { .. }) => {}
                 Err(other) => panic!("unexpected: {other}"),
             }
         }
+        let degraded = lbs_model::BulkPolicy::from_assignments("observed-degraded", degraded);
         let served = LocationDb::from_rows(served_rows).unwrap();
         assert!(served.len() >= k);
         assert!(

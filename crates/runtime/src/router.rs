@@ -287,16 +287,16 @@ pub struct SplitBatches {
 }
 
 /// Merges per-shard policy outputs into one bulk policy over the whole
-/// population. Shards hold disjoint user sets, so the merge is
-/// order-independent: any permutation of `parts` produces a bit-identical
-/// policy (the assignment table is keyed by `UserId`). The merged policy
-/// keeps the per-shard name — it depends only on `k`, so every part
-/// agrees on it and a one-shard merge is bit-identical to its input.
-pub fn merge_policies(parts: &[BulkPolicy]) -> BulkPolicy {
-    let name = parts.first().map_or("sharded-merged", |p| p.name()).to_string();
-    let assignments: Vec<(UserId, lbs_geom::Region)> =
-        parts.iter().flat_map(|p| p.iter().map(|(user, region)| (user, *region))).collect();
-    BulkPolicy::from_assignments(name, assignments)
+/// population ([`BulkPolicy::merge`] of the borrowed parts). Shards hold
+/// disjoint user sets, so the merge is order-independent: any permutation
+/// of `parts` produces a bit-identical policy (the columns are a function
+/// of the assignments). The merged policy keeps the per-shard name — it
+/// depends only on `k`, so every part agrees on it and a one-shard merge
+/// is bit-identical to its input.
+pub fn merge_policies<'a>(parts: impl IntoIterator<Item = &'a BulkPolicy>) -> BulkPolicy {
+    let mut parts = parts.into_iter().peekable();
+    let name = parts.peek().map_or("sharded-merged", |p| p.name()).to_string();
+    BulkPolicy::merge(name, parts)
 }
 
 /// Outcome of the pure (non-durable) sharded bulk anonymization: the

@@ -806,8 +806,8 @@ impl ServiceRuntime {
             self.degraded = Some((key.0, key.1, delta));
         }
         // Invariant: the memo was just populated for `key` above.
-        let served = match (&self.degraded, self.inc.committed_policy().cloak_of(user)) {
-            (Some((_, _, delta)), Some(cloak)) => delta.serve(cloak),
+        let served = match (&self.degraded, self.inc.committed_policy().cloak_entry(user)) {
+            (Some((_, _, delta)), Some((id, cloak))) => delta.serve(id, cloak),
             _ => None,
         };
         if let Some((region, rung)) = served {

@@ -704,9 +704,7 @@ impl ShardedRuntime {
     /// The merged committed policy over every up shard (disjoint user
     /// sets make the merge order-independent).
     pub fn merged_policy(&self) -> BulkPolicy {
-        let parts: Vec<BulkPolicy> =
-            self.slots.iter().flatten().map(|rt| rt.committed_policy().clone()).collect();
-        merge_policies(&parts)
+        merge_policies(self.slots.iter().flatten().map(|rt| rt.committed_policy()))
     }
 
     /// The merged live database over every up shard, rows in canonical
