@@ -434,6 +434,7 @@ fn incremental_work(master: u64, m: usize) -> Result<GoldenRecord, String> {
         let refresh = inc.apply_moves(&moves).map_err(|e| format!("{id}: commit: {e}"))?;
         let extract = inc.extract().map_err(|e| format!("{id}: extract: {e}"))?;
         add("rows_recomputed", refresh.rows_recomputed);
+        add("rows_kept", refresh.rows_kept);
         add("rows_reused", refresh.rows_reused);
         add("cache_hits", refresh.cache_hits);
         add("cache_misses", refresh.cache_misses);

@@ -40,9 +40,12 @@ struct SlotRecord {
 /// A record is reusable while the node's version and target both match
 /// it. That is sound because the tree's dirty set is closed under
 /// ancestors and bumps the version of every node in it, so an unchanged
-/// version means no row, count or leaf membership changed anywhere in
-/// the subtree; and arena slots are never reused, so a record can never
-/// be mistaken for a different node's.
+/// version means no count or leaf membership changed anywhere in the
+/// subtree, and hence no row (a move inside one leaf bumps nothing and
+/// changes no cloak); and arena slots are never reused, so a record can
+/// never be mistaken for a different node's. A bumped version does not
+/// mean a changed row: the refresh may keep it, yet the ids passed up to
+/// the node may differ, so the node is extracted again.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExtractCache {
     slots: Vec<Option<SlotRecord>>,

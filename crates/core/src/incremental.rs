@@ -5,17 +5,22 @@
 //! population `d(m)` (or materialized structure) changed need recomputing —
 //! "the same bottom-up steps as algorithm `Bulk_dp`, starting only from the
 //! quad tree leaves whose quadrants now contain a changed number of
-//! locations". The dirty set comes ancestor-closed from the tree layer.
+//! locations". The tree layer reports the nodes whose **membership**
+//! changed, ancestor-closed; a move inside one leaf reports none.
 //!
-//! Four mechanisms keep a batched commit proportional to the dirty set
+//! Four mechanisms keep a batched commit proportional to what changed
 //! rather than to the live tree:
 //!
 //! * **Dirty-path coalescing** — the refresh sweep is a DFS from the root
 //!   that descends only into pending children, yielding a postorder of the
 //!   dirty set in `O(|dirty|)` time. Overlapping root paths from many moves
-//!   in one batch collapse: each shared ancestor is visited (and its row
-//!   recomputed) exactly once per commit, no matter how many moves dirtied
-//!   it.
+//!   in one batch collapse: each shared ancestor is visited exactly once
+//!   per commit, no matter how many moves dirtied it. A visited node's row
+//!   is **recomputed only when one of its inputs changed**: it has no row,
+//!   it was split or collapsed, its count is not the row's `d`, or a
+//!   child's row changed since. Otherwise it is kept. Above a move's
+//!   lowest common ancestor no count changes, so the sweep keeps rows from
+//!   the first node whose children's rows came out unchanged.
 //! * **Cost columns read in place** — recomputing an internal binary row
 //!   needs only the **dense cost columns** of its two children, and a
 //!   row stores its costs as a column of their own, so an untouched
@@ -61,7 +66,10 @@ pub struct IncrementalReport {
     pub deleted: usize,
     /// DP rows recomputed (vs. every live node for a bulk recomputation).
     pub rows_recomputed: usize,
-    /// Live rows that could be reused untouched.
+    /// Pending rows the sweep visited and kept: no input of theirs changed,
+    /// so recomputing them would have reproduced them byte for byte.
+    pub rows_kept: usize,
+    /// Live rows that could be reused untouched (the kept ones included).
     pub rows_reused: usize,
     /// Child cost columns re-read at a version a refresh already read.
     pub cache_hits: usize,
@@ -98,9 +106,10 @@ struct Extracted {
 /// arena id: the bookkeeping behind the refresh's cache counters.
 ///
 /// A row's cost column is read in place, so nothing is copied on either
-/// outcome. A hit means the child row has not been recomputed since a
-/// refresh last read or wrote it (the tree bumps a node's version exactly
-/// when its row goes stale): an untouched sibling read again.
+/// outcome. A hit means the child's membership has not changed since a
+/// refresh last read, wrote or kept its row (the tree bumps a node's
+/// version whenever a user enters or leaves its subtree, a superset of
+/// the times its row changes): an untouched sibling read again.
 /// `cache_hits` and `cache_misses` count the two outcomes, and the work
 /// golden pins them.
 #[derive(Debug, Clone, Default)]
@@ -157,8 +166,8 @@ impl CostCache {
     }
 
     /// Records that `id`'s row is current at `version` (called for every
-    /// freshly recomputed row, so parents applied later in the same sweep
-    /// hit).
+    /// row a refresh recomputes or keeps, so parents applied later in the
+    /// same sweep hit).
     fn store(&mut self, id: NodeId, version: u64) {
         self.resize(id.index() + 1);
         if let Some(slot) = self.versions.get_mut(id.index()) {
@@ -191,6 +200,8 @@ pub struct RefreshPlan {
 pub struct TaskRows {
     /// `(node, fresh row)` pairs in the task's postorder.
     pub rows: Vec<(NodeId, Row)>,
+    /// Task nodes whose rows were found current and kept.
+    pub kept: Vec<NodeId>,
     /// Child cost columns re-read at a version a refresh already read.
     pub cache_hits: usize,
     /// Child cost columns first read at their current version.
@@ -230,6 +241,13 @@ pub struct IncrementalAnonymizer {
     /// of the stale rows: restructuring may free some of these ids, which
     /// the next refresh sweep simply skips.
     pending: HashSet<NodeId>,
+    /// Pending nodes whose row must be recomputed although its `d` still
+    /// equals their count: nodes split or collapsed since their row was
+    /// computed, and parents of rows a refresh changed (the "child
+    /// changed" mark). Kept here rather than in a sweep, so a cancelled
+    /// refresh, or tasks applied before their spine, resume with the
+    /// marks intact.
+    stale_inputs: HashSet<NodeId>,
     /// Version of each child row last read (binary trees only; the quad
     /// sweep reads its children's rows without counting).
     cache: CostCache,
@@ -247,6 +265,7 @@ impl Clone for IncrementalAnonymizer {
             k: self.k,
             kind: self.kind,
             pending: self.pending.clone(),
+            stale_inputs: self.stale_inputs.clone(),
             cache: self.cache.clone(),
             // Scratch holds no state a clone must observe — fresh buffers.
             scratch: DpScratch::new(),
@@ -276,6 +295,7 @@ impl IncrementalAnonymizer {
             k,
             kind: config.kind,
             pending: HashSet::new(),
+            stale_inputs: HashSet::new(),
             cache,
             scratch: DpScratch::new(),
             extracted: Extracted::default(),
@@ -305,6 +325,7 @@ impl IncrementalAnonymizer {
         let mut report = self.stage_updates(updates)?;
         let refreshed = self.refresh()?;
         report.rows_recomputed = refreshed.rows_recomputed;
+        report.rows_kept = refreshed.rows_kept;
         report.rows_reused = refreshed.rows_reused;
         report.cache_hits = refreshed.cache_hits;
         report.cache_misses = refreshed.cache_misses;
@@ -330,6 +351,7 @@ impl IncrementalAnonymizer {
         self.matrix.resize_for(&self.tree);
         self.cache.resize(self.tree.arena_len());
         self.pending.extend(update.dirty);
+        self.stale_inputs.extend(update.restructured);
         let extracted = &mut self.extracted;
         extracted.cache.release(&update.detached);
         if !extracted.cache.is_empty() {
@@ -370,21 +392,23 @@ impl IncrementalAnonymizer {
         self.refresh_cancellable(&|| false)
     }
 
-    /// Recomputes pending rows, polling `cancel` before each row — the
-    /// semi-quadrant granularity of cooperative cancellation.
+    /// Recomputes pending rows, polling `cancel` before each recomputed
+    /// row — the semi-quadrant granularity of cooperative cancellation.
     ///
     /// The sweep visits the **coalesced dirty postorder**: a DFS from the
     /// root descending only into pending children, `O(|dirty|)` regardless
     /// of tree size. A row is only recomputed after every stale descendant
-    /// row has been. On cancellation the rows already recomputed are kept
-    /// (they are correct for the current tree) and the rest stay pending,
-    /// so a later refresh resumes where this one stopped and completes
-    /// identically.
+    /// row has been, and only when one of its inputs changed (see the
+    /// module docs); the rest are kept as they are. On cancellation the
+    /// rows already retired are kept (they are correct for the current
+    /// tree) and the rest stay pending, so a later refresh resumes where
+    /// this one stopped and completes identically.
     ///
     /// The first row's poll is taken before the dirty walk, so a deadline
     /// that has already passed cancels in `O(1)`. `cancel` is still polled
-    /// exactly once per computed row, and not at all when no live row is
-    /// pending.
+    /// exactly once per recomputed row (that first poll standing in for
+    /// the first one, or spent alone when every visited row is kept), and
+    /// not at all when no live row is pending.
     ///
     /// # Errors
     /// [`CoreError::Cancelled`] when `cancel` fires with rows still
@@ -409,9 +433,6 @@ impl IncrementalAnonymizer {
         cancel: &dyn Fn() -> bool,
         report: &mut IncrementalReport,
     ) -> Result<(), CoreError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         if self.has_live_pending() {
             if cancel() {
                 return Err(CoreError::Cancelled);
@@ -490,7 +511,10 @@ impl IncrementalAnonymizer {
     /// anything** — safe to run concurrently for disjoint tasks sharing
     /// `&self`. A child row resolves to one computed earlier in this task,
     /// else to the matrix row, counted as a cache hit when the (read-only)
-    /// version cache is current for it. `cancel` is polled before each row.
+    /// version cache is current for it. A node keeps its row under the
+    /// sequential sweep's rule; a row this task changed (compared with the
+    /// matrix row it replaces) marks its parent for recomputation within
+    /// the task. `cancel` is polled before each recomputed row.
     ///
     /// # Errors
     /// [`CoreError::Cancelled`] when `cancel` fires; DP errors otherwise.
@@ -501,9 +525,16 @@ impl IncrementalAnonymizer {
         cancel: &dyn Fn() -> bool,
     ) -> Result<TaskRows, CoreError> {
         let mut rows: Vec<(NodeId, Row)> = Vec::with_capacity(nodes.len());
+        let mut kept = Vec::new();
         let mut index: HashMap<NodeId, usize> = HashMap::new();
+        // Parents of rows this task changed: its own "child changed" marks.
+        let mut stale: HashSet<NodeId> = HashSet::new();
         let (mut hits, mut misses) = (0usize, 0usize);
         for &id in nodes {
+            if !stale.contains(&id) && self.keeps_row(id) {
+                kept.push(id);
+                continue;
+            }
             if cancel() {
                 return Err(CoreError::Cancelled);
             }
@@ -524,38 +555,79 @@ impl IncrementalAnonymizer {
                 }
                 _ => quad_row(&self.tree, &self.matrix, Some(&local), id, self.k)?,
             };
+            if let (true, Some(parent)) = (row_changed(self.matrix.row(id), &row), node.parent) {
+                stale.insert(parent);
+            }
             index.insert(id, rows.len());
             rows.push((id, row));
         }
-        Ok(TaskRows { rows, cache_hits: hits, cache_misses: misses })
+        Ok(TaskRows { rows, kept, cache_hits: hits, cache_misses: misses })
     }
 
-    /// Installs one task's rows: matrix rows set, their versions recorded,
-    /// pending entries retired. Returns the number of rows applied.
+    /// Installs one task's rows — matrix rows set, their versions
+    /// recorded, pending entries retired, kept rows retired as they are —
+    /// and counts them into `report`. A row that changed marks its
+    /// parent, so the spine sweep recomputes it.
     ///
     /// Tasks touch disjoint rows, so apply order does not affect the final
     /// matrix; applying in plan order keeps progress reports deterministic.
-    pub fn apply_task_rows(&mut self, task: TaskRows) -> usize {
-        let applied = task.rows.len();
-        for (id, row) in task.rows {
-            if self.kind == TreeKind::Binary {
-                self.cache.store(id, self.tree.version(id));
-            }
-            self.matrix.set_row(id, row);
-            self.pending.remove(&id);
+    pub fn apply_task_rows(&mut self, task: TaskRows, report: &mut IncrementalReport) {
+        report.cache_hits += task.cache_hits;
+        report.cache_misses += task.cache_misses;
+        report.rows_recomputed += task.rows.len();
+        report.rows_kept += task.kept.len();
+        for id in task.kept {
+            self.retire(id);
         }
-        applied
+        for (id, row) in task.rows {
+            self.install(id, row);
+        }
     }
 
-    /// Recomputes and applies `nodes` in order, polling `cancel` before
-    /// each row. The building block behind
+    /// True when pending node `id` keeps its row: the row exists, was
+    /// computed for the node's current count, and no other input of it
+    /// changed since (`stale_inputs` holds no mark for it).
+    /// A row is a pure function of its node's count, rect and depth and of
+    /// its children's `d` and cost columns, so a kept row is byte-identical
+    /// to a recomputed one.
+    fn keeps_row(&self, id: NodeId) -> bool {
+        !self.stale_inputs.contains(&id)
+            && self.matrix.row(id).is_some_and(|row| row.d == self.tree.count(id))
+    }
+
+    /// Installs a recomputed row of pending node `id` and retires the
+    /// node. When the row's `(d, dense)` differs from the one it replaces,
+    /// the parent is marked: its row read this one. Both `d` and `dense`
+    /// count, since rows below k all have an empty `dense`.
+    fn install(&mut self, id: NodeId, row: Row) {
+        if let (true, Some(parent)) =
+            (row_changed(self.matrix.row(id), &row), self.tree.node(id).parent)
+        {
+            self.stale_inputs.insert(parent);
+        }
+        self.stale_inputs.remove(&id);
+        self.matrix.set_row(id, row);
+        self.retire(id);
+    }
+
+    /// Retires pending node `id`, whose row is current at its version.
+    fn retire(&mut self, id: NodeId) {
+        if self.kind == TreeKind::Binary {
+            self.cache.store(id, self.tree.version(id));
+        }
+        self.pending.remove(&id);
+    }
+
+    /// Visits `nodes` in order, keeping each current row and recomputing
+    /// and applying the rest, polling `cancel` before each recomputed row.
+    /// The building block behind
     /// [`refresh_cancellable`](Self::refresh_cancellable) (whole dirty
     /// postorder) and the spine sweep of a parallel refresh. `nodes` must
-    /// be in postorder with every descendant's fresh row already applied.
+    /// be in postorder with every descendant's row already retired.
     ///
     /// # Errors
-    /// [`CoreError::Cancelled`] mid-sweep (applied rows are kept and
-    /// retired from pending); DP errors otherwise.
+    /// [`CoreError::Cancelled`] mid-sweep (retired rows stay retired);
+    /// DP errors otherwise.
     pub fn refresh_sequence(
         &mut self,
         nodes: &[NodeId],
@@ -563,6 +635,11 @@ impl IncrementalAnonymizer {
         report: &mut IncrementalReport,
     ) -> Result<(), CoreError> {
         for &id in nodes {
+            if self.keeps_row(id) {
+                self.retire(id);
+                report.rows_kept += 1;
+                continue;
+            }
             if cancel() {
                 return Err(CoreError::Cancelled);
             }
@@ -575,21 +652,19 @@ impl IncrementalAnonymizer {
                 id,
                 report,
             )?;
-            if self.kind == TreeKind::Binary {
-                self.cache.store(id, self.tree.version(id));
-            }
-            self.matrix.set_row(id, row);
-            self.pending.remove(&id);
+            self.install(id, row);
             report.rows_recomputed += 1;
         }
         Ok(())
     }
 
-    /// Closes out a completed refresh: clears stray pending ids (ids freed
-    /// by restructuring are no longer live rows) and fills in the reuse
-    /// count. Call only after every planned row has been applied.
+    /// Closes out a completed refresh: clears stray pending ids and marks
+    /// (ids freed by restructuring are no longer live rows) and fills in
+    /// the reuse count. Call only after every planned row has been
+    /// applied.
     pub fn finish_refresh(&mut self, report: &mut IncrementalReport) {
         self.pending.clear();
+        self.stale_inputs.clear();
         report.rows_reused = self.tree.live_len().saturating_sub(report.rows_recomputed);
     }
 
@@ -734,6 +809,12 @@ fn dirty_postorder_from(
     order
 }
 
+/// True when `new` differs in `d` or cost column from `old`, the row it
+/// replaces (or there was none): a parent that read `old` must recompute.
+fn row_changed(old: Option<&Row>, new: &Row) -> bool {
+    !old.is_some_and(|old| old.d == new.d && old.dense == new.dense)
+}
+
 /// Recomputes one row for the sequential sweep, reading each child's
 /// cost column through [`CostCache::ensure`].
 fn recompute_row(
@@ -844,11 +925,23 @@ mod tests {
         let k = 10;
         let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), k);
         let mut inc = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
-        // One user nudges by a few meters: the vast majority of rows reuse.
-        let user = UserId(3);
-        let from = db.location(user).unwrap();
-        let to = Point::new((from.x + 2).min(side - 1), from.y);
-        let report = inc.apply_moves(&[Move { user, to }]).unwrap();
+        // Users nudge by a few meters, one at a time.
+        let nudge = |user: UserId| {
+            let from = db.location(user).unwrap();
+            Move { user, to: Point::new((from.x + 2).min(side - 1), from.y) }
+        };
+        let stays = |inc: &IncrementalAnonymizer, m: &Move| {
+            inc.tree().leaf_of_user(m.user) == inc.tree().leaf_containing(&m.to)
+        };
+        let moves: Vec<Move> = (0..500).map(|u| nudge(UserId(u))).collect();
+        // A nudge inside its leaf dirties nothing, so nothing is recomputed.
+        let inside = *moves.iter().find(|m| stays(&inc, m)).unwrap();
+        inc.stage_updates(&[UserUpdate::Move(inside)]).unwrap();
+        assert!(inc.is_fresh(), "{} rows pending", inc.pending_rows());
+        // A nudge into the next leaf: the vast majority of rows reuse.
+        let across = *moves.iter().find(|m| !stays(&inc, m)).unwrap();
+        let report = inc.apply_moves(&[across]).unwrap();
+        assert!(report.rows_recomputed > 0, "{report:?}");
         assert!(
             report.rows_recomputed <= 2 * 40 + 4,
             "at most two root paths plus restructuring: {report:?}"
@@ -1122,10 +1215,12 @@ mod tests {
         assert!(report.rows_recomputed > 1);
         assert_eq!(polls.get(), report.rows_recomputed, "one poll per computed row");
 
-        // No live row pending: nothing to compute, so nothing is polled.
+        // No live row pending: nothing to compute, so nothing is polled,
+        // and every live row is reused.
         polls.set(0);
         assert!(!inc.has_live_pending());
-        assert_eq!(inc.refresh_cancellable(&counting).unwrap(), IncrementalReport::default());
+        let idle = IncrementalReport { rows_reused: inc.tree().live_len(), ..Default::default() };
+        assert_eq!(inc.refresh_cancellable(&counting).unwrap(), idle);
         assert_eq!(polls.get(), 0);
 
         // A cancelled sweep polls once per computed row plus the poll
@@ -1138,8 +1233,10 @@ mod tests {
         };
         polls.set(0);
         let pending = inc.pending_rows();
-        assert!(matches!(inc.refresh_cancellable(&cancel), Err(CoreError::Cancelled)));
-        assert_eq!(inc.pending_rows(), pending - 4);
+        let mut report = IncrementalReport::default();
+        assert!(matches!(inc.refresh_into(&cancel, &mut report), Err(CoreError::Cancelled)));
+        assert_eq!(report.rows_recomputed, 4);
+        assert_eq!(inc.pending_rows(), pending - 4 - report.rows_kept, "retired rows stay retired");
         assert_eq!(polls.get(), 5);
     }
 
@@ -1212,7 +1309,11 @@ mod tests {
         assert_eq!(distinct.len(), all.len(), "plan pieces overlap");
 
         let seq_report = seq.refresh().unwrap();
-        assert_eq!(all.len(), seq_report.rows_recomputed, "plan must cover the dirty sweep");
+        assert_eq!(
+            all.len(),
+            seq_report.rows_recomputed + seq_report.rows_kept,
+            "plan must cover the dirty sweep"
+        );
 
         let mut report = IncrementalReport::default();
         let mut scratch = DpScratch::new();
@@ -1222,14 +1323,13 @@ mod tests {
             .map(|t| planned.compute_task_rows(t, &mut scratch, &|| false).unwrap())
             .collect();
         for task in computed {
-            report.cache_hits += task.cache_hits;
-            report.cache_misses += task.cache_misses;
-            report.rows_recomputed += planned.apply_task_rows(task);
+            planned.apply_task_rows(task, &mut report);
         }
         planned.refresh_sequence(&plan.spine, &|| false, &mut report).unwrap();
         planned.finish_refresh(&mut report);
 
         assert_eq!(report.rows_recomputed, seq_report.rows_recomputed);
+        assert_eq!(report.rows_kept, seq_report.rows_kept);
         assert_eq!(report.rows_reused, seq_report.rows_reused);
         assert_eq!(planned.matrix(), seq.matrix(), "planned refresh must be bit-identical");
         assert!(planned.is_fresh());

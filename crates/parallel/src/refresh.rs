@@ -74,9 +74,6 @@ fn refresh_into(
     cancel: &(dyn Fn() -> bool + Sync),
     report: &mut IncrementalReport,
 ) -> Result<(), CoreError> {
-    if inc.is_fresh() {
-        return Ok(());
-    }
     let workers = config.effective_workers(inc.pending_rows());
     if workers <= 1 {
         return inc.refresh_into(cancel, report);
@@ -103,9 +100,7 @@ fn refresh_into(
     // deterministic — before surfacing any error. Tasks touch disjoint
     // rows, so partially applied plans stay correct and resumable.
     for (_, task) in completed {
-        report.cache_hits += task.cache_hits;
-        report.cache_misses += task.cache_misses;
-        report.rows_recomputed += inc.apply_task_rows(task);
+        inc.apply_task_rows(task, report);
     }
     if let Some(err) = error {
         return Err(err);

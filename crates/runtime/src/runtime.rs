@@ -9,7 +9,7 @@ use crate::error::RuntimeError;
 use crate::scrub::{scrub_dir, GcReport, ScrubReport};
 use crate::storage::{real_fs, StorageBackend};
 use crate::wal::Wal;
-use lbs_core::{CoreError, IncrementalAnonymizer};
+use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer};
 use lbs_geom::{Rect, Region};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{
@@ -113,10 +113,13 @@ pub fn backoff_delay(base: Duration, seed: u64, attempt: u32) -> Duration {
 
 /// Runs a commit's DP refresh: sequential for `refresh_workers` ≤ 1,
 /// otherwise the dirty set is split into disjoint subtrees on the
-/// work-stealing pool. Both paths poll the deadline once per row and
-/// produce bit-identical matrices, so the knob never affects committed
-/// policies, only commit latency. The first poll comes before the dirty
-/// walk, so an already expired deadline costs one clock read.
+/// work-stealing pool. Both paths poll the deadline once per recomputed
+/// row and produce bit-identical matrices, so the knob never affects
+/// committed policies, only commit latency. The first poll comes before
+/// anything else, so an already expired deadline costs one clock read,
+/// and a commit never starts past its deadline, even one whose staged
+/// updates leave every row current: extraction and the checkpoint that
+/// may follow cannot be cancelled.
 fn refresh_for_commit(
     inc: &mut IncrementalAnonymizer,
     pool: &ScratchPool,
@@ -127,8 +130,11 @@ fn refresh_for_commit(
 ) -> Result<(), CoreError> {
     let clock = Arc::clone(clock);
     let cancel = move || deadline.is_some_and(|d| clock.now() >= d);
+    if cancel() {
+        return Err(CoreError::Cancelled);
+    }
     let config = EngineConfig { workers: refresh_workers.max(1), ..EngineConfig::default() };
-    refresh_parallel(inc, &config, Some(pool), metrics, &cancel)?;
+    refresh_parallel(inc, &config, Some(pool), metrics, &first_poll_taken(cancel))?;
     Ok(())
 }
 

@@ -25,8 +25,9 @@ pub struct SpatialTree {
     /// keep it in step with the leaves.
     pub(crate) user_leaf: OnceLock<HashMap<UserId, NodeId>>,
     /// Per-node modification counters, bumped whenever a node lands in an
-    /// update's dirty set. Subtree caches (the incremental DP's cost-vector
-    /// memo) key their entries on these, so a stale entry can never be
+    /// update's dirty set (its subtree's membership changed). Subtree
+    /// caches (the extraction records, the refresh's cost-column read
+    /// counter) key their entries on these, so a stale entry can never be
     /// mistaken for a current one.
     pub(crate) versions: Vec<u64>,
     /// Live (attached) node count, maintained by alloc/collapse so
@@ -245,9 +246,11 @@ impl SpatialTree {
     }
 
     /// The modification counter of node `id`: bumped every time `id`
-    /// appears in an [`crate::UpdateReport::dirty`] set. Cache entries
-    /// derived from `id`'s DP row are valid exactly while the version they
-    /// were recorded under still matches.
+    /// appears in an [`crate::UpdateReport::dirty`] set, that is, whenever
+    /// a user enters or leaves its subtree or it is restructured. Anything
+    /// derived from the subtree's membership (its DP row, its extraction)
+    /// is valid while the version it was recorded under still matches; a
+    /// bump does not by itself mean the DP row changed.
     #[inline]
     // lbs-lint: allow-item(panic-reachability, reason = "versions is grown in lockstep with nodes by alloc, so any NodeId this tree minted indexes in bounds")
     pub fn version(&self, id: NodeId) -> u64 {

@@ -6,6 +6,17 @@
 //! move batch, keeping `d(m)` counts exact, re-splitting leaves that grew
 //! past the materialization threshold, collapsing subtrees that shrank
 //! below it, and reporting the dirty node set the DP must revisit.
+//!
+//! The dirty set is the nodes whose **membership changed**: every leaf
+//! that gained or lost a user, every node a split or collapse created or
+//! restructured, and all their ancestors. Each bumps its
+//! [`version`](SpatialTree::version), which is what the extraction cache
+//! keys on. A move that stays inside its leaf changes no membership, so
+//! it only stores the new point: a leaf's split rule reads its rect,
+//! depth and count, none of which moved. Whether a dirty node's DP *row*
+//! changed is a narrower question the refresh answers itself: above a
+//! move's lowest common ancestor the counts are unchanged, yet the node
+//! stays dirty because the ids it passes up may differ.
 
 use crate::{Children, NodeId, SpatialTree};
 use lbs_model::{Move, UserId, UserUpdate};
@@ -28,11 +39,16 @@ pub struct UpdateReport {
     pub splits: usize,
     /// Subtrees collapsed because their population fell below the threshold.
     pub collapses: usize,
-    /// Every live node whose count, structure, or stored users changed,
-    /// **closed under ancestors** — exactly the rows an incremental DP must
-    /// recompute (children of dirty internal nodes may be clean; their rows
-    /// are reused).
+    /// Every live node whose membership changed — a leaf that gained or
+    /// lost a user, or a node a split or collapse created or restructured —
+    /// **closed under ancestors**. Each had its version bumped. A superset
+    /// of the rows whose DP row changed: the refresh visits every one and
+    /// recomputes those whose count or children's rows moved. A move that
+    /// stays inside its leaf dirties nothing.
     pub dirty: HashSet<NodeId>,
+    /// Nodes split or collapsed by this batch, in pass order: a DP row
+    /// computed before the batch read children these nodes no longer have.
+    pub restructured: Vec<NodeId>,
     /// Nodes tombstoned by collapses, in collapse order. Their arena
     /// slots are never reused, so anything cached per slot for them can
     /// be released.
@@ -116,9 +132,12 @@ impl SpatialTree {
         for up in updates {
             match *up {
                 UserUpdate::Move(m) => {
+                    report.moved += 1;
+                    if self.move_within_leaf(index, m.user, m.to) {
+                        continue;
+                    }
                     let old_leaf = self.detach_user(index, m.user);
                     let new_leaf = self.attach_user(index, m.user, m.to);
-                    report.moved += 1;
                     self.mark_path_dirty(old_leaf, &mut report.dirty);
                     self.mark_path_dirty(new_leaf, &mut report.dirty);
                 }
@@ -155,6 +174,31 @@ impl SpatialTree {
             }
             cur = self.nodes[id.index()].parent;
         }
+    }
+
+    /// Stores `user`'s new point `to` in place when `to` lies in the leaf
+    /// that already holds the user, and reports whether it did. Live
+    /// leaves partition the map, so that leaf is the one
+    /// [`leaf_containing`](SpatialTree::leaf_containing) would find.
+    fn move_within_leaf(&mut self, index: &UserIndex, user: UserId, to: lbs_geom::Point) -> bool {
+        #[expect(
+            clippy::expect_used,
+            reason = "apply_updates validates every update's user against the index before any mutation"
+        )]
+        let leaf = *index.get(&user).expect("validated before application");
+        if !self.nodes[leaf.index()].rect.contains(&to) {
+            return false;
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "user_leaf and the per-leaf user lists are updated in lockstep, so membership agrees"
+        )]
+        let row = self.users[leaf.index()]
+            .iter_mut()
+            .find(|(u, _)| *u == user)
+            .expect("user index and leaf list agree");
+        row.1 = to;
+        true
     }
 
     /// Removes `user` from its leaf and decrements counts up to the root.
@@ -227,6 +271,7 @@ impl SpatialTree {
             self.collapse_subtree(id, &mut report.detached, index);
             report.collapses += 1;
             report.dirty.insert(id);
+            report.restructured.push(id);
         }
     }
 
@@ -274,6 +319,7 @@ impl SpatialTree {
             let children = self.split_node(id, &mut items);
             self.nodes[id.index()].children = children;
             report.splits += 1;
+            report.restructured.push(id);
             // New descendants are dirty: the DP has no rows for them yet.
             let mut stack: Vec<NodeId> = children.as_slice().to_vec();
             while let Some(cur) = stack.pop() {
@@ -290,7 +336,7 @@ mod tests {
     use super::*;
     use crate::{TreeConfig, TreeKind};
     use lbs_geom::{Point, Rect};
-    use lbs_model::{LocationDb, Move, UserId};
+    use lbs_model::{LocationDb, Move, UserId, UserUpdate};
     use std::collections::HashSet as Set;
 
     fn db(points: &[(i64, i64)]) -> LocationDb {
@@ -394,6 +440,87 @@ mod tests {
         assert!(report.dirty.contains(&tree.root()));
     }
 
+    /// Every live node's rect, leaf flag and count.
+    fn counted_shape(tree: &SpatialTree) -> Set<(Rect, bool, usize)> {
+        tree.postorder()
+            .into_iter()
+            .map(|id| (tree.node(id).rect, tree.node(id).is_leaf(), tree.count(id)))
+            .collect()
+    }
+
+    #[test]
+    fn same_leaf_move_dirties_nothing_and_a_later_split_reads_the_new_point() {
+        // Threshold 3: the east half [4, 8) × [0, 8) holds two users and
+        // stays a leaf.
+        let base = db(&[(1, 1), (1, 6), (2, 3), (5, 1), (6, 6)]);
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, 8), 3);
+        let mut tree = SpatialTree::build(&base, cfg).unwrap();
+        let leaf = tree.leaf_of_user(UserId(3)).unwrap();
+        let versions = tree.versions.clone();
+        let to = Point::new(7, 7);
+        assert!(tree.node(leaf).rect.contains(&to), "the move stays in its leaf");
+
+        let report = tree.apply_moves(&[Move { user: UserId(3), to }]).unwrap();
+        assert_eq!(report.moved, 1);
+        assert!(report.dirty.is_empty(), "{:?}", report.dirty);
+        assert!(report.restructured.is_empty() && report.detached.is_empty());
+        assert_eq!(tree.versions, versions, "no version moves");
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.leaf_of_user(UserId(3)), Some(leaf));
+        assert!(tree.leaf_users(leaf).contains(&(UserId(3), to)), "the new point is stored");
+        let moved = db_after(&base, &[(3, (7, 7))]);
+        assert_eq!(counted_shape(&tree), counted_shape(&SpatialTree::build(&moved, cfg).unwrap()));
+
+        // A third user splits the leaf: user 3 goes where its new point
+        // lies (the upper half), not where it started.
+        let at = Point::new(5, 5);
+        let report = tree.apply_updates(&[UserUpdate::Insert { user: UserId(9), at }]).unwrap();
+        assert!(report.splits >= 1 && report.restructured.contains(&leaf), "{report:?}");
+        tree.check_invariants().unwrap();
+        let now = tree.leaf_of_user(UserId(3)).unwrap();
+        assert_ne!(now, leaf);
+        assert!(tree.node(now).rect.contains(&to));
+        let mut grown = moved.clone();
+        grown.apply_updates(&[UserUpdate::Insert { user: UserId(9), at }]).unwrap();
+        assert_eq!(counted_shape(&tree), counted_shape(&SpatialTree::build(&grown, cfg).unwrap()));
+    }
+
+    #[test]
+    fn between_leaf_move_dirties_exactly_the_two_root_paths() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let side = 64;
+        let points: Vec<(i64, i64)> =
+            (0..40).map(|_| (rng.gen_range(0..side), rng.gen_range(0..side))).collect();
+        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), 3);
+        let tree = SpatialTree::build(&db(&points), cfg).unwrap();
+        let mut checked = 0;
+        for _ in 0..200 {
+            let user = UserId(rng.gen_range(0..40u64));
+            let to = Point::new(rng.gen_range(0..side), rng.gen_range(0..side));
+            let (from, into) =
+                (tree.leaf_of_user(user).unwrap(), tree.leaf_containing(&to).unwrap());
+            if from == into {
+                continue;
+            }
+            let mut after = tree.clone();
+            let report = after.apply_moves(&[Move { user, to }]).unwrap();
+            if !report.restructured.is_empty() {
+                continue; // a split or collapse dirties more; covered elsewhere
+            }
+            let paths: HashSet<NodeId> =
+                tree.path_to_root(from).into_iter().chain(tree.path_to_root(into)).collect();
+            assert_eq!(report.dirty, paths, "{user} to {to:?}");
+            for slot in 0..tree.arena_len() {
+                let id = NodeId(slot as u32);
+                let bump = u64::from(paths.contains(&id));
+                assert_eq!(after.version(id), tree.version(id) + bump, "{id}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 20, "only {checked} plain between-leaf moves");
+    }
+
     #[test]
     fn randomized_incremental_equals_fresh_build() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -426,7 +553,6 @@ mod tests {
 
     #[test]
     fn churn_batches_match_fresh_builds() {
-        use lbs_model::UserUpdate;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
         let side = 64;
@@ -472,7 +598,6 @@ mod tests {
 
     #[test]
     fn invalid_churn_batches_are_atomic() {
-        use lbs_model::UserUpdate;
         let db = db(&[(1, 1), (2, 2), (6, 6)]);
         let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, 8), 2);
         let mut tree = SpatialTree::build(&db, cfg).unwrap();
