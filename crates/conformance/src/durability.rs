@@ -518,7 +518,8 @@ pub struct LifeLog {
 
 impl LifeLog {
     fn died(&mut self, e: &RuntimeError) {
-        if matches!(e, RuntimeError::StorageExhausted { .. }) {
+        // A sharded life dies of a shard's error wrapped in the shard's name.
+        if matches!(e.inner(), RuntimeError::StorageExhausted { .. }) {
             self.sheds += 1;
         } else {
             self.loud += 1;

@@ -32,7 +32,7 @@ use lbs_core::{bulk_dp_fast, bulk_dp_fast_quad, Anonymizer, IncrementalAnonymize
 use lbs_geom::{Point, Rect};
 use lbs_metrics::{Counter, Metrics};
 use lbs_model::{
-    AnonymizedRequest, BulkPolicy, LocationDb, RequestId, RequestParams, UserId, UserUpdate,
+    AnonymizedRequest, BulkPolicy, LocationDb, Move, RequestId, RequestParams, UserId, UserUpdate,
 };
 use lbs_parallel::{anonymize_work_stealing, EngineConfig};
 use lbs_query::{CloakedLbs, Poi, PoiId, PoiStore};
@@ -351,6 +351,10 @@ const WORK_USERS: usize = 6_000;
 /// The corpus pins two, so the parallel refresh plan is exercised.
 const WORK_WORKERS: usize = 2;
 
+/// Draws an incremental work batch may take to move a user out of its
+/// leaf (see `incremental_work`).
+const INCREMENTAL_DRAWS: u64 = 64;
+
 /// The work family for `master`, at `workers` workers: bulk at k ∈
 /// {10, 50}, incremental batches of m ∈ {1, 64, 4096} moves, 16
 /// jurisdictions on the engine, a two-shard service under churn (fresh
@@ -416,6 +420,12 @@ fn bulk_work(master: u64, k: usize) -> Result<GoldenRecord, String> {
 /// Two batched incremental commits of exactly `m` moves each (≤ 200 m,
 /// distinct users), each followed by an incremental extraction; the
 /// refresh and extraction reports are summed over both.
+///
+/// Each batch moves at least one user out of its leaf. A move inside
+/// its leaf dirties nothing, so a batch of only such moves measures no
+/// work at all, while DESIGN §13's per-move cost curve starts at one
+/// between-leaf move. Such a batch is redrawn from the next stream
+/// (`2 + batch + 2·draw`); in the corpus only m = 1 needs it.
 fn incremental_work(master: u64, m: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, format!("work_incremental-m{m}"));
     let k = 10;
@@ -427,7 +437,14 @@ fn incremental_work(master: u64, m: usize) -> Result<GoldenRecord, String> {
     let mut values = Values::new();
     let mut add = |name: &str, n: usize| *values.entry(name.to_string()).or_insert(0) += n as u128;
     for batch in 0..2 {
-        let moves = random_moves(&db, &map, fraction, 200.0, derive_seed(seed, 2 + batch));
+        let tree = inc.tree();
+        let changes_leaf = |mv: &Move| tree.leaf_of_user(mv.user) != tree.leaf_containing(&mv.to);
+        let moves = (0..INCREMENTAL_DRAWS)
+            .map(|draw| {
+                random_moves(&db, &map, fraction, 200.0, derive_seed(seed, 2 + batch + 2 * draw))
+            })
+            .find(|moves| moves.iter().any(changes_leaf))
+            .ok_or_else(|| format!("{id}: batch {batch} never leaves a leaf"))?;
         if moves.len() != m {
             return Err(format!("{id}: batch {batch} has {} moves", moves.len()));
         }

@@ -22,12 +22,17 @@
 //!   `Dp` timer running inside a `TreeBuild` timer attributes its span to
 //!   both stages (wall-clock inclusion, like a sampling profiler's
 //!   inclusive time).
+//! * **Critical-path fork-joins.** Branches that run at once record into
+//!   private [`Branch`] sinks, folded back by [`Metrics::absorb_branches`]:
+//!   counts add up, stage time is the slowest branch's, so a caller's
+//!   span still contains the stage time recorded under it.
 
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Monotonic event counters maintained by the engine.
@@ -212,6 +217,11 @@ impl Counter {
 }
 
 /// Pipeline stages whose wall-clock time the engine attributes.
+///
+/// Under a fork-join folded by [`Metrics::absorb_branches`] (a sharded
+/// pump commits its shards at once), a stage's call count sums over
+/// every branch but its time is the slowest branch's: the critical path
+/// the caller waited on, not the CPU time of all branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Spatial tree construction (lazy or eager materialization).
@@ -403,6 +413,53 @@ impl Metrics {
             }
         }
     }
+
+    /// Folds the sinks of a fork-join's branches into this sink. Counters
+    /// and stage call counts add up over every branch. Stage *durations*
+    /// come from the slowest branch only: the branches ran at once, so
+    /// the caller waited for the slowest, and a sum would lay more stage
+    /// time under the caller's span than the span itself lasted.
+    pub fn absorb_branches(&self, branches: &[Branch]) {
+        for branch in branches {
+            for (total, part) in self.counters.iter().zip(&branch.sink.counters) {
+                total.fetch_add(part.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            for (total, part) in self.stage_calls.iter().zip(&branch.sink.stage_calls) {
+                total.fetch_add(part.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+        if let Some(slowest) = branches.iter().max_by_key(|b| b.wall) {
+            for (total, part) in self.stage_nanos.iter().zip(&slowest.sink.stage_nanos) {
+                total.fetch_add(part.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// One branch of a fork-join: a private sink the branch's code records
+/// into, and the branch's wall time, for [`Metrics::absorb_branches`].
+#[derive(Debug)]
+pub struct Branch {
+    sink: Arc<Metrics>,
+    started: Instant,
+    wall: Duration,
+}
+
+impl Branch {
+    /// A zeroed sink; the branch's wall clock starts now.
+    pub fn start() -> Self {
+        Branch { sink: Arc::new(Metrics::new()), started: Instant::now(), wall: Duration::ZERO }
+    }
+
+    /// The sink to hand to the code the branch runs.
+    pub fn sink(&self) -> &Arc<Metrics> {
+        &self.sink
+    }
+
+    /// Stops the branch's wall clock.
+    pub fn stop(&mut self) {
+        self.wall = self.started.elapsed();
+    }
 }
 
 /// Median and 95th-percentile of a set of nanosecond samples: the
@@ -591,6 +648,32 @@ mod tests {
         assert_eq!(m.get(Counter::RequestsServed), 40_000);
         assert_eq!(m.stage_calls(Stage::Serve), 4);
         assert_eq!(m.stage_total(Stage::Serve), Duration::from_nanos(40));
+    }
+
+    #[test]
+    fn branches_add_counts_and_keep_the_slowest_branchs_time() {
+        let total = Metrics::new();
+        total.record(Stage::Commit, Duration::from_nanos(7));
+        let mut fast = Branch::start();
+        fast.sink().incr(Counter::ShardCommits);
+        fast.sink().record(Stage::Commit, Duration::from_nanos(900));
+        fast.stop();
+        let mut slow = Branch::start();
+        slow.sink().incr(Counter::ShardCommits);
+        slow.sink().record(Stage::Commit, Duration::from_nanos(500));
+        slow.sink().record(Stage::WalAppend, Duration::from_nanos(40));
+        std::thread::sleep(Duration::from_millis(2));
+        slow.stop();
+        total.absorb_branches(&[fast, slow]);
+        assert_eq!(total.get(Counter::ShardCommits), 2);
+        assert_eq!(total.stage_calls(Stage::Commit), 3);
+        assert_eq!(total.stage_calls(Stage::WalAppend), 1);
+        // Durations are the slowest branch's by wall time, not the one
+        // with the most recorded stage time.
+        assert_eq!(total.stage_total(Stage::Commit), Duration::from_nanos(507));
+        assert_eq!(total.stage_total(Stage::WalAppend), Duration::from_nanos(40));
+        total.absorb_branches(&[]);
+        assert_eq!(total.stage_calls(Stage::Commit), 3);
     }
 
     #[test]

@@ -80,15 +80,34 @@ pub enum RuntimeError {
         /// The file that could not be written.
         path: PathBuf,
     },
+    /// One shard's step of a sharded fan-out (a pump, epoch commit or
+    /// drain commits every up shard at once) failed. When several shards
+    /// fail, this names the first in ring order; every other shard's
+    /// work is accounted before it is returned.
+    Shard {
+        /// The failing shard.
+        shard: usize,
+        /// What went wrong on it.
+        source: Box<RuntimeError>,
+    },
 }
 
 impl RuntimeError {
+    /// The error itself, or the one a [`Shard`](RuntimeError::Shard)
+    /// wrapper carries: what classifies it.
+    pub fn inner(&self) -> &RuntimeError {
+        match self {
+            RuntimeError::Shard { source, .. } => source.inner(),
+            other => other,
+        }
+    }
+
     /// Whether a retry with backoff could plausibly succeed: injected
     /// faults and worker panics are transient; corruption, deadline
     /// expiry, and validation failures are not.
     pub fn is_transient(&self) -> bool {
         matches!(
-            self,
+            self.inner(),
             RuntimeError::FaultInjected(_)
                 | RuntimeError::Core(CoreError::WorkerPanic(_))
                 | RuntimeError::Core(CoreError::StaleMatrix(_))
@@ -100,7 +119,7 @@ impl RuntimeError {
     /// [`StorageExhausted`](RuntimeError::StorageExhausted)).
     pub fn is_storage_full(&self) -> bool {
         matches!(
-            self,
+            self.inner(),
             RuntimeError::Io { message, .. }
                 if message.contains("ENOSPC") || message.contains("No space left")
         )
@@ -151,11 +170,19 @@ impl std::fmt::Display for RuntimeError {
                     path.display()
                 )
             }
+            RuntimeError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
         }
     }
 }
 
-impl std::error::Error for RuntimeError {}
+impl std::error::Error for RuntimeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuntimeError::Shard { source, .. } => Some(source.as_ref()),
+            _ => None,
+        }
+    }
+}
 
 impl From<CoreError> for RuntimeError {
     fn from(e: CoreError) -> Self {
@@ -166,5 +193,26 @@ impl From<CoreError> for RuntimeError {
 impl From<ModelError> for RuntimeError {
     fn from(e: ModelError) -> Self {
         RuntimeError::Model(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shard_wrapper_classifies_as_its_source() {
+        let wrap = |e: RuntimeError| RuntimeError::Shard { shard: 2, source: Box::new(e) };
+        let transient = wrap(RuntimeError::FaultInjected("commit".into()));
+        assert!(transient.is_transient());
+        assert_eq!(transient.inner(), &RuntimeError::FaultInjected("commit".into()));
+        let full = wrap(io_err(
+            "append",
+            Path::new("wal.log"),
+            std::io::Error::new(std::io::ErrorKind::StorageFull, "No space left on device"),
+        ));
+        assert!(full.is_storage_full() && !full.is_transient());
+        assert!(full.to_string().starts_with("shard 2: append failed"), "{full}");
+        assert!(std::error::Error::source(&full).is_some());
     }
 }

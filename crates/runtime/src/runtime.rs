@@ -439,6 +439,12 @@ impl ServiceRuntime {
         }
     }
 
+    /// Replaces the metrics sink, returning the old one: a sharded
+    /// fan-out hands each shard a private branch sink for one step.
+    pub(crate) fn swap_metrics(&mut self, sink: Option<Arc<Metrics>>) -> Option<Arc<Metrics>> {
+        std::mem::replace(&mut self.metrics, sink)
+    }
+
     /// Durably ingests one churn batch: validate → WAL append+sync → apply
     /// to the database and tree, deferring all DP work to the next commit.
     /// Returns the batch's WAL sequence number.

@@ -10,14 +10,25 @@
 //!
 //! **Epoch pipelining.** The batcher decouples durable ingestion (a WAL
 //! append, cheap) from commit (the DP refresh, expensive). One
-//! [`pump`](ShardedRuntime::pump) cycle walks the shard ring in rotating
-//! order and, per shard, first commits the *previously* staged epoch,
-//! then durably stages the new batch's slice. While shard i runs its DP
-//! commit for epoch e, every shard before it in the ring has already
-//! replayed (staged) epoch e+1 into its WAL and database — the pipeline
-//! overlap of "shard A commits epoch e while shard B replays e+1",
-//! sequenced deterministically so the same input stream always produces
-//! the same bytes on every shard.
+//! [`pump`](ShardedRuntime::pump) cycle gives every up shard one step:
+//! commit the *previously* staged epoch, then durably stage the new
+//! batch's slice. Epoch e commits while epoch e+1 is logged, so the
+//! pipeline is always one epoch deep.
+//!
+//! **Concurrent shards.** The shards share nothing, so a cycle runs
+//! their steps at once — the paper's §V argument that jurisdictions are
+//! embarrassingly parallel. The lowest up shard runs on the caller's
+//! thread and every other up shard on a scoped thread of its own. The
+//! assignment is fixed by shard index, never by ring head or stealing:
+//! a shard that hopped threads would scatter its allocations over
+//! several malloc arenas and grow the resident set. After the join the
+//! steps are settled in ring order (the head rotates each cycle):
+//! backlog gauges, residence, the [`PumpReport`], and the first error,
+//! which names its shard ([`RuntimeError::Shard`]). The same input
+//! stream therefore produces the same bytes on every shard, and the
+//! same report, at any thread timing. [`commit_epoch`](ShardedRuntime::commit_epoch)
+//! and [`drain`](ShardedRuntime::drain) are the same fan-out without a
+//! batch.
 //!
 //! **Admission control.** Staged-but-uncommitted updates are bounded per
 //! shard: when an [`ingest`](ShardedRuntime::ingest) would push a shard's
@@ -32,8 +43,9 @@ use crate::router::{merge_policies, ShardPlan};
 use crate::runtime::{RecoveryReport, RuntimeBuilder, RuntimeConfig, ServiceRuntime};
 use crate::scrub::{GcReport, ScrubReport};
 use crate::storage::{real_fs, StorageBackend};
+use lbs_core::CoreError;
 use lbs_geom::{Point, Rect, Region};
-use lbs_metrics::{Counter, Metrics};
+use lbs_metrics::{Branch, Counter, Metrics};
 use lbs_model::{BulkPolicy, LocationDb, UserId, UserUpdate};
 use lbs_parallel::FaultPlan;
 use std::collections::BTreeMap;
@@ -463,26 +475,110 @@ impl ShardedRuntime {
     /// Commits one shard's staged epoch, tolerating an
     /// insufficient-population failure (the shard keeps serving degraded
     /// and retries at the next cycle). Returns whether a commit happened.
-    // lbs-lint: allow-item(panic-reachability, reason = "up_shard bounds-checks the index before staged[shard] is touched, and staged is sized to slots.len() at construction")
     fn commit_shard(&mut self, shard: usize) -> Result<bool, RuntimeError> {
-        let rt = self.up_shard(shard)?;
-        if rt.committed_seq() == rt.durable_seq() {
-            // A serve may have freshened the shard since the last cycle
-            // (cloak_for commits staged work to answer on the fresh rung).
-            self.staged[shard] = 0;
-            return Ok(false);
-        }
-        match rt.commit() {
-            Ok(_) => {
-                self.staged[shard] = 0;
-                self.incr(Counter::ShardCommits);
-                Ok(true)
+        let step = Step::run(self.up_shard(shard)?, true, &[]);
+        self.settle(shard, step, &[])
+    }
+
+    /// Books one shard's [`Step`] on the fleet's side: the backlog gauge,
+    /// the residence index and the shard-commit counter. Returns whether
+    /// the shard published a commit, or the step's error.
+    fn settle(
+        &mut self,
+        shard: usize,
+        step: Step,
+        slice: &[UserUpdate],
+    ) -> Result<bool, RuntimeError> {
+        let published = step.commit == Some(Commit::Published);
+        if let Some(staged) = self.staged.get_mut(shard) {
+            if matches!(step.commit, Some(Commit::Published | Commit::UpToDate)) {
+                *staged = 0;
             }
-            Err(RuntimeError::Core(lbs_core::CoreError::InsufficientPopulation { .. })) => {
-                Ok(false)
+            if step.staged {
+                *staged += slice.len();
             }
-            Err(e) => Err(e),
         }
+        if published {
+            self.incr(Counter::ShardCommits);
+        }
+        if step.staged {
+            self.apply_residence(shard, slice);
+        }
+        step.error.map_or(Ok(published), Err)
+    }
+
+    /// Runs [`Step::run`] on every up shard at once, shard i staging
+    /// `slices[i]` (none past the end). The lowest up shard runs on the
+    /// caller and every other up shard on a scoped thread of its own (see
+    /// the module doc). With metrics attached, each shard records into a
+    /// private [`Branch`] sink, folded back after the join: counts from
+    /// every shard, stage time from the slowest.
+    ///
+    /// The steps are then settled in ring order. Every shard's work is
+    /// accounted before the first failure in ring order is returned as
+    /// [`RuntimeError::Shard`].
+    fn fan_out(
+        &mut self,
+        tolerant: bool,
+        slices: &[Vec<UserUpdate>],
+    ) -> Result<FanOut, RuntimeError> {
+        let was_staged: Vec<bool> = self.staged.iter().map(|&n| n > 0).collect();
+        let metered = self.builder.metrics.is_some();
+        let run = |(shard, rt, slice): (usize, &mut ServiceRuntime, &[UserUpdate])| {
+            let mut branch = metered.then(Branch::start);
+            let shared = branch.as_ref().map(|b| rt.swap_metrics(Some(Arc::clone(b.sink()))));
+            let step = Step::run(rt, tolerant, slice);
+            if let Some(shared) = shared {
+                rt.swap_metrics(shared);
+            }
+            if let Some(b) = branch.as_mut() {
+                b.stop();
+            }
+            (shard, step, branch)
+        };
+        let mut jobs = self.slots.iter_mut().enumerate().filter_map(|(i, slot)| {
+            slot.as_mut().map(|rt| (i, rt, slices.get(i).map_or(&[][..], Vec::as_slice)))
+        });
+        let mut done = std::thread::scope(|scope| {
+            let inline = jobs.next();
+            let spawned: Vec<_> = jobs.map(|job| scope.spawn(move || run(job))).collect();
+            let mut done: Vec<_> = inline.map(run).into_iter().collect();
+            for handle in spawned {
+                match handle.join() {
+                    Ok(outcome) => done.push(outcome),
+                    // A panic is a bug, not a shard fault: it propagates
+                    // exactly as it would have on the caller's thread.
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
+        });
+        if let Some(m) = self.builder.metrics.as_deref() {
+            let branches: Vec<Branch> = done.iter_mut().filter_map(|(_, _, b)| b.take()).collect();
+            m.absorb_branches(&branches);
+        }
+        let n = self.slots.len().max(1);
+        let head = self.epoch as usize % n;
+        done.sort_by_key(|&(shard, ..)| (shard + n - head) % n);
+        let mut out = FanOut::default();
+        let mut first_error = None;
+        for (shard, step, _) in done {
+            let slice = slices.get(shard).map_or(&[][..], Vec::as_slice);
+            let staged = step.staged;
+            match self.settle(shard, step, slice) {
+                Ok(true) => out.published += 1,
+                Ok(false) if was_staged.get(shard) == Some(&true) => out.degraded.push(shard),
+                Ok(false) => {}
+                Err(e) => {
+                    first_error.get_or_insert(RuntimeError::Shard { shard, source: Box::new(e) });
+                }
+            }
+            if staged {
+                out.staged += slice.len();
+            }
+        }
+        out.degraded.sort_unstable();
+        first_error.map_or(Ok(out), Err)
     }
 
     /// Durably stages one churn batch: route, migrate cross-shard moves,
@@ -527,19 +623,21 @@ impl ShardedRuntime {
         Ok(report)
     }
 
-    /// One epoch-pipelined cycle: walk the shard ring in rotating order;
-    /// per shard, commit the previously staged epoch, then durably stage
-    /// the new batch's slice. After the call every shard holds epoch
-    /// `e+1` staged and epoch `e` committed — the pipeline is always one
-    /// epoch deep, so recovery replay is bounded by one batch plus the
-    /// checkpoint cadence.
+    /// One epoch-pipelined cycle: every up shard, at once, commits its
+    /// previously staged epoch, then durably stages the new batch's
+    /// slice. After the call every shard holds epoch `e+1` staged and
+    /// epoch `e` committed — the pipeline is always one epoch deep, so
+    /// recovery replay is bounded by one batch plus the checkpoint
+    /// cadence.
     ///
     /// # Errors
-    /// Routing failures, a touched shard being down, or I/O/DP errors.
-    // lbs-lint: allow-item(panic-reachability, reason = "per_shard, slots, and staged are all sized to plan.len(), and the ring index i = (step + epoch) % n stays below n = plan.len() by the modulus")
+    /// Routing failures or a touched shard being down, before any side
+    /// effect. A shard's I/O or DP failure is [`RuntimeError::Shard`],
+    /// naming the first failing shard in ring order; every other shard
+    /// has then committed and staged its slice.
+    // lbs-lint: allow-item(panic-reachability, reason = "split_updates returns per_shard sized to plan.len(), and slots is sized to plan.len() at construction, so every enumerate() index i is in bounds for both")
     pub fn pump(&mut self, updates: &[UserUpdate]) -> Result<PumpReport, RuntimeError> {
         let split = self.plan.split_updates(&self.residence, updates)?;
-        let mut report = PumpReport { migrations: split.migrations, ..Default::default() };
         if split.migrations > 0 {
             if let Some(m) = self.builder.metrics.as_deref() {
                 m.add(Counter::CrossShardMigrations, split.migrations);
@@ -550,51 +648,27 @@ impl ShardedRuntime {
                 return Err(RuntimeError::ShardDown { shard: i });
             }
         }
-        let n = self.plan.len();
-        for step in 0..n {
-            // Rotate the ring head so no shard is permanently the last to
-            // commit its epoch.
-            let i = (step + self.epoch as usize) % n;
-            if self.slots[i].is_none() {
-                // A crashed shard neither commits nor stages this cycle;
-                // its slice was verified empty above.
-                continue;
-            }
-            let was_staged = self.staged[i] > 0;
-            if self.commit_shard(i)? {
-                report.committed_shards += 1;
-            } else if was_staged {
-                report.degraded_shards.push(i);
-            }
-            let slice = &split.per_shard[i];
-            if !slice.is_empty() {
-                self.up_shard(i)?.apply_batch(slice)?;
-                self.staged[i] += slice.len();
-                self.apply_residence(i, slice);
-                report.staged += slice.len();
-            }
-        }
-        report.degraded_shards.sort_unstable();
+        // A crashed shard neither commits nor stages this cycle; its
+        // slice was verified empty above.
+        let done = self.fan_out(true, &split.per_shard)?;
         self.epoch += 1;
-        Ok(report)
+        Ok(PumpReport {
+            committed_shards: done.published,
+            staged: done.staged,
+            migrations: split.migrations,
+            degraded_shards: done.degraded,
+        })
     }
 
-    /// Commits every up shard's staged epoch (ring order). Returns how
-    /// many shards published a new policy epoch.
+    /// Commits every up shard's staged epoch, at once. Returns how many
+    /// shards published a new policy epoch.
     ///
     /// # Errors
-    /// Non-degradable commit failures.
+    /// Non-degradable commit failures, as [`RuntimeError::Shard`].
     pub fn commit_epoch(&mut self) -> Result<usize, RuntimeError> {
-        let n = self.plan.len();
-        let mut committed = 0;
-        for step in 0..n {
-            let i = (step + self.epoch as usize) % n;
-            if self.slots[i].is_some() && self.commit_shard(i)? {
-                committed += 1;
-            }
-        }
+        let done = self.fan_out(true, &[])?;
         self.epoch += 1;
-        Ok(committed)
+        Ok(done.published)
     }
 
     /// Serves one cloak request: route by residence, then the owning
@@ -674,31 +748,15 @@ impl ShardedRuntime {
     /// sequence equals its durable sequence. Returns commits performed.
     ///
     /// # Errors
-    /// Non-degradable commit failures; a shard stuck below population k
-    /// surfaces as `InsufficientPopulation` after the retry.
+    /// Non-degradable commit failures, as [`RuntimeError::Shard`]. A
+    /// drain bypasses the degradation tolerance, so a shard stuck below
+    /// population k surfaces `InsufficientPopulation` after the retry.
     pub fn drain(&mut self) -> Result<usize, RuntimeError> {
-        let mut total = 0;
-        for i in 0..self.plan.len() {
-            if self.slots[i].is_none() {
-                continue;
-            }
-            let behind = {
-                let rt = self.slots[i].as_ref().map(|r| (r.committed_seq(), r.durable_seq()));
-                matches!(rt, Some((c, d)) if c != d)
-            };
-            if behind {
-                // Bypass the degradation tolerance: a drain must settle.
-                let rt = self.up_shard(i)?;
-                rt.commit()?;
-                self.staged[i] = 0;
-                self.incr(Counter::ShardCommits);
-                total += 1;
-            }
-        }
-        if total > 0 {
+        let done = self.fan_out(false, &[])?;
+        if done.published > 0 {
             self.epoch += 1;
         }
-        Ok(total)
+        Ok(done.published)
     }
 
     /// The merged committed policy over every up shard (disjoint user
@@ -773,6 +831,64 @@ impl ShardedRuntime {
     pub fn staged_on(&self, shard: usize) -> usize {
         self.staged.get(shard).copied().unwrap_or(0)
     }
+}
+
+/// How one shard's commit went in a [`Step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// Nothing was staged since the last commit.
+    UpToDate,
+    /// A new policy epoch was published.
+    Published,
+    /// The population is below k: the shard keeps serving degraded and
+    /// its staged rows wait for a later attempt.
+    Degraded,
+}
+
+/// One shard's share of a cycle: commit the staged epoch, then durably
+/// stage a slice. A failed commit stages nothing.
+#[derive(Debug)]
+struct Step {
+    /// The commit's outcome; `None` when it failed.
+    commit: Option<Commit>,
+    /// Whether the slice was durably staged.
+    staged: bool,
+    /// The failure that ended the step.
+    error: Option<RuntimeError>,
+}
+
+impl Step {
+    /// Runs one shard's step. `tolerant` turns a population below k into
+    /// [`Commit::Degraded`] instead of a failure.
+    fn run(rt: &mut ServiceRuntime, tolerant: bool, slice: &[UserUpdate]) -> Step {
+        let commit = if rt.committed_seq() == rt.durable_seq() {
+            // A serve may have freshened the shard since the last cycle
+            // (cloak_for commits staged work to answer on the fresh rung).
+            Commit::UpToDate
+        } else {
+            match rt.commit() {
+                Ok(_) => Commit::Published,
+                Err(RuntimeError::Core(CoreError::InsufficientPopulation { .. })) if tolerant => {
+                    Commit::Degraded
+                }
+                Err(e) => return Step { commit: None, staged: false, error: Some(e) },
+            }
+        };
+        let error = if slice.is_empty() { None } else { rt.apply_batch(slice).err() };
+        Step { commit: Some(commit), staged: !slice.is_empty() && error.is_none(), error }
+    }
+}
+
+/// What a fan-out did across the fleet.
+#[derive(Debug, Default)]
+struct FanOut {
+    /// Shards that published a commit.
+    published: usize,
+    /// Shards that held staged rows but published nothing (population
+    /// below k), ascending.
+    degraded: Vec<usize>,
+    /// Updates durably staged.
+    staged: usize,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
@@ -977,30 +1093,183 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn single_shard_pump_matches_plain_runtime() {
-        let dir = tmp_dir("single");
-        let db = seeded_db(17, 80);
-        let mut sharded = builder(1).create(&dir.join("sharded"), &db).unwrap();
-        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        let mut plain = RuntimeBuilder::new(RuntimeConfig::new(4, Rect::square(0, 0, SIDE)))
-            .clock(clock)
-            .create(&dir.join("plain"), &db)
+    /// Every file under `dir`, by name.
+    fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                (
+                    path.file_name().unwrap().to_string_lossy().into_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Drives a fleet through seeded pumps and drains while a plain
+    /// runtime per shard is fed that shard's slices, and asserts every
+    /// shard ends byte-identical to its plain twin: committed policy,
+    /// WAL and checkpoint files. The ring head rotates every cycle, so
+    /// at 3 shards each shard settles first, middle and last in turn.
+    fn assert_shards_match_plain_runtimes(tag: &str, shards: usize, refresh_workers: usize) {
+        let dir = tmp_dir(tag);
+        let db = seeded_db(17, 160);
+        let mut cfg = ShardedConfig::new(4, Rect::square(0, 0, SIDE), shards);
+        cfg.checkpoint_every = 2;
+        cfg.refresh_workers = refresh_workers;
+        let mut sharded = ShardedBuilder::new(cfg)
+            .clock(Arc::new(ManualClock::new()))
+            .create(&dir.join("sharded"), &db)
             .unwrap();
+        assert_eq!(sharded.shard_count(), shards);
+        let regions = sharded.plan().regions.clone();
+        let plain_dir = |i: usize| dir.join(format!("plain-{i}"));
+        let mut plain: Vec<ServiceRuntime> = regions
+            .iter()
+            .enumerate()
+            .map(|(i, region)| {
+                let rows: Vec<_> = db.iter().filter(|(_, p)| region.contains(p)).collect();
+                RuntimeBuilder::new(cfg.runtime_config(*region))
+                    .clock(Arc::new(ManualClock::new()))
+                    .create(&plain_dir(i), &LocationDb::from_rows(rows).unwrap())
+                    .unwrap()
+            })
+            .collect();
+        // What one cycle does to a shard: commit what is staged, then
+        // stage the slice.
+        let step = |rt: &mut ServiceRuntime, slice: &[UserUpdate]| {
+            if rt.committed_seq() != rt.durable_seq() {
+                rt.commit().unwrap();
+            }
+            if !slice.is_empty() {
+                rt.apply_batch(slice).unwrap();
+            }
+        };
         let mut mirror = db.clone();
-        for round in 0..5u64 {
-            let batch = moves(&mirror, 23, round, 5);
+        for round in 0..7u64 {
+            let batch = moves(&mirror, 23, round, 8);
             mirror.apply_updates(&batch).unwrap();
+            let split = sharded.plan().split_updates(sharded.residence(), &batch).unwrap();
             sharded.pump(&batch).unwrap();
-            plain.apply_batch(&batch).unwrap();
-            plain.commit().unwrap();
+            for (rt, slice) in plain.iter_mut().zip(&split.per_shard) {
+                step(rt, slice);
+            }
+            if round % 3 == 2 {
+                sharded.drain().unwrap();
+                plain.iter_mut().for_each(|rt| step(rt, &[]));
+            }
         }
         sharded.drain().unwrap();
+        plain.iter_mut().for_each(|rt| step(rt, &[]));
+        for (i, twin) in plain.iter().enumerate() {
+            let shard = sharded.shard(i).unwrap();
+            assert_eq!(
+                encode_policy(shard.committed_policy()),
+                encode_policy(twin.committed_policy()),
+                "shard {i}: committed policy differs from its plain twin"
+            );
+            assert_eq!(
+                dir_files(&sharded.shard_dir(i)),
+                dir_files(&plain_dir(i)),
+                "shard {i}: WAL or checkpoint files differ from its plain twin"
+            );
+        }
         assert_eq!(
-            encode_policy(&sharded.merged_policy()),
-            encode_policy(plain.committed_policy()),
-            "1-shard pipeline must be byte-identical to the plain runtime"
+            sharded.merged_db().unwrap().iter().collect::<Vec<_>>(),
+            mirror.iter().collect::<Vec<_>>()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_shard_pump_matches_plain_runtime() {
+        assert_shards_match_plain_runtimes("single", 1, 1);
+    }
+
+    #[test]
+    fn concurrent_shards_match_plain_runtimes() {
+        assert_shards_match_plain_runtimes("three", 3, 1);
+    }
+
+    /// `refresh_workers = 2` runs the engine's worker pool inside each
+    /// shard's scoped thread.
+    #[test]
+    fn concurrent_shards_with_refresh_workers_match_plain_runtimes() {
+        assert_shards_match_plain_runtimes("three-workers", 3, 2);
+    }
+
+    #[test]
+    fn a_failing_shard_is_named_and_the_rest_of_the_fleet_settles() {
+        let dir = tmp_dir("shard-fault");
+        let db = seeded_db(29, 96);
+        // Every attempt at shard 1's first commit (epoch 2) panics.
+        let mut rt =
+            builder(2).shard_faults(1, FaultPlan::new().panic_on(2, 99)).create(&dir, &db).unwrap();
+        let mut mirror = db.clone();
+        let first = moves(&mirror, 61, 0, 8);
+        mirror.apply_updates(&first).unwrap();
+        rt.pump(&first).unwrap();
+        assert!(rt.staged_on(0) > 0 && rt.staged_on(1) > 0, "both shards must stage");
+        let plan = rt.plan().clone();
+        let second: Vec<UserUpdate> = moves(&mirror, 61, 1, 24)
+            .into_iter()
+            .filter(|u| match u {
+                UserUpdate::Move(m) => {
+                    rt.shard_of(m.user) == Some(0) && plan.route_point(&m.to) == Some(0)
+                }
+                _ => false,
+            })
+            .collect();
+        assert!(!second.is_empty());
+        mirror.apply_updates(&second).unwrap();
+        let staged_on_one = rt.staged_on(1);
+        let seq0 = rt.shard(0).unwrap().durable_seq();
+
+        match rt.pump(&second) {
+            Err(RuntimeError::Shard { shard: 1, source }) => {
+                assert!(matches!(*source, RuntimeError::RetriesExhausted { .. }), "{source}");
+            }
+            other => panic!("a failing shard must be named, got {other:?}"),
+        }
+        // Shard 0 committed the first epoch and staged the second, and the
+        // fleet's books agree with its database.
+        let zero = rt.shard(0).unwrap();
+        assert_eq!(zero.committed_seq(), seq0);
+        assert_eq!(zero.durable_seq(), seq0 + 1);
+        assert_eq!(rt.staged_on(0), second.len());
+        assert!(zero.db().users().all(|user| rt.shard_of(user) == Some(0)));
+        // Shard 1 neither committed nor staged.
+        assert_eq!(rt.staged_on(1), staged_on_one);
+        assert_ne!(rt.shard(1).unwrap().committed_seq(), rt.shard(1).unwrap().durable_seq());
+        assert_eq!(
+            rt.merged_db().unwrap().iter().collect::<Vec<_>>(),
+            mirror.iter().collect::<Vec<_>>(),
+            "the fleet must hold exactly what it accepted"
+        );
+        // A drain fails the same way and names the same shard.
+        assert!(matches!(rt.drain(), Err(RuntimeError::Shard { shard: 1, .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn with_every_shard_failing_the_ring_head_is_named() {
+        let dir = tmp_dir("ring-fault");
+        let db = seeded_db(29, 96);
+        let panics = FaultPlan::new().panic_on(2, 99);
+        let mut rt = builder(2)
+            .shard_faults(0, panics.clone())
+            .shard_faults(1, panics)
+            .create(&dir, &db)
+            .unwrap();
+        rt.pump(&moves(&db, 61, 0, 8)).unwrap();
+        assert_eq!(rt.epoch(), 1);
+        // Epoch 1 puts shard 1 at the ring head; a failed cycle does not
+        // advance the epoch, so every retry names it too.
+        assert!(matches!(rt.pump(&[]), Err(RuntimeError::Shard { shard: 1, .. })));
+        assert!(matches!(rt.commit_epoch(), Err(RuntimeError::Shard { shard: 1, .. })));
+        assert!(matches!(rt.drain(), Err(RuntimeError::Shard { shard: 1, .. })));
+        assert_eq!(rt.epoch(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

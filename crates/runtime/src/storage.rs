@@ -444,7 +444,10 @@ impl FaultCore {
 /// A fault-injecting backend: [`RealFs`] semantics plus the failures of
 /// a [`DiskFaultPlan`], scheduled deterministically by operation
 /// counters. Cloning shares the counters, so a clone handed to a shard
-/// sees the same global schedule.
+/// sees the same global schedule. Shards of a sharded fleet step at
+/// once, so one plan shared by several of them counts their operations
+/// in thread order: aim a seeded plan at one shard
+/// ([`ShardedBuilder::shard_storage`](crate::ShardedBuilder::shard_storage)).
 #[derive(Debug, Clone)]
 pub struct FaultFs {
     inner: RealFs,

@@ -119,6 +119,16 @@ echo "== soak-smoke (budget: 90 s) =="
 # aggregate cost within the paper's 1% divergence bound of the
 # single-shard optimum. Same seed, same report; rerun directly with
 #   target/release/lbs soak
-timeout 90 target/release/lbs soak
+# The report's fingerprint is pinned too: a change that moves what the
+# soak serves (thread timing leaking into the shards, say) fails here
+# even when every other gate holds. Update the pin only with a change
+# that means to move it.
+SOAK_FINGERPRINT=0x9bcfc14898c3c19b
+soak_out=$(timeout 90 target/release/lbs soak) || { echo "$soak_out"; exit 1; }
+echo "$soak_out"
+if ! grep -q "fingerprint: $SOAK_FINGERPRINT\$" <<<"$soak_out"; then
+    echo "soak fingerprint drifted: expected $SOAK_FINGERPRINT" >&2
+    exit 1
+fi
 
 echo "CI OK"
