@@ -461,7 +461,8 @@ fn incremental_work(master: u64, m: usize) -> Result<GoldenRecord, String> {
     Ok(GoldenRecord { id, seed, values })
 }
 
-/// The §V pipeline: 16 jurisdictions anonymized on the work-stealing
+/// The §V pipeline: 16 jurisdictions chosen by the lazy partitioner
+/// (the rows its in-place passes scan), anonymized on the work-stealing
 /// engine, then merged.
 fn partitioned_work(master: u64, workers: usize) -> Result<GoldenRecord, String> {
     let (id, seed, db, map) = work_population(master, "work_partitioned-s16".to_string());
@@ -476,6 +477,7 @@ fn partitioned_work(master: u64, workers: usize) -> Result<GoldenRecord, String>
             Counter::UsersAnonymized,
             Counter::ExtractNodes,
             Counter::CloaksWritten,
+            Counter::PartitionRows,
         ],
     );
     Ok(GoldenRecord { id, seed, values })

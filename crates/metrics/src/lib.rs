@@ -128,11 +128,14 @@ pub enum Counter {
     /// groups of the users staged since the commit, once per derivation.
     /// Untouched groups cost nothing and are not counted.
     DegradedGroupsDerived,
+    /// Rows the tree-free jurisdiction partitioner's in-place passes
+    /// read: each cell it scans adds its population, once.
+    PartitionRows,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 35] = [
         Counter::TasksInjected,
         Counter::TasksExecuted,
         Counter::TasksStolen,
@@ -167,6 +170,7 @@ impl Counter {
         Counter::ExtractNodes,
         Counter::CloaksWritten,
         Counter::DegradedGroupsDerived,
+        Counter::PartitionRows,
     ];
 
     /// Stable snake_case name used in [`MetricsSnapshot`] keys.
@@ -206,6 +210,7 @@ impl Counter {
             Counter::ExtractNodes => "extract_nodes",
             Counter::CloaksWritten => "cloaks_written",
             Counter::DegradedGroupsDerived => "degraded_groups_derived",
+            Counter::PartitionRows => "partition_rows",
         }
     }
 

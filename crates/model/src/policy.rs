@@ -266,14 +266,37 @@ impl BulkPolicy {
     /// parts takes the last part's cloak, as repeated `assign` in part
     /// order would.
     ///
-    /// The parts' `(user, cloak id)` pairs, ids offset into the
-    /// concatenated cloak tables, take one stable LSD radix sort by user
-    /// straight into the merged columns, one pass per 11 bits of the span
-    /// of user ids present (two for a city's 21 bits); regions
-    /// repeated across parts are merged by hashing the table.
+    /// This is [`merge_in_ranges`](Self::merge_in_ranges) with one range,
+    /// run on the caller's thread.
     pub fn merge<'a>(
         name: impl Into<String>,
         parts: impl IntoIterator<Item = &'a BulkPolicy>,
+    ) -> BulkPolicy {
+        Self::merge_in_ranges(name, parts, 1)
+    }
+
+    /// [`merge`](Self::merge) with its sort cut into `ranges` user-id
+    /// ranges that run at once: the first on the caller, every other on
+    /// a scoped thread of its own. The result is the same for every
+    /// `ranges`.
+    ///
+    /// The parts' `(user, cloak id)` pairs, ids offset into the
+    /// concatenated cloak tables, are sorted by user with a stable LSD
+    /// radix sort: one pass per 11 bits of the span of user ids in a
+    /// range (two for a city's 21 bits). Every part's users are sorted,
+    /// so cutting the id span at `ranges - 1` evenly spaced ids is one
+    /// binary search per part and cut, and a repeated user never
+    /// straddles two ranges. Each range sorts its sub-slices of the
+    /// parts straight into its own chunk of the merged columns. The
+    /// caller allocates those columns and the sort's scratch buffer
+    /// before the threads start, so a thread allocates no more than its
+    /// digit counters. Dropping the earlier duplicates of a repeated user
+    /// and merging regions repeated across parts (by hashing the table)
+    /// stay single passes over the result.
+    pub fn merge_in_ranges<'a>(
+        name: impl Into<String>,
+        parts: impl IntoIterator<Item = &'a BulkPolicy>,
+        ranges: usize,
     ) -> BulkPolicy {
         let parts: Vec<&BulkPolicy> = parts.into_iter().collect();
         let mut cloaks: Vec<Region> = Vec::new();
@@ -282,15 +305,45 @@ impl BulkPolicy {
             offsets.push(cloaks.len() as u32);
             cloaks.extend_from_slice(&part.cloaks);
         }
-        let pairs = || {
-            parts.iter().zip(&offsets).flat_map(|(part, &offset)| {
-                part.users.iter().copied().zip(part.cloak_ids.iter().map(move |&id| offset + id))
-            })
-        };
-        let (mut users, mut cloak_ids) = radix_sort_by_user(pairs);
+        let sorts = range_sorts(&parts, &offsets, ranges.max(1));
+        let n: usize = sorts.iter().map(RangeSort::len).sum();
+        let buffered = sorts.iter().any(|sort| sort.passes() > 1);
+        // The buffer first: freed below the columns, it leaves a hole the
+        // next allocations reuse. Allocated after them, it sits on top of
+        // the heap, and a `partitioned_paper` step peaked ~36 MB higher.
+        let mut buffer = vec![(0u64, 0u32); if buffered { n } else { 0 }];
+        let (mut users, mut cloak_ids) = (vec![UserId(0); n], vec![0u32; n]);
+        let (mut users_rest, mut ids_rest, mut buffer_rest) =
+            (&mut users[..], &mut cloak_ids[..], &mut buffer[..]);
+        let mut jobs = Vec::with_capacity(sorts.len());
+        for sort in sorts {
+            let len = sort.len();
+            let u = split_front(&mut users_rest, len);
+            let i = split_front(&mut ids_rest, len);
+            let b = split_front(&mut buffer_rest, if sort.passes() > 1 { len } else { 0 });
+            jobs.push((sort, u, i, b));
+        }
+        std::thread::scope(|scope| {
+            let mut jobs = jobs.into_iter();
+            let inline = jobs.next();
+            let spawned: Vec<_> =
+                jobs.map(|(sort, u, i, b)| scope.spawn(move || sort.run(u, i, b))).collect();
+            if let Some((sort, u, i, b)) = inline {
+                sort.run(u, i, b);
+            }
+            for handle in spawned {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+        drop(buffer);
         // A repeated user's pairs sit in part order: keep the last id.
-        let mut len = 0;
-        for read in 0..users.len() {
+        // Everything before the first repeat stays where it is.
+        let kept =
+            users.windows(2).position(|w| w.first() == w.last()).map_or(users.len(), |at| at + 1);
+        let mut len = kept;
+        for read in kept..users.len() {
             let (Some(&user), Some(&id)) = (users.get(read), cloak_ids.get(read)) else { break };
             let repeat = len > 0 && users.get(len - 1) == Some(&user);
             let write = if repeat { len - 1 } else { len };
@@ -530,28 +583,107 @@ impl ColumnBuilder {
 /// population takes two passes.
 const RADIX_BITS: u32 = 11;
 
+/// One user-id range of a [`BulkPolicy::merge_in_ranges`]: every part's
+/// sub-slice of users (and cloak ids) in the range, in part order.
+#[derive(Debug)]
+struct RangeSort<'a> {
+    /// Per part: its users in the range, their cloak ids, and the
+    /// part's offset into the merged cloak table.
+    sources: Vec<(&'a [UserId], &'a [u32], u32)>,
+    /// The smallest and largest user in the range (`(u64::MAX, 0)` when
+    /// it is empty).
+    min: u64,
+    max: u64,
+}
+
+impl RangeSort<'_> {
+    fn len(&self) -> usize {
+        self.sources.iter().map(|(users, _, _)| users.len()).sum()
+    }
+
+    /// Radix passes the range's id span takes.
+    fn passes(&self) -> u32 {
+        let span = self.max.saturating_sub(self.min);
+        (u64::BITS - span.leading_zeros()).div_ceil(RADIX_BITS).max(1)
+    }
+
+    /// Sorts the range into `users` and `ids` (each [`len`](Self::len)
+    /// long), through `buffer` (as long, or empty for one pass).
+    fn run(self, users: &mut [UserId], ids: &mut [u32], buffer: &mut [(u64, u32)]) {
+        let pairs = || {
+            self.sources.iter().flat_map(|&(users, ids, offset)| {
+                users.iter().copied().zip(ids.iter().map(move |&id| offset + id))
+            })
+        };
+        radix_sort_by_user(pairs, self.min, self.passes(), users, ids, buffer);
+    }
+}
+
+/// Cuts the parts' pairs into `ranges` user-id ranges: the span between
+/// the smallest and largest user present, cut at `ranges - 1` evenly
+/// spaced ids. Every range's users are above every earlier range's, so
+/// the ranges' sorted chunks, laid end to end, are the whole sort.
+fn range_sorts<'a>(parts: &[&'a BulkPolicy], offsets: &[u32], ranges: usize) -> Vec<RangeSort<'a>> {
+    let lo = parts.iter().filter_map(|p| p.users.first()).map(|u| u.0).min().unwrap_or(0);
+    let hi = parts.iter().filter_map(|p| p.users.last()).map(|u| u.0).max().unwrap_or(0);
+    let width = u128::from(hi.saturating_sub(lo)) + 1;
+    // Range r holds the users in [cuts[r], cuts[r + 1]).
+    let cuts: Vec<u64> =
+        (1..ranges).map(|r| lo + (width * r as u128 / ranges as u128) as u64).collect();
+    let mut sorts: Vec<RangeSort<'a>> = (0..ranges)
+        .map(|_| RangeSort { sources: Vec::with_capacity(parts.len()), min: u64::MAX, max: 0 })
+        .collect();
+    for (part, &offset) in parts.iter().zip(offsets) {
+        let mut start = 0;
+        for (r, sort) in sorts.iter_mut().enumerate() {
+            let end = cuts
+                .get(r)
+                .map_or(part.users.len(), |&cut| part.users.partition_point(|u| u.0 < cut));
+            let users = part.users.get(start..end).unwrap_or_default();
+            let ids = part.cloak_ids.get(start..end).unwrap_or_default();
+            if let (Some(first), Some(last)) = (users.first(), users.last()) {
+                sort.min = sort.min.min(first.0);
+                sort.max = sort.max.max(last.0);
+                sort.sources.push((users, ids, offset));
+            }
+            start = end;
+        }
+    }
+    sorts
+}
+
+/// Splits the first `len` items (at most all) off `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let all = std::mem::take(rest);
+    let (front, back) = all.split_at_mut_checked(len.min(all.len())).unwrap_or_default();
+    *rest = back;
+    front
+}
+
 /// Sorts the `(user, cloak id)` pairs `pairs()` yields by user, stably,
-/// into two columns: one LSD radix pass per [`RADIX_BITS`] of the span
-/// between the smallest and largest user present, so it is exact for
-/// any ids and costs two passes on a city's. One read counts every
-/// pass's digits, the first pass reads `pairs()` again, and the last
-/// writes the columns, so two passes hold one 16-byte pair buffer at a
-/// time.
-fn radix_sort_by_user<I>(pairs: impl Fn() -> I) -> (Vec<UserId>, Vec<u32>)
-where
+/// into `users` and `ids`: one LSD radix pass per [`RADIX_BITS`] of user
+/// id above `min`, `passes` of them, so it is exact for any ids and
+/// costs two passes on a city's. One read counts every pass's digits;
+/// the first pass reads `pairs()` again, and the passes alternate
+/// between `buffer` and the columns so that the last one writes the
+/// columns. `users` and `ids` hold exactly the pairs' count; `buffer`
+/// as many, unless `passes` is 1.
+fn radix_sort_by_user<I>(
+    pairs: impl Fn() -> I,
+    min: u64,
+    passes: u32,
+    users: &mut [UserId],
+    ids: &mut [u32],
+    buffer: &mut [(u64, u32)],
+) where
     I: Iterator<Item = (UserId, u32)>,
 {
     const MASK: u64 = (1 << RADIX_BITS) - 1;
-    let (n, min, max) =
-        pairs().fold((0, u64::MAX, 0), |(n, lo, hi), (u, _)| (n + 1, lo.min(u.0), hi.max(u.0)));
-    let span = max.saturating_sub(min);
-    let passes = (u64::BITS - span.leading_zeros()).div_ceil(RADIX_BITS).max(1);
-    let digit =
-        move |user: UserId, pass: u32| ((user.0 - min) >> (pass * RADIX_BITS) & MASK) as usize;
+    let digit = move |user: u64, pass: u32| ((user - min) >> (pass * RADIX_BITS) & MASK) as usize;
     let mut starts = vec![[0usize; 1 << RADIX_BITS]; passes as usize];
     for (user, _) in pairs() {
         for (pass, counts) in (0..passes).zip(&mut starts) {
-            if let Some(c) = counts.get_mut(digit(user, pass)) {
+            if let Some(c) = counts.get_mut(digit(user.0, pass)) {
                 *c += 1;
             }
         }
@@ -562,45 +694,39 @@ where
             (*c, sum) = (sum, sum + *c);
         }
     }
-    let mut starts = starts.into_iter();
-    let mut next_start = || starts.next().unwrap_or([0; 1 << RADIX_BITS]);
-    // Every pass but the last scatters into a fresh pair buffer.
-    let mut buffer: Option<Vec<(UserId, u32)>> = None;
-    for pass in 0..passes - 1 {
-        let mut to = vec![(UserId(0), 0u32); n];
-        let put = |slot: usize, pair| {
-            if let Some(s) = to.get_mut(slot) {
+    for (pass, starts) in (0..passes).zip(starts) {
+        let at = |user: u64| digit(user, pass);
+        let put_columns = |slot: usize, (user, id): (u64, u32)| {
+            if let (Some(u), Some(i)) = (users.get_mut(slot), ids.get_mut(slot)) {
+                (*u, *i) = (UserId(user), id);
+            }
+        };
+        let put_buffer = |slot: usize, pair| {
+            if let Some(s) = buffer.get_mut(slot) {
                 *s = pair;
             }
         };
-        let at = |user| digit(user, pass);
-        match buffer {
-            None => scatter(pairs(), next_start(), at, put),
-            Some(from) => scatter(from.into_iter(), next_start(), at, put),
+        let first = || pairs().map(|(user, id)| (user.0, id));
+        // The last pass, and every second one before it, writes the columns.
+        match (pass, (passes - 1 - pass).is_multiple_of(2)) {
+            (0, true) => scatter(first(), starts, at, put_columns),
+            (0, false) => scatter(first(), starts, at, put_buffer),
+            (_, true) => scatter(buffer.iter().copied(), starts, at, put_columns),
+            (_, false) => {
+                let columns = users.iter().map(|u| u.0).zip(ids.iter().copied());
+                scatter(columns, starts, at, put_buffer);
+            }
         }
-        buffer = Some(to);
     }
-    let (mut users, mut ids) = (vec![UserId(0); n], vec![0u32; n]);
-    let put = |slot: usize, (user, id)| {
-        if let (Some(u), Some(i)) = (users.get_mut(slot), ids.get_mut(slot)) {
-            (*u, *i) = (user, id);
-        }
-    };
-    let at = |user| digit(user, passes - 1);
-    match buffer {
-        None => scatter(pairs(), next_start(), at, put),
-        Some(from) => scatter(from.into_iter(), next_start(), at, put),
-    }
-    (users, ids)
 }
 
 /// One counting-sort pass: each pair goes to the next free slot of its
 /// digit's bucket, buckets starting at `starts`.
 fn scatter(
-    pairs: impl Iterator<Item = (UserId, u32)>,
+    pairs: impl Iterator<Item = (u64, u32)>,
     mut starts: [usize; 1 << RADIX_BITS],
-    digit: impl Fn(UserId) -> usize,
-    mut put: impl FnMut(usize, (UserId, u32)),
+    digit: impl Fn(u64) -> usize,
+    mut put: impl FnMut(usize, (u64, u32)),
 ) {
     for pair in pairs {
         if let Some(slot) = starts.get_mut(digit(pair.0)) {

@@ -226,6 +226,61 @@ proptest! {
     }
 }
 
+/// User ids for [`merge_in_ranges_matches_the_model_at_every_range_count`]:
+/// 64 slots per case, so parts overlap, spread over a span that takes
+/// one radix pass (11 bits), two (21), three (33, also just below
+/// `u64::MAX`), or six (the whole of `u64`).
+fn spread_id(span: u8, slot: u64) -> UserId {
+    let slot = slot % 64;
+    UserId(match span {
+        0 => 5 + slot,
+        1 => 3 + slot * (1 << 15),
+        2 => slot << 27,
+        3 => u64::MAX - (slot << 27),
+        _ => slot * (u64::MAX / 63),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A merge cut into any number of user-id ranges writes the bytes of
+    /// the one-range merge and of the model, where the later part wins a
+    /// repeated user. Every case also merges an empty part and a one-user
+    /// part.
+    #[test]
+    fn merge_in_ranges_matches_the_model_at_every_range_count(
+        span in 0u8..5,
+        raw in proptest::collection::vec(
+            proptest::collection::vec((any::<u64>(), 0u8..20), 0..40),
+            0..6,
+        ),
+        lone in (any::<u64>(), 0u8..20),
+    ) {
+        let mut parts: Vec<BulkPolicy> = raw
+            .iter()
+            .map(|rows| {
+                let rows = rows.iter().map(|&(slot, r)| (spread_id(span, slot), region(r)));
+                BulkPolicy::from_assignments("part", rows.collect())
+            })
+            .collect();
+        parts.insert(parts.len() / 2, BulkPolicy::new("empty"));
+        parts.push(BulkPolicy::from_assignments("one", vec![(spread_id(span, lone.0), region(lone.1))]));
+        let mut model = Model::new();
+        for part in &parts {
+            model.extend(part.iter().map(|(u, r)| (u, *r)));
+        }
+        let want = model_bytes("merged", &model);
+        let one = BulkPolicy::merge("merged", &parts);
+        prop_assert_eq!(encode_policy(&one).to_vec(), want.clone());
+        for ranges in 1..=8 {
+            let merged = BulkPolicy::merge_in_ranges("merged", &parts, ranges);
+            prop_assert_eq!(encode_policy(&merged).to_vec(), want.clone(), "{} ranges", ranges);
+            prop_assert!(merged == one, "{} ranges: columns or table differ", ranges);
+        }
+    }
+}
+
 #[test]
 fn from_columns_rejects_broken_columns() {
     let table = vec![region(0), region(1)];

@@ -29,6 +29,7 @@
 //! executions, steals, scratch reuses, panics, retries, and per-task
 //! queue-wait time.
 
+use crate::partition::join;
 use crate::{partition_users, ParallelOutcome, ServerReport};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
@@ -487,17 +488,38 @@ where
     (gathered, first_error)
 }
 
+/// `db`'s rows, copied by halves at once. The copy costs its page faults
+/// more than its bytes: a zeroed buffer of plain integers is mapped
+/// lazily, so each half faults on the thread that fills it (zeroing
+/// `(UserId, Point)` rows would touch every page on the caller first).
+/// The buffer is then retyped in place.
+fn copy_rows(db: &LocationDb, workers: usize) -> Vec<(UserId, Point)> {
+    let mut raw = vec![[0u64; 3]; db.len()];
+    let (head, tail) = raw.split_at_mut(db.len() / 2);
+    let fill = |to: &mut [[u64; 3]], skip| {
+        for (slot, (user, p)) in to.iter_mut().zip(db.iter().skip(skip)) {
+            *slot = [user.0, p.x as u64, p.y as u64];
+        }
+    };
+    join(workers, || fill(head, 0), || fill(tail, db.len() / 2));
+    raw.into_iter().map(|[user, x, y]| (UserId(user), Point::new(x as i64, y as i64))).collect()
+}
+
 /// `Stage::Partition`: one copy of `db`'s users, reordered by
-/// [`partition_users`] so each jurisdiction is a contiguous range, and one
-/// task per jurisdiction over that shared copy, in partition order.
+/// [`partition_users`] on up to `workers` threads so each jurisdiction is
+/// a contiguous range, and one task per jurisdiction over that shared
+/// copy, in partition order.
 pub(crate) fn partition_tasks(
     db: &LocationDb,
     map: Rect,
     k: usize,
     servers: usize,
+    workers: usize,
+    metrics: Option<&Metrics>,
 ) -> Result<Vec<JurisdictionTask>, CoreError> {
-    let mut users: Vec<(UserId, Point)> = db.iter().collect();
-    let jurisdictions = partition_users(&mut users, map, k, servers).map_err(CoreError::Tree)?;
+    let mut users = copy_rows(db, workers);
+    let jurisdictions =
+        partition_users(&mut users, map, k, servers, workers, metrics).map_err(CoreError::Tree)?;
     let population = Arc::new(users);
     Ok(jurisdictions
         .into_iter()
@@ -538,8 +560,10 @@ pub(crate) fn anonymize_task(
     Ok((report, policy))
 }
 
-/// `Stage::Merge`: the master policy as one [`BulkPolicy::merge`] of the
-/// per-task policies, plus Σ cost and the reports in partition order.
+/// `Stage::Merge`: the master policy as one
+/// [`BulkPolicy::merge_in_ranges`] of the per-task policies, its sort cut
+/// into one user-id range per worker, plus Σ cost and the reports in
+/// partition order.
 pub(crate) fn merge_results(
     k: usize,
     results: Vec<TaskResult>,
@@ -550,7 +574,7 @@ pub(crate) fn merge_results(
     let name = format!("parallel(k={k},servers={})", results.len());
     let (servers, parts): (Vec<ServerReport>, Vec<BulkPolicy>) = results.into_iter().unzip();
     let total_cost = servers.iter().map(|s| s.cost).sum();
-    let policy = BulkPolicy::merge(name, &parts);
+    let policy = BulkPolicy::merge_in_ranges(name, &parts, workers);
     ParallelOutcome { policy, total_cost, servers, partition_time, server_wall_time, workers }
 }
 
@@ -560,11 +584,18 @@ pub(crate) fn merge_results(
 /// **bit-identical** [`ParallelOutcome::policy`] and `total_cost` for any
 /// worker count.
 ///
+/// All three stages run on up to [`EngineConfig::workers`] threads: the
+/// partition scans two cells at once, the pool runs the jurisdictions,
+/// and the merge sorts one user-id range per worker.
+///
 /// Stages recorded when `metrics` is given: [`Stage::Partition`] (the
-/// tree-free greedy partition of one copy of the users), per-server
+/// tree-free greedy partition of one copy of the users, its scanned rows
+/// counted under [`Counter::PartitionRows`]), per-server
 /// [`Stage::TreeBuild`]/[`Stage::Dp`]/[`Stage::Extract`] (via the
 /// instrumented [`Anonymizer`] build), [`Stage::QueueWait`], and
-/// [`Stage::Merge`] (one [`BulkPolicy::merge`] of the per-task policies).
+/// [`Stage::Merge`] (one [`BulkPolicy::merge_in_ranges`] of the per-task
+/// policies). Only jurisdiction tasks count under
+/// [`Counter::TasksExecuted`] and [`Stage::QueueWait`].
 ///
 /// # Errors
 /// As [`anonymize_partitioned`](crate::anonymize_partitioned); a worker
@@ -608,7 +639,9 @@ pub fn anonymize_work_stealing_faulted(
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "partition wall time is reported in ParallelOutcome timings only; never influences the partition itself")
     let partition_started = Instant::now();
-    let tasks = staged(metrics, Stage::Partition, || partition_tasks(db, map, k, servers))?;
+    let tasks = staged(metrics, Stage::Partition, || {
+        partition_tasks(db, map, k, servers, config.effective_workers(2), metrics)
+    })?;
     let partition_time = partition_started.elapsed();
     let workers = config.effective_workers(tasks.len());
 
@@ -719,6 +752,28 @@ mod tests {
         assert_eq!(metrics.stage_calls(Stage::QueueWait), tasks);
         // Every task beyond each worker's first reuses that worker's arena.
         assert!(metrics.get(Counter::ScratchReuses) <= tasks.saturating_sub(1));
+    }
+
+    #[test]
+    fn partition_rows_and_task_counts_do_not_depend_on_workers() {
+        let (db, map) = workload(2_000);
+        let counts: Vec<(u64, u64)> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let metrics = Metrics::new();
+                let cfg = EngineConfig { workers, ..EngineConfig::default() };
+                let outcome =
+                    anonymize_work_stealing(&db, map, 10, 16, &cfg, Some(&metrics)).unwrap();
+                // The partition's scans and the merge's ranges are not
+                // pool tasks.
+                let tasks = outcome.servers.len() as u64;
+                assert_eq!(metrics.get(Counter::TasksExecuted), tasks, "{workers} workers");
+                assert_eq!(metrics.stage_calls(Stage::QueueWait), tasks, "{workers} workers");
+                (metrics.get(Counter::PartitionRows), tasks)
+            })
+            .collect();
+        assert!(counts[0].0 >= db.len() as u64, "the root is scanned");
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     }
 
     /// `n` payloads `(i, i)`, injected in index order.

@@ -111,7 +111,7 @@ pub fn anonymize_partitioned(
 ) -> Result<ParallelOutcome, CoreError> {
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "partition wall time is reported in ParallelOutcome timings only; the partition is input-deterministic")
     let partition_started = Instant::now();
-    let tasks = engine::partition_tasks(db, map, k, servers)?;
+    let tasks = engine::partition_tasks(db, map, k, servers, 1, None)?;
     let partition_time = partition_started.elapsed();
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "aggregate server wall time is reported in ParallelOutcome timings only")

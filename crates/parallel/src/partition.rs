@@ -10,10 +10,26 @@
 //! for, partitions that cell's range in place around its split line. Every
 //! jurisdiction therefore ends up as a contiguous range of the reordered
 //! slice, ready to hand to its server without copying a user.
+//!
+//! The greedy loop asks in its own order — most populous first, the last
+//! cell on ties — and stops at the first splittable cell, so a cell the
+//! loop never reaches (a final jurisdiction, say) is never scanned. When
+//! it does reach an unscanned cell it also scans the next unscanned one in
+//! that order. The two most populous pending cells hold disjoint ranges,
+//! so with two or more workers they are partitioned at once, each thread
+//! reading half their rows: the caller the front of the larger cell, a
+//! scoped thread the rest of it and then the smaller cell, and one block
+//! swap joins the larger cell's two pieces. Which cells are scanned
+//! depends on the users alone, never on the worker count;
+//! [`Counter::PartitionRows`] counts the rows those scans read. The order
+//! of users inside a range may differ between worker counts, the set
+//! never does, and a jurisdiction's server sorts each leaf by id.
 
 use lbs_geom::{Point, Rect};
+use lbs_metrics::{Counter, Metrics};
 use lbs_model::UserId;
 use lbs_tree::{partition_in_place, TreeConfig, TreeKind};
+use std::cmp::Reverse;
 use std::ops::Range;
 
 /// One jurisdiction chosen by [`partition_users`]: a node of the map's
@@ -27,10 +43,10 @@ pub struct Jurisdiction {
     pub users: Range<usize>,
 }
 
-/// Where splitting a cell would put its users, worked out once per cell.
+/// Where splitting a cell would put its users.
 #[derive(Debug, Clone, Copy)]
 enum Split {
-    /// Not evaluated yet.
+    /// The lazy tree splits this node, but its range is not scanned yet.
     Pending,
     /// The lazy tree would keep this node a leaf.
     Leaf,
@@ -49,24 +65,21 @@ struct Cell {
 }
 
 impl Cell {
+    /// A cell whose split needs no scan to rule out: a node the lazy tree
+    /// keeps a leaf starts [`Split::Leaf`], any other [`Split::Pending`].
+    fn new(rect: Rect, depth: u16, users: Range<usize>, config: &TreeConfig) -> Self {
+        let split =
+            if config.may_split(&rect, depth, users.len()) { Split::Pending } else { Split::Leaf };
+        Cell { rect, depth, users, split }
+    }
+
+    fn is_pending(&self) -> bool {
+        matches!(self.split, Split::Pending)
+    }
+
     /// The low and high child rects, in the lazy binary tree's order.
     fn child_rects(&self) -> (Rect, Rect) {
         self.rect.split(self.rect.binary_split_axis())
-    }
-
-    /// Works out (once) whether the lazy tree splits this node and, if
-    /// so, moves its low child's users to the front of its range.
-    fn evaluate(&mut self, users: &mut [(UserId, Point)], config: &TreeConfig) {
-        if !matches!(self.split, Split::Pending) {
-            return;
-        }
-        if !config.may_split(&self.rect, self.depth, self.users.len()) {
-            self.split = Split::Leaf;
-            return;
-        }
-        let (low, _) = self.child_rects();
-        let range = users.get_mut(self.users.clone()).unwrap_or_default();
-        self.split = Split::At(self.users.start + partition_in_place(range, &low));
     }
 
     /// The greedy rule: `Some(split point)` for an internal node whose
@@ -77,13 +90,119 @@ impl Cell {
         (ok(mid - self.users.start) && ok(self.users.end - mid)).then_some(mid)
     }
 
-    /// The low and high children of an evaluated internal cell.
-    fn children(&self, mid: usize) -> [Cell; 2] {
+    /// The low and high children of a scanned internal cell.
+    fn children(&self, mid: usize, config: &TreeConfig) -> [Cell; 2] {
         let (low, high) = self.child_rects();
-        let child =
-            |rect, users| Cell { rect, depth: self.depth + 1, users, split: Split::Pending };
-        [child(low, self.users.start..mid), child(high, mid..self.users.end)]
+        let depth = self.depth + 1;
+        [
+            Cell::new(low, depth, self.users.start..mid, config),
+            Cell::new(high, depth, mid..self.users.end, config),
+        ]
     }
+}
+
+/// Runs `a` and `b`, at once when `workers` ≥ 2: `b` on a scoped thread,
+/// `a` on the caller. A panic in `b` is re-raised on the caller.
+pub(crate) fn join<A, B: Send>(
+    workers: usize,
+    a: impl FnOnce() -> A,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if workers < 2 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(b);
+        let a = a();
+        match handle.join() {
+            Ok(b) => (a, b),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// The disjoint ranges `a` and `b` of `rows`, mutably at once.
+fn two_ranges<T>(rows: &mut [T], a: Range<usize>, b: Range<usize>) -> (&mut [T], &mut [T]) {
+    if a.start > b.start {
+        let (b, a) = two_ranges(rows, b, a);
+        return (a, b);
+    }
+    let (head, tail) = rows.split_at_mut_checked(b.start).unwrap_or_default();
+    (head.get_mut(a).unwrap_or_default(), tail.get_mut(..b.len()).unwrap_or_default())
+}
+
+/// [`partition_in_place`] of `big` around `big_low` and of `small` around
+/// `small_low`, returning both split points. With `workers` ≥ 2 each
+/// thread reads half the rows: the caller partitions the front of `big`,
+/// a scoped thread the rest of `big` and then `small`, and one block swap
+/// joins `big`'s two pieces.
+fn partition_balanced(
+    big: &mut [(UserId, Point)],
+    big_low: &Rect,
+    small: &mut [(UserId, Point)],
+    small_low: &Rect,
+    workers: usize,
+) -> (usize, usize) {
+    if workers < 2 {
+        return (partition_in_place(big, big_low), partition_in_place(small, small_low));
+    }
+    let cut = ((big.len() + small.len()) / 2).min(big.len());
+    let (front, back) = big.split_at_mut(cut);
+    let (front_mid, (back_mid, small_mid)) = join(
+        workers,
+        || partition_in_place(front, big_low),
+        || (partition_in_place(back, big_low), partition_in_place(small, small_low)),
+    );
+    // `big` is now [front low | front high | back low | back high]: swap
+    // the shorter of the middle two blocks with the far end of the other.
+    let moved = (front.len() - front_mid).min(back_mid);
+    if let (Some(high), Some(low)) =
+        (front.get_mut(front_mid..front_mid + moved), back.get_mut(back_mid - moved..back_mid))
+    {
+        high.swap_with_slice(low);
+    }
+    (front_mid + back_mid, small_mid)
+}
+
+/// Partitions the ranges of the pending cells at `big` and `small` (the
+/// two most populous, so disjoint; `small` may be absent) in place around
+/// their split lines, at once when `workers` allows, and records where
+/// each split. Returns the rows scanned.
+fn scan(
+    cells: &mut [Cell],
+    big: usize,
+    small: Option<usize>,
+    users: &mut [(UserId, Point)],
+    workers: usize,
+) -> u64 {
+    // (position, range, low child rect) of each cell.
+    let jobs: Vec<(usize, Range<usize>, Rect)> = std::iter::once(big)
+        .chain(small)
+        .filter_map(|pos| {
+            cells.get(pos).map(|cell| (pos, cell.users.clone(), cell.child_rects().0))
+        })
+        .collect();
+    let mids = match jobs.as_slice() {
+        [(_, range, low)] => {
+            let rows = users.get_mut(range.clone()).unwrap_or_default();
+            let (mid, _) = partition_balanced(rows, low, &mut [], low, workers);
+            vec![mid]
+        }
+        [(_, big, big_low), (_, small, small_low)] => {
+            let (big, small) = two_ranges(users, big.clone(), small.clone());
+            let (big_mid, small_mid) = partition_balanced(big, big_low, small, small_low, workers);
+            vec![big_mid, small_mid]
+        }
+        _ => Vec::new(),
+    };
+    let mut rows = 0;
+    for ((pos, range, _), mid) in jobs.into_iter().zip(mids) {
+        rows += range.len() as u64;
+        if let Some(cell) = cells.get_mut(pos) {
+            cell.split = Split::At(range.start + mid);
+        }
+    }
+    rows
 }
 
 /// The paper's greedy partitioner over `users` on `map` (Section V):
@@ -100,6 +219,12 @@ impl Cell {
 /// place so that each returned jurisdiction's users are the contiguous
 /// range [`Jurisdiction::users`]; the ranges tile `0..users.len()`.
 ///
+/// Cells are scanned lazily, two at a time, on two threads when
+/// `workers` ≥ 2 (see the module doc); the user list is validated by
+/// halves the same way. The jurisdictions, and the user set of each
+/// range, do not depend on `workers`. `metrics`, when given, counts the
+/// rows scanned under [`Counter::PartitionRows`].
+///
 /// # Errors
 /// An invalid map, or a user outside it.
 pub fn partition_users(
@@ -107,29 +232,46 @@ pub fn partition_users(
     map: Rect,
     k: usize,
     servers: usize,
+    workers: usize,
+    metrics: Option<&Metrics>,
 ) -> Result<Vec<Jurisdiction>, String> {
     let config = TreeConfig::lazy(TreeKind::Binary, map, k);
     config.validate()?;
-    if let Some(&(u, _)) = users.iter().find(|(_, p)| !map.contains(p)) {
+    let outside = |rows: &[(UserId, Point)]| rows.iter().find(|(_, p)| !map.contains(p)).copied();
+    let (head, tail) = users.split_at(users.len() / 2);
+    let (head, tail) = join(workers, || outside(head), || outside(tail));
+    if let Some((u, _)) = head.or(tail) {
         // The offending point is deliberately not echoed: raw sender
         // coordinates must not reach error strings.
         // lbs-lint: allow(location-taint, reason = "message names the user id and the map bounds; the raw point was removed")
         return Err(format!("user {u} is outside the map {map}"));
     }
-    let mut cells =
-        vec![Cell { rect: map, depth: 0, users: 0..users.len(), split: Split::Pending }];
+    let mut cells = vec![Cell::new(map, 0, 0..users.len(), &config)];
+    let mut rows = 0;
     while cells.len() < servers {
-        for cell in &mut cells {
-            cell.evaluate(users, &config);
+        // The greedy's order: most populous first, the last cell on ties.
+        let mut order: Vec<usize> = (0..cells.len()).collect();
+        order.sort_unstable_by_key(|&pos| {
+            Reverse((cells.get(pos).map_or(0, |cell| cell.users.len()), pos))
+        });
+        let pending = |cells: &[Cell], pos: usize| cells.get(pos).is_some_and(Cell::is_pending);
+        let mut chosen = None;
+        for (at, &pos) in order.iter().enumerate() {
+            if pending(&cells, pos) {
+                let next = order.iter().skip(at + 1).copied().find(|&p| pending(&cells, p));
+                rows += scan(&mut cells, pos, next, users, workers);
+            }
+            if let Some(mid) = cells.get(pos).and_then(|cell| cell.splittable(k)) {
+                chosen = Some((pos, mid));
+                break;
+            }
         }
-        let candidate = cells
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, cell)| Some((pos, cell.users.len(), cell.splittable(k)?)))
-            .max_by_key(|&(_, population, _)| population);
-        let Some((pos, _, mid)) = candidate else { break };
+        let Some((pos, mid)) = chosen else { break };
         let cell = cells.swap_remove(pos);
-        cells.extend(cell.children(mid));
+        cells.extend(cell.children(mid, &config));
+    }
+    if let Some(m) = metrics {
+        m.add(Counter::PartitionRows, rows);
     }
     Ok(cells.into_iter().map(|cell| Jurisdiction { rect: cell.rect, users: cell.users }).collect())
 }
@@ -184,13 +326,24 @@ mod tests {
                     .into_iter()
                     .map(|id| (tree.node(id).rect, tree.count(id)))
                     .collect();
-                let mut users: Vec<(UserId, Point)> = db.iter().collect();
-                let got: Vec<(Rect, usize)> = partition_users(&mut users, map, k, servers)
-                    .unwrap()
-                    .into_iter()
-                    .map(|j| (j.rect, j.users.len()))
-                    .collect();
-                assert_eq!(got, expected, "n={n} k={k} servers={servers}");
+                for workers in [1, 2, 3] {
+                    let at = format!("n={n} k={k} servers={servers} workers={workers}");
+                    let mut users: Vec<(UserId, Point)> = db.iter().collect();
+                    let got = partition_users(&mut users, map, k, servers, workers, None).unwrap();
+                    let shape: Vec<(Rect, usize)> =
+                        got.iter().map(|j| (j.rect, j.users.len())).collect();
+                    assert_eq!(shape, expected, "{at}");
+                    // Each range holds exactly the users inside its rect.
+                    for j in &got {
+                        let mut held: Vec<UserId> =
+                            users[j.users.clone()].iter().map(|&(u, _)| u).collect();
+                        held.sort_unstable();
+                        let mut inside: Vec<UserId> =
+                            db.iter().filter(|(_, p)| j.rect.contains(p)).map(|(u, _)| u).collect();
+                        inside.sort_unstable();
+                        assert_eq!(held, inside, "{at}: the range of {}", j.rect);
+                    }
+                }
             }
         }
     }
@@ -201,7 +354,7 @@ mod tests {
         let k = 10;
         for servers in [1, 2, 4, 8, 16] {
             let mut users: Vec<(UserId, Point)> = db.iter().collect();
-            let parts = partition_users(&mut users, map, k, servers).unwrap();
+            let parts = partition_users(&mut users, map, k, servers, 1, None).unwrap();
             assert!(parts.len() <= servers.max(1));
             let total: usize = parts.iter().map(|j| j.users.len()).sum();
             assert_eq!(total, db.len(), "jurisdictions partition the users");
@@ -216,9 +369,9 @@ mod tests {
     fn off_map_users_and_bad_maps_are_rejected() {
         let map = Rect::square(0, 0, 16);
         let mut users = vec![(UserId(7), Point::new(1, 1)), (UserId(8), Point::new(16, 3))];
-        let err = partition_users(&mut users, map, 1, 4).unwrap_err();
+        let err = partition_users(&mut users, map, 1, 4, 1, None).unwrap_err();
         assert!(err.contains("u8") && err.contains("outside the map"), "{err}");
-        let err = partition_users(&mut [], Rect::square(0, 0, 12), 1, 4).unwrap_err();
+        let err = partition_users(&mut [], Rect::square(0, 0, 12), 1, 4, 1, None).unwrap_err();
         assert!(err.contains("power of two"), "{err}");
     }
 }

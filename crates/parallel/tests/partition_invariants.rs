@@ -25,7 +25,7 @@ fn partition(
     servers: usize,
 ) -> (Vec<(UserId, Point)>, Vec<Jurisdiction>) {
     let mut users: Vec<(UserId, Point)> = db.iter().collect();
-    let parts = partition_users(&mut users, map, k, servers).unwrap();
+    let parts = partition_users(&mut users, map, k, servers, 1, None).unwrap();
     (users, parts)
 }
 
@@ -94,7 +94,7 @@ fn partitioning_is_deterministic() {
     assert_eq!(users_a, users_b);
     // Re-partitioning an already reordered slice picks the same rects.
     let mut again = users_a;
-    let c = partition_users(&mut again, map, k, 16).unwrap();
+    let c = partition_users(&mut again, map, k, 16, 1, None).unwrap();
     let rects = |parts: &[Jurisdiction]| parts.iter().map(|j| j.rect).collect::<Vec<_>>();
     assert_eq!(rects(&a), rects(&c));
 }

@@ -83,7 +83,7 @@ impl ShardPlan {
         // so back off the shard count until every region is populated.
         let mut want = shards.max(1);
         loop {
-            let mut jurisdictions = partition_users(users, map, k, want)
+            let mut jurisdictions = partition_users(users, map, k, want, 1, None)
                 .map_err(|e| RuntimeError::Core(CoreError::Tree(e)))?;
             if jurisdictions.iter().all(|j| !j.users.is_empty()) {
                 jurisdictions.sort_by_key(|j| (j.rect.y0, j.rect.x0));
