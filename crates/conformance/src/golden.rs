@@ -347,18 +347,18 @@ fn partitioned_records(master: u64) -> Result<Vec<GoldenRecord>, String> {
 /// build.
 const WORK_USERS: usize = 6_000;
 
-/// Workers of the partitioned engine and of each churn shard's refresh.
-/// The corpus pins two, so the parallel refresh plan is exercised.
+/// Workers of the partitioned engine. The corpus pins two, so the
+/// engine's work-stealing pool is exercised.
 const WORK_WORKERS: usize = 2;
 
 /// Draws an incremental work batch may take to move a user out of its
 /// leaf (see `incremental_work`).
 const INCREMENTAL_DRAWS: u64 = 64;
 
-/// The work family for `master`, at `workers` workers: bulk at k ∈
-/// {10, 50}, incremental batches of m ∈ {1, 64, 4096} moves, 16
-/// jurisdictions on the engine, a two-shard service under churn (fresh
-/// and with expired deadlines), and a query-cache pass.
+/// The work family for `master`: bulk at k ∈ {10, 50}, incremental
+/// batches of m ∈ {1, 64, 4096} moves, 16 jurisdictions on the engine at
+/// `workers` workers, a two-shard service under churn (fresh and with
+/// expired deadlines), and a query-cache pass.
 fn work_records(master: u64, workers: usize) -> Result<Vec<GoldenRecord>, String> {
     Ok(vec![
         bulk_work(master, 10)?,
@@ -367,8 +367,8 @@ fn work_records(master: u64, workers: usize) -> Result<Vec<GoldenRecord>, String
         incremental_work(master, 64)?,
         incremental_work(master, 4096)?,
         partitioned_work(master, workers)?,
-        churn_work(master, false, workers)?,
-        churn_work(master, true, workers)?,
+        churn_work(master, false)?,
+        churn_work(master, true)?,
         query_cache_work(master)?,
     ])
 }
@@ -506,11 +506,11 @@ fn scratch_dir(id: &str) -> PathBuf {
 /// wave and serves a wave of requests, every fourth epoch scrubs. With
 /// `expired`, every request's deadline has already passed (the
 /// degradation ladder answers) and moves stay inside their shard.
-fn churn_work(master: u64, expired: bool, workers: usize) -> Result<GoldenRecord, String> {
+fn churn_work(master: u64, expired: bool) -> Result<GoldenRecord, String> {
     let family = if expired { "work_churn-deadline" } else { "work_churn-fresh" };
     let (id, seed, db, map) = work_population(master, family.to_string());
     let dir = scratch_dir(&id);
-    let result = drive_churn(&dir, seed, &db, map, expired, workers);
+    let result = drive_churn(&dir, seed, &db, map, expired);
     let _ = std::fs::remove_dir_all(&dir);
     let values = result.map_err(|e| format!("{id}: {e}"))?;
     Ok(GoldenRecord { id, seed, values })
@@ -522,7 +522,6 @@ fn drive_churn(
     db: &LocationDb,
     map: Rect,
     expired: bool,
-    workers: usize,
 ) -> Result<Values, String> {
     let clock = Arc::new(ManualClock::new());
     let metrics = Arc::new(Metrics::new());
@@ -530,7 +529,6 @@ fn drive_churn(
     let mut cfg = ShardedConfig::new(10, map, 2);
     cfg.checkpoint_every = 4;
     cfg.retain_checkpoints = Some(2);
-    cfg.refresh_workers = workers;
     let mut rt = ShardedBuilder::new(cfg)
         .clock(Arc::clone(&clock) as Arc<dyn Clock>)
         .metrics(Arc::clone(&metrics))
@@ -567,7 +565,6 @@ fn drive_churn(
         &metrics,
         &[
             Counter::ShardCommits,
-            Counter::DirtySubtrees,
             Counter::SubtreeCacheHits,
             Counter::BatchedMoves,
             Counter::ExtractNodes,
@@ -645,15 +642,6 @@ mod tests {
     use super::*;
     use crate::scenario::DEFAULT_MASTER_SEED;
 
-    /// Counters that legitimately depend on the worker count. A commit's
-    /// refresh splits the dirty set into parallel tasks only on more than
-    /// one worker, and a task reads a child it computed itself from its
-    /// own rows, not from the subtree cache, so it counts no hit where the
-    /// sequential sweep does. Every other recorded counter is identical
-    /// at any worker count. Arena reuse and pool hits, like stolen tasks,
-    /// vary from run to run at two workers and are not recorded at all.
-    const WORKER_DEPENDENT_COUNTERS: &[&str] = &["dirty_subtrees", "subtree_cache_hits"];
-
     /// The values of `record` whose key starts with `prefix` and ends
     /// with `suffix`, in key order.
     fn list(record: &GoldenRecord, prefix: &str, suffix: &str) -> Vec<u128> {
@@ -722,21 +710,20 @@ mod tests {
         }
     }
 
+    /// Every recorded counter is identical at any worker count: only the
+    /// partitioned engine takes workers, and its scans, tasks and merge
+    /// do not depend on them. Arena reuse, like stolen tasks, varies from
+    /// run to run at two workers and is not recorded at all.
     #[test]
     fn work_records_are_worker_independent() {
         let two = work_records(DEFAULT_MASTER_SEED, WORK_WORKERS).unwrap();
         let one = work_records(DEFAULT_MASTER_SEED, 1).unwrap();
         assert_eq!(two.len(), 9);
-        let independent = |r: &GoldenRecord| {
-            let mut values = r.values.clone();
-            values.retain(|name, _| !WORKER_DEPENDENT_COUNTERS.contains(&name.as_str()));
-            values
-        };
         for (two, one) in two.iter().zip(&one) {
-            assert_eq!(independent(two), independent(one), "{}", two.id);
+            assert_eq!(two.values, one.values, "{}", two.id);
         }
         let churn = two.iter().find(|r| r.id == "work_churn-fresh").unwrap();
-        for name in ["dirty_subtrees", "subtree_cache_hits", "checkpoints_written", "scrubs_run"] {
+        for name in ["subtree_cache_hits", "checkpoints_written", "scrubs_run"] {
             assert!(churn.values[name] > 0, "{name} never moved: {:?}", churn.values);
         }
     }

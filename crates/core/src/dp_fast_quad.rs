@@ -49,7 +49,7 @@ pub fn bulk_dp_fast_quad(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreE
     }
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
-        let row = quad_row(tree, &matrix, None, id, k)?;
+        let row = quad_row(tree, &matrix, id, k)?;
         matrix.set_row(id, row);
     }
     Ok(matrix)
@@ -78,29 +78,8 @@ fn convolve(a: &[(usize, u128)], b: &[(usize, u128)]) -> Vec<SumEntry> {
     out
 }
 
-/// Rows computed earlier in the same refresh task, overlaid on the
-/// matrix during child lookups. The parallel incremental refresh computes
-/// a dirty subtree's rows into a side buffer (the matrix is shared
-/// read-only across tasks); within a task, a dirty child's fresh row
-/// lives here rather than in the matrix.
-pub(crate) struct LocalRows<'a> {
-    pub index: &'a std::collections::HashMap<NodeId, usize>,
-    pub rows: &'a [(NodeId, Row)],
-}
-
-impl<'a> LocalRows<'a> {
-    // lbs-lint: allow-item(panic-reachability, reason = "index maps node ids to positions in rows and the two are built in lockstep by the task loop, so every stored position is below rows.len()")
-    pub(crate) fn get(&self, id: NodeId) -> Option<&'a Row> {
-        let rows: &'a [(NodeId, Row)] = self.rows;
-        self.index.get(&id).map(|&i| &rows[i].1)
-    }
-}
-
 /// Computes one quad-node row via associated convolution — the row
 /// engine of both [`bulk_dp_fast_quad`] and the incremental refresh.
-/// `local` is an optional overlay of rows consulted before the matrix
-/// (the parallel refresh's task-local rows); an overlay row equal to the
-/// matrix row it shadows leaves the output unchanged.
 ///
 /// # Errors
 /// [`CoreError::StaleMatrix`] when a child row is missing or a convolved
@@ -110,7 +89,6 @@ impl<'a> LocalRows<'a> {
 pub(crate) fn quad_row(
     tree: &SpatialTree,
     matrix: &DpMatrix,
-    local: Option<&LocalRows<'_>>,
     id: NodeId,
     k: usize,
 ) -> Result<Row, CoreError> {
@@ -128,11 +106,7 @@ pub(crate) fn quad_row(
     let cands: Vec<Vec<(usize, u128)>> = children
         .iter()
         .map(|&c| {
-            local
-                .and_then(|l| l.get(c))
-                .or_else(|| matrix.row(c))
-                .map(|row| row.iter().collect())
-                .ok_or_else(|| missing_child_row(id, c))
+            matrix.row(c).map(|row| row.iter().collect()).ok_or_else(|| missing_child_row(id, c))
         })
         .collect::<Result<_, _>>()?;
 

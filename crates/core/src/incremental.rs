@@ -8,7 +8,7 @@
 //! locations". The tree layer reports the nodes whose **membership**
 //! changed, ancestor-closed; a move inside one leaf reports none.
 //!
-//! Four mechanisms keep a batched commit proportional to what changed
+//! Three mechanisms keep a batched commit proportional to what changed
 //! rather than to the live tree:
 //!
 //! * **Dirty-path coalescing** — the refresh sweep is a DFS from the root
@@ -27,13 +27,6 @@
 //!   sibling feeds the convolution kernel straight from the matrix. A
 //!   [`CostCache`] of the tree's per-node version counters tells such a
 //!   re-read (a cache hit) from a first read at a new version (a miss).
-//! * **Parallel refresh plans** — [`plan_refresh`](IncrementalAnonymizer::plan_refresh)
-//!   splits the dirty set into disjoint dirty subtrees (tasks) plus the
-//!   shared ancestor spine. Tasks touch disjoint rows and read only
-//!   task-local rows or clean data, so a work-stealing pool (the
-//!   `lbs-parallel` crate) computes them concurrently; applying task rows
-//!   in plan order and then sweeping the spine sequentially is
-//!   **bit-identical** to the sequential refresh.
 //! * **Incremental extraction** — [`extract`](IncrementalAnonymizer::extract)
 //!   keeps the committed policy and, per arena slot, what its extraction
 //!   saw. It re-extracts only nodes whose version or pass-up target
@@ -46,14 +39,14 @@
 //! `tests/differential.rs`.
 
 use crate::dp_fast::{combine_children, dense_cap, missing_child_row, ChildPair};
-use crate::dp_fast_quad::{quad_row, LocalRows};
+use crate::dp_fast_quad::quad_row;
 use crate::extract::{cloak_policy, ExtractCache};
 use crate::{bulk_dp_fast, bulk_dp_fast_quad, CoreError, DpMatrix, DpScratch, Row};
 use lbs_geom::Area;
 use lbs_model::{BulkPolicy, LocationDb, Move, UserId, UserUpdate};
 use lbs_tree::{NodeId, SpatialTree, TreeConfig, TreeKind};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
+use std::collections::HashSet;
 
 /// Report of one incremental maintenance round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -75,9 +68,6 @@ pub struct IncrementalReport {
     pub cache_hits: usize,
     /// Child cost columns first read at their current version.
     pub cache_misses: usize,
-    /// Disjoint dirty subtrees refreshed as parallel tasks (0 when the
-    /// refresh ran sequentially without a plan).
-    pub dirty_subtrees: usize,
 }
 
 /// Work done by one [`IncrementalAnonymizer::extract`].
@@ -125,28 +115,12 @@ impl CostCache {
         }
     }
 
-    /// `child`'s cost column, and whether it is current at the child's
-    /// tree version (a hit).
+    /// `child`'s cost column: a hit when it is current at the child's
+    /// tree version, counted into `report`; on a miss the version is
+    /// recorded.
     ///
     /// # Errors
     /// [`CoreError::StaleMatrix`] when the child row is missing.
-    fn read<'m>(
-        &self,
-        tree: &SpatialTree,
-        matrix: &'m DpMatrix,
-        parent: NodeId,
-        child: NodeId,
-    ) -> Result<(&'m [u128], bool), CoreError> {
-        let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
-        let current = self.versions.get(child.index()) == Some(&Some(tree.version(child)));
-        Ok((&row.dense, current))
-    }
-
-    /// [`read`](Self::read), counting the outcome into `report` and
-    /// recording the version on a miss.
-    ///
-    /// # Errors
-    /// As [`read`](Self::read).
     fn ensure<'m>(
         &mut self,
         tree: &SpatialTree,
@@ -155,14 +129,15 @@ impl CostCache {
         child: NodeId,
         report: &mut IncrementalReport,
     ) -> Result<&'m [u128], CoreError> {
-        let (dense, hit) = self.read(tree, matrix, parent, child)?;
-        if hit {
+        let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
+        let version = tree.version(child);
+        if self.versions.get(child.index()) == Some(&Some(version)) {
             report.cache_hits += 1;
         } else {
             report.cache_misses += 1;
-            self.store(child, tree.version(child));
+            self.store(child, version);
         }
-        Ok(dense)
+        Ok(&row.dense)
     }
 
     /// Records that `id`'s row is current at `version` (called for every
@@ -174,38 +149,6 @@ impl CostCache {
             *slot = Some(version);
         }
     }
-}
-
-/// A refresh split into independently computable pieces: disjoint dirty
-/// subtrees (`tasks`) and the shared ancestors above them (`spine`).
-///
-/// Produced by [`IncrementalAnonymizer::plan_refresh`]. Every live pending
-/// row appears exactly once, either inside one task or on the spine. Tasks
-/// are in deterministic tree order (child-slice order, never hash order),
-/// each listed in postorder; the spine is in postorder of the whole tree,
-/// so sweeping it after all tasks are applied observes fresh children.
-#[derive(Debug, Clone, Default)]
-pub struct RefreshPlan {
-    /// Disjoint dirty subtrees, each in postorder. Rows of one task depend
-    /// only on earlier rows of the same task and on clean data, so tasks
-    /// may be computed concurrently and applied in any order.
-    pub tasks: Vec<Vec<NodeId>>,
-    /// Dirty ancestors shared between tasks, in postorder; recomputed
-    /// sequentially after every task's rows have been applied.
-    pub spine: Vec<NodeId>,
-}
-
-/// The recomputed rows of one [`RefreshPlan`] task, ready to apply.
-#[derive(Debug)]
-pub struct TaskRows {
-    /// `(node, fresh row)` pairs in the task's postorder.
-    pub rows: Vec<(NodeId, Row)>,
-    /// Task nodes whose rows were found current and kept.
-    pub kept: Vec<NodeId>,
-    /// Child cost columns re-read at a version a refresh already read.
-    pub cache_hits: usize,
-    /// Child cost columns first read at their current version.
-    pub cache_misses: usize,
 }
 
 /// Maintains a spatial tree (binary or quad) and its optimal configuration
@@ -223,14 +166,6 @@ pub struct TaskRows {
 ///   While any row is pending, [`policy`](Self::policy) and
 ///   [`optimal_cost`](Self::optimal_cost) refuse with
 ///   [`CoreError::StaleMatrix`] rather than serve half-updated answers.
-///
-/// For batched parallel refresh, [`plan_refresh`](Self::plan_refresh) /
-/// [`compute_task_rows`](Self::compute_task_rows) /
-/// [`apply_task_rows`](Self::apply_task_rows) /
-/// [`refresh_sequence`](Self::refresh_sequence) /
-/// [`finish_refresh`](Self::finish_refresh) expose the sweep's building
-/// blocks; `lbs-parallel` drives them on a work-stealing pool with a
-/// result bit-identical to the sequential path.
 #[derive(Debug)]
 pub struct IncrementalAnonymizer {
     tree: SpatialTree,
@@ -245,8 +180,7 @@ pub struct IncrementalAnonymizer {
     /// equals their count: nodes split or collapsed since their row was
     /// computed, and parents of rows a refresh changed (the "child
     /// changed" mark). Kept here rather than in a sweep, so a cancelled
-    /// refresh, or tasks applied before their spine, resume with the
-    /// marks intact.
+    /// refresh resumes with the marks intact.
     stale_inputs: HashSet<NodeId>,
     /// Version of each child row last read (binary trees only; the quad
     /// sweep reads its children's rows without counting).
@@ -437,7 +371,7 @@ impl IncrementalAnonymizer {
             if cancel() {
                 return Err(CoreError::Cancelled);
             }
-            let order = dirty_postorder_from(&self.tree, &self.pending, self.tree.root());
+            let order = dirty_postorder(&self.tree, &self.pending);
             self.refresh_sequence(&order, &first_poll_taken(cancel), report)?;
         }
         self.finish_refresh(report);
@@ -447,141 +381,8 @@ impl IncrementalAnonymizer {
     /// True when a live row awaits recomputation. The dirty set is
     /// ancestor-closed, so that is exactly when the root is pending; any
     /// other pending ids are strays freed by restructuring.
-    pub fn has_live_pending(&self) -> bool {
+    fn has_live_pending(&self) -> bool {
         self.pending.contains(&self.tree.root())
-    }
-
-    /// Splits the pending set into a [`RefreshPlan`] of at least
-    /// `max_tasks` disjoint dirty subtrees (when the dirty set branches
-    /// that wide) plus the shared ancestor spine.
-    ///
-    /// The frontier starts at the root and repeatedly descends into dirty
-    /// children — parents crossed on the way join the spine — until it is
-    /// `max_tasks` wide or nothing expands. Order is everywhere the tree's
-    /// child-slice order, so plans are deterministic. An empty plan (no
-    /// tasks) means the dirty set is a single path or empty; callers fall
-    /// back to the sequential sweep.
-    pub fn plan_refresh(&self, max_tasks: usize) -> RefreshPlan {
-        let root = self.tree.root();
-        if max_tasks <= 1 || !self.pending.contains(&root) {
-            return RefreshPlan::default();
-        }
-        let mut frontier = vec![root];
-        let mut spine_topdown: Vec<NodeId> = Vec::new();
-        while frontier.len() < max_tasks {
-            let mut next = Vec::with_capacity(frontier.len() * 2);
-            let mut expanded = false;
-            for &id in &frontier {
-                let mut dirty_kids = 0;
-                for &c in self.tree.node(id).children.as_slice() {
-                    if self.pending.contains(&c) {
-                        dirty_kids += 1;
-                    }
-                }
-                if dirty_kids == 0 {
-                    next.push(id);
-                } else {
-                    expanded = true;
-                    spine_topdown.push(id);
-                    for &c in self.tree.node(id).children.as_slice() {
-                        if self.pending.contains(&c) {
-                            next.push(c);
-                        }
-                    }
-                }
-            }
-            frontier = next;
-            if !expanded {
-                break;
-            }
-        }
-        if spine_topdown.is_empty() {
-            // The root never expanded: the dirty set is the root alone.
-            return RefreshPlan::default();
-        }
-        let tasks: Vec<Vec<NodeId>> = frontier
-            .iter()
-            .map(|&id| dirty_postorder_from(&self.tree, &self.pending, id))
-            .collect();
-        spine_topdown.reverse();
-        RefreshPlan { tasks, spine: spine_topdown }
-    }
-
-    /// Computes the fresh rows of one plan task **without mutating
-    /// anything** — safe to run concurrently for disjoint tasks sharing
-    /// `&self`. A child row resolves to one computed earlier in this task,
-    /// else to the matrix row, counted as a cache hit when the (read-only)
-    /// version cache is current for it. A node keeps its row under the
-    /// sequential sweep's rule; a row this task changed (compared with the
-    /// matrix row it replaces) marks its parent for recomputation within
-    /// the task. `cancel` is polled before each recomputed row.
-    ///
-    /// # Errors
-    /// [`CoreError::Cancelled`] when `cancel` fires; DP errors otherwise.
-    pub fn compute_task_rows(
-        &self,
-        nodes: &[NodeId],
-        scratch: &mut DpScratch,
-        cancel: &dyn Fn() -> bool,
-    ) -> Result<TaskRows, CoreError> {
-        let mut rows: Vec<(NodeId, Row)> = Vec::with_capacity(nodes.len());
-        let mut kept = Vec::new();
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
-        // Parents of rows this task changed: its own "child changed" marks.
-        let mut stale: HashSet<NodeId> = HashSet::new();
-        let (mut hits, mut misses) = (0usize, 0usize);
-        for &id in nodes {
-            if !stale.contains(&id) && self.keeps_row(id) {
-                kept.push(id);
-                continue;
-            }
-            if cancel() {
-                return Err(CoreError::Cancelled);
-            }
-            let node = self.tree.node(id);
-            let local = LocalRows { index: &index, rows: &rows };
-            let (d, area) = (node.count, node.rect.area());
-            let cap = dense_cap(d, node.depth, self.k);
-            let row = match *node.children.as_slice() {
-                [] => Row::leaf(d, area, cap),
-                [c1, c2] => {
-                    let pair = ChildPair {
-                        dense1: task_child_costs(self, &local, id, c1, &mut hits, &mut misses)?,
-                        dense2: task_child_costs(self, &local, id, c2, &mut hits, &mut misses)?,
-                        d1: self.tree.node(c1).count,
-                        d2: self.tree.node(c2).count,
-                    };
-                    combine_children(pair, d, area, cap, self.k, &mut scratch.inner)
-                }
-                _ => quad_row(&self.tree, &self.matrix, Some(&local), id, self.k)?,
-            };
-            if let (true, Some(parent)) = (row_changed(self.matrix.row(id), &row), node.parent) {
-                stale.insert(parent);
-            }
-            index.insert(id, rows.len());
-            rows.push((id, row));
-        }
-        Ok(TaskRows { rows, kept, cache_hits: hits, cache_misses: misses })
-    }
-
-    /// Installs one task's rows — matrix rows set, their versions
-    /// recorded, pending entries retired, kept rows retired as they are —
-    /// and counts them into `report`. A row that changed marks its
-    /// parent, so the spine sweep recomputes it.
-    ///
-    /// Tasks touch disjoint rows, so apply order does not affect the final
-    /// matrix; applying in plan order keeps progress reports deterministic.
-    pub fn apply_task_rows(&mut self, task: TaskRows, report: &mut IncrementalReport) {
-        report.cache_hits += task.cache_hits;
-        report.cache_misses += task.cache_misses;
-        report.rows_recomputed += task.rows.len();
-        report.rows_kept += task.kept.len();
-        for id in task.kept {
-            self.retire(id);
-        }
-        for (id, row) in task.rows {
-            self.install(id, row);
-        }
     }
 
     /// True when pending node `id` keeps its row: the row exists, was
@@ -620,15 +421,13 @@ impl IncrementalAnonymizer {
 
     /// Visits `nodes` in order, keeping each current row and recomputing
     /// and applying the rest, polling `cancel` before each recomputed row.
-    /// The building block behind
-    /// [`refresh_cancellable`](Self::refresh_cancellable) (whole dirty
-    /// postorder) and the spine sweep of a parallel refresh. `nodes` must
-    /// be in postorder with every descendant's row already retired.
+    /// `nodes` must be in postorder with every descendant's row already
+    /// retired.
     ///
     /// # Errors
     /// [`CoreError::Cancelled`] mid-sweep (retired rows stay retired);
     /// DP errors otherwise.
-    pub fn refresh_sequence(
+    fn refresh_sequence(
         &mut self,
         nodes: &[NodeId],
         cancel: &dyn Fn() -> bool,
@@ -660,9 +459,8 @@ impl IncrementalAnonymizer {
 
     /// Closes out a completed refresh: clears stray pending ids and marks
     /// (ids freed by restructuring are no longer live rows) and fills in
-    /// the reuse count. Call only after every planned row has been
-    /// applied.
-    pub fn finish_refresh(&mut self, report: &mut IncrementalReport) {
+    /// the reuse count.
+    fn finish_refresh(&mut self, report: &mut IncrementalReport) {
         self.pending.clear();
         self.stale_inputs.clear();
         report.rows_reused = self.tree.live_len().saturating_sub(report.rows_recomputed);
@@ -771,29 +569,19 @@ impl IncrementalAnonymizer {
 /// later call polls. Keeps `cancel` polled exactly once per computed row
 /// when the first poll is hoisted ahead of an `O(|dirty|)` walk.
 pub fn first_poll_taken<F: Fn() -> bool>(cancel: F) -> impl Fn() -> bool {
-    let taken = AtomicBool::new(true);
-    // Relaxed: the flag publishes no other data, and `swap` is one atomic
-    // read-modify-write, so exactly one call (on any thread) skips.
-    move || !taken.swap(false, Ordering::Relaxed) && cancel()
+    let taken = Cell::new(true);
+    move || !taken.replace(false) && cancel()
 }
 
-/// Postorder of the pending nodes reachable from `start` by descending
+/// Postorder of the pending nodes reachable from the root by descending
 /// only into pending children — the coalesced dirty sweep order.
 ///
 /// The dirty set is ancestor-closed (every live pending node's parent is
-/// pending up to the root), so starting at the root reaches every live
-/// pending row; tombstoned strays are unreachable and simply skipped.
-/// Sibling order is the tree's child-slice order, so the result is
-/// deterministic.
-fn dirty_postorder_from(
-    tree: &SpatialTree,
-    pending: &HashSet<NodeId>,
-    start: NodeId,
-) -> Vec<NodeId> {
-    if !pending.contains(&start) {
-        return Vec::new();
-    }
-    let mut stack = vec![start];
+/// pending up to the root), so a pending root reaches every live pending
+/// row; tombstoned strays are unreachable and simply skipped. Sibling
+/// order is the tree's child-slice order, so the result is deterministic.
+fn dirty_postorder(tree: &SpatialTree, pending: &HashSet<NodeId>) -> Vec<NodeId> {
+    let mut stack = vec![tree.root()];
     let mut order = Vec::new();
     while let Some(id) = stack.pop() {
         order.push(id);
@@ -840,27 +628,8 @@ fn recompute_row(
             };
             Ok(combine_children(pair, d, area, cap, k, &mut scratch.inner))
         }
-        _ => quad_row(tree, matrix, None, id, k),
+        _ => quad_row(tree, matrix, id, k),
     }
-}
-
-/// Resolves a child's dense cost column for a task without mutating
-/// shared state: a row computed earlier in the task, else the matrix row,
-/// counted as a hit when the cache is current for it and a miss otherwise.
-fn task_child_costs<'a>(
-    inc: &'a IncrementalAnonymizer,
-    local: &LocalRows<'a>,
-    parent: NodeId,
-    child: NodeId,
-    hits: &mut usize,
-    misses: &mut usize,
-) -> Result<&'a [u128], CoreError> {
-    if let Some(row) = local.get(child) {
-        return Ok(&row.dense);
-    }
-    let (dense, hit) = inc.cache.read(&inc.tree, &inc.matrix, parent, child)?;
-    *if hit { hits } else { misses } += 1;
-    Ok(dense)
 }
 
 #[cfg(test)]
@@ -1278,82 +1047,5 @@ mod tests {
             assert!(policy.is_masking_and_total(&db), "round {round}");
             assert!(verify_policy_aware(policy, &db, k).is_ok(), "round {round}");
         }
-    }
-
-    /// A planned refresh — tasks computed against the pre-refresh state,
-    /// applied in order, spine swept last — must be byte-identical to the
-    /// plain sequential sweep, and the plan must partition the live
-    /// pending set exactly.
-    fn assert_plan_matches_sequential(kind: TreeKind, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let side = 128i64;
-        let n = 300u64;
-        let k = 6;
-        let mut db = random_db(&mut rng, n as usize, side);
-        let cfg = TreeConfig::lazy(kind, Rect::square(0, 0, side), k);
-        let mut seq = IncrementalAnonymizer::new(&db, cfg, k).unwrap();
-
-        let moves = random_moves(&mut rng, n, 40, side);
-        db.apply_moves(&moves).unwrap();
-        let updates: Vec<UserUpdate> = moves.iter().copied().map(UserUpdate::Move).collect();
-        seq.stage_updates(&updates).unwrap();
-        let mut planned = seq.clone();
-
-        let plan = planned.plan_refresh(8);
-        assert!(plan.tasks.len() > 1, "40 scattered moves must branch: {plan:?}");
-
-        // Tasks + spine partition the planned work; no id appears twice.
-        let mut all: Vec<NodeId> = plan.tasks.iter().flatten().copied().collect();
-        all.extend(&plan.spine);
-        let distinct: HashSet<NodeId> = all.iter().copied().collect();
-        assert_eq!(distinct.len(), all.len(), "plan pieces overlap");
-
-        let seq_report = seq.refresh().unwrap();
-        assert_eq!(
-            all.len(),
-            seq_report.rows_recomputed + seq_report.rows_kept,
-            "plan must cover the dirty sweep"
-        );
-
-        let mut report = IncrementalReport::default();
-        let mut scratch = DpScratch::new();
-        let computed: Vec<TaskRows> = plan
-            .tasks
-            .iter()
-            .map(|t| planned.compute_task_rows(t, &mut scratch, &|| false).unwrap())
-            .collect();
-        for task in computed {
-            planned.apply_task_rows(task, &mut report);
-        }
-        planned.refresh_sequence(&plan.spine, &|| false, &mut report).unwrap();
-        planned.finish_refresh(&mut report);
-
-        assert_eq!(report.rows_recomputed, seq_report.rows_recomputed);
-        assert_eq!(report.rows_kept, seq_report.rows_kept);
-        assert_eq!(report.rows_reused, seq_report.rows_reused);
-        assert_eq!(planned.matrix(), seq.matrix(), "planned refresh must be bit-identical");
-        assert!(planned.is_fresh());
-        assert_eq!(planned.optimal_cost().unwrap(), seq.optimal_cost().unwrap());
-    }
-
-    #[test]
-    fn planned_refresh_is_bit_identical_on_binary_trees() {
-        assert_plan_matches_sequential(TreeKind::Binary, 41);
-    }
-
-    #[test]
-    fn planned_refresh_is_bit_identical_on_quad_trees() {
-        assert_plan_matches_sequential(TreeKind::Quad, 42);
-    }
-
-    #[test]
-    fn plan_is_empty_for_single_path_dirty_sets() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let side = 64i64;
-        let db = random_db(&mut rng, 60, side);
-        let cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, side), 4);
-        let inc = IncrementalAnonymizer::new(&db, cfg, 4).unwrap();
-        // Nothing pending: nothing to plan.
-        assert!(inc.plan_refresh(8).tasks.is_empty());
     }
 }

@@ -47,9 +47,6 @@ pub enum Counter {
     TasksStolen,
     /// DP scratch arenas reused across tasks (vs freshly allocated).
     ScratchReuses,
-    /// Arena checkouts served from a `ScratchPool` (reuse across engine
-    /// runs, i.e. anonymization epochs) rather than freshly allocated.
-    ScratchPoolHits,
     /// Users assigned a cloak by a bulk anonymization.
     UsersAnonymized,
     /// Per-request policy lookups served.
@@ -93,8 +90,10 @@ pub enum Counter {
     /// Individual shards recovered from their own WAL + checkpoints
     /// while the rest of the fleet kept serving.
     ShardRecoveries,
-    /// Disjoint dirty subtrees refreshed as parallel tasks by batched
-    /// incremental commits (one refresh plan may contribute many).
+    /// Disjoint dirty subtrees refreshed as parallel tasks. A shard's
+    /// refresh has been one sequential sweep since the parallel refresh
+    /// was removed, so this stays 0; it is kept only because the
+    /// end-to-end benchmark still reports it.
     DirtySubtrees,
     /// Child cost vectors served from the incremental maintainer's
     /// version-keyed subtree cache during a refresh.
@@ -135,12 +134,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 35] = [
+    pub const ALL: [Counter; 34] = [
         Counter::TasksInjected,
         Counter::TasksExecuted,
         Counter::TasksStolen,
         Counter::ScratchReuses,
-        Counter::ScratchPoolHits,
         Counter::UsersAnonymized,
         Counter::RequestsServed,
         Counter::CacheHits,
@@ -180,7 +178,6 @@ impl Counter {
             Counter::TasksExecuted => "tasks_executed",
             Counter::TasksStolen => "tasks_stolen",
             Counter::ScratchReuses => "scratch_reuses",
-            Counter::ScratchPoolHits => "scratch_pool_hits",
             Counter::UsersAnonymized => "users_anonymized",
             Counter::RequestsServed => "requests_served",
             Counter::CacheHits => "cache_hits",
@@ -343,7 +340,6 @@ impl Metrics {
     }
 
     /// Records one completed span of `stage`.
-    // lbs-lint: allow-item(panic-reachability, reason = "stage_nanos and stage_calls are sized to Stage::ALL.len() and index() returns a position inside ALL, so both array accesses are in bounds by construction")
     pub fn record(&self, stage: Stage, elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.stage_nanos[stage.index()].fetch_add(nanos, Ordering::Relaxed);

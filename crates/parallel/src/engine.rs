@@ -1,20 +1,17 @@
-//! The work-stealing pool behind every concurrent path of the crate.
+//! The work-stealing pool behind the crate's concurrent jurisdiction runs.
 //!
-//! One loop serves two kinds of shared-nothing task. Jurisdiction runs
-//! ([`anonymize_work_stealing`], Section V) anonymize one jurisdiction
-//! per task; refresh plans ([`refresh_parallel`](crate::refresh_parallel),
-//! Section IV) recompute one disjoint dirty subtree per task. A fixed set
-//! of worker threads pulls indexed payloads from a shared
-//! [`crossbeam::deque::Injector`]. Each worker owns a LIFO deque plus a
-//! reusable [`DpScratch`] arena, and steals from siblings when both its
-//! deque and the injector run dry — the classic work-stealing discipline.
+//! [`anonymize_work_stealing`] (Section V) anonymizes one shared-nothing
+//! jurisdiction per task. A fixed set of worker threads pulls indexed
+//! payloads from a shared [`crossbeam::deque::Injector`]. Each worker
+//! owns a LIFO deque plus a reusable [`DpScratch`] arena, and steals from
+//! siblings when both its deque and the injector run dry — the classic
+//! work-stealing discipline.
 //!
 //! Properties the tests pin down:
 //!
 //! * **Determinism** — results carry their payload index and come back
-//!   sorted by it, so the produced [`BulkPolicy`] or refreshed matrix is
-//!   *bit-identical* to the sequential run for any worker count and any
-//!   steal interleaving.
+//!   sorted by it, so the produced [`BulkPolicy`] is *bit-identical* to
+//!   the sequential run for any worker count and any steal interleaving.
 //! * **Skew tolerance** — jurisdiction runs always inject the largest
 //!   population first (LPT scheduling), so one giant jurisdiction cannot
 //!   strand the pool: it starts first while the small tasks back-fill the
@@ -235,49 +232,6 @@ impl FaultPlan {
 /// Per-task result: the server report plus the server's policy.
 pub(crate) type TaskResult = (ServerReport, BulkPolicy);
 
-/// A cross-run cache of worker [`DpScratch`] arenas.
-///
-/// Within one pool run each worker already reuses its own arena from task
-/// to task ([`Counter::ScratchReuses`]); the pool extends that reuse
-/// across *runs* — the steady-state shape of a service refreshing every
-/// commit. Workers check an arena out at startup (a hit is counted under
-/// [`Counter::ScratchPoolHits`]; a miss allocates fresh) and check it
-/// back in when the run drains, so run `n+1` starts with run `n`'s fully
-/// grown buffers.
-///
-/// Pooling never changes results: arenas carry no row data between
-/// checkouts, only capacity.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    arenas: Mutex<Vec<DpScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks an arena out, reusing a pooled one when available.
-    pub(crate) fn checkout(&self, metrics: Option<&Metrics>) -> DpScratch {
-        let pooled = self.arenas.lock().pop();
-        if let (Some(_), Some(m)) = (&pooled, metrics) {
-            m.incr(Counter::ScratchPoolHits);
-        }
-        pooled.unwrap_or_default()
-    }
-
-    /// Returns an arena to the pool for a later run.
-    pub(crate) fn checkin(&self, arena: DpScratch) {
-        self.arenas.lock().push(arena);
-    }
-
-    /// Arenas currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.arenas.lock().len()
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -351,8 +305,7 @@ pub(crate) type PartialResults<R> = (Vec<(usize, R)>, Option<CoreError>);
 /// Runs indexed `payloads`, injected in the given order, on a
 /// work-stealing pool of [`EngineConfig::effective_workers`] threads.
 /// `server` gets each payload with its worker's reusable [`DpScratch`]
-/// arena, checked out of `pool` when one is given (and checked back in
-/// when the run drains).
+/// arena.
 ///
 /// Every call runs under `catch_unwind`. A panic — real, or injected by
 /// `faults` before `server` is called (counted under
@@ -371,7 +324,6 @@ pub(crate) type PartialResults<R> = (Vec<(usize, R)>, Option<CoreError>);
 pub(crate) fn run_pool<T, R, F>(
     payloads: Vec<(usize, T)>,
     config: &EngineConfig,
-    pool: Option<&ScratchPool>,
     faults: Option<&FaultPlan>,
     metrics: Option<&Metrics>,
     server: F,
@@ -410,7 +362,7 @@ where
                     // worker's share of the injector.
                     std::thread::sleep(delay);
                 }
-                let mut scratch = pool.map_or_else(DpScratch::new, |p| p.checkout(metrics));
+                let mut scratch = DpScratch::new();
                 // Whether `scratch` has already served a task of this run.
                 let mut served = false;
                 while let Some(mut task) = find_task(me, local, injector, stealers, metrics) {
@@ -472,9 +424,6 @@ where
                             }
                         }
                     }
-                }
-                if let Some(p) = pool {
-                    p.checkin(scratch);
                 }
             });
         }
@@ -652,7 +601,7 @@ pub fn anonymize_work_stealing_faulted(
 
     // lbs-lint: allow(no-wall-clock-in-dp, reason = "server wall time is reported in ParallelOutcome timings only; task results are merge-order normalized")
     let run_started = Instant::now();
-    let (results, error) = run_pool(queue, config, None, faults, metrics, |scratch, task| {
+    let (results, error) = run_pool(queue, config, faults, metrics, |scratch, task| {
         anonymize_task(task, k, Some(scratch), metrics)
     });
     let server_wall_time = run_started.elapsed();
@@ -789,7 +738,7 @@ mod tests {
         let metrics = Metrics::new();
         let fired = AtomicBool::new(false);
         let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
-        let (results, error) = run_pool(indexed(6), &cfg, None, None, Some(&metrics), |_, &i| {
+        let (results, error) = run_pool(indexed(6), &cfg, None, Some(&metrics), |_, &i| {
             if !fired.swap(true, Ordering::SeqCst) {
                 panic!("injected failure in task {i}");
             }
@@ -813,7 +762,7 @@ mod tests {
     fn server_error_is_returned_next_to_sibling_results() {
         let metrics = Metrics::new();
         let cfg = EngineConfig { workers: 2, ..EngineConfig::default() };
-        let (results, error) = run_pool(indexed(4), &cfg, None, None, Some(&metrics), |_, &i| {
+        let (results, error) = run_pool(indexed(4), &cfg, None, Some(&metrics), |_, &i| {
             if i == 2 {
                 Err(CoreError::InvalidK)
             } else {
@@ -901,27 +850,5 @@ mod tests {
         let c = FaultPlan::seeded(43, 32);
         let differs = (0..32).any(|i| a.should_panic(i, 0) != c.should_panic(i, 0));
         assert!(differs, "different seeds should produce different plans");
-    }
-
-    #[test]
-    fn pooled_runs_conserve_and_reuse_arenas() {
-        let pool = ScratchPool::new();
-        let cfg = EngineConfig { workers: 4, ..EngineConfig::default() };
-        let metrics = Metrics::new();
-        let run = || run_pool(indexed(16), &cfg, Some(&pool), None, Some(&metrics), |_, &i| Ok(i));
-        // Run 1 starts with an empty pool. A late-spawning worker may still
-        // hit (a fast sibling can drain the queue and check its arena back
-        // in first), so the invariant is conservation, not a hit count:
-        // every fresh allocation (checkout minus hit) grows the idle set.
-        let (first, error) = run();
-        assert!(error.is_none());
-        let hits_cold = metrics.get(Counter::ScratchPoolHits);
-        assert_eq!(pool.idle() as u64 + hits_cold, 4, "arena conservation after run 1");
-        // Run 2 finds a warm pool: its first checkout is a hit.
-        let (second, error) = run();
-        assert!(error.is_none());
-        assert!(metrics.get(Counter::ScratchPoolHits) > hits_cold, "a warm pool must serve");
-        assert_eq!(first, second);
-        assert_eq!(first, indexed(16));
     }
 }

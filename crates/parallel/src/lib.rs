@@ -23,21 +23,17 @@
 //! jurisdiction first, on the [`engine`] module's work-stealing pool: a
 //! fixed set of workers pulling indexed tasks from a `crossbeam`
 //! injector, each with a reusable DP scratch arena, producing output
-//! bit-identical to the sequential run. [`refresh_parallel`] runs the
-//! disjoint dirty subtrees of a Section IV incremental refresh on the same
-//! pool.
+//! bit-identical to the sequential run.
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod partition;
-pub mod refresh;
 
 pub use partition::{partition_users, Jurisdiction};
-pub use refresh::refresh_parallel;
 
 pub use engine::{
-    anonymize_work_stealing, anonymize_work_stealing_faulted, EngineConfig, FaultPlan, ScratchPool,
+    anonymize_work_stealing, anonymize_work_stealing_faulted, EngineConfig, FaultPlan,
 };
 
 use lbs_core::CoreError;

@@ -153,40 +153,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A clock that moves one millisecond forward on every read, so a
+    /// deadline `n` ms ahead fires at a commit's `n`-th deadline poll:
+    /// mid-sweep, after some rows are computed.
+    #[derive(Debug, Default)]
+    struct TickingClock(ManualClock);
+
+    impl Clock for TickingClock {
+        fn now(&self) -> Duration {
+            let now = self.0.now();
+            self.0.advance(Duration::from_millis(1));
+            now
+        }
+
+        fn sleep(&self, d: Duration) {
+            self.0.sleep(d);
+        }
+    }
+
     #[test]
-    fn parallel_refresh_commits_bit_identically_to_sequential() {
+    fn commits_count_every_cache_hit_of_the_refresh_even_when_cancelled() {
         let db0 = seed_db(23, 60);
         let k = 4;
-        let rounds = 6;
-        let seq_dir = tmp_dir("par-seq");
-        let mut seq_rt = manual_builder(k).create(&seq_dir, &db0).unwrap();
-
-        let par_dir = tmp_dir("par-par");
-        let mut cfg = RuntimeConfig::new(k, Rect::square(0, 0, SIDE));
-        cfg.refresh_workers = 4;
+        let dir = tmp_dir("cache-hits");
+        let clock = Arc::new(TickingClock::default());
         let metrics = Arc::new(Metrics::new());
-        let mut par_rt = RuntimeBuilder::new(cfg)
-            .clock(Arc::new(ManualClock::new()))
+        let mut rt = RuntimeBuilder::new(RuntimeConfig::new(k, Rect::square(0, 0, SIDE)))
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
             .metrics(Arc::clone(&metrics))
-            .create(&par_dir, &db0)
+            .create(&dir, &db0)
             .unwrap();
+        let tree_cfg = TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, SIDE), k);
+        let mut plain = lbs_core::IncrementalAnonymizer::new(&db0, tree_cfg, k).unwrap();
 
-        let mut updates_total = 0u64;
-        for batch in batches(23, &db0, rounds) {
-            seq_rt.apply_batch(&batch).unwrap();
-            seq_rt.commit().unwrap();
-            par_rt.apply_batch(&batch).unwrap();
-            par_rt.commit().unwrap();
+        let (mut hits, mut updates_total) = (0u64, 0u64);
+        for (round, batch) in batches(23, &db0, 8).iter().enumerate() {
+            hits += plain.apply_updates(batch).unwrap().cache_hits as u64;
             updates_total += batch.len() as u64;
+            rt.apply_batch(batch).unwrap();
+            if round == 4 {
+                let pending = rt.pending_rows();
+                let deadline = clock.now() + Duration::from_millis(3);
+                assert!(matches!(
+                    rt.commit_with_deadline(Some(deadline)),
+                    Err(RuntimeError::DeadlineExceeded)
+                ));
+                let left = rt.pending_rows();
+                assert!(0 < left && left < pending, "cancelled mid-sweep: {left} of {pending}");
+            }
+            rt.commit().unwrap();
             assert_eq!(
-                encode_policy(par_rt.committed_policy()),
-                encode_policy(seq_rt.committed_policy()),
-                "parallel refresh must commit the same bytes"
+                encode_policy(rt.committed_policy()),
+                encode_policy(plain.policy().unwrap()),
+                "round {round}"
             );
         }
+        assert!(hits > 0);
+        assert_eq!(metrics.get(Counter::SubtreeCacheHits), hits);
         assert_eq!(metrics.get(Counter::BatchedMoves), updates_total);
-        std::fs::remove_dir_all(&seq_dir).unwrap();
-        std::fs::remove_dir_all(&par_dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

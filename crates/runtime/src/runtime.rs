@@ -9,13 +9,13 @@ use crate::error::RuntimeError;
 use crate::scrub::{scrub_dir, GcReport, ScrubReport};
 use crate::storage::{real_fs, StorageBackend};
 use crate::wal::Wal;
-use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer};
+use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer, IncrementalReport};
 use lbs_geom::{Rect, Region};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{
     AnonymizedRequest, BulkPolicy, LocationDb, RequestId, RequestParams, UserId, UserUpdate,
 };
-use lbs_parallel::{refresh_parallel, EngineConfig, FaultPlan, ScratchPool};
+use lbs_parallel::FaultPlan;
 use lbs_query::{ClientAnswer, CloakedLbs};
 use lbs_tree::{TreeConfig, TreeKind};
 use std::collections::BTreeSet;
@@ -39,12 +39,6 @@ pub struct RuntimeConfig {
     pub backoff_base: Duration,
     /// Seed of the deterministic backoff jitter.
     pub retry_seed: u64,
-    /// Worker threads for the commit-time DP refresh. `1` (the default)
-    /// runs the sequential sweep; more workers split the dirty set into
-    /// disjoint subtrees on the work-stealing pool
-    /// ([`lbs_parallel::refresh_parallel`]) with a bit-identical result,
-    /// so the knob is pure latency tuning.
-    pub refresh_workers: usize,
     /// Bounded retention: `Some(n)` keeps the newest `n` *verified*
     /// checkpoint generations, removes older ones, and prunes WAL
     /// records no retained generation needs
@@ -54,8 +48,7 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Defaults: checkpoint every 4 commits, 3 retries, 5ms backoff base,
-    /// sequential refresh.
+    /// Defaults: checkpoint every 4 commits, 3 retries, 5ms backoff base.
     pub fn new(k: usize, map: Rect) -> Self {
         RuntimeConfig {
             k,
@@ -64,7 +57,6 @@ impl RuntimeConfig {
             max_retries: 3,
             backoff_base: Duration::from_millis(5),
             retry_seed: 0xC10C_4A11,
-            refresh_workers: 1,
             retain_checkpoints: None,
         }
     }
@@ -111,21 +103,18 @@ pub fn backoff_delay(base: Duration, seed: u64, attempt: u32) -> Duration {
     exp + Duration::from_nanos(jitter / 2)
 }
 
-/// Runs a commit's DP refresh: sequential for `refresh_workers` ≤ 1,
-/// otherwise the dirty set is split into disjoint subtrees on the
-/// work-stealing pool. Both paths poll the deadline once per recomputed
-/// row and produce bit-identical matrices, so the knob never affects
-/// committed policies, only commit latency. The first poll comes before
+/// Runs a commit's DP refresh, the coalesced sequential sweep, polling
+/// the deadline once per recomputed row. The first poll comes before
 /// anything else, so an already expired deadline costs one clock read,
 /// and a commit never starts past its deadline, even one whose staged
 /// updates leave every row current: extraction and the checkpoint that
-/// may follow cannot be cancelled.
+/// may follow cannot be cancelled. [`Counter::SubtreeCacheHits`] counts
+/// the cache hits of every row computed, whether the refresh finished
+/// or was cancelled.
 fn refresh_for_commit(
     inc: &mut IncrementalAnonymizer,
-    pool: &ScratchPool,
     metrics: Option<&Metrics>,
     clock: &Arc<dyn Clock>,
-    refresh_workers: usize,
     deadline: Option<Duration>,
 ) -> Result<(), CoreError> {
     let clock = Arc::clone(clock);
@@ -133,9 +122,12 @@ fn refresh_for_commit(
     if cancel() {
         return Err(CoreError::Cancelled);
     }
-    let config = EngineConfig { workers: refresh_workers.max(1), ..EngineConfig::default() };
-    refresh_parallel(inc, &config, Some(pool), metrics, &first_poll_taken(cancel))?;
-    Ok(())
+    let mut report = IncrementalReport::default();
+    let result = inc.refresh_into(&first_poll_taken(cancel), &mut report);
+    if let Some(m) = metrics {
+        m.add(Counter::SubtreeCacheHits, report.cache_hits as u64);
+    }
+    result
 }
 
 /// Brings the maintained policy up to date after a completed refresh —
@@ -288,7 +280,6 @@ impl RuntimeBuilder {
             durable_seq: 0,
             committed_seq: 0,
             commits_since_checkpoint: 0,
-            scratch_pool: ScratchPool::new(),
             lbs: self.lbs,
             touched: BTreeSet::new(),
             degraded: None,
@@ -357,7 +348,6 @@ impl RuntimeBuilder {
             durable_seq: wal_seq,
             committed_seq: wal_seq,
             commits_since_checkpoint: 0,
-            scratch_pool: ScratchPool::new(),
             lbs: self.lbs,
             touched: BTreeSet::new(),
             degraded: None,
@@ -418,8 +408,6 @@ pub struct ServiceRuntime {
     /// WAL sequence the committed policy reflects.
     committed_seq: u64,
     commits_since_checkpoint: u64,
-    /// Worker DP arenas reused across parallel refreshes (commit epochs).
-    scratch_pool: ScratchPool,
     lbs: Option<CloakedLbs>,
     /// Users staged since the commit, each once: the only senders whose
     /// cloak group can have left the Committed rung. Cleared whenever
@@ -560,10 +548,8 @@ impl ServiceRuntime {
             } else {
                 match refresh_for_commit(
                     &mut self.inc,
-                    &self.scratch_pool,
                     self.metrics.as_deref(),
                     &self.clock,
-                    self.cfg.refresh_workers,
                     deadline,
                 ) {
                     Ok(()) => break,

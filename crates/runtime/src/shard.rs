@@ -68,9 +68,6 @@ pub struct ShardedConfig {
     pub admission_limit: usize,
     /// Per-shard checkpoint cadence (commits per checkpoint).
     pub checkpoint_every: u64,
-    /// Worker threads for each shard's commit-time refresh (see
-    /// [`RuntimeConfig::refresh_workers`]); bit-identical at any value.
-    pub refresh_workers: usize,
     /// Per-shard bounded retention (see
     /// [`RuntimeConfig::retain_checkpoints`]); `None` keeps every
     /// generation.
@@ -79,7 +76,7 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// Defaults: 8192-update admission window, checkpoint every 4
-    /// commits, sequential per-shard refresh.
+    /// commits.
     ///
     /// The admission window doubled (4096 → 8192) when commits went
     /// batched: the coalesced refresh amortizes a large staged backlog
@@ -92,7 +89,6 @@ impl ShardedConfig {
             shards,
             admission_limit: 8192,
             checkpoint_every: 4,
-            refresh_workers: 1,
             retain_checkpoints: None,
         }
     }
@@ -100,7 +96,6 @@ impl ShardedConfig {
     fn runtime_config(&self, region: Rect) -> RuntimeConfig {
         let mut rc = RuntimeConfig::new(self.k, region);
         rc.checkpoint_every = self.checkpoint_every;
-        rc.refresh_workers = self.refresh_workers;
         rc.retain_checkpoints = self.retain_checkpoints;
         rc
     }
@@ -198,10 +193,20 @@ impl ShardedBuilder {
         let storage = self.fleet_storage();
         storage.create_dir_all(dir).map_err(|e| crate::error::io_err("create_dir", dir, e))?;
         plan.store_via(storage.as_ref(), dir)?;
+        // One pass over `db` in its own order, so each shard's rows (and
+        // so its checkpoint bytes) keep `db` order. The plan is total
+        // over the map and rejected off-map users, so every row routes.
+        let mut per_shard: Vec<Vec<(UserId, Point)>> = vec![Vec::new(); plan.len()];
+        for (user, p) in db.iter() {
+            if let Some(rows) = plan.route_point(&p).and_then(|s| per_shard.get_mut(s)) {
+                rows.push((user, p));
+            }
+        }
         let mut slots = Vec::with_capacity(plan.len());
-        for (i, region) in plan.regions.iter().enumerate() {
-            let rows: Vec<(UserId, Point)> =
-                db.iter().filter(|(_, p)| region.contains(p)).collect();
+        for (region, rows) in plan.regions.iter().zip(per_shard) {
+            // Not `enumerate()`: the deep lint would label the index with
+            // the rows' location taint, and it names the shard directory.
+            let i = slots.len();
             let sub = LocationDb::from_rows(rows).map_err(RuntimeError::Model)?;
             let shard = self.shard_builder(*region, i).create(&shard_dir(dir, i), &sub)?;
             slots.push(Some(shard));
@@ -1112,12 +1117,11 @@ mod tests {
     /// shard ends byte-identical to its plain twin: committed policy,
     /// WAL and checkpoint files. The ring head rotates every cycle, so
     /// at 3 shards each shard settles first, middle and last in turn.
-    fn assert_shards_match_plain_runtimes(tag: &str, shards: usize, refresh_workers: usize) {
+    fn assert_shards_match_plain_runtimes(tag: &str, shards: usize) {
         let dir = tmp_dir(tag);
         let db = seeded_db(17, 160);
         let mut cfg = ShardedConfig::new(4, Rect::square(0, 0, SIDE), shards);
         cfg.checkpoint_every = 2;
-        cfg.refresh_workers = refresh_workers;
         let mut sharded = ShardedBuilder::new(cfg)
             .clock(Arc::new(ManualClock::new()))
             .create(&dir.join("sharded"), &db)
@@ -1184,19 +1188,12 @@ mod tests {
 
     #[test]
     fn single_shard_pump_matches_plain_runtime() {
-        assert_shards_match_plain_runtimes("single", 1, 1);
+        assert_shards_match_plain_runtimes("single", 1);
     }
 
     #[test]
     fn concurrent_shards_match_plain_runtimes() {
-        assert_shards_match_plain_runtimes("three", 3, 1);
-    }
-
-    /// `refresh_workers = 2` runs the engine's worker pool inside each
-    /// shard's scoped thread.
-    #[test]
-    fn concurrent_shards_with_refresh_workers_match_plain_runtimes() {
-        assert_shards_match_plain_runtimes("three-workers", 3, 2);
+        assert_shards_match_plain_runtimes("three", 3);
     }
 
     #[test]

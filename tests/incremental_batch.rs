@@ -1,26 +1,19 @@
-//! Byte-identity sweep for the batched incremental recompute path.
+//! Grouping-invariance sweep for the batched incremental recompute path.
 //!
-//! The contract under test (DESIGN.md §13) has two layers:
+//! The contract under test (DESIGN.md §13): committing a batch at once
+//! versus one move at a time yields the identical encoded policy and
+//! optimal cost. The raw arena layout is *history-dependent* (a lazy
+//! tree materializes nodes in commit order, so different groupings can
+//! permute arena slots), which is why the sweep compares the policy
+//! fingerprint rather than raw matrix bytes.
 //!
-//! 1. **Matrix byte-identity**: for one staged batch, refreshing on the
-//!    parallel work-stealing pool at any worker count produces the
-//!    byte-identical `DpMatrix` as the sequential sweep — same bytes,
-//!    same arena slots.
-//! 2. **Grouping invariance**: committing a batch at once versus one
-//!    move at a time yields the identical encoded policy and optimal
-//!    cost. The raw arena layout is *history-dependent* (a lazy tree
-//!    materializes nodes in commit order, so different groupings can
-//!    permute arena slots), which is why this layer compares the policy
-//!    fingerprint rather than raw matrix bytes.
-//!
-//! The sweep covers binary and quad trees, batch sizes {1, 7, 64, 4096},
-//! and 1–8 refresh workers; the proptest below covers adversarial batch
-//! shapes (same-user multi-move, move-then-move-back no-ops) with a
-//! greedy 1-minimal move-list shrinker, since the vendored proptest has
-//! no integrated shrinking.
+//! The sweep covers binary and quad trees and batch sizes {1, 7, 64,
+//! 4096}; the proptest below covers adversarial batch shapes (same-user
+//! multi-move, move-then-move-back no-ops) with a greedy 1-minimal
+//! move-list shrinker, since the vendored proptest has no integrated
+//! shrinking.
 
 use lbs_model::{encode_policy, UserUpdate};
-use lbs_parallel::refresh_parallel;
 use policy_aware_lbs::prelude::*;
 use proptest::prelude::*;
 
@@ -35,25 +28,12 @@ fn sweep_base(kind: TreeKind, k: usize) -> (LocationDb, Rect, IncrementalAnonymi
     (db, map, inc)
 }
 
-/// Clones `base`, stages `moves` as one batch, and refreshes it — on the
-/// work-stealing pool when `workers` is `Some(w)`, sequentially otherwise.
-fn batched_refresh(
-    base: &IncrementalAnonymizer,
-    moves: &[Move],
-    workers: Option<usize>,
-) -> IncrementalAnonymizer {
+/// Clones `base`, stages `moves` as one batch, and refreshes it.
+fn batched_refresh(base: &IncrementalAnonymizer, moves: &[Move]) -> IncrementalAnonymizer {
     let mut inc = base.clone();
     let updates: Vec<UserUpdate> = moves.iter().copied().map(UserUpdate::Move).collect();
     inc.stage_updates(&updates).unwrap();
-    match workers {
-        Some(w) => {
-            let config = EngineConfig { workers: w, ..EngineConfig::default() };
-            refresh_parallel(&mut inc, &config, None, None, &|| false).unwrap();
-        }
-        None => {
-            inc.refresh().unwrap();
-        }
-    }
+    inc.refresh().unwrap();
     assert!(inc.is_fresh());
     inc
 }
@@ -66,7 +46,7 @@ fn sweep(kind: TreeKind) {
             random_moves(&db, &map, m as f64 / SWEEP_USERS as f64, 200.0, 0x9_0 + mi as u64);
         assert_eq!(moves.len(), m, "workload produces exactly m movers");
 
-        // Layer 2 reference: the same moves, one commit each.
+        // Reference: the same moves, one commit each.
         let mut one_at_a_time = base.clone();
         for mv in &moves {
             one_at_a_time.apply_moves(std::slice::from_ref(mv)).unwrap();
@@ -74,38 +54,23 @@ fn sweep(kind: TreeKind) {
         let ref_policy = encode_policy(one_at_a_time.policy().unwrap());
         let ref_cost = one_at_a_time.optimal_cost().unwrap();
 
-        // Layer 1 reference: the same staged batch, sequential sweep.
-        let mut seq = batched_refresh(&base, &moves, None);
+        let mut batched = batched_refresh(&base, &moves);
         assert_eq!(
-            encode_policy(seq.policy().unwrap()),
+            encode_policy(batched.policy().unwrap()),
             ref_policy,
             "{kind:?} m={m}: batched policy diverged from one-at-a-time"
         );
-        assert_eq!(seq.optimal_cost().unwrap(), ref_cost, "{kind:?} m={m}");
-
-        for workers in 1..=8usize {
-            let mut par = batched_refresh(&base, &moves, Some(workers));
-            assert_eq!(
-                par.matrix(),
-                seq.matrix(),
-                "{kind:?} m={m} workers={workers}: DP matrix diverged from sequential refresh"
-            );
-            assert_eq!(
-                encode_policy(par.policy().unwrap()),
-                ref_policy,
-                "{kind:?} m={m} workers={workers}: policy fingerprint diverged"
-            );
-        }
+        assert_eq!(batched.optimal_cost().unwrap(), ref_cost, "{kind:?} m={m}");
     }
 }
 
 #[test]
-fn batched_parallel_refresh_is_byte_identical_on_binary_trees() {
+fn batched_refresh_matches_one_at_a_time_on_binary_trees() {
     sweep(TreeKind::Binary);
 }
 
 #[test]
-fn batched_parallel_refresh_is_byte_identical_on_quad_trees() {
+fn batched_refresh_matches_one_at_a_time_on_quad_trees() {
     sweep(TreeKind::Quad);
 }
 
@@ -151,10 +116,9 @@ fn render_case(db: &LocationDb, moves: &[Move]) -> String {
     format!("db: [{}]\nmoves: [{}]", rows.join(", "), ms.join(", "))
 }
 
-/// The differential oracle: batched + parallel refresh versus the
-/// sequential sweep of the same staged batch (matrix bytes) and versus
-/// one commit per move (policy fingerprint + cost). `Ok` means
-/// identical; `Err` carries the first divergence.
+/// The differential oracle: a batched refresh versus one commit per move
+/// (policy fingerprint). `Ok` means identical; `Err` carries the first
+/// divergence.
 fn batch_pipeline(db: &LocationDb, moves: &[Move], kind: TreeKind) -> Result<(), String> {
     let k = 2;
     let map = Rect::square(0, 0, SIDE);
@@ -169,26 +133,12 @@ fn batch_pipeline(db: &LocationDb, moves: &[Move], kind: TreeKind) -> Result<(),
     }
     let ref_policy = encode_policy(one_at_a_time.policy().map_err(|e| e.to_string())?);
 
-    let mut seq = base.clone();
+    let mut batched = base.clone();
     let updates: Vec<UserUpdate> = moves.iter().copied().map(UserUpdate::Move).collect();
-    seq.stage_updates(&updates).map_err(|e| format!("stage: {e}"))?;
-    seq.refresh().map_err(|e| format!("sequential refresh: {e}"))?;
-    if encode_policy(seq.policy().map_err(|e| e.to_string())?) != ref_policy {
+    batched.stage_updates(&updates).map_err(|e| format!("stage: {e}"))?;
+    batched.refresh().map_err(|e| format!("batched refresh: {e}"))?;
+    if encode_policy(batched.policy().map_err(|e| e.to_string())?) != ref_policy {
         return Err(format!("{kind:?}: batched policy diverged from one-at-a-time"));
-    }
-
-    for workers in [1usize, 3, 8] {
-        let mut par = base.clone();
-        par.stage_updates(&updates).map_err(|e| format!("stage: {e}"))?;
-        let config = EngineConfig { workers, ..EngineConfig::default() };
-        refresh_parallel(&mut par, &config, None, None, &|| false)
-            .map_err(|e| format!("parallel refresh: {e}"))?;
-        if par.matrix() != seq.matrix() {
-            return Err(format!("{kind:?} workers={workers}: matrix diverged"));
-        }
-        if encode_policy(par.policy().map_err(|e| e.to_string())?) != ref_policy {
-            return Err(format!("{kind:?} workers={workers}: policy diverged"));
-        }
     }
     Ok(())
 }
@@ -224,9 +174,8 @@ fn arb_case() -> impl Strategy<Value = (LocationDb, Vec<Move>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Batched + parallel refresh matches the sequential sweep byte for
-    /// byte and one-move-at-a-time commits policy for policy, for
-    /// arbitrary batch shapes on both tree kinds. Failures are minimized
+    /// A batched refresh matches one-move-at-a-time commits policy for
+    /// policy, for arbitrary batch shapes on both tree kinds. Failures are minimized
     /// to a 1-minimal move list before reporting.
     #[test]
     fn random_batches_are_byte_identical((db, moves) in arb_case()) {

@@ -9,10 +9,9 @@
 //! the same user, batches that split and collapse lazily built nodes,
 //! several staged batches before one refresh, and cancelled refreshes
 //! resumed later, on binary and quad trees; the service runtime is held
-//! to the same oracle at 1 and 4 refresh workers.
+//! to the same oracle.
 
 use lbs_model::{encode_policy, UserUpdate};
-use lbs_parallel::refresh_parallel;
 use lbs_runtime::{ManualClock, RuntimeBuilder, RuntimeConfig};
 use policy_aware_lbs::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -200,12 +199,7 @@ fn run_sequence(seed: u64, cov: &mut Coverage) {
             _ => {
                 let batch = churn.batch();
                 stage(&mut inc, &batch, cov);
-                if churn.rng.gen_bool(0.5) {
-                    inc.refresh().unwrap();
-                } else {
-                    let config = EngineConfig { workers: 3, ..EngineConfig::default() };
-                    refresh_parallel(&mut inc, &config, None, None, &|| false).unwrap();
-                }
+                inc.refresh().unwrap();
             }
         }
         cov.refreshes += 1;
@@ -236,53 +230,37 @@ fn incremental_extraction_equals_full_extraction_over_seeded_churn() {
 }
 
 /// The service runtime commits the policy a fresh build over its
-/// database extracts, at 1 and 4 refresh workers alike, including after
-/// commits cancelled by an expired deadline.
+/// database extracts, including after commits cancelled by an expired
+/// deadline.
 #[test]
-fn runtime_commits_equal_a_fresh_extraction_at_any_worker_count() {
+fn runtime_commits_equal_a_fresh_extraction() {
     for seed in [3u64, 8, 13] {
         let k = 4;
         let map = Rect::square(0, 0, SIDE);
-        let mut fingerprints: Vec<Vec<Vec<u8>>> = Vec::new();
-        for workers in [1usize, 4] {
-            let (mut churn, db) = Churn::new(seed, 400, 8 * k);
-            let dir = std::env::temp_dir()
-                .join(format!("lbs-incremental-extract-{seed}-{workers}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut cfg = RuntimeConfig::new(k, map);
-            cfg.refresh_workers = workers;
-            let metrics = Arc::new(Metrics::new());
-            let mut rt = RuntimeBuilder::new(cfg)
-                .clock(Arc::new(ManualClock::new()))
-                .metrics(Arc::clone(&metrics))
-                .create(&dir, &db)
-                .unwrap();
-            let mut prints = Vec::new();
-            for round in 0..8 {
-                let ctx = format!("seed {seed} workers {workers} round {round}");
-                let batch = churn.batch();
-                rt.apply_batch(&batch).unwrap();
-                if round % 3 == 1 {
-                    let before = encode_policy(rt.committed_policy());
-                    assert!(rt.commit_with_deadline(Some(Duration::ZERO)).is_err(), "{ctx}");
-                    assert!(encode_policy(rt.committed_policy()) == before, "{ctx}");
-                }
-                rt.commit().unwrap();
-                let mut fresh = IncrementalAnonymizer::new(
-                    rt.db(),
-                    TreeConfig::lazy(TreeKind::Binary, map, k),
-                    k,
-                )
-                .unwrap();
-                let committed = encode_policy(rt.committed_policy()).to_vec();
-                assert!(committed[..] == encode_policy(fresh.policy().unwrap())[..], "{ctx}");
-                prints.push(committed);
+        let (mut churn, db) = Churn::new(seed, 400, 8 * k);
+        let dir = std::env::temp_dir()
+            .join(format!("lbs-incremental-extract-{seed}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rt = RuntimeBuilder::new(RuntimeConfig::new(k, map))
+            .clock(Arc::new(ManualClock::new()))
+            .create(&dir, &db)
+            .unwrap();
+        for round in 0..8 {
+            let ctx = format!("seed {seed} round {round}");
+            let batch = churn.batch();
+            rt.apply_batch(&batch).unwrap();
+            if round % 3 == 1 {
+                let before = encode_policy(rt.committed_policy());
+                assert!(rt.commit_with_deadline(Some(Duration::ZERO)).is_err(), "{ctx}");
+                assert!(encode_policy(rt.committed_policy()) == before, "{ctx}");
             }
-            // Four workers really split refreshes into parallel tasks.
-            assert_eq!(metrics.get(Counter::DirtySubtrees) > 0, workers > 1, "seed {seed}");
-            fingerprints.push(prints);
-            std::fs::remove_dir_all(&dir).unwrap();
+            rt.commit().unwrap();
+            let mut fresh =
+                IncrementalAnonymizer::new(rt.db(), TreeConfig::lazy(TreeKind::Binary, map, k), k)
+                    .unwrap();
+            let committed = encode_policy(rt.committed_policy());
+            assert!(committed[..] == encode_policy(fresh.policy().unwrap())[..], "{ctx}");
         }
-        assert!(fingerprints[0] == fingerprints[1], "seed {seed}: worker count changed a policy");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

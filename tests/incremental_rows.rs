@@ -13,18 +13,17 @@
 //! deletes, piles that split leaves and scatters that collapse them, and
 //! rounds that only move one user between two sibling leaves below k:
 //! both cost columns are empty before and after, so only the children's
-//! `d` tells the parent its row changed. Each sequence is refreshed
-//! sequentially, on 3 workers, and at both worker counts in slices cut
-//! short by cancellation and resumed.
+//! `d` tells the parent its row changed. Each sequence is refreshed in
+//! one go, and in slices of two and of three polls cut short by
+//! cancellation and resumed.
 
 use lbs_core::{bulk_dp_fast, bulk_dp_fast_quad, IncrementalReport};
 use lbs_model::UserUpdate;
-use lbs_parallel::refresh_parallel;
 use lbs_tree::NodeId;
 use policy_aware_lbs::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SIDE: i64 = 128;
 const USERS: u64 = 240;
@@ -48,26 +47,25 @@ fn assert_rows_match_bulk(inc: &IncrementalAnonymizer, kind: TreeKind, context: 
     }
 }
 
-/// Refreshes every pending row on `workers` workers. With `slice`, each
-/// attempt is cancelled after a budget of polls that grows by `slice`
-/// per attempt, so the refresh resumes from partial progress several
-/// times before it completes.
-fn refresh(
-    inc: &mut IncrementalAnonymizer,
-    workers: usize,
-    slice: Option<usize>,
-) -> IncrementalReport {
-    let config = EngineConfig { workers, ..EngineConfig::default() };
+/// Refreshes every pending row. With `slice`, each attempt is cancelled
+/// after a budget of polls that grows by `slice` per attempt, so the
+/// refresh resumes from partial progress several times before it
+/// completes.
+fn refresh(inc: &mut IncrementalAnonymizer, slice: Option<usize>) -> IncrementalReport {
     let Some(slice) = slice else {
-        return refresh_parallel(inc, &config, None, None, &|| false).unwrap();
+        return inc.refresh().unwrap();
     };
     for attempt in 1.. {
-        let budget = AtomicUsize::new(slice * attempt);
-        let cancel = || {
-            budget.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1)).is_err()
+        let budget = Cell::new(slice * attempt);
+        let cancel = || match budget.get().checked_sub(1) {
+            Some(left) => {
+                budget.set(left);
+                false
+            }
+            None => true,
         };
         let pending = inc.pending_rows();
-        match refresh_parallel(inc, &config, None, None, &cancel) {
+        match inc.refresh_cancellable(&cancel) {
             Ok(report) => return report,
             Err(CoreError::Cancelled) => {
                 // The rows retired before the cut are not counted by a
@@ -211,21 +209,14 @@ impl Churn {
 /// Runs one seeded churn sequence under one refresh mode and checks every
 /// row after every refresh. Returns the summed refresh work and the
 /// number of sibling exchanges.
-fn run(
-    kind: TreeKind,
-    k: usize,
-    seed: u64,
-    workers: usize,
-    slice: Option<usize>,
-) -> (IncrementalReport, usize) {
+fn run(kind: TreeKind, k: usize, seed: u64, slice: Option<usize>) -> (IncrementalReport, usize) {
     let mut churn = Churn::new(seed);
     let cfg = TreeConfig::lazy(kind, Rect::square(0, 0, SIDE), k);
     let mut inc = IncrementalAnonymizer::new(&churn.db, cfg, k).unwrap();
     let mut total = IncrementalReport::default();
     let mut exchanges = 0;
     for round in 0..ROUNDS {
-        let context =
-            format!("{kind:?} k={k} seed={seed} workers={workers} slice={slice:?} round {round}");
+        let context = format!("{kind:?} k={k} seed={seed} slice={slice:?} round {round}");
         if round % 3 == 2 {
             let Some(batch) = churn.exchange(inc.tree(), k) else { continue };
             inc.stage_updates(&batch).unwrap();
@@ -254,7 +245,7 @@ fn run(
                 );
             }
         }
-        let report = refresh(&mut inc, workers, slice);
+        let report = refresh(&mut inc, slice);
         total.rows_recomputed += report.rows_recomputed;
         total.rows_kept += report.rows_kept;
         inc.tree().check_invariants().unwrap();
@@ -268,18 +259,11 @@ fn run(
 fn every_kept_and_recomputed_row_equals_a_fresh_bulk_row() {
     for kind in [TreeKind::Binary, TreeKind::Quad] {
         for (k, seed) in [(3usize, 0x0D1u64), (6, 0x0D2)] {
-            let (sequential, exchanges) = run(kind, k, seed, 1, None);
+            let (whole, exchanges) = run(kind, k, seed, None);
             assert!(exchanges >= ROUNDS / 3 - 1, "{kind:?} k={k}: {exchanges} exchanges");
-            assert!(sequential.rows_kept > 0, "{kind:?} k={k}: {sequential:?}");
-            // Every mode makes the same keep-or-recompute decisions.
-            let (planned, _) = run(kind, k, seed, 3, None);
-            assert_eq!(
-                (planned.rows_recomputed, planned.rows_kept),
-                (sequential.rows_recomputed, sequential.rows_kept),
-                "{kind:?} k={k}: 3 workers"
-            );
-            run(kind, k, seed, 1, Some(2));
-            run(kind, k, seed, 3, Some(3));
+            assert!(whole.rows_kept > 0, "{kind:?} k={k}: {whole:?}");
+            run(kind, k, seed, Some(2));
+            run(kind, k, seed, Some(3));
         }
     }
 }
