@@ -54,8 +54,8 @@ impl Anonymizer {
     /// As [`Anonymizer::build_with_config`], with two production hooks:
     ///
     /// * `scratch` — a caller-owned [`DpScratch`] arena reused across
-    ///   binary-tree builds (it carries the flat-tree snapshot and the
-    ///   convolution buffers of the binary sweep; a quad tree ignores it).
+    ///   binary-tree builds (it carries the convolution and suffix-minimum
+    ///   buffers of the binary sweep; a quad tree ignores it).
     ///   The work-stealing engine hands each worker thread one arena so
     ///   steady-state jurisdiction builds allocate nothing in the DP loop.
     /// * `metrics` — a [`Metrics`] sink receiving [`Stage::TreeBuild`],

@@ -26,7 +26,7 @@
 //! that won it ([`Win`]), not its split: extraction reads the split of
 //! one cell per node, and [`DpMatrix::split_of`] recovers it from the tag.
 
-use crate::flat::{minplus_argmin, ConvKernel, FlatTree, NO_CHILD};
+use crate::kernel::{minplus_argmin, ConvKernel};
 use crate::matrix::Splits;
 use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
@@ -54,7 +54,7 @@ pub fn bulk_dp_fast_with_options(
     use_lemma5: bool,
 ) -> Result<DpMatrix, CoreError> {
     check_binary(tree, k)?;
-    bulk_dp_fast_arena(tree, k, &mut DpScratch::new(), use_lemma5)
+    bulk_sweep(tree, k, &mut DpScratch::new(), use_lemma5)
 }
 
 /// As [`bulk_dp_fast`], reusing a caller-owned [`DpScratch`] arena.
@@ -73,7 +73,7 @@ pub fn bulk_dp_fast_with_scratch(
     scratch: &mut DpScratch,
 ) -> Result<DpMatrix, CoreError> {
     check_binary(tree, k)?;
-    bulk_dp_fast_arena(tree, k, scratch, true)
+    bulk_sweep(tree, k, scratch, true)
 }
 
 /// The input checks every binary-tree entry point shares.
@@ -87,17 +87,17 @@ fn check_binary(tree: &SpatialTree, k: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// The pre-arena row-at-a-time `Bulk_dp`: a literal postorder walk of the
-/// `NodeId` arena computing one [`Row`] per node through the same
-/// two-stage block decomposition. Kept as the differential baseline for
-/// the arena-flattened bulk path (and as the engine behind incremental
-/// row repair, which recomputes rows one at a time by construction).
+/// The explicit-split `Bulk_dp`: a postorder walk computing one [`Row`]
+/// per node through the same two-stage block decomposition, with each
+/// cell's split stored instead of its branch tag. Kept only as the
+/// differential oracle for the parent-row body that both [`bulk_dp_fast`]
+/// and the incremental refresh call.
 ///
 /// # Errors
 /// Same conditions as [`bulk_dp_fast`].
 pub fn bulk_dp_fast_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
     check_binary(tree, k)?;
-    let mut scratch = Scratch::default();
+    let mut scratch = DpScratch::new();
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
         let row = compute_row_with(tree, &matrix, id, k, &mut scratch)?;
@@ -106,51 +106,44 @@ pub fn bulk_dp_fast_rowwise(tree: &SpatialTree, k: usize) -> Result<DpMatrix, Co
     Ok(matrix)
 }
 
-/// The arena-flattened bulk sweep: snapshot the tree breadth-first into
-/// SoA arrays and run the DP by scanning slots in reverse (children before
-/// parents, no pointer chasing into tree nodes). Each row is written in
-/// place as a cost column plus a branch-tag column, and each parent's
-/// convolution reads its children's cost columns as dense `&[u128]`
-/// slices. The block decomposition, branch evaluation order, and
-/// tie-breaks are exactly those of [`compute_row_with`], so every cell's
-/// cost and [`DpMatrix::split_of`] equal the row-wise reference's —
+/// The bulk sweep: a postorder walk of the tree, so children come before
+/// parents. A leaf gets [`Row::leaf`]; an internal node reads its
+/// children's cost columns from the matrix and gets [`combine_children`],
+/// the same parent-row body the incremental refresh calls. Each cell's
+/// cost and [`DpMatrix::split_of`] equal [`bulk_dp_fast_rowwise`]'s —
 /// `tests/differential.rs` pins this. `use_lemma5` is the ablation knob
 /// of [`bulk_dp_fast_with_options`].
-// lbs-lint: allow-item(panic-reachability, reason = "slot and first_child index the FlatTree snapshot built by the rebuild call above: every first_child entry of an internal slot names two live slots, all below flat.len(); bounds checks here would defeat the snapshot's purpose")
-fn bulk_dp_fast_arena(
+fn bulk_sweep(
     tree: &SpatialTree,
     k: usize,
     scratch: &mut DpScratch,
     use_lemma5: bool,
 ) -> Result<DpMatrix, CoreError> {
-    scratch.flat.rebuild(tree);
-    let flat = &scratch.flat;
     let mut matrix = DpMatrix::new(k, tree.arena_len());
-    for slot in (0..flat.len()).rev() {
-        let d = flat.count[slot];
-        let area = flat.area[slot];
-        let cap = dense_cap_with(d, flat.depth[slot], k, use_lemma5);
-        let first = flat.first_child[slot];
-        let row = if first == NO_CHILD {
-            Row::leaf(d, area, cap)
-        } else {
-            let (c1, c2) = (first as usize, first as usize + 1);
-            let id = flat.ids[slot];
-            let child = |c: usize| {
-                matrix
-                    .row(flat.ids[c])
-                    .map(|r| r.dense.as_slice())
-                    .ok_or_else(|| missing_child_row(id, flat.ids[c]))
-            };
-            let pair = ChildPair {
-                dense1: child(c1)?,
-                dense2: child(c2)?,
-                d1: flat.count[c1],
-                d2: flat.count[c2],
-            };
-            combine_children(pair, d, area, cap, k, &mut scratch.inner)
+    for id in tree.postorder() {
+        let node = tree.node(id);
+        let (d, area) = (node.count, node.rect.area());
+        let cap = dense_cap_with(d, node.depth, k, use_lemma5);
+        let row = match *node.children.as_slice() {
+            [] => Row::leaf(d, area, cap),
+            [c1, c2] => {
+                let child = |c: NodeId| {
+                    matrix
+                        .row(c)
+                        .map(|r| r.dense.as_slice())
+                        .ok_or_else(|| missing_child_row(id, c))
+                };
+                let pair = ChildPair {
+                    dense1: child(c1)?,
+                    dense2: child(c2)?,
+                    d1: tree.count(c1),
+                    d2: tree.count(c2),
+                };
+                combine_children(pair, d, area, cap, k, scratch)
+            }
+            _ => return Err(CoreError::Tree(format!("{id:?} is not a binary node"))),
         };
-        matrix.set_row(flat.ids[slot], row);
+        matrix.set_row(id, row);
     }
     Ok(matrix)
 }
@@ -239,13 +232,14 @@ impl Win {
     }
 }
 
-/// One parent row of the arena sweep and of the incremental refresh:
+/// One parent row of the bulk sweep and of the incremental refresh:
 /// Stage 1 (block decomposition of `temp`) and Stage 2 (resolving every
-/// dense `u`), returning the row's cost and tag columns. This is
-/// [`compute_row_with`]'s internal-node body transcribed onto slices —
-/// same branches, same order, same strict-`<` / `<=` asymmetries — with
-/// the convolution running cost-only over contiguous slices and each
-/// cell recording only which branch won it.
+/// dense `u`), returning the row's cost and tag columns. The children
+/// arrive as cost slices read straight from the matrix. This is
+/// [`compute_row_with`]'s internal-node body with the same branches, the
+/// same order and the same strict-`<` / `<=` asymmetries, but the
+/// convolution runs cost-only through [`ConvKernel`] and each cell
+/// records only which branch won it.
 // lbs-lint: allow-item(panic-reachability, reason = "every scratch vector is resized to conv_len+1 (or the row cap) at the top of the stage that indexes it, and j = l1+l2 < a1+a2-1 = conv_len by the loop bounds; this is the DP inner loop, where a stray bounds check is measurable")
 pub(crate) fn combine_children(
     pair: ChildPair<'_>,
@@ -253,7 +247,7 @@ pub(crate) fn combine_children(
     area: u128,
     cap: Option<usize>,
     k: usize,
-    ws: &mut Scratch,
+    ws: &mut DpScratch,
 ) -> Row {
     let ChildPair { dense1, dense2, d1, d2 } = pair;
     let (a1, a2) = (dense1.len(), dense2.len());
@@ -374,18 +368,27 @@ pub(crate) fn combine_children(
 
 /// Reusable DP scratch arena for [`bulk_dp_fast_with_scratch`].
 ///
-/// Owns the flat-tree snapshot and the per-node convolution and
-/// suffix-minimum buffers of the optimized binary `Bulk_dp` (the quad
-/// DP allocates its sparse tables per row and takes no scratch). The
-/// buffers grow to the largest node processed and are retained across
-/// calls, so one arena per worker thread removes all allocation from the
-/// steady-state DP loop but the rows themselves.
+/// Owns the per-node convolution and suffix-minimum buffers of the
+/// optimized binary `Bulk_dp` (the quad DP allocates its sparse tables
+/// per row and takes no scratch). The buffers grow to the largest node
+/// processed and are retained across calls, so one arena per worker
+/// thread removes all allocation from the steady-state DP loop but the
+/// rows themselves.
 #[derive(Debug, Default)]
 pub struct DpScratch {
-    /// Per-node convolution and suffix-minimum buffers.
-    pub(crate) inner: Scratch,
-    /// Breadth-first SoA snapshot of the tree being swept.
-    pub(crate) flat: FlatTree,
+    /// Block-1 (dense×dense) convolution cost per sum j.
+    conv_cost: Vec<u128>,
+    /// Argmin l₁ per sum j of the explicit-split reference
+    /// ([`compute_row_with`]); [`combine_children`] leaves it unused.
+    conv_arg: Vec<u32>,
+    /// The two-lane cost-only convolution kernel of [`combine_children`].
+    kernel: ConvKernel,
+    /// Suffix minima of `conv_cost[j] + j·area` (value, argmin j).
+    conv_suffix: Vec<(u128, u32)>,
+    /// Suffix minima of `D₁[l₁] + (l₁+d₂)·area` over l₁ (value, argmin l₁).
+    s2_suffix: Vec<(u128, u32)>,
+    /// Suffix minima of `D₂[l₂] + (d₁+l₂)·area` over l₂ (value, argmin l₂).
+    s3_suffix: Vec<(u128, u32)>,
 }
 
 impl DpScratch {
@@ -414,23 +417,6 @@ pub(crate) fn dense_cap(d: usize, depth: u16, k: usize) -> Option<usize> {
     dense_cap_with(d, depth, k, true)
 }
 
-/// Reusable per-node buffers (the DP touches these millions of times; keep
-/// the allocations out of the hot loop).
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// Block-1 (dense×dense) convolution: cost and argmin l₁ per sum j.
-    conv_cost: Vec<u128>,
-    conv_arg: Vec<u32>,
-    /// The two-lane cost-only convolution kernel (arena sweep).
-    kernel: ConvKernel,
-    /// Suffix minima of `conv_cost[j] + j·area` (value, argmin j).
-    conv_suffix: Vec<(u128, u32)>,
-    /// Suffix minima of `D₁[l₁] + (l₁+d₂)·area` over l₁ (value, argmin l₁).
-    s2_suffix: Vec<(u128, u32)>,
-    /// Suffix minima of `D₂[l₂] + (d₁+l₂)·area` over l₂ (value, argmin l₂).
-    s3_suffix: Vec<(u128, u32)>,
-}
-
 /// Computes one matrix row, with explicit splits, into caller-owned
 /// scratch: the row engine of [`bulk_dp_fast_rowwise`], the reference
 /// [`combine_children`] is checked against.
@@ -443,7 +429,7 @@ pub(crate) fn compute_row_with(
     matrix: &DpMatrix,
     id: NodeId,
     k: usize,
-    scratch: &mut Scratch,
+    scratch: &mut DpScratch,
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
     let d = node.count;

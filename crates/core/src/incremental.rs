@@ -33,7 +33,7 @@
 //!   changed and patches the policy in place (DESIGN.md §9).
 //!
 //! Rows are produced by the same engines the bulk sweeps use
-//! ([`combine_children`] is the binary arena sweep's parent-row body,
+//! ([`combine_children`] is the binary bulk sweep's parent-row body,
 //! [`quad_row`] the quad sweep's whole row engine), so incremental
 //! maintenance inherits the bit-identity contract pinned by
 //! `tests/differential.rs`.
@@ -210,8 +210,8 @@ impl Clone for IncrementalAnonymizer {
 
 impl IncrementalAnonymizer {
     /// Builds the tree and the full matrix for the initial snapshot.
-    /// Binary trees use the arena-flattened sweep, quad trees the sparse
-    /// candidate-table sweep.
+    /// Binary trees use [`bulk_dp_fast`]'s postorder sweep, quad trees the
+    /// sparse candidate-table sweep.
     ///
     /// # Errors
     /// Propagates tree-construction and DP errors.
@@ -626,7 +626,7 @@ fn recompute_row(
                 d1: tree.node(c1).count,
                 d2: tree.node(c2).count,
             };
-            Ok(combine_children(pair, d, area, cap, k, &mut scratch.inner))
+            Ok(combine_children(pair, d, area, cap, k, scratch))
         }
         _ => quad_row(tree, matrix, id, k),
     }

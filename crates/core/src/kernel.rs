@@ -1,80 +1,10 @@
-//! Breadth-first arena flattening of a [`SpatialTree`] and the SoA
-//! (min,+) convolution kernel of the binary bulk DP.
-//!
-//! The tree crate's arena is optimized for incremental maintenance:
-//! nodes carry parent links, tombstones, and rectangles, and a bulk DP
-//! walking it in postorder chases `NodeId` indirections into 100+-byte
-//! `Node` records for every row. A bulk sweep only needs four scalars per
-//! node — population, depth, area, child links — so [`FlatTree`] snapshots
-//! the live tree into parallel arrays laid out in breadth-first order:
-//! siblings are adjacent, a node's slot is always smaller than its
-//! children's, and a reverse slot scan visits children before parents
-//! (the postorder discipline the DP requires) with zero pointer chasing.
+//! The SoA (min,+) convolution kernel of the binary DP's Stage 1.
 //!
 //! Each row keeps its costs in a column of their own (`Vec<u128>`, with
-//! the branch tags or splits in a second column), so the Stage-1
-//! convolution of a parent reads its children's costs as two dense
-//! `&[u128]` slices — no split bytes in the stride, and contiguous for
-//! the hardware prefetcher.
-
-use lbs_tree::{NodeId, SpatialTree};
-
-/// Sentinel for "no children" in [`FlatTree::first_child`].
-pub(crate) const NO_CHILD: u32 = u32::MAX;
-
-/// A breadth-first structure-of-arrays snapshot of the live nodes of a
-/// [`SpatialTree`]. Slot 0 is the root; children of slot `s` occupy
-/// `first_child[s] ..` contiguously (two per internal node of the binary
-/// trees the bulk sweep snapshots).
-#[derive(Debug, Default)]
-pub(crate) struct FlatTree {
-    /// Arena id of each slot (for materializing matrix rows at the end).
-    pub ids: Vec<NodeId>,
-    /// `d(m)`: population of the slot's region.
-    pub count: Vec<usize>,
-    /// Depth below the root (`h(m)`, Lemma 5).
-    pub depth: Vec<u16>,
-    /// Rectangle area of the slot's region.
-    pub area: Vec<u128>,
-    /// Slot of the first child; siblings are adjacent. [`NO_CHILD`] at leaves.
-    pub first_child: Vec<u32>,
-}
-
-impl FlatTree {
-    /// Rebuilds the snapshot from `tree`, reusing all buffers.
-    pub fn rebuild(&mut self, tree: &SpatialTree) {
-        self.ids.clear();
-        self.count.clear();
-        self.depth.clear();
-        self.area.clear();
-        self.first_child.clear();
-
-        // `ids` doubles as the BFS queue: `head` dequeues while children
-        // are appended at the tail, so slot order is breadth-first and
-        // every parent's slot precedes its children's.
-        self.ids.push(tree.root());
-        let mut head = 0;
-        while head < self.ids.len() {
-            let node = tree.node(self.ids[head]);
-            self.count.push(node.count);
-            self.depth.push(node.depth);
-            self.area.push(node.rect.area());
-            let kids = node.children.as_slice();
-            if kids.is_empty() {
-                self.first_child.push(NO_CHILD);
-            } else {
-                self.first_child.push(self.ids.len() as u32);
-                self.ids.extend_from_slice(kids);
-            }
-            head += 1;
-        }
-    }
-
-    /// Number of live nodes in the snapshot.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-}
+//! the branch tags or splits in a second column), so the convolution of
+//! a parent reads its children's costs as two dense `&[u128]` slices —
+//! no split bytes in the stride, and contiguous for the hardware
+//! prefetcher.
 
 /// Costs small enough for the u64 fast lane of [`ConvKernel`]: sums of
 /// two stay below `u64::MAX` with headroom.
@@ -196,9 +126,6 @@ pub fn minplus_argmin(c1: &[u128], c2: &[u128], j: usize, target: u128) -> Optio
 mod tests {
     use super::*;
     use crate::INFINITE_COST;
-    use lbs_geom::{Point, Rect};
-    use lbs_model::{LocationDb, UserId};
-    use lbs_tree::{TreeConfig, TreeKind};
 
     #[test]
     fn convolve_matches_naive_reference() {
@@ -256,46 +183,5 @@ mod tests {
     fn convolve_empty_inputs_yield_empty_output() {
         assert_eq!(minplus_convolve(&[], &[1, 2]), Vec::<u128>::new());
         assert_eq!(minplus_convolve(&[1, 2], &[]), Vec::<u128>::new());
-    }
-
-    #[test]
-    fn flat_tree_is_breadth_first_with_adjacent_siblings() {
-        let db = LocationDb::from_rows(
-            [(1i64, 1i64), (2, 13), (13, 2), (14, 14), (8, 8), (1, 14)]
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y))| (UserId(i as u64), Point::new(x, y))),
-        )
-        .unwrap();
-        let tree =
-            SpatialTree::build(&db, TreeConfig::lazy(TreeKind::Binary, Rect::square(0, 0, 16), 1))
-                .unwrap();
-        let mut flat = FlatTree::default();
-        flat.rebuild(&tree);
-        assert_eq!(flat.len(), tree.live_len());
-        assert_eq!(flat.ids[0], tree.root());
-        let mut total_children = 0usize;
-        for slot in 0..flat.len() {
-            let node = tree.node(flat.ids[slot]);
-            assert_eq!(flat.count[slot], node.count);
-            assert_eq!(flat.depth[slot], node.depth);
-            assert_eq!(flat.area[slot], node.rect.area());
-            let kids = node.children.as_slice();
-            total_children += kids.len();
-            if kids.is_empty() {
-                assert_eq!(flat.first_child[slot], NO_CHILD);
-            } else {
-                let first = flat.first_child[slot] as usize;
-                assert!(first > slot, "children come after their parent");
-                for (i, &kid) in kids.iter().enumerate() {
-                    assert_eq!(flat.ids[first + i], kid, "siblings are adjacent");
-                }
-            }
-        }
-        assert_eq!(total_children + 1, flat.len(), "every slot reachable once");
-        // Rebuilding reuses buffers and yields the same snapshot.
-        let ids = flat.ids.clone();
-        flat.rebuild(&tree);
-        assert_eq!(flat.ids, ids);
     }
 }

@@ -35,8 +35,8 @@ mod dp_fast;
 mod dp_fast_quad;
 mod error;
 mod extract;
-mod flat;
 mod incremental;
+mod kernel;
 mod matrix;
 mod per_user_k;
 mod sticky;
@@ -51,8 +51,8 @@ pub use dp_fast::{
 };
 pub use dp_fast_quad::bulk_dp_fast_quad;
 pub use error::CoreError;
-pub use flat::{minplus_argmin, minplus_convolve, ConvKernel};
 pub use incremental::{first_poll_taken, ExtractReport, IncrementalAnonymizer, IncrementalReport};
+pub use kernel::{minplus_argmin, minplus_convolve, ConvKernel};
 pub use matrix::{DpMatrix, Row, INFINITE_COST};
 pub use per_user_k::{anonymize_per_user_k, verify_per_user_k, KRequirements};
 pub use sticky::StickyAnonymizer;

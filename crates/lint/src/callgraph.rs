@@ -18,6 +18,11 @@
 //!   method name to be workspace-unique;
 //! * bare `f(…)` prefers same-file, then same-crate, then
 //!   workspace-unique free functions.
+//!
+//! A value whose type has a `Drop` impl runs that impl's `drop` when it
+//! goes out of scope, with no call site in the source. A function gets
+//! an edge to `T::drop` when a resolved callee's return type names `T`
+//! (`m.start(…)` → `StageTimer`) or a `let` binds a local of type `T`.
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{FnItem, ParsedFile, CALL_KEYWORDS};
@@ -176,8 +181,22 @@ pub fn var_types(code: &[Token<'_>], pf: &ParsedFile, fn_idx: usize) -> BTreeMap
     if let Some(self_ty) = &item.self_ty {
         map.insert("self".to_string(), self_ty.clone());
     }
-    let owned: Vec<usize> = pf.owned_tokens(fn_idx).collect();
-    for &i in &owned {
+    for (name, ty, _) in let_bindings(code, pf, fn_idx) {
+        map.insert(name, ty);
+    }
+    map
+}
+
+/// The typed `let` bindings of one function, in source order: `(name,
+/// nominal type, code-token index of the name)` for every `let name:
+/// Type` annotation and `let name = Type::…` initializer.
+fn let_bindings(
+    code: &[Token<'_>],
+    pf: &ParsedFile,
+    fn_idx: usize,
+) -> Vec<(String, String, usize)> {
+    let mut out = Vec::new();
+    for i in pf.owned_tokens(fn_idx) {
         if !code[i].is_ident("let") {
             continue;
         }
@@ -214,7 +233,7 @@ pub fn var_types(code: &[Token<'_>], pf: &ParsedFile, fn_idx: usize) -> BTreeMap
                     k += 1;
                 }
                 if let Some(n) = nominal_type(&ty) {
-                    map.insert(name, n);
+                    out.push((name, n, j));
                 }
             }
             // `let x = Type::ctor(…)`
@@ -225,14 +244,14 @@ pub fn var_types(code: &[Token<'_>], pf: &ParsedFile, fn_idx: usize) -> BTreeMap
                         && code.get(j + 3).is_some_and(|n| n.is_punct("::"))
                         && !TYPE_WRAPPERS.contains(&first.text)
                     {
-                        map.insert(name, first.text.to_string());
+                        out.push((name, first.text.to_string(), j));
                     }
                 }
             }
             _ => {}
         }
     }
-    map
+    out
 }
 
 /// One node of the workspace call graph.
@@ -314,6 +333,8 @@ pub fn build(files: &[FileCtx<'_>]) -> CallGraph {
     let mut methods_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut free_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut type_method: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    // `drop` of every `impl Drop for T`, keyed by `T`.
+    let mut drops: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
         for (ii, item) in f.parsed.fns.iter().enumerate() {
             let gid = nodes.len();
@@ -322,8 +343,16 @@ pub fn build(files: &[FileCtx<'_>]) -> CallGraph {
             nodes.push(Node { file: fi, item: ii, crate_name: f.crate_name.clone(), module });
             match &item.self_ty {
                 Some(ty) => {
-                    methods_by_name.entry(item.name.as_str()).or_default().push(gid);
+                    // Method-call syntax needs a `self` receiver, so an
+                    // associated fn (`Branch::start()`) is no candidate
+                    // for `m.start(…)`.
+                    if item.params.first().is_some_and(|p| p.name.as_deref() == Some("self")) {
+                        methods_by_name.entry(item.name.as_str()).or_default().push(gid);
+                    }
                     type_method.entry((ty.as_str(), item.name.as_str())).or_default().push(gid);
+                    if item.trait_impl.as_deref() == Some("Drop") && item.name == "drop" {
+                        drops.entry(ty.as_str()).or_default().push(gid);
+                    }
                 }
                 None => free_by_name.entry(item.name.as_str()).or_default().push(gid),
             }
@@ -344,9 +373,6 @@ pub fn build(files: &[FileCtx<'_>]) -> CallGraph {
             continue;
         }
         let calls = extract_calls(f.code, f.parsed, node.item);
-        if calls.is_empty() {
-            continue;
-        }
         let vars = var_types(f.code, f.parsed, node.item);
         // Identifier mention set for the last-resort method filter.
         let mentions: BTreeSet<&str> = item
@@ -376,6 +402,32 @@ pub fn build(files: &[FileCtx<'_>]) -> CallGraph {
                 }
             }
         }
+
+        // Implicit `drop` calls, one edge per `Drop` impl. A callee edge
+        // keeps its call-site token; `drop` takes only `self`, so the
+        // taint passes bind none of that call's arguments to it.
+        let mut dropped: BTreeSet<usize> = BTreeSet::new();
+        let mut implicit = Vec::new();
+        for edge in &edges[gid] {
+            let callee = item_of(edge.to);
+            for t in &callee.ret {
+                let ty = if t == "Self" { callee.self_ty.as_deref() } else { Some(t.as_str()) };
+                for &to in ty.and_then(|ty| drops.get(ty)).into_iter().flatten() {
+                    if to != gid && dropped.insert(to) {
+                        implicit.push(Edge { to, ..*edge });
+                    }
+                }
+            }
+        }
+        for (_, ty, tok) in let_bindings(f.code, f.parsed, node.item) {
+            for &to in drops.get(ty.as_str()).into_iter().flatten() {
+                if to != gid && dropped.insert(to) {
+                    let t = &f.code[tok];
+                    implicit.push(Edge { to, tok, line: t.line, col: t.col });
+                }
+            }
+        }
+        edges[gid].extend(implicit);
     }
     CallGraph { nodes, edges }
 }

@@ -105,6 +105,83 @@ fn panic_reachability_reads_a_mut_slice_type_as_a_type_not_indexing() {
     assert!(v.message.contains("serve_fixture"), "{}", v.message);
 }
 
+#[test]
+fn panic_reachability_follows_the_drop_of_a_returned_guard() {
+    // `m.start()` returns a `Guard` whose `Drop` impl panics: the implicit
+    // `drop` of that value is a call of the entry point. `Quiet`'s panicking
+    // `drop` is only reached through `Quiet::start()`, an associated fn a
+    // method call cannot name, so it stays silent.
+    let src = "pub struct Sink;\n\
+               pub struct Guard<'a>(&'a Sink, Option<u8>);\n\
+               impl Sink {\n\
+               \x20   pub fn start(&self) -> Guard<'_> { Guard(self, None) }\n\
+               }\n\
+               impl Drop for Guard<'_> {\n\
+               \x20   fn drop(&mut self) { self.1.unwrap(); }\n\
+               }\n\
+               pub struct Quiet(Option<u8>);\n\
+               impl Drop for Quiet {\n\
+               \x20   fn drop(&mut self) { self.0.unwrap(); }\n\
+               }\n\
+               impl Quiet {\n\
+               \x20   pub fn start() -> Self { Quiet(None) }\n\
+               }\n\
+               pub struct Service { sink: Option<Box<Sink>> }\n\
+               pub fn serve_fixture(service: &Service) {\n\
+               \x20   let _span = service.sink.as_deref().map(|m| m.start());\n\
+               }\n";
+    let report = deep(src);
+    let v = only_lint(&report, "panic-reachability");
+    assert_eq!(v.line, 7, "the reached drop, not Quiet's at line 11: {report:?}");
+    assert!(v.message.contains("`Guard::drop`"), "{}", v.message);
+    // The implicit call sits at the `start` call whose value is dropped.
+    assert!(
+        v.trace[1].contains("calls `Guard::drop`") && v.trace[1].contains(":18"),
+        "{:?}",
+        v.trace
+    );
+}
+
+#[test]
+fn panic_reachability_follows_the_drop_of_a_local_or_a_constructed_value() {
+    let src = "pub struct Guard(Option<u8>);\n\
+               impl Drop for Guard {\n\
+               \x20   fn drop(&mut self) { self.0.unwrap(); }\n\
+               }\n\
+               pub fn serve_fixture() {\n\
+               \x20   let _g: Guard = Guard(None);\n\
+               }\n";
+    let report = deep(src);
+    let v = only_lint(&report, "panic-reachability");
+    assert_eq!(v.line, 3, "{report:?}");
+    assert!(
+        v.trace[1].contains("calls `Guard::drop`") && v.trace[1].contains(":6"),
+        "{:?}",
+        v.trace
+    );
+
+    // A constructor's `-> Self` names the type it returns.
+    let src = "pub struct Guard(Option<u8>);\n\
+               impl Guard {\n\
+               \x20   pub fn new() -> Self { Guard(None) }\n\
+               }\n\
+               impl Drop for Guard {\n\
+               \x20   fn drop(&mut self) { self.0.unwrap(); }\n\
+               }\n\
+               pub fn serve_fixture() {\n\
+               \x20   take(Guard::new());\n\
+               }\n\
+               fn take(_g: Guard) {}\n";
+    let report = deep(src);
+    let v = only_lint(&report, "panic-reachability");
+    assert_eq!(v.line, 6, "{report:?}");
+    assert!(
+        v.trace[1].contains("calls `Guard::drop`") && v.trace[1].contains(":9"),
+        "{:?}",
+        v.trace
+    );
+}
+
 // ------------------------------------------------------------- location
 
 #[test]

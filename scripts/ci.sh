@@ -36,17 +36,30 @@ echo "== cargo fmt --check + clippy (benchmark crate) =="
 cargo fmt --manifest-path benches/lbs-benchmark/Cargo.toml --check
 cargo clippy --offline --manifest-path benches/lbs-benchmark/Cargo.toml --all-targets -- -D warnings
 
+# Runs one lint stage. Its JSON goes to the log, and any violation fails
+# the stage, warnings included: a pragma that no longer covers a finding
+# is only an unused-suppression warning, and would otherwise pass.
+lint_stage() {
+    local json
+    json=$("$@") || { echo "$json"; exit 1; }
+    echo "$json"
+    if ! jq -e '.violations == []' <<<"$json" >/dev/null; then
+        echo "lint reported the violations above (warnings fail CI too)" >&2
+        exit 1
+    fi
+}
+
 echo "== lbs lint (workspace invariants, budget: 30 s) =="
 # Token-level invariant checker (crates/lint) for what the clippy stage's
 # [workspace.lints] table cannot express: no wall clocks in DP code,
 # BTreeMap in serialized output, runtime io through the storage seam
 # without unwraps, reasoned suppression pragmas. Builds just the CLI
 # crate first so the stage stays well inside its 30-second budget (the
-# scan itself is < 1 s for ~140 files; the warm build dominates). Nonzero
-# exit on any unsuppressed error-severity finding; JSON goes to the log
-# for machine triage. Human-readable rerun: target/release/lbs lint
+# scan itself is < 1 s for 132 files; the warm build dominates). Fails
+# on any finding, warnings included; JSON goes to the log for machine
+# triage. Human-readable rerun: target/release/lbs lint
 cargo build --release -q -p lbs-cli
-timeout 30 target/release/lbs lint --format json
+lint_stage timeout 30 target/release/lbs lint --format json
 
 echo "== lbs lint --deep (interprocedural passes, budget: 60 s) =="
 # Call-graph passes (crates/lint, DESIGN.md §12): panic-reachability from
@@ -55,10 +68,11 @@ echo "== lbs lint --deep (interprocedural passes, budget: 60 s) =="
 # through the sanctioned cloaking path), and determinism-taint (HashMap
 # iteration order, wall clocks, and thread ids must not reach
 # fingerprinted or serialized outputs). The scan itself is < 1 s for
-# ~120 files; the budget leaves room for a cold file cache. Findings
-# carry call-chain traces; human-readable rerun:
+# 132 files; the budget leaves room for a cold file cache. Fails on any
+# finding, warnings included. Findings carry call-chain traces;
+# human-readable rerun:
 #   target/release/lbs lint --deep true
-timeout 60 target/release/lbs lint --deep true --format json
+lint_stage timeout 60 target/release/lbs lint --deep true --format json
 
 echo "== cargo build --release =="
 cargo build --release --workspace

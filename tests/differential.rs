@@ -10,10 +10,10 @@
 //! * The work-stealing engine vs the sequential server loop — identical
 //!   `total_cost`, per-user cloaks, and report order for every worker
 //!   count.
-//! * The arena-flattened binary sweep (`bulk_dp_fast`) vs its pre-arena
+//! * The binary bulk sweep (`bulk_dp_fast`) vs its explicit-split
 //!   row-at-a-time reference — every cell's cost and split choice across
 //!   a seeded density × k × tree-shape grid, plus the 1–8-worker engine
-//!   runs that drive the arena sweep in production. The quad DP
+//!   runs that drive the bulk sweep in production. The quad DP
 //!   (`bulk_dp_fast_quad`) has a single row engine shared by its bulk and
 //!   incremental paths, so it has no second sweep to compare here; its
 //!   unit tests pin it to `bulk_dp_dense`.
@@ -150,34 +150,34 @@ fn density_k_grid(seed: u64) -> Vec<(String, LocationDb, SpatialTree, usize)> {
     grid
 }
 
-/// The arena-flattened binary sweep vs the pre-arena rowwise walk: for
-/// every live node and every cell in its domain, equal cost and equal
-/// `split_of` (the arena stores branch tags, the rowwise walk explicit
-/// splits), plus the same extracted policy.
+/// The binary bulk sweep vs the rowwise walk: for every live node and
+/// every cell in its domain, equal cost and equal `split_of` (the bulk
+/// sweep stores branch tags, the rowwise walk explicit splits), plus the
+/// same extracted policy.
 #[test]
-fn arena_binary_sweep_is_byte_identical_to_rowwise_reference() {
+fn bulk_binary_sweep_is_byte_identical_to_rowwise_reference() {
     for (context, db, tree, k) in density_k_grid(0xD1FF_0004) {
         let rowwise = bulk_dp_fast_rowwise(&tree, k).unwrap();
-        let arena = bulk_dp_fast(&tree, k).unwrap();
-        assert_eq!(rowwise.computed_rows(), arena.computed_rows(), "{context}");
+        let bulk = bulk_dp_fast(&tree, k).unwrap();
+        assert_eq!(rowwise.computed_rows(), bulk.computed_rows(), "{context}");
         for id in tree.postorder() {
-            let (want, got) = (rowwise.row(id).unwrap(), arena.row(id).unwrap());
+            let (want, got) = (rowwise.row(id).unwrap(), bulk.row(id).unwrap());
             assert_eq!(want.d, got.d, "{context}: node {id}");
             assert_eq!(want.dense, got.dense, "{context}: costs of node {id}");
             for (u, _) in want.iter() {
                 assert_eq!(
                     rowwise.split_of(&tree, id, u).unwrap(),
-                    arena.split_of(&tree, id, u).unwrap(),
+                    bulk.split_of(&tree, id, u).unwrap(),
                     "{context}: split of node {id} at u={u}"
                 );
             }
         }
 
         let ref_policy = rowwise.extract_policy(&tree).unwrap();
-        let arena_policy = arena.extract_policy(&tree).unwrap();
-        assert_eq!(ref_policy.cost_exact(), arena_policy.cost_exact(), "{context}");
-        assert_same_policy(&ref_policy, &arena_policy, &context);
-        assert!(verify_policy_aware(&arena_policy, &db, k).is_ok(), "{context}");
+        let bulk_policy = bulk.extract_policy(&tree).unwrap();
+        assert_eq!(ref_policy.cost_exact(), bulk_policy.cost_exact(), "{context}");
+        assert_same_policy(&ref_policy, &bulk_policy, &context);
+        assert!(verify_policy_aware(&bulk_policy, &db, k).is_ok(), "{context}");
     }
 }
 
@@ -211,10 +211,10 @@ fn convolution_pairs_stay_within_the_lemma5_bound() {
 
 /// The clustered (Bay-Area-shaped) workload through the engine at every
 /// worker count from 1 to 8 stays bit-identical to the sequential server
-/// loop. This is the production configuration of the arena sweep: each
+/// loop. This is the production configuration of the bulk sweep: each
 /// worker runs it in a reused `DpScratch`.
 #[test]
-fn arena_sweep_through_engine_paths_matches_sequential_servers() {
+fn bulk_sweep_through_engine_paths_matches_sequential_servers() {
     let k = 12;
     let (db, map) = bay(2_500);
     let reference = anonymize_partitioned(&db, map, k, 16).unwrap();
