@@ -10,7 +10,7 @@
 //! (`O(|B||D|³)` total). Use [`crate::bulk_dp_fast`] for anything beyond a
 //! few hundred users — this function exists to validate it.
 
-use crate::matrix::Splits;
+use crate::matrix::{check_cost_bound, cost_area, Splits};
 use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree};
 
@@ -18,12 +18,14 @@ use lbs_tree::{NodeId, SpatialTree};
 /// level `k`, returning the filled matrix.
 ///
 /// # Errors
-/// [`CoreError::InvalidK`] when `k = 0`; [`CoreError::StaleMatrix`] if a
-/// child row is missing (postorder discipline violated).
+/// [`CoreError::InvalidK`] when `k = 0`; [`CoreError::CostOverflow`]
+/// past the entry bound [`crate::COST_BOUND`]; [`CoreError::StaleMatrix`]
+/// if a child row is missing (postorder discipline violated).
 pub fn bulk_dp_dense(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidK);
     }
+    check_cost_bound(tree)?;
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
         let row = dense_row(tree, &matrix, id, k)?;
@@ -41,7 +43,7 @@ fn dense_row(
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
     let d = node.count;
-    let area = node.rect.area();
+    let area = cost_area(&node.rect);
 
     if node.is_leaf() {
         // Lines 5-10 of Algorithm 1: a leaf either passes all d(m) users up
@@ -53,7 +55,7 @@ fn dense_row(
     // computing j = Σuᵢ and the accumulated child cost, then fill each
     // M[m][u] with the best tuple allowing u (j = u, or j ≥ u + k).
     let children = node.children.as_slice();
-    let mut tuples: Vec<(usize, u128, [u32; 4])> = Vec::new();
+    let mut tuples: Vec<(usize, u64, [u32; 4])> = Vec::new();
     enumerate_tuples(matrix, id, children, 0, 0, 0, &mut [0u32; 4], &mut tuples)?;
 
     // u = d(m) is the special cell: every child passes everything up, at
@@ -62,13 +64,13 @@ fn dense_row(
     let mut dense = Vec::with_capacity(len);
     let mut splits = Vec::with_capacity(len);
     for u in 0..len {
-        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        let mut best: (u64, [u32; 4]) = (INFINITE_COST, [0; 4]);
         for &(j, base, split) in &tuples {
             let feasible = j == u || j >= u + k;
             if !feasible {
                 continue;
             }
-            let cost = base + area * (j - u) as u128;
+            let cost = base + area * (j - u) as u64;
             if cost < best.0 {
                 best = (cost, split);
             }
@@ -94,9 +96,9 @@ fn enumerate_tuples(
     children: &[NodeId],
     idx: usize,
     j: usize,
-    base: u128,
+    base: u64,
     split: &mut [u32; 4],
-    out: &mut Vec<(usize, u128, [u32; 4])>,
+    out: &mut Vec<(usize, u64, [u32; 4])>,
 ) -> Result<(), CoreError> {
     if idx == children.len() {
         out.push((j, base, *split));

@@ -26,8 +26,8 @@
 //! that won it ([`Win`]), not its split: extraction reads the split of
 //! one cell per node, and [`DpMatrix::split_of`] recovers it from the tag.
 
-use crate::kernel::{minplus_argmin, ConvKernel};
-use crate::matrix::Splits;
+use crate::kernel::{convolve_into, minplus_argmin};
+use crate::matrix::{check_cost_bound, cost_area, Splits};
 use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
 
@@ -35,7 +35,8 @@ use lbs_tree::{NodeId, SpatialTree, TreeKind};
 ///
 /// # Errors
 /// [`CoreError::InvalidK`] for `k = 0`; [`CoreError::Tree`] when handed a
-/// quad tree (use [`crate::bulk_dp_dense`] there, or rebuild as binary).
+/// quad tree (use [`crate::bulk_dp_dense`] there, or rebuild as binary);
+/// [`CoreError::CostOverflow`] past the entry bound [`crate::COST_BOUND`].
 pub fn bulk_dp_fast(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
     bulk_dp_fast_with_options(tree, k, true)
 }
@@ -84,7 +85,7 @@ fn check_binary(tree: &SpatialTree, k: usize) -> Result<(), CoreError> {
     if tree.config().kind != TreeKind::Binary {
         return Err(CoreError::Tree("bulk_dp_fast requires a binary (semi-quadrant) tree".into()));
     }
-    Ok(())
+    check_cost_bound(tree)
 }
 
 /// The explicit-split `Bulk_dp`: a postorder walk computing one [`Row`]
@@ -122,7 +123,7 @@ fn bulk_sweep(
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
         let node = tree.node(id);
-        let (d, area) = (node.count, node.rect.area());
+        let (d, area) = (node.count, cost_area(&node.rect));
         let cap = dense_cap_with(d, node.depth, k, use_lemma5);
         let row = match *node.children.as_slice() {
             [] => Row::leaf(d, area, cap),
@@ -151,8 +152,8 @@ fn bulk_sweep(
 /// The two children of a binary node, as dense cost slices plus their
 /// populations.
 pub(crate) struct ChildPair<'a> {
-    pub(crate) dense1: &'a [u128],
-    pub(crate) dense2: &'a [u128],
+    pub(crate) dense1: &'a [u64],
+    pub(crate) dense2: &'a [u64],
     pub(crate) d1: usize,
     pub(crate) d2: usize,
 }
@@ -215,13 +216,13 @@ impl Win {
         self,
         pair: ChildPair<'_>,
         u: usize,
-        cost: u128,
-        area: u128,
+        cost: u64,
+        area: u64,
     ) -> Option<[u32; 2]> {
         let ChildPair { dense1, dense2, d1, d2 } = pair;
         match self {
             Win::Conv(j) => {
-                let lift = area.checked_mul((j as usize).checked_sub(u)? as u128)?;
+                let lift = area.checked_mul((j as usize).checked_sub(u)? as u64)?;
                 let l1 = minplus_argmin(dense1, dense2, j as usize, cost.checked_sub(lift)?)?;
                 Some([l1, j - l1])
             }
@@ -238,13 +239,13 @@ impl Win {
 /// arrive as cost slices read straight from the matrix. This is
 /// [`compute_row_with`]'s internal-node body with the same branches, the
 /// same order and the same strict-`<` / `<=` asymmetries, but the
-/// convolution runs cost-only through [`ConvKernel`] and each cell
-/// records only which branch won it.
+/// convolution runs cost-only through the kernel and each cell records
+/// only which branch won it.
 // lbs-lint: allow-item(panic-reachability, reason = "every scratch vector is resized to conv_len+1 (or the row cap) at the top of the stage that indexes it, and j = l1+l2 < a1+a2-1 = conv_len by the loop bounds; this is the DP inner loop, where a stray bounds check is measurable")
 pub(crate) fn combine_children(
     pair: ChildPair<'_>,
     d: usize,
-    area: u128,
+    area: u64,
     cap: Option<usize>,
     k: usize,
     ws: &mut DpScratch,
@@ -255,12 +256,12 @@ pub(crate) fn combine_children(
     // ---- Stage 1: temp[m][j], decomposed into four blocks. ----
     // Block 1 (dense×dense): the cost-only (min,+) convolution kernel.
     let conv_len = if a1 > 0 && a2 > 0 { a1 + a2 - 1 } else { 0 };
-    ws.kernel.convolve_into(dense1, dense2, &mut ws.conv_cost);
+    convolve_into(dense1, dense2, &mut ws.conv_cost);
     // Suffix minima of conv_cost[j] + j·area for the "cloak ≥ k here" branch.
     ws.conv_suffix.clear();
     ws.conv_suffix.resize(conv_len + 1, (INFINITE_COST, 0));
     for j in (0..conv_len).rev() {
-        let weighted = ws.conv_cost[j].saturating_add(area * j as u128);
+        let weighted = ws.conv_cost[j].saturating_add(area * j as u64);
         ws.conv_suffix[j] = if weighted <= ws.conv_suffix[j + 1].0 {
             (weighted, j as u32)
         } else {
@@ -271,7 +272,7 @@ pub(crate) fn combine_children(
     ws.s2_suffix.clear();
     ws.s2_suffix.resize(a1 + 1, (INFINITE_COST, 0));
     for l1 in (0..a1).rev() {
-        let weighted = dense1[l1].saturating_add(area * (l1 + d2) as u128);
+        let weighted = dense1[l1].saturating_add(area * (l1 + d2) as u64);
         ws.s2_suffix[l1] = if weighted <= ws.s2_suffix[l1 + 1].0 {
             (weighted, l1 as u32)
         } else {
@@ -282,7 +283,7 @@ pub(crate) fn combine_children(
     ws.s3_suffix.clear();
     ws.s3_suffix.resize(a2 + 1, (INFINITE_COST, 0));
     for l2 in (0..a2).rev() {
-        let weighted = dense2[l2].saturating_add(area * (d1 + l2) as u128);
+        let weighted = dense2[l2].saturating_add(area * (d1 + l2) as u64);
         ws.s3_suffix[l2] = if weighted <= ws.s3_suffix[l2 + 1].0 {
             (weighted, l2 as u32)
         } else {
@@ -290,7 +291,7 @@ pub(crate) fn combine_children(
         };
     }
     // Block 4 (special×special): j = d, cost 0, always present.
-    let block4_weighted = area * d as u128;
+    let block4_weighted = area * d as u64;
 
     // ---- Stage 2: M[m][u] over u ∈ [0..cap] ∪ {d}. ----
     // Same candidate branches in the same order with the same strict-`<`
@@ -354,7 +355,7 @@ pub(crate) fn combine_children(
             weighted_win = Win::Block4;
         }
         if weighted_best != INFINITE_COST {
-            let cost = weighted_best - area * u as u128;
+            let cost = weighted_best - area * u as u64;
             if cost < best_cost {
                 best_cost = cost;
                 win = weighted_win;
@@ -376,19 +377,19 @@ pub(crate) fn combine_children(
 /// rows themselves.
 #[derive(Debug, Default)]
 pub struct DpScratch {
-    /// Block-1 (dense×dense) convolution cost per sum j.
-    conv_cost: Vec<u128>,
+    /// Block-1 (dense×dense) convolution cost per sum j, written by the
+    /// kernel in [`combine_children`] and by the argmin loop of
+    /// [`compute_row_with`].
+    conv_cost: Vec<u64>,
     /// Argmin l₁ per sum j of the explicit-split reference
     /// ([`compute_row_with`]); [`combine_children`] leaves it unused.
     conv_arg: Vec<u32>,
-    /// The two-lane cost-only convolution kernel of [`combine_children`].
-    kernel: ConvKernel,
     /// Suffix minima of `conv_cost[j] + j·area` (value, argmin j).
-    conv_suffix: Vec<(u128, u32)>,
+    conv_suffix: Vec<(u64, u32)>,
     /// Suffix minima of `D₁[l₁] + (l₁+d₂)·area` over l₁ (value, argmin l₁).
-    s2_suffix: Vec<(u128, u32)>,
+    s2_suffix: Vec<(u64, u32)>,
     /// Suffix minima of `D₂[l₂] + (d₁+l₂)·area` over l₂ (value, argmin l₂).
-    s3_suffix: Vec<(u128, u32)>,
+    s3_suffix: Vec<(u64, u32)>,
 }
 
 impl DpScratch {
@@ -433,7 +434,7 @@ pub(crate) fn compute_row_with(
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
     let d = node.count;
-    let area = node.rect.area();
+    let area = cost_area(&node.rect);
 
     if node.is_leaf() {
         return Ok(Row::leaf(d, area, dense_cap(d, node.depth, k)));
@@ -473,7 +474,7 @@ pub(crate) fn compute_row_with(
     scratch.conv_suffix.clear();
     scratch.conv_suffix.resize(conv_len + 1, (INFINITE_COST, 0));
     for j in (0..conv_len).rev() {
-        let weighted = scratch.conv_cost[j].saturating_add(area * j as u128);
+        let weighted = scratch.conv_cost[j].saturating_add(area * j as u64);
         scratch.conv_suffix[j] = if weighted <= scratch.conv_suffix[j + 1].0 {
             (weighted, j as u32)
         } else {
@@ -484,7 +485,7 @@ pub(crate) fn compute_row_with(
     scratch.s2_suffix.clear();
     scratch.s2_suffix.resize(a1 + 1, (INFINITE_COST, 0));
     for l1 in (0..a1).rev() {
-        let weighted = dense1[l1].saturating_add(area * (l1 + d2) as u128);
+        let weighted = dense1[l1].saturating_add(area * (l1 + d2) as u64);
         scratch.s2_suffix[l1] = if weighted <= scratch.s2_suffix[l1 + 1].0 {
             (weighted, l1 as u32)
         } else {
@@ -495,7 +496,7 @@ pub(crate) fn compute_row_with(
     scratch.s3_suffix.clear();
     scratch.s3_suffix.resize(a2 + 1, (INFINITE_COST, 0));
     for l2 in (0..a2).rev() {
-        let weighted = dense2[l2].saturating_add(area * (d1 + l2) as u128);
+        let weighted = dense2[l2].saturating_add(area * (d1 + l2) as u64);
         scratch.s3_suffix[l2] = if weighted <= scratch.s3_suffix[l2 + 1].0 {
             (weighted, l2 as u32)
         } else {
@@ -503,7 +504,7 @@ pub(crate) fn compute_row_with(
         };
     }
     // Block 4 (special×special): j = d, cost 0, always present.
-    let block4_weighted = area * d as u128;
+    let block4_weighted = area * d as u64;
 
     // ---- Stage 2: M[m][u] over u ∈ [0..cap] ∪ {d}. ----
     let cap = dense_cap(d, node.depth, k);
@@ -512,7 +513,7 @@ pub(crate) fn compute_row_with(
     let mut splits = Vec::with_capacity(len);
     for u in 0..len {
         // (cost, split); unreachable until a branch reaches it.
-        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        let mut best: (u64, [u32; 4]) = (INFINITE_COST, [0; 4]);
 
         // Exact branch j == u (m cloaks nothing).
         if u < conv_len && scratch.conv_cost[u] < best.0 {
@@ -537,7 +538,7 @@ pub(crate) fn compute_row_with(
         // (j−u)·area, evaluated per block via the suffix arrays. Each
         // stored value is temp[j] + j·area; subtract u·area at the end.
         let lo = u + k;
-        let mut weighted_best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        let mut weighted_best: (u64, [u32; 4]) = (INFINITE_COST, [0; 4]);
         let (w, j) = scratch.conv_suffix[lo.min(conv_len)];
         if w < weighted_best.0 {
             let l1 = scratch.conv_arg[j as usize];
@@ -557,7 +558,7 @@ pub(crate) fn compute_row_with(
             weighted_best = (block4_weighted, [d1 as u32, d2 as u32, 0, 0]);
         }
         if weighted_best.0 != INFINITE_COST {
-            let cost = weighted_best.0 - area * u as u128;
+            let cost = weighted_best.0 - area * u as u64;
             if cost < best.0 {
                 best = (cost, weighted_best.1);
             }

@@ -22,7 +22,7 @@
 //! anything, conservative relative to the binary-tree lemma.)
 
 use crate::dp_fast::{dense_cap, missing_child_row};
-use crate::matrix::Splits;
+use crate::matrix::{check_cost_bound, cost_area, Splits};
 use crate::{CoreError, DpMatrix, Row, INFINITE_COST};
 use lbs_tree::{NodeId, SpatialTree, TreeKind};
 
@@ -31,7 +31,7 @@ use lbs_tree::{NodeId, SpatialTree, TreeKind};
 #[derive(Debug, Clone, Copy)]
 struct SumEntry {
     j: usize,
-    cost: u128,
+    cost: u64,
     split: [u32; 2],
 }
 
@@ -39,7 +39,8 @@ struct SumEntry {
 ///
 /// # Errors
 /// [`CoreError::InvalidK`] for `k = 0`; [`CoreError::Tree`] when handed a
-/// binary tree (use [`crate::bulk_dp_fast`] there).
+/// binary tree (use [`crate::bulk_dp_fast`] there);
+/// [`CoreError::CostOverflow`] past the entry bound [`crate::COST_BOUND`].
 pub fn bulk_dp_fast_quad(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidK);
@@ -47,6 +48,7 @@ pub fn bulk_dp_fast_quad(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreE
     if tree.config().kind != TreeKind::Quad {
         return Err(CoreError::Tree("bulk_dp_fast_quad requires a quad tree".into()));
     }
+    check_cost_bound(tree)?;
     let mut matrix = DpMatrix::new(k, tree.arena_len());
     for id in tree.postorder() {
         let row = quad_row(tree, &matrix, id, k)?;
@@ -60,7 +62,7 @@ pub fn bulk_dp_fast_quad(tree: &SpatialTree, k: usize) -> Result<DpMatrix, CoreE
 /// `sort_unstable`/`dedup` pair fix which split represents equal-cost
 /// sums: `sort_unstable` is deterministic for a given input sequence, so
 /// equal child rows always yield the same table.
-fn convolve(a: &[(usize, u128)], b: &[(usize, u128)]) -> Vec<SumEntry> {
+fn convolve(a: &[(usize, u64)], b: &[(usize, u64)]) -> Vec<SumEntry> {
     let mut out = Vec::with_capacity(a.len() * b.len());
     for &(la, ca) in a {
         if ca == INFINITE_COST {
@@ -94,7 +96,7 @@ pub(crate) fn quad_row(
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
     let d = node.count;
-    let area = node.rect.area();
+    let area = cost_area(&node.rect);
 
     if node.is_leaf() {
         return Ok(Row::leaf(d, area, dense_cap(d, node.depth, k)));
@@ -103,7 +105,7 @@ pub(crate) fn quad_row(
     let children = node.children.as_slice();
     debug_assert_eq!(children.len(), 4, "quad tree");
     // Each child row as a sparse candidate list `(l, cost)`.
-    let cands: Vec<Vec<(usize, u128)>> = children
+    let cands: Vec<Vec<(usize, u64)>> = children
         .iter()
         .map(|&c| {
             matrix.row(c).map(|row| row.iter().collect()).ok_or_else(|| missing_child_row(id, c))
@@ -113,14 +115,14 @@ pub(crate) fn quad_row(
     // Associate: (c1 ⊗ c2) ⊗ (c3 ⊗ c4).
     let s12 = convolve(&cands[0], &cands[1]);
     let s34 = convolve(&cands[2], &cands[3]);
-    let pair12: Vec<(usize, u128)> = s12.iter().map(|e| (e.j, e.cost)).collect();
-    let pair34: Vec<(usize, u128)> = s34.iter().map(|e| (e.j, e.cost)).collect();
+    let pair12: Vec<(usize, u64)> = s12.iter().map(|e| (e.j, e.cost)).collect();
+    let pair34: Vec<(usize, u64)> = s34.iter().map(|e| (e.j, e.cost)).collect();
     let total = convolve(&pair12, &pair34);
 
     // Suffix minima of total[i].cost + j·area for the "cloak ≥ k" branch.
-    let mut suffix: Vec<(u128, usize)> = vec![(INFINITE_COST, usize::MAX); total.len() + 1];
+    let mut suffix: Vec<(u64, usize)> = vec![(INFINITE_COST, usize::MAX); total.len() + 1];
     for i in (0..total.len()).rev() {
-        let weighted = total[i].cost.saturating_add(area * total[i].j as u128);
+        let weighted = total[i].cost.saturating_add(area * total[i].j as u64);
         suffix[i] = if weighted <= suffix[i + 1].0 { (weighted, i) } else { suffix[i + 1] };
     }
 
@@ -147,7 +149,7 @@ pub(crate) fn quad_row(
     let mut exact = 0usize;
     let mut lower = 0usize;
     for u in 0..len {
-        let mut best: (u128, [u32; 4]) = (INFINITE_COST, [0; 4]);
+        let mut best: (u64, [u32; 4]) = (INFINITE_COST, [0; 4]);
         while exact < total.len() && total[exact].j < u {
             exact += 1;
         }
@@ -159,7 +161,7 @@ pub(crate) fn quad_row(
         }
         let (weighted, argmin) = suffix[lower];
         if weighted != INFINITE_COST {
-            let cost = weighted - area * u as u128;
+            let cost = weighted - area * u as u64;
             if cost < best.0 {
                 best = (cost, resolve(&total[argmin])?);
             }

@@ -21,6 +21,14 @@ pub enum CoreError {
     /// A worker thread panicked while executing a server task (the panic
     /// payload is captured and surfaced instead of aborting the run).
     WorkerPanic(String),
+    /// `count(root) × area(root)` exceeds [`crate::COST_BOUND`]: a DP cost
+    /// on this map and population could overflow the `u64` cost column.
+    CostOverflow {
+        /// Users present.
+        population: usize,
+        /// Area of the map (the root node), in square meters.
+        area: lbs_geom::Area,
+    },
     /// A cooperative cancellation point fired before the work finished
     /// (deadline expired); already-committed rows remain valid and the
     /// computation can be resumed later.
@@ -37,6 +45,10 @@ impl std::fmt::Display for CoreError {
             CoreError::Tree(msg) => write!(f, "tree error: {msg}"),
             CoreError::StaleMatrix(msg) => write!(f, "stale DP matrix: {msg}"),
             CoreError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
+            CoreError::CostOverflow { population, area } => write!(
+                f,
+                "DP costs could overflow: {population} users × map area {area} m² exceeds 2^62"
+            ),
             CoreError::Cancelled => write!(f, "computation cancelled before completion"),
         }
     }

@@ -41,6 +41,7 @@
 use crate::dp_fast::{combine_children, dense_cap, missing_child_row, ChildPair};
 use crate::dp_fast_quad::quad_row;
 use crate::extract::{cloak_policy, ExtractCache};
+use crate::matrix::{check_cost_bound, cost_area};
 use crate::{bulk_dp_fast, bulk_dp_fast_quad, CoreError, DpMatrix, DpScratch, Row};
 use lbs_geom::Area;
 use lbs_model::{BulkPolicy, LocationDb, Move, UserId, UserUpdate};
@@ -128,7 +129,7 @@ impl CostCache {
         parent: NodeId,
         child: NodeId,
         report: &mut IncrementalReport,
-    ) -> Result<&'m [u128], CoreError> {
+    ) -> Result<&'m [u64], CoreError> {
         let row = matrix.row(child).ok_or_else(|| missing_child_row(parent, child))?;
         let version = tree.version(child);
         if self.versions.get(child.index()) == Some(&Some(version)) {
@@ -345,8 +346,10 @@ impl IncrementalAnonymizer {
     /// not at all when no live row is pending.
     ///
     /// # Errors
-    /// [`CoreError::Cancelled`] when `cancel` fires with rows still
-    /// pending; DP errors otherwise.
+    /// [`CoreError::CostOverflow`] when inserts have grown the population
+    /// past the DP's entry bound ([`crate::COST_BOUND`]), with every row
+    /// left pending; [`CoreError::Cancelled`] when `cancel` fires with rows
+    /// still pending; DP errors otherwise.
     pub fn refresh_cancellable(
         &mut self,
         cancel: &dyn Fn() -> bool,
@@ -368,6 +371,8 @@ impl IncrementalAnonymizer {
         report: &mut IncrementalReport,
     ) -> Result<(), CoreError> {
         if self.has_live_pending() {
+            // Inserts can grow |D| past the DP's entry bound.
+            check_cost_bound(&self.tree)?;
             if cancel() {
                 return Err(CoreError::Cancelled);
             }
@@ -615,7 +620,7 @@ fn recompute_row(
     report: &mut IncrementalReport,
 ) -> Result<Row, CoreError> {
     let node = tree.node(id);
-    let (d, area) = (node.count, node.rect.area());
+    let (d, area) = (node.count, cost_area(&node.rect));
     let cap = dense_cap(d, node.depth, k);
     match *node.children.as_slice() {
         [] => Ok(Row::leaf(d, area, cap)),

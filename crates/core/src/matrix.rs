@@ -2,10 +2,43 @@
 
 use crate::dp_fast::{ChildPair, Win};
 use crate::CoreError;
+use lbs_geom::{Area, Rect};
 use lbs_tree::{NodeId, SpatialTree};
 
 /// Sentinel for "no configuration reaches this cell".
-pub const INFINITE_COST: u128 = u128::MAX;
+pub const INFINITE_COST: u64 = u64::MAX;
+
+/// The largest `count(root) × area(root)` a DP accepts: 2⁶².
+///
+/// A dense cost at node `m` sums one cloak area per cloaked user of its
+/// subtree, so it is at most `d(m)·area(m) ≤ |D|·A`, and a weighted
+/// suffix value `cost + j·area` of Stage 2 at most `2·|D|·A ≤ 2⁶³`.
+/// Under the bound no `u64` sum of the DP overflows and no finite cost
+/// equals [`INFINITE_COST`], so the cost column is `u64`.
+pub const COST_BOUND: Area = 1 << 62;
+
+/// The DP's entry check: `count(root) × area(root)` within
+/// [`COST_BOUND`], computed in [`Area`]. O(1); every builder and the
+/// incremental refresh call it before computing a row.
+///
+/// # Errors
+/// [`CoreError::CostOverflow`] past the bound.
+pub(crate) fn check_cost_bound(tree: &SpatialTree) -> Result<(), CoreError> {
+    let root = tree.root();
+    let (population, area) = (tree.count(root), tree.node(root).rect.area());
+    if (population as Area).saturating_mul(area) > COST_BOUND {
+        return Err(CoreError::CostOverflow { population, area });
+    }
+    Ok(())
+}
+
+/// A node's area as a DP cost. Once [`check_cost_bound`] holds it fits: a
+/// populated map's area is at most 2⁶², and an empty map's DP multiplies
+/// the area only by zero, so the saturation never reaches a cost.
+#[inline]
+pub(crate) fn cost_area(rect: &Rect) -> u64 {
+    u64::try_from(rect.area()).unwrap_or(u64::MAX)
+}
 
 /// How a row records, for each dense cell, the children pass-up counts
 /// `u₁, …` that achieve its cost. [`DpMatrix::split_of`] reads either form.
@@ -40,8 +73,9 @@ pub(crate) enum Splits {
 pub struct Row {
     /// `d(m)` at the time the row was computed.
     pub d: usize,
-    /// Costs for `u = 0 ..= u_max` (empty when `d < k`).
-    pub dense: Vec<u128>,
+    /// Costs for `u = 0 ..= u_max` (empty when `d < k`), in `u64` under
+    /// the DP's entry bound ([`COST_BOUND`]).
+    pub dense: Vec<u64>,
     /// The split column, parallel to `dense`.
     pub(crate) splits: Splits,
 }
@@ -51,17 +85,17 @@ impl Row {
     /// here, at `area` each. `cap` is `None` when only the special cell
     /// exists (`d < k`). A leaf has no children to split between, so every
     /// builder gives it the same empty split column.
-    pub(crate) fn leaf(d: usize, area: u128, cap: Option<usize>) -> Row {
+    pub(crate) fn leaf(d: usize, area: u64, cap: Option<usize>) -> Row {
         let dense = match cap {
             None => Vec::new(),
-            Some(cap) => (0..=cap).map(|u| area * (d - u) as u128).collect(),
+            Some(cap) => (0..=cap).map(|u| area * (d - u) as u64).collect(),
         };
         Row { d, dense, splits: Splits::Tags(Vec::new()) }
     }
 
     /// The cost of pass-up count `u`, if `u` is in the row's domain.
     #[inline]
-    pub fn cost(&self, u: usize) -> Option<u128> {
+    pub fn cost(&self, u: usize) -> Option<u64> {
         if u == self.d {
             Some(0)
         } else {
@@ -76,7 +110,7 @@ impl Row {
     }
 
     /// Iterates `(u, cost)` over the row's whole domain.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u128)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.dense.iter().copied().enumerate().chain(std::iter::once((self.d, 0)))
     }
 }
@@ -134,7 +168,8 @@ impl DpMatrix {
         self.rows.iter().filter(|r| r.is_some()).count()
     }
 
-    /// The optimal complete-configuration cost: `M[root][0]`.
+    /// The optimal complete-configuration cost: `M[root][0]`, widened to
+    /// the [`lbs_geom::Area`] every policy cost is summed in.
     ///
     /// # Errors
     /// [`CoreError::InsufficientPopulation`] when fewer than k users exist
@@ -154,7 +189,7 @@ impl DpMatrix {
             return Ok(0); // an empty map is vacuously anonymized
         }
         match row.cost(0) {
-            Some(cost) if cost != INFINITE_COST => Ok(cost),
+            Some(cost) if cost != INFINITE_COST => Ok(u128::from(cost)),
             _ => Err(CoreError::InsufficientPopulation { population: tree.count(root), k: self.k }),
         }
     }
@@ -217,7 +252,7 @@ impl DpMatrix {
             d2: tree.count(c2),
         };
         let [u1, u2] =
-            Win::unpack(tag).split(pair, u, cost, node.rect.area()).ok_or_else(unresolved)?;
+            Win::unpack(tag).split(pair, u, cost, cost_area(&node.rect)).ok_or_else(unresolved)?;
         Ok([u1, u2, 0, 0])
     }
 }

@@ -21,7 +21,8 @@ pub use region::Region;
 
 /// Exact area in square meters.
 ///
-/// A `u128` is wide enough for any cost this library computes: the largest
-/// supported map is `2^20 m` on a side (area `2^40`), and costs sum one area
-/// per user, so even `2^32` users stay below `2^72`.
+/// A `u128`, so a policy's cost (one area per user) stays exact well past
+/// what the optimal DP accepts. The DP keeps its cost column in `u64` and
+/// checks its own bound at entry, users × map area ≤ `2^62`
+/// (`lbs_core::COST_BOUND`), failing with `CoreError::CostOverflow` past it.
 pub type Area = u128;

@@ -9,7 +9,8 @@ use lbs_attack::audit_policy;
 use lbs_conformance::{durability_sweep, run_lives, DurabilityConfig, Reference};
 use lbs_core::{
     anonymize_per_user_k, bulk_dp_fast, bulk_dp_fast_rowwise, minplus_argmin, minplus_convolve,
-    verify_per_user_k, verify_policy_aware, KRequirements, StickyAnonymizer, INFINITE_COST,
+    verify_per_user_k, verify_policy_aware, KRequirements, StickyAnonymizer, COST_BOUND,
+    INFINITE_COST,
 };
 use policy_aware_lbs::prelude::*;
 use proptest::prelude::*;
@@ -180,22 +181,27 @@ fn shrinker_reaches_a_1_minimal_database() {
     }
 }
 
-/// Random min-plus cost vectors straddling the kernel's narrow/wide lane
-/// split: `wide == 1` entries are shifted past 2⁶² so a single one of
-/// them pushes the whole convolution onto the u128 scalar lane, while
-/// all-small vectors stay on the vectorized u64 lane.
-fn arb_cost_vec() -> impl Strategy<Value = Vec<u128>> {
-    prop::collection::vec((0u8..2, 0u64..1 << 50), 0..14).prop_map(|cells| {
+/// Random min-plus cost vectors over the kernel's whole domain, every
+/// cell in `[0, 2⁶²]` (the DP's entry bound, [`COST_BOUND`]): small
+/// costs, costs spread up to the bound, and costs within 2⁸ of it, so
+/// sums near the top of `u64` (up to 2⁶³) are checked too.
+fn arb_cost_vec() -> impl Strategy<Value = Vec<u64>> {
+    let top = COST_BOUND as u64;
+    prop::collection::vec((0u8..3, 0u64..1 << 50), 0..14).prop_map(move |cells| {
         cells
             .into_iter()
-            .map(|(wide, v)| if wide == 1 { (v as u128) << 40 } else { v as u128 })
+            .map(|(kind, v)| match kind {
+                0 => v,
+                1 => v << 12,
+                _ => top - (v & 0xFF),
+            })
             .collect()
     })
 }
 
 /// Naive O(a₁·a₂) min-plus reference: per output diagonal, the minimum
 /// sum and the smallest `l1` attaining it (the bit-identity tie-break).
-fn naive_minplus(c1: &[u128], c2: &[u128]) -> Vec<(u128, u32)> {
+fn naive_minplus(c1: &[u64], c2: &[u64]) -> Vec<(u64, u32)> {
     if c1.is_empty() || c2.is_empty() {
         return Vec::new();
     }
@@ -230,7 +236,7 @@ fn conv_pipeline(db: &LocationDb, k: usize) -> Result<(), String> {
         if children.len() != 2 {
             continue;
         }
-        let dense = |c: lbs_tree::NodeId| -> Result<Vec<u128>, String> {
+        let dense = |c: lbs_tree::NodeId| -> Result<Vec<u64>, String> {
             let row = matrix.row(c).ok_or_else(|| format!("missing row for {c}"))?;
             Ok(row.dense.clone())
         };
@@ -258,7 +264,7 @@ proptest! {
 
     /// The SoA k-summation kernel on raw random pools: every diagonal's
     /// minimum and its smallest-`l1` witness match the naive reference,
-    /// on both the u64 narrow lane and the u128 wide lane.
+    /// up to costs at the entry bound.
     #[test]
     fn conv_kernel_matches_naive_reference_on_random_pools(
         c1 in arb_cost_vec(),
