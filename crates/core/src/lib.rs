@@ -53,7 +53,7 @@ pub use dp_fast_quad::bulk_dp_fast_quad;
 pub use error::CoreError;
 pub use incremental::{first_poll_taken, ExtractReport, IncrementalAnonymizer, IncrementalReport};
 pub use kernel::{minplus_argmin, minplus_convolve};
-pub use matrix::{DpMatrix, Row, COST_BOUND, INFINITE_COST};
+pub use matrix::{check_population_bound, DpMatrix, Row, COST_BOUND, INFINITE_COST};
 pub use per_user_k::{anonymize_per_user_k, verify_per_user_k, KRequirements};
 pub use sticky::StickyAnonymizer;
 pub use verify::{brute_force_optimal_cost, verify_policy_aware, AnonymityViolation};

@@ -17,19 +17,29 @@ pub const INFINITE_COST: u64 = u64::MAX;
 /// equals [`INFINITE_COST`], so the cost column is `u64`.
 pub const COST_BOUND: Area = 1 << 62;
 
-/// The DP's entry check: `count(root) × area(root)` within
-/// [`COST_BOUND`], computed in [`Area`]. O(1); every builder and the
-/// incremental refresh call it before computing a row.
+/// Checks `population × area` against [`COST_BOUND`], computed in
+/// [`Area`]. O(1). The DP's entry check applies it to the root; a durable
+/// service applies it to the population a churn batch would leave, before
+/// logging the batch, so no logged batch can make a later refresh fail.
+///
+/// # Errors
+/// [`CoreError::CostOverflow`] past the bound.
+pub fn check_population_bound(population: usize, area: Area) -> Result<(), CoreError> {
+    if (population as Area).saturating_mul(area) > COST_BOUND {
+        return Err(CoreError::CostOverflow { population, area });
+    }
+    Ok(())
+}
+
+/// The DP's entry check: [`check_population_bound`] on
+/// `count(root) × area(root)`. Every builder and the incremental refresh
+/// call it before computing a row.
 ///
 /// # Errors
 /// [`CoreError::CostOverflow`] past the bound.
 pub(crate) fn check_cost_bound(tree: &SpatialTree) -> Result<(), CoreError> {
     let root = tree.root();
-    let (population, area) = (tree.count(root), tree.node(root).rect.area());
-    if (population as Area).saturating_mul(area) > COST_BOUND {
-        return Err(CoreError::CostOverflow { population, area });
-    }
-    Ok(())
+    check_population_bound(tree.count(root), tree.node(root).rect.area())
 }
 
 /// A node's area as a DP cost. Once [`check_cost_bound`] holds it fits: a

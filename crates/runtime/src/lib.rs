@@ -232,6 +232,50 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_past_the_cost_bound_is_rejected_before_the_wal() {
+        // A 2³⁰ m map (area 2⁶⁰) holds at most 4 users under the DP's
+        // bound (4·2⁶⁰ = 2⁶²). A logged batch past it would fail every
+        // later commit and every replay, so it must not reach the WAL.
+        let side = 1i64 << 30;
+        let far = side - 2;
+        let dir = tmp_dir("cost-bound");
+        let db0 = LocationDb::from_rows(
+            [(1, 1), (far, 1), (1, far)]
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| (UserId(i as u64), Point::new(x, y))),
+        )
+        .unwrap();
+        let mut cfg = RuntimeConfig::new(2, Rect::square(0, 0, side));
+        cfg.checkpoint_every = 0;
+        let builder = || RuntimeBuilder::new(cfg).clock(Arc::new(ManualClock::new()));
+        let mut rt = builder().create(&dir, &db0).unwrap();
+        let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let insert = |id: u64| UserUpdate::Insert { user: UserId(id), at: Point::new(far, far) };
+        let past = [insert(3), insert(4)];
+        match rt.apply_batch(&past) {
+            Err(RuntimeError::Core(lbs_core::CoreError::CostOverflow { population, area })) => {
+                assert_eq!((population, area), (5, 1 << 60));
+            }
+            other => panic!("expected CostOverflow, got {other:?}"),
+        }
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), wal_len);
+        assert_eq!((rt.durable_seq(), rt.db().len(), rt.pending_rows()), (0, 3, 0));
+        rt.commit().unwrap();
+        // Net of its delete the next batch lands exactly on the bound.
+        let seq = rt.apply_batch(&[insert(3), insert(4), UserUpdate::Delete { user: UserId(0) }]);
+        assert_eq!(seq.unwrap(), 1);
+        rt.commit().unwrap();
+        let expected = encode_policy(rt.committed_policy());
+        drop(rt);
+        let (recovered, report) = builder().recover(&dir).unwrap();
+        assert_eq!(report.replayed, 1);
+        assert_eq!(recovered.db().len(), 4);
+        assert_eq!(encode_policy(recovered.committed_policy()), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn recovery_without_wal_suffix_restores_checkpoint_state() {
         let dir = tmp_dir("reload");
         let db0 = seed_db(77, 45);

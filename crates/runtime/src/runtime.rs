@@ -9,7 +9,9 @@ use crate::error::RuntimeError;
 use crate::scrub::{scrub_dir, GcReport, ScrubReport};
 use crate::storage::{real_fs, StorageBackend};
 use crate::wal::Wal;
-use lbs_core::{first_poll_taken, CoreError, IncrementalAnonymizer, IncrementalReport};
+use lbs_core::{
+    check_population_bound, first_poll_taken, CoreError, IncrementalAnonymizer, IncrementalReport,
+};
 use lbs_geom::{Rect, Region};
 use lbs_metrics::{Counter, Metrics, Stage};
 use lbs_model::{
@@ -438,8 +440,11 @@ impl ServiceRuntime {
     /// Returns the batch's WAL sequence number.
     ///
     /// # Errors
-    /// [`RuntimeError::Model`] on an invalid batch (nothing is logged or
-    /// applied); [`RuntimeError::Io`] when the append fails.
+    /// [`RuntimeError::Model`] on an invalid batch and
+    /// [`CoreError::CostOverflow`] when the batch's inserts would take
+    /// `population × map area` past [`lbs_core::COST_BOUND`] (in both
+    /// cases nothing is logged or applied); [`RuntimeError::Io`] when the
+    /// append fails.
     pub fn apply_batch(&mut self, updates: &[UserUpdate]) -> Result<u64, RuntimeError> {
         self.db.validate_updates(updates)?;
         for up in updates {
@@ -459,6 +464,19 @@ impl ServiceRuntime {
                 }
             }
         }
+        // A validated insert adds one user and a validated delete removes
+        // one. Checked before the append: a logged batch past the bound
+        // would fail every later commit and every replay of the log.
+        let (mut inserts, mut deletes) = (0usize, 0usize);
+        for up in updates {
+            match up {
+                UserUpdate::Insert { .. } => inserts += 1,
+                UserUpdate::Delete { .. } => deletes += 1,
+                UserUpdate::Move(_) => {}
+            }
+        }
+        let population = (self.db.len() + inserts).saturating_sub(deletes);
+        check_population_bound(population, self.cfg.map.area())?;
         let span = self.metrics.as_deref().map(|m| m.start(Stage::WalAppend));
         // lbs-lint: allow(location-taint, reason = "the WAL is the crash-recovery log on local disk, inside the anonymizer's trust boundary; frames never leave the host")
         let seq = match self.wal.append(updates) {
